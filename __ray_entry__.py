@@ -92,16 +92,6 @@ def _scale_for(sf_dir: str) -> str:
     return {"sf0.001": "t1", "sf0.01": "t2", "sf0.1": "bench"}.get(base, "t2")
 
 
-def _pool():
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(2, min(cpus - 1, 30))
-
-
 def _run_extract_ds(scale: str, mode: str = "text"):
     from pdfrust_ray.fixtures.corpus import ensure_corpus
     from pdfrust_ray.pipelines.extract_pipeline import build_extraction
@@ -109,7 +99,7 @@ def _run_extract_ds(scale: str, mode: str = "text"):
 
     d = ensure_corpus(scale)
     ds = read_transcripts(d)
-    return build_extraction(ds, mode=mode, batch_size=64, concurrency=_pool())
+    return build_extraction(ds, mode=mode, batch_size=64)
 
 
 def entry() -> Any:

@@ -30,7 +30,7 @@ REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count()))
 
 
 def _scale_for(sf_dir: str) -> str:
@@ -39,21 +39,13 @@ def _scale_for(sf_dir: str) -> str:
 
 
 def main() -> dict:
-    os.environ.setdefault("PYTHONPATH", REPO)
-    import ray
+    from pdfrust_ray.session import start_session
 
-    ray.init(
-        address="local",
-        num_cpus=NUM_CPUS,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
+    start_session(NUM_CPUS)
+    import ray
     import ray.data as rd
 
-    ctx = rd.DataContext.get_current()
-    ctx.enable_progress_bars = False
-    ctx.execution_options.verbose_progress = False
+    rd.DataContext.get_current().execution_options.verbose_progress = False
 
     from pdfrust_ray.fixtures.corpus import ensure_corpus
     from pdfrust_ray.pipelines.extract_pipeline import run_extraction
@@ -70,14 +62,13 @@ def main() -> dict:
 
     out_dir = f"/tmp/bench_out_{scale}_{NUM_CPUS}"
     shutil.rmtree(out_dir, ignore_errors=True)
-    pool = max(2, NUM_CPUS - 2)
 
     # warm the cluster (worker process spawn + imports) with a small
     # untimed pipeline so the timed run measures steady-state throughput
     warm_dir = ensure_corpus("t1")
     warm_out = f"/tmp/bench_warm_{NUM_CPUS}"
     shutil.rmtree(warm_out, ignore_errors=True)
-    run_extraction(warm_dir, warm_out, concurrency=pool, resume=False)
+    run_extraction(warm_dir, warm_out, resume=False)
 
     t0 = time.perf_counter()
     metrics = run_extraction(
@@ -85,7 +76,6 @@ def main() -> dict:
         out_dir,
         group_size=10_000,  # single group: one streaming pipeline
         batch_size=512,
-        concurrency=pool,
         resume=False,
         override_num_blocks=12 * NUM_CPUS,
     )

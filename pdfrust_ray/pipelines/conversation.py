@@ -46,30 +46,17 @@ def _coalesced(ds: "rd.Dataset") -> "rd.Dataset":
     the 800k-turn bench corpus: the same bucket groupby takes 4.9s from
     256 blocks, 0.9s after repartition(32)). On a multi-node cluster
     the same rule holds with cores = cluster cores."""
-    import ray
+    from .extract_pipeline import _cluster_cpus
 
-    try:
-        cores = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cores = 8
-    return ds.repartition(max(8, min(64, cores)))
+    return ds.repartition(max(8, min(64, _cluster_cpus())))
 
 
 def _bucket_of(ids: "pa.ChunkedArray") -> "pa.Array":
-    """md5-based bucket per conversation id, vectorized via the
-    single-block md5 lanes in functions/md5vec (hashlib fallback for
-    ids too long for one block)."""
+    """md5-based bucket per conversation id, vectorized via the md5
+    lanes in functions/md5vec."""
     from pdfrust_ray.functions.md5vec import md5_prefix_u32
 
-    raw = [s.encode("utf-8") for s in ids.to_pylist()]
-    if all(len(b) < 56 for b in raw):
-        h = md5_prefix_u32(raw)
-    else:
-        h = np.fromiter(
-            (int.from_bytes(hashlib.md5(b).digest()[:4], "big") for b in raw),
-            dtype=np.uint64,
-            count=len(raw),
-        )
+    h = md5_prefix_u32([s.encode("utf-8") for s in ids.to_pylist()])
     return pa.array((h % _N_BUCKETS).astype(np.int64), pa.int64())
 
 

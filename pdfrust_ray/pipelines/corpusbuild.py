@@ -4,8 +4,8 @@ Everything upstream exists as an individually-oracled operator; this
 module chains them into the ONE pipeline a pretraining-data owner
 actually runs over a transcript dump, with a single chained SQL twin:
 
-  flagship extraction (mode=text, full Ray pipeline, actor pools,
-  skew routing)                       [oracle: the frozen golden]
+  flagship extraction (mode=text, full Ray pipeline, one actor
+  pool)                               [oracle: the frozen golden]
   -> parse_status == 'ok', non-empty text
   -> quality_score(extracted_text) >= cut        [quality twin expr]
   -> exact dedup on md5(extracted_text), keep the (conv_id, turn_idx)
@@ -39,16 +39,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 _DEDUP_SHARDS = 64
-
-
-def _default_concurrency():
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(2, min(cpus - 1, 30))
 
 
 def _make_prep(cut: float, n_buckets: int):
@@ -101,6 +91,19 @@ def _dedup_shard(g: pd.DataFrame) -> pd.DataFrame:
     return g[["conv_id", "turn_idx", "n_tokens", "bucket"]]
 
 
+def _deduped(ext, quality_cut_centi: int, n_buckets: int):
+    """filter -> digest -> dedup over extracted rows: one row per
+    distinct kept text, (conv_id, turn_idx, n_tokens, bucket)."""
+    return (
+        ext.map_batches(
+            _make_prep(quality_cut_centi / 100.0, n_buckets),
+            batch_format="pyarrow",
+        )
+        .groupby("dshard")
+        .map_groups(_dedup_shard, batch_format="pandas")
+    )
+
+
 def _make_pack(budget: int):
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort").reset_index(
@@ -136,12 +139,7 @@ def corpus_build_from_extracted(
     contract, which memoizes ONE t2 extraction across all extract-*
     queries)."""
     out = (
-        ext.map_batches(
-            _make_prep(quality_cut_centi / 100.0, n_buckets),
-            batch_format="pyarrow",
-        )
-        .groupby("dshard")
-        .map_groups(_dedup_shard, batch_format="pandas")
+        _deduped(ext, quality_cut_centi, n_buckets)
         .groupby("bucket")
         .map_groups(_make_pack(budget), batch_format="pandas")
         .to_pandas()
@@ -165,8 +163,6 @@ def transcript_corpus_build(
     from ..sources.transcripts import read_transcripts
     from .extract_pipeline import build_extraction
 
-    if concurrency is None:
-        concurrency = _default_concurrency()
     ext = build_extraction(
         read_transcripts(corpus_dir),
         mode="text",
@@ -319,8 +315,6 @@ def run_corpus_build(
     from ..state import manifest
     from .extract_pipeline import ENGINE_VERSION, run_extraction
 
-    if concurrency is None:
-        concurrency = _default_concurrency()
     os.makedirs(out_dir, exist_ok=True)
     ext_dir = os.path.join(out_dir, "stage_extract")
     ded_dir = os.path.join(out_dir, "stage_dedup")
@@ -340,17 +334,13 @@ def run_corpus_build(
     ext_files = sorted(_glob.glob(os.path.join(ext_dir, "group=*", "*.parquet")))
     dedup_resumed = resume and 0 in manifest.completed_groups(ded_dir)
     if not dedup_resumed:
-        dd = (
+        dd = _deduped(
             _rd.read_parquet(
                 ext_files,
                 columns=["conv_id", "turn_idx", "extracted_text", "parse_status"],
-            )
-            .map_batches(
-                _make_prep(quality_cut_centi / 100.0, n_buckets),
-                batch_format="pyarrow",
-            )
-            .groupby("dshard")
-            .map_groups(_dedup_shard, batch_format="pandas")
+            ),
+            quality_cut_centi,
+            n_buckets,
         )
         tmp = os.path.join(out_dir, "_tmp_dedup")
         import shutil

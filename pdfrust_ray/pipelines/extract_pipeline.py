@@ -3,18 +3,15 @@
 Shape (SURVEY §3.4):
 
   read_parquet(shards, columns=[conv_id, turn_idx, text])   # pruned read
-    -> map_batches(add_payload_len)                         # stateless size probe
-    -> [skew split] filter small / big by payload bytes     # repartition-by-bytes
     -> map_batches(ExtractTurns, concurrency=pool,
-                   batch_size=B, batch_format="pyarrow")    # actor pools
-       (big rows go to a dedicated pool with tiny batches)
-    -> union
+                   batch_size=B, batch_format="pyarrow")    # one actor pool
     -> sort(conv_id, turn_idx)                              # THE ordering shuffle
     -> write_parquet(group dir)                             # resumable partitions
 
 At 100 TB the only all-to-all exchange is the final sort; everything
-upstream is embarrassingly parallel per block. The skew split keeps a
-single giant PDF from stalling a whole 8k-row batch behind one actor.
+upstream is embarrassingly parallel per block. One pool serves every
+payload size: the streaming executor splits blocks by bytes, and
+per-document cost is sub-second, which bounds head-of-line blocking.
 
 Never calls ray.init(); callers own the session.
 """
@@ -28,22 +25,40 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..sources.transcripts import list_shards, read_transcripts
-from ..stages.extractors import ExtractTurns, add_payload_len
+from ..stages.extractors import ExtractTurns
 from ..state import manifest
 
-# payloads above this many (string) bytes route to the big-row pool
-BIG_PAYLOAD_BYTES = 256 * 1024
 ENGINE_VERSION = "0.1.0"
 
 
-def _default_sort_partitions() -> int:
+def _cluster_cpus() -> int:
+    """The cluster's CPU count: the one input of every default size in
+    the extraction and corpus-build plans."""
     import ray
 
     try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
+        return int(ray.cluster_resources().get("CPU", 8))
     except Exception:
-        cpus = 8
-    return max(4, min(cpus, 64))
+        return 8
+
+
+def _default_sort_partitions() -> int:
+    return max(4, min(_cluster_cpus(), 64))
+
+
+def _pool(concurrency) -> tuple[int, int]:
+    """ExtractTurns actor-pool bounds (min, max).
+
+    None sizes the pool from the cluster, c = max(2, cpus - 2); an int
+    c gives (max(1, c - 2), c); a (min, max) tuple passes through. The
+    default c leaves two CPUs free, so the read and sort tasks always
+    find one; the high floor pre-warms the pool, since ramp-up
+    measurably cost ~10% of bench wall."""
+    if concurrency is None:
+        concurrency = max(2, _cluster_cpus() - 2)
+    if isinstance(concurrency, int):
+        return (max(1, concurrency - 2), concurrency)
+    return concurrency
 
 
 # bound on sort partitions: Ray's range shuffle creates partitions^2
@@ -75,22 +90,14 @@ def build_extraction(
     mode: str = "text",
     batch_size: int = 512,
     concurrency=None,
-    big_concurrency: int | None = None,
-    skew_split: bool = False,
     order: bool = True,
     sort_partitions: int | None = None,
     spec_mode: bool = False,
 ):
     """Attach the extraction stages to a transcript Dataset.
 
-    skew_split: when False (default) a single actor pool handles all
-    payload sizes — the streaming executor's size-based block splitting
-    plus sub-second per-document cost bounds head-of-line blocking, and
-    the input is scanned once. When True, rows above BIG_PAYLOAD_BYTES
-    route to a dedicated small-batch pool (explicit repartition-by-bytes)
-    at the cost of a second input scan — the right call when single
-    documents reach hundreds of MB and must not share a pool with the
-    small-row stream.
+    concurrency: the ExtractTurns pool, see _pool (None sizes it from
+    the cluster).
 
     sort_partitions: block count entering the ordering sort. Ray's range
     shuffle creates partitions^2 intermediate objects, so many tiny
@@ -108,60 +115,16 @@ def build_extraction(
             input_bytes = ds.size_bytes()
         except Exception:
             input_bytes = None
-    # zero_copy_batch: these stages never mutate the input table
-    # (append_column / filter build new tables), so skip Ray Data's
-    # defensive copy and read the object-store block in place
-    ds = ds.map_batches(add_payload_len, batch_format="pyarrow", zero_copy_batch=True)
-    if big_concurrency is None:
-        # size the big-payload pool with the cluster: oversized docs cost
-        # seconds each, so a fixed tiny pool serializes the skewed tail
-        big_concurrency = max(2, _default_sort_partitions() // 2)
-    # autoscaling pools (min, max): fixed-size pools on a union plan can
-    # deadlock when branch pools + sort tasks oversubscribe the CPUs; a
-    # non-trivial min pre-warms the pool so ramp-up doesn't serialize
-    pool = (
-        # high floor: pool ramp-up measurably costs ~10% of bench wall
-        # (autoscaling still backs off when idle; 2 cpus stay free for
-        # read/shuffle tasks so fixed-pool starvation can't occur)
-        (max(1, concurrency - 2), concurrency)
-        if isinstance(concurrency, int)
-        else concurrency
+    # zero_copy_batch: ExtractTurns never mutates its input table, so
+    # skip Ray Data's defensive copy and read the object-store block in place
+    out = ds.map_batches(
+        ExtractTurns,
+        fn_constructor_kwargs={"mode": mode, "spec_mode": spec_mode},
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=batch_size,
+        concurrency=_pool(concurrency),
     )
-    if skew_split:
-        small = ds.map_batches(
-            lambda t: t.filter(pc.less_equal(t["payload_len"], BIG_PAYLOAD_BYTES)),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).map_batches(
-            ExtractTurns,
-            fn_constructor_kwargs={"mode": mode, "spec_mode": spec_mode},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=pool,
-        )
-        big = ds.map_batches(
-            lambda t: t.filter(pc.greater(t["payload_len"], BIG_PAYLOAD_BYTES)),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).map_batches(
-            ExtractTurns,
-            fn_constructor_kwargs={"mode": mode, "spec_mode": spec_mode},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=4,  # bytes-capped batching for oversized payloads
-            concurrency=(max(1, big_concurrency // 2), big_concurrency),
-        )
-        out = small.union(big)
-    else:
-        out = ds.map_batches(
-            ExtractTurns,
-            fn_constructor_kwargs={"mode": mode, "spec_mode": spec_mode},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=pool,
-        )
     if order:
         npart = sort_partitions or _bytes_based_sort_partitions(input_bytes)
         out = out.repartition(npart).sort(["conv_id", "turn_idx"])
@@ -189,7 +152,6 @@ def run_extraction(
     batch_size: int = 512,
     concurrency=None,
     resume: bool = True,
-    skew_split: bool = False,
     override_num_blocks: int | None = None,
     spec_mode: bool = False,
 ) -> dict:
@@ -218,7 +180,6 @@ def run_extraction(
             mode=mode,
             batch_size=batch_size,
             concurrency=concurrency,
-            skew_split=skew_split,
             spec_mode=spec_mode,
         )
         tmp = manifest.group_dir(out_dir, gid) + ".tmp"

@@ -1064,27 +1064,6 @@ def html_ld_extract_sql(golden_path: str) -> str:
     """
 
 
-def _md5_u32_tokens(tokens: list[bytes]) -> "np.ndarray":
-    """Vectorized md5-u32 for token lists: single-block lanes for the
-    (overwhelmingly common) short tokens, hashlib for the stragglers."""
-    import hashlib
-
-    import numpy as np
-
-    from ..functions.md5vec import md5_prefix_u32
-
-    if all(len(t) < 56 for t in tokens):
-        return md5_prefix_u32(tokens)
-    out = np.empty(len(tokens), dtype=np.uint64)
-    short_idx = [i for i, t in enumerate(tokens) if len(t) < 56]
-    if short_idx:
-        out[short_idx] = md5_prefix_u32([tokens[i] for i in short_idx])
-    for i, t in enumerate(tokens):
-        if len(t) >= 56:
-            out[i] = int.from_bytes(hashlib.md5(t).digest()[:4], "big")
-    return out
-
-
 def feature_hashing(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
     """Hashing-trick bag-of-words: every space-delimited token maps to
     md5_u32(token) % n_buckets, giving each document a fixed-width
@@ -1098,6 +1077,8 @@ def feature_hashing(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
 
     import numpy as np
 
+    from ..functions.md5vec import md5_prefix_u32
+
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def per_batch(t: pa.Table) -> pa.Table:
@@ -1106,7 +1087,7 @@ def feature_hashing(sf_dir: str, n_buckets: int = 64) -> pd.DataFrame:
         for txt in t["text"].to_pylist():
             toks = [w.encode("utf-8") for w in txt.split(" ") if w != ""]
             if toks:
-                h = _md5_u32_tokens(toks) % np.uint64(n_buckets)
+                h = md5_prefix_u32(toks) % np.uint64(n_buckets)
                 bkt, cnt = np.unique(h.astype(np.int64), return_counts=True)
             else:
                 bkt = cnt = np.zeros(0, dtype=np.int64)

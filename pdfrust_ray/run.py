@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 
@@ -28,7 +27,6 @@ def main(argv=None) -> int:
     ap.add_argument("--batch-size", type=int, default=512)
     ap.add_argument("--concurrency", type=int, default=None, help="max extraction actors")
     ap.add_argument("--no-resume", action="store_true", help="reprocess completed groups")
-    ap.add_argument("--no-skew-split", action="store_true")
     ap.add_argument(
         "--spec-mode",
         action="store_true",
@@ -38,35 +36,21 @@ def main(argv=None) -> int:
     ap.add_argument("--num-cpus", type=int, default=None, help="ray.init num_cpus (local mode)")
     args = ap.parse_args(argv)
 
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    os.environ.setdefault("PYTHONPATH", repo)
+    from .session import start_session
 
+    start_session(args.num_cpus)
     import ray
-
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=args.num_cpus,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
-    import ray.data as rd
-
-    rd.DataContext.get_current().enable_progress_bars = False
 
     from .pipelines.extract_pipeline import run_extraction
 
-    cpus = int(ray.cluster_resources().get("CPU", 4))
     metrics = run_extraction(
         args.input,
         args.output,
         mode=args.mode,
         group_size=args.group_size,
         batch_size=args.batch_size,
-        concurrency=args.concurrency or max(2, cpus - 2),
+        concurrency=args.concurrency,
         resume=not args.no_resume,
-        skew_split=not args.no_skew_split,
         spec_mode=args.spec_mode,
     )
     print(json.dumps(metrics))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 
 
 def main(argv=None) -> int:
@@ -26,22 +25,10 @@ def main(argv=None) -> int:
     ap.add_argument("--num-cpus", type=int, default=None)
     args = ap.parse_args(argv)
 
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    os.environ.setdefault("PYTHONPATH", repo)
+    from .session import start_session
 
+    start_session(args.num_cpus)
     import ray
-
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=args.num_cpus,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
-    import ray.data as rd
-
-    rd.DataContext.get_current().enable_progress_bars = False
 
     from .pipelines.corpusbuild import run_corpus_build
 

@@ -65,16 +65,6 @@ BUCKET_CAP = 10_000
 N_SHARDS = 64
 
 
-def _pool() -> tuple[int, int]:
-    """Autoscaling actor-pool bounds sized to the cluster (a fixed
-    (1, 2) pool leaves 30 of 32 cores idle on the signature stages)."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return (1, max(2, min(cpus - 2, 16)))
-
-
 def _docs(sf_dir: str, columns=("doc_id", "text")) -> "rd.Dataset":
     return rd.read_parquet(f"{sf_dir}/documents.parquet", columns=list(columns))
 

@@ -1,9 +1,6 @@
 """Ray Data stages for the transcript extraction pipeline.
 
 Design (SURVEY.md §3.4):
-  - `add_payload_len`: stateless vectorized task (pyarrow compute) that
-    tags each row with its payload size, used for skew routing and
-    metrics. Zero-copy Arrow in/out.
   - `ExtractTurns`: the stateful actor-pool stage. One instance per
     actor; holds the cross-payload CMap LRU cache (state the reference
     keeps per-process, SURVEY §2.4/ST5). `__call__` receives a
@@ -38,7 +35,8 @@ OUTPUT_SCHEMA = pa.schema(
 
 
 def add_payload_len(batch: pa.Table) -> pa.Table:
-    """Stateless size probe: payload_len in bytes (UTF-8)."""
+    """Stateless size probe: payload_len in bytes (UTF-8). Not a stage
+    of the extraction plan; kept because perfbench's serial pass times it."""
     if "payload_len" in batch.column_names:
         return batch
     return batch.append_column(
@@ -79,6 +77,11 @@ class BytesLruCache:
         self.size += cost
 
 
+# per-actor cache bounds: CMap entries, and whole-result bytes
+CMAP_CACHE_SIZE = 512
+RESULT_CACHE_BYTES = 64 << 20
+
+
 class ExtractTurns:
     """Actor-pool extraction stage (map_batches callable class).
 
@@ -97,19 +100,11 @@ class ExtractTurns:
     result the parse produced. Hit/miss counters stay on the actor for
     observability."""
 
-    def __init__(
-        self,
-        mode: str = "text",
-        cmap_cache_size: int = 512,
-        spec_mode: bool = False,
-        result_cache_bytes: int = 64 << 20,
-    ):
+    def __init__(self, mode: str = "text", spec_mode: bool = False):
         self.mode = mode
         self.spec_mode = spec_mode
-        self.cmap_cache = LruCache(cmap_cache_size)
-        self.result_cache = (
-            BytesLruCache(result_cache_bytes) if result_cache_bytes > 0 else None
-        )
+        self.cmap_cache = LruCache(CMAP_CACHE_SIZE)
+        self.result_cache = BytesLruCache(RESULT_CACHE_BYTES)
         self.result_cache_hits = 0
         self.result_cache_misses = 0
 
@@ -131,23 +126,14 @@ class ExtractTurns:
         spec = self.spec_mode
         rcache = self.result_cache
         for i in range(n):
-            if rcache is not None:
-                k = hashlib.md5(
-                    texts[i].encode("utf-8", "surrogatepass")
-                ).digest()
-                r = rcache.get(k)
-                if r is None:
-                    self.result_cache_misses += 1
-                    r = extract_row(texts[i], mode, cmap_cache=cache, spec_mode=spec)
-                    rcache.put(
-                        k,
-                        len(texts[i]) + len(r["extracted_text"]) + 96,
-                        r,
-                    )
-                else:
-                    self.result_cache_hits += 1
-            else:
+            k = hashlib.md5(texts[i].encode("utf-8", "surrogatepass")).digest()
+            r = rcache.get(k)
+            if r is None:
+                self.result_cache_misses += 1
                 r = extract_row(texts[i], mode, cmap_cache=cache, spec_mode=spec)
+                rcache.put(k, len(texts[i]) + len(r["extracted_text"]) + 96, r)
+            else:
+                self.result_cache_hits += 1
             kinds[i] = r["payload_kind"]
             outs[i] = r["extracted_text"]
             statuses[i] = r["parse_status"]

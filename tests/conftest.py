@@ -7,11 +7,9 @@ import pytest
 def ray_session():
     """One Ray session for the whole pytest run (driver contract)."""
     # workers must import pdfrust_ray even when pytest runs from elsewhere
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    existing = os.environ.get("PYTHONPATH", "")
-    if repo not in existing.split(os.pathsep):
-        os.environ["PYTHONPATH"] = repo + (os.pathsep + existing if existing else "")
+    from pdfrust_ray.session import put_repo_on_pythonpath
 
+    put_repo_on_pythonpath(os.environ)
     import ray
 
     if not ray.is_initialized():

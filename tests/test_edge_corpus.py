@@ -4,7 +4,8 @@ A corpus with empty / whitespace-only / single-char / trailing-space /
 punctuation-only documents must keep engine and twin hash-identical —
 each case here silently diverged once (the ADVICE-class bug family:
 inner joins dropping token-less rows, DuckDB array_to_string([]) being
-NULL, likelihood grids missing token-less candidate sources)."""
+NULL, likelihood grids missing token-less candidate sources). A token
+of 56 bytes or more once crashed the md5 lanes of the DoReMi kernel."""
 
 import duckdb
 import pandas as pd
@@ -22,6 +23,8 @@ _EDGES = [
     ("word " * 50, "en", "edge2"),
     ("!!! ??? ... ;;;", "fr", "src0"),
     ("a b", "en", "src0"),
+    # one token of 90 bytes: past the single-block md5 lanes (< 56 bytes)
+    ("the " + "pneumonoultramicroscopicsilicovolcanoconiosis" * 2 + " word", "en", "src1"),
 ]
 
 
@@ -91,6 +94,16 @@ def test_edge_twin_exact(ray_session, edge_dir, con, mod_path, name):
     fn = getattr(mod, name)
     sqlfn = getattr(mod, f"{name}_sql")
     _cmp(fn(edge_dir), con, sqlfn())
+
+
+def test_edge_doremi_twin_exact(ray_session, edge_dir, con):
+    """DoReMi hashes every word with the md5 lanes, the 90-byte one too.
+    eta=100 keeps the one-word source edge1 (excess ~6.8 nats) inside
+    the kernel's stated bound eta * excess < 1e9; the default eta=200
+    refuses this corpus by that assertion."""
+    from pdfrust_ray.pipelines.mixing import doremi_fixedpoint, doremi_fixedpoint_sql
+
+    _cmp(doremi_fixedpoint(edge_dir, eta=100), con, doremi_fixedpoint_sql(eta=100))
 
 
 def test_edge_specific_values(ray_session, edge_dir):

@@ -1018,14 +1018,19 @@ def test_sliding_hour_counts_tied_peers(ray_session, tmp_path):
 def test_md5vec_matches_hashlib():
     import hashlib
 
-    from pdfrust_ray.functions.md5vec import md5_prefix_u32
+    from pdfrust_ray.functions.md5vec import md5_prefix_u32, md5_prefix_u64
 
     msgs = [str(k).encode() for k in range(0, 5000, 7)] + [b""]
     got = md5_prefix_u32(msgs)
     want = [int(hashlib.md5(m).hexdigest()[:8], 16) for m in msgs]
     assert got.tolist() == want
-    with pytest.raises(ValueError):
-        md5_prefix_u32([b"x" * 56])
+    # every length 0-200 in one batch: single-block lanes below 56
+    # bytes, hashlib from there on, results in input order
+    msgs = [bytes((7 * n + j) % 256 for j in range(n)) for n in range(201)][::-1]
+    assert md5_prefix_u32(msgs).tolist() == [int(hashlib.md5(m).hexdigest()[:8], 16) for m in msgs]
+    assert md5_prefix_u64(msgs).tolist() == [
+        int.from_bytes(hashlib.md5(m).digest()[:8], "big") for m in msgs
+    ]
 
 
 def test_flate_exact_rejects_truncated_stream():

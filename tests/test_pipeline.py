@@ -35,6 +35,75 @@ def test_pipeline_matches_golden(ray_session, t1_dir, tmp_path):
         assert got[col].to_pylist() == golden[col].to_pylist(), f"column {col} differs"
 
 
+def _assert_matches_golden(out, t1_dir):
+    golden = pq.read_table(os.path.join(t1_dir, "golden.parquet"))
+    got = _read_group_output(out).select(golden.column_names)
+    got = got.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
+    assert got.num_rows == golden.num_rows
+    for col in golden.column_names:
+        assert got[col].to_pylist() == golden[col].to_pylist(), f"column {col} differs"
+
+
+def test_default_pool_matches_golden(ray_session, t1_dir, tmp_path):
+    # concurrency=None sizes the ExtractTurns pool from the cluster
+    from pdfrust_ray.pipelines.extract_pipeline import run_extraction
+
+    out = str(tmp_path / "out")
+    run_extraction(t1_dir, out)
+    _assert_matches_golden(out, t1_dir)
+
+
+def test_plan_is_read_extract_sort(ray_session, t1_dir):
+    # one ExtractTurns pool straight off the pruned read, then the sort
+    from pdfrust_ray.pipelines.extract_pipeline import build_extraction
+    from pdfrust_ray.sources.transcripts import read_transcripts
+
+    op = build_extraction(read_transcripts(t1_dir))._logical_plan.dag
+    names = []
+    while op is not None:
+        names.append(op.name)
+        deps = op.input_dependencies
+        assert len(deps) <= 1, f"{op.name} joins {len(deps)} inputs"
+        op = deps[0] if deps else None
+    assert names == ["Sort", "Repartition", "MapBatches(ExtractTurns)", "ReadParquet"]
+
+
+def test_cli_defaults_finish_and_match_golden(t1_dir, tmp_path):
+    """`python -m pdfrust_ray.run` with its default plan, in its own Ray
+    session at 2 CPUs and under a PYTHONPATH that lacks the repo, ends
+    within 60 s and writes the golden rows. Its whole process group is
+    killed afterwards, so a hung run leaves no Ray processes behind."""
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = str(tmp_path / "out")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pdfrust_ray.run", "--input", t1_dir, "--output", out, "--num-cpus", "2"],
+        cwd=repo,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        err = None
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    if err is None:
+        proc.communicate()
+        pytest.fail("pdfrust_ray.run did not finish within 60 s")
+    assert proc.returncode == 0, err[-2000:]
+    _assert_matches_golden(out, t1_dir)
+
+
 def test_pipeline_output_sorted_within_group(ray_session, t1_dir, tmp_path):
     from pdfrust_ray.pipelines.extract_pipeline import run_extraction
 
@@ -104,19 +173,6 @@ def test_info_pipeline(ray_session):
     exp = pd.read_parquet(os.path.join(d, "golden_info.parquet"))
     exp = exp.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
     assert got.equals(exp)
-
-
-def test_skew_split_path_matches_golden(ray_session, t1_dir, tmp_path):
-    # the explicit repartition-by-bytes routing must produce identical rows
-    from pdfrust_ray.pipelines.extract_pipeline import run_extraction
-
-    out = str(tmp_path / "out")
-    run_extraction(t1_dir, out, group_size=1, concurrency=2, skew_split=True)
-    golden = pq.read_table(os.path.join(t1_dir, "golden.parquet"))
-    got = _read_group_output(out).select(golden.column_names)
-    got = got.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])
-    for col in golden.column_names:
-        assert got[col].to_pylist() == golden[col].to_pylist(), f"column {col} differs"
 
 
 def test_reference_corpus_through_pipeline(ray_session, tmp_path):

@@ -3,6 +3,8 @@ results stay byte-identical, and the bytes bound actually evicts."""
 
 import pyarrow as pa
 
+from pdfrust_ray.fixtures.pdfgen import pdf_hello
+from pdfrust_ray.functions.payload import extract_row
 from pdfrust_ray.stages.extractors import BytesLruCache, ExtractTurns
 
 
@@ -17,25 +19,25 @@ def _batch(texts):
 
 
 def test_repeat_payloads_hit_cache_and_match():
-    pdf = open("/root/reference/data/helloworld.pdf", "rb").read().decode("latin-1")
+    pdf = pdf_hello("rc").decode("latin-1")
     texts = [pdf, "plain words here", pdf, pdf, "<html><body>x</body></html>", pdf]
-    ex_cached = ExtractTurns(mode="text")
-    ex_plain = ExtractTurns(mode="text", result_cache_bytes=0)
-    got = ex_cached(_batch(texts))
-    want = ex_plain(_batch(texts))
-    assert got.equals(want)
+    ex = ExtractTurns(mode="text")
+    got = ex(_batch(texts))
+    # uncached reference: extract_row on every row
+    for i, t in enumerate(texts):
+        r = extract_row(t, "text")
+        for col in ("payload_kind", "extracted_text", "parse_status", "n_pages", "bytes_decoded", "error"):
+            assert got[col][i].as_py() == r[col], (i, col)
     # 4 copies of the pdf -> 3 hits; repeated plain/html strings too
-    assert ex_cached.result_cache_hits == 3
-    assert ex_cached.result_cache_misses == 3
-    assert ex_plain.result_cache is None
+    assert ex.result_cache_hits == 3
+    assert ex.result_cache_misses == 3
     # second batch: every payload already cached
-    got2 = ex_cached(_batch(texts))
-    assert got2.equals(want)
-    assert ex_cached.result_cache_hits == 9
+    assert ex(_batch(texts)).equals(got)
+    assert ex.result_cache_hits == 9
 
 
 def test_cache_is_per_mode_instance():
-    pdf = open("/root/reference/data/helloworld.pdf", "rb").read().decode("latin-1")
+    pdf = pdf_hello("rc").decode("latin-1")
     a = ExtractTurns(mode="text")(_batch([pdf]))
     b = ExtractTurns(mode="chars")(_batch([pdf]))
     assert a["extracted_text"][0].as_py() != b["extracted_text"][0].as_py()
