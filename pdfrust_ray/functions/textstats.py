@@ -13,8 +13,9 @@ import hashlib
 import re
 
 # matches DuckDB length(string_split_regex(text, '\s+')) semantics,
-# including empty leading/trailing fields
-_WS_SPLIT = re.compile(r"\s+")
+# including empty leading/trailing fields; RE2's \s is ASCII
+# [\t\n\f\r ] (no \v, no Unicode spaces), unlike Python's
+_WS_SPLIT = re.compile(r"[\t\n\f\r ]+")
 _WORD = re.compile(r"[A-Za-zÀ-ɏ']+")
 _PUNCT = re.compile(r"[^\w\s]", re.UNICODE)
 

@@ -24,8 +24,8 @@ clean/score stage is a zero-shuffle scan (texts never leave their
 task after the digest + token count are computed); dedup shuffles
 16-byte digests + keys on a coarse shard key (64 python dispatches,
 not one per digest); packing shuffles the same skinny rows once more
-on the pack bucket. The full text crosses the wire zero times after
-extraction.
+on the pack bucket, every missing bucket in one execution. The full
+text crosses the wire zero times after extraction.
 """
 
 from __future__ import annotations
@@ -150,33 +150,6 @@ def corpus_build_from_extracted(
     return out.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
 
 
-def transcript_corpus_build(
-    corpus_dir: str,
-    quality_cut_centi: int = 30,
-    budget: int = 256,
-    n_buckets: int = 16,
-    concurrency=None,
-) -> pd.DataFrame:
-    """Run the full build; returns the pack assignment for every
-    surviving turn: (conv_id, turn_idx, n_tokens, bucket, pack_id,
-    pack_pos) ORDER BY conv_id, turn_idx."""
-    from ..sources.transcripts import read_transcripts
-    from .extract_pipeline import build_extraction
-
-    ext = build_extraction(
-        read_transcripts(corpus_dir),
-        mode="text",
-        order=False,
-        concurrency=concurrency,
-    )
-    return corpus_build_from_extracted(
-        ext,
-        quality_cut_centi=quality_cut_centi,
-        budget=budget,
-        n_buckets=n_buckets,
-    )
-
-
 def transcript_corpus_build_sql(
     golden_glob: str,
     quality_cut_centi: int = 30,
@@ -270,6 +243,26 @@ FROM s ORDER BY conv_id, turn_idx
     """
 
 
+def _make_pack_writer(budget: int, tmps: dict):
+    """map_groups UDF: pack one bucket, write it to its tmp dir
+    tmps[bucket] on the worker, and return only its counters (bucket,
+    rows, n_packs)."""
+    pack = _make_pack(budget)
+
+    def write(g: pd.DataFrame) -> pd.DataFrame:
+        p = pack(g)
+        b = int(p["bucket"].iloc[0])
+        pq.write_table(
+            pa.Table.from_pandas(p, preserve_index=False),
+            os.path.join(tmps[b], "part-0.parquet"),
+        )
+        return pd.DataFrame(
+            {"bucket": [b], "rows": [len(p)], "n_packs": [int(p["pack_id"].max()) + 1]}
+        )
+
+    return write
+
+
 def run_corpus_build(
     corpus_dir: str,
     out_dir: str,
@@ -295,30 +288,41 @@ def run_corpus_build(
                       stage (at 100 TB you would shard this stage's
                       manifest by dshard the same way).
       stage_pack/     group=NNNN per pack bucket — bucket-level
-                      resume: a re-run recomputes ONLY missing
-                      buckets, with a parquet filter pushdown on the
-                      materialized dedup output (buckets are
-                      independent by construction).
+                      resume: a re-run packs ONLY the missing buckets,
+                      in one execution (parquet filter pushdown,
+                      groupby bucket) whose workers write the files
+                      and return counters; each bucket commits alone.
 
     Crash semantics are manifest-last everywhere (state/manifest.py):
     data renamed into place, then the manifest; a crash between the
     two redoes that group idempotently. Manifests do not hash upstream
     content — re-running after changing the INPUT corpus requires
-    resume=False (documented limitation, same as the flagship).
+    resume=False (documented limitation, same as the flagship); a
+    resume with other quality_cut_centi, n_buckets or budget than the
+    committed manifests raises ValueError.
 
     Returns a summary dict (rows per stage, packs, what was resumed).
     """
     import glob as _glob
+    import shutil
 
+    import pyarrow.dataset as pds
     import ray.data as _rd
 
     from ..state import manifest
     from .extract_pipeline import ENGINE_VERSION, run_extraction
 
-    os.makedirs(out_dir, exist_ok=True)
     ext_dir = os.path.join(out_dir, "stage_extract")
     ded_dir = os.path.join(out_dir, "stage_dedup")
     pack_dir = os.path.join(out_dir, "stage_pack")
+    asked = dict(quality_cut_centi=quality_cut_centi, n_buckets=n_buckets, budget=budget)
+    for m in manifest.read_all(ded_dir) + manifest.read_all(pack_dir) if resume else []:
+        for k in asked.keys() & m.keys():
+            if m[k] != asked[k]:
+                raise ValueError(
+                    f"{out_dir} was built with {k}={m[k]}, not {asked[k]}; "
+                    "resume=False rebuilds it"
+                )
     os.makedirs(ded_dir, exist_ok=True)
     os.makedirs(pack_dir, exist_ok=True)
 
@@ -343,22 +347,16 @@ def run_corpus_build(
             n_buckets,
         )
         tmp = os.path.join(out_dir, "_tmp_dedup")
-        import shutil
-
         shutil.rmtree(tmp, ignore_errors=True)
         os.makedirs(tmp, exist_ok=True)
         dd.write_parquet(tmp)
-        rows = sum(
-            pq.read_metadata(f).num_rows
-            for f in _glob.glob(os.path.join(tmp, "*.parquet"))
-        )
         manifest.commit_group(
             ded_dir,
             0,
             tmp,
             {
                 "stage": "dedup",
-                "rows": rows,
+                "rows": pds.dataset(tmp, format="parquet").count_rows(),
                 "quality_cut_centi": quality_cut_centi,
                 "n_buckets": n_buckets,
                 "lineage": {"inputs": ext_files},
@@ -368,34 +366,30 @@ def run_corpus_build(
     ded_files = sorted(
         _glob.glob(os.path.join(manifest.group_dir(ded_dir, 0), "*.parquet"))
     )
-    rows_kept = sum(pq.read_metadata(f).num_rows for f in ded_files)
+    (m_ded,) = manifest.read_all(ded_dir)
 
     done_buckets = manifest.completed_groups(pack_dir) if resume else set()
     missing = [b for b in range(n_buckets) if b not in done_buckets]
-    import shutil
-
-    for b in missing:
-        packed = (
-            _rd.read_parquet(ded_files)
-            .filter(expr=f"bucket == {b}")
-            .groupby("bucket")
-            .map_groups(_make_pack(budget), batch_format="pandas")
-        )
-        tmp = os.path.join(out_dir, f"_tmp_pack_{b}")
+    tmps = {b: os.path.join(out_dir, f"_tmp_pack_{b}") for b in missing}
+    for tmp in tmps.values():  # a crashed run's leftovers must never be committed
         shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp, exist_ok=True)
-        packed.write_parquet(tmp)
-        files = _glob.glob(os.path.join(tmp, "*.parquet"))
-        rows = sum(pq.read_metadata(f).num_rows for f in files)
-        n_packs = 0
-        for f in files:
-            col = pq.read_table(f, columns=["pack_id"])["pack_id"]
-            if len(col):
-                n_packs = max(n_packs, int(max(col.to_pylist())) + 1)
+        os.makedirs(tmp)
+    counts = {}
+    if missing and m_ded["rows"]:
+        packed = (
+            _rd.read_parquet(ded_files, filter=pds.field("bucket").isin(missing))
+            .groupby("bucket")
+            .map_groups(_make_pack_writer(budget, tmps), batch_format="pandas")
+        )
+        counts = {
+            int(r["bucket"]): (int(r["rows"]), int(r["n_packs"])) for r in packed.take_all()
+        }
+    for b in missing:
+        rows, n_packs = counts.get(b, (0, 0))
         manifest.commit_group(
             pack_dir,
             b,
-            tmp,
+            tmps[b],
             {
                 "stage": "pack",
                 "bucket": b,
@@ -407,15 +401,12 @@ def run_corpus_build(
             },
         )
 
-    import json as _json
-
-    packs_total = 0
-    for b in range(n_buckets):
-        with open(manifest.manifest_path(pack_dir, b)) as f:
-            packs_total += int(_json.load(f).get("n_packs", 0))
+    packs_total = sum(
+        m["n_packs"] for m in manifest.read_all(pack_dir) if m["group_id"] < n_buckets
+    )
     return {
         "rows_extracted": m_ext.get("rows", 0),
-        "rows_kept": rows_kept,
+        "rows_kept": m_ded["rows"],
         "n_buckets": n_buckets,
         "packs_total": packs_total,
         "dedup_resumed": bool(dedup_resumed),

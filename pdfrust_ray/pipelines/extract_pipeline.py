@@ -18,6 +18,7 @@ Never calls ray.init(); callers own the session.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -188,6 +189,10 @@ def run_extraction(
 
             shutil.rmtree(tmp)
         out.write_parquet(tmp)
+        # Ray ends a finished pool by dropping its actor handles, which sit
+        # in reference cycles: collect them, or the actors keep their CPUs
+        del ds, out
+        gc.collect()
         metrics = _group_metrics(tmp)
         manifest.commit_group(
             out_dir,

@@ -2,8 +2,9 @@
 `python -m pdfrust_ray.run_build --input ... --output ...`
 
 The `ray job submit` form of pipelines/corpusbuild.run_corpus_build —
-three manifest-gated resumable stages (extract / dedup / pack). Owns
-its Ray session (guarded init, same contract as pdfrust_ray.run).
+three manifest-gated resumable stages (extract / dedup / pack); a
+resume with other build parameters raises ValueError. Owns its Ray
+session (guarded init, same contract as pdfrust_ray.run).
 """
 
 from __future__ import annotations

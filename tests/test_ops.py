@@ -161,6 +161,21 @@ def test_embedding_dedup_finds_planted(ray_session, tmp_path):
     assert (20, 21) in set(zip(pairs["vec_a"], pairs["vec_b"]))
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["a b", "a\tb\nc", "a\x0cb\rc", " a ", "", "a\x0bb", "a\x1cb", "a\x85b", "a\u00a0b",
+     "a\u2003b", "a\u3000b", "a \u3000 b"],
+)
+def test_token_count_matches_duckdb_whitespace(text):
+    # the twins split on RE2's \s, which is ASCII [\t\n\f\r ]
+    import duckdb
+
+    from pdfrust_ray.functions.textstats import token_count
+
+    (want,) = duckdb.execute("SELECT length(string_split_regex($1, '\\s+'))", [text]).fetchone()
+    assert token_count(text) == want
+
+
 def test_textstats_functions():
     from pdfrust_ray.functions.textstats import lang_id, quality_score, token_count
 

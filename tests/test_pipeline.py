@@ -296,3 +296,42 @@ def test_resume_redoes_crashed_partial_group(ray_session, t1_dir, tmp_path):
     assert got.num_rows == golden.num_rows
     for col in golden.column_names:
         assert got[col].to_pylist() == golden[col].to_pylist(), f"column {col} differs"
+
+
+def test_pool_released_when_group_ends(ray_session, t1_dir, tmp_path):
+    """Each group's ExtractTurns actors end with its execution, without
+    waiting for the cyclic garbage collector: with it disabled, no actor
+    that a 2-group run started is still alive shortly after it returns."""
+    import gc
+    import time
+
+    from ray._private import state
+
+    from pdfrust_ray.pipelines.extract_pipeline import run_extraction
+    from pdfrust_ray.sources.transcripts import list_shards
+
+    def alive_pool_actors():
+        return {
+            aid
+            for aid, a in state.actors().items()
+            if "ExtractTurns" in a["ActorClassName"] and a["State"] == "ALIVE"
+        }
+
+    t = pq.read_table(list_shards(t1_dir)[0])
+    shards = tmp_path / "in" / "shards"
+    shards.mkdir(parents=True)
+    half = t.num_rows // 2
+    pq.write_table(t.slice(0, half), str(shards / "a.parquet"))
+    pq.write_table(t.slice(half), str(shards / "b.parquet"))
+
+    before = alive_pool_actors()
+    gc.disable()
+    try:
+        m = run_extraction(str(tmp_path / "in"), str(tmp_path / "out"), group_size=1, concurrency=(1, 1))
+        assert m["groups"] == 2 and m["rows"] == t.num_rows
+        deadline = time.time() + 10
+        while alive_pool_actors() - before and time.time() < deadline:
+            time.sleep(0.2)
+        assert not alive_pool_actors() - before
+    finally:
+        gc.enable()
