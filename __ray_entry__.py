@@ -275,14 +275,14 @@ def _q_extracted_token_stats(sf_dir: str):
 
 
 def _q_extract_info(sf_dir: str):
-    """P7 metadata reader over the modes fixture (actor-pool stage)."""
+    """P7 metadata reader over the modes fixture (task stage)."""
     from pdfrust_ray.fixtures.corpus import ensure_modes_fixture
     from pdfrust_ray.sources.transcripts import read_transcripts
     from pdfrust_ray.stages.extractors import InfoTurns
 
     d = ensure_modes_fixture()
     ds = read_transcripts(d)
-    out = ds.map_batches(InfoTurns, batch_format="pyarrow", batch_size=8, concurrency=(1, 2))
+    out = ds.map_batches(InfoTurns(), batch_format="pyarrow", batch_size=8)
     return out.to_pandas().sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
 
 

@@ -1,7 +1,7 @@
 """Per-turn payload detection and extraction (the row-level semantics).
 
 This module is the single source of truth for what one transcript turn
-extracts to: the Ray pipeline applies it per batch inside actor pools,
+extracts to: the Ray pipeline applies it per batch in task workers,
 and the fixture golden generator applies it serially — so pipeline
 output can be compared to goldens per (conv_id, turn_idx).
 

@@ -50,7 +50,7 @@ class Extracted:
 
 
 class LruCache:
-    """Tiny LRU used by actors for cross-payload CMap reuse."""
+    """Tiny LRU for cross-payload CMap reuse (one per ExtractTurns)."""
 
     __slots__ = ("cap", "d")
 

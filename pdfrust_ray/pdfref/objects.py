@@ -126,7 +126,8 @@ def token_to_object(tok, crypt=None):
 
 
 def parse_array(lem: Lemmatizer) -> list:
-    """Array::try_from (object.rs:36-49)."""
+    """Array::try_from (object.rs:36-49). Flat: a nested `[` or `<<`
+    becomes an empty leaf, so arrays need no nesting bound."""
     arr = []
     while True:
         t = lem.next()
@@ -138,16 +139,31 @@ def parse_array(lem: Lemmatizer) -> list:
     return arr
 
 
+# dictionary nesting bound: the recursive parser this replaced hit
+# CPython's 1000-frame limit at ~985 levels, so every document that
+# parsed before parses the same
+MAX_NESTING = 1000
+
+
 def parse_dictionary(lem: Lemmatizer) -> dict:
-    """Dictionary::try_from (object.rs:51-93)."""
+    """Dictionary::try_from (object.rs:51-93).
+
+    A dictionary value opens a nested dictionary on an explicit stack,
+    not by recursion, at most MAX_NESTING deep; deeper input raises
+    ParseError("Nesting") where the reference would overflow its stack.
+    End of stream closes every open dictionary."""
     d = {}
+    outer = []  # (enclosing dictionary, key the open one is filed under)
     while True:
         t = lem.next()
-        if t is None:
-            break
+        if t is None or t[0] == DICT_END:
+            if not outer:
+                return d
+            parent, key = outer.pop()
+            parent[key] = d
+            d = parent
+            continue
         kind, val = t
-        if kind == DICT_END:
-            break
         if kind != NAME:
             raise ParseError("Object", f"Unexpected token found in dictionary key {t!r}")
         key = val
@@ -156,8 +172,12 @@ def parse_dictionary(lem: Lemmatizer) -> dict:
             raise ParseError("Object", "Unexpected end of stream found in dictionary value")
         vkind, vval = vt
         if vkind == DICT_BEGIN:
-            value = parse_dictionary(lem)
-        elif vkind == ARR_BEGIN:
+            if len(outer) + 2 > MAX_NESTING:
+                raise ParseError("Nesting", f"dictionaries nested deeper than {MAX_NESTING}")
+            outer.append((d, key))
+            d = {}
+            continue
+        if vkind == ARR_BEGIN:
             value = parse_array(lem)
         elif vkind == LIT:
             value = PdfString(_decode_utf8_strict(_decrypt_str(vval, lem.crypt)))
@@ -174,7 +194,6 @@ def parse_dictionary(lem: Lemmatizer) -> dict:
         else:
             raise ParseError("Object", f"Unexpected token found in dictionary value {vt!r}")
         d[key] = value
-    return d
 
 
 def _resolve_stream_length(d: dict, lem: Lemmatizer, xref) -> int:

@@ -3,24 +3,30 @@
 Shape (SURVEY §3.4):
 
   read_parquet(shards, columns=[conv_id, turn_idx, text])   # pruned read
-    -> map_batches(ExtractTurns, concurrency=pool,
-                   batch_size=B, batch_format="pyarrow")    # one actor pool
+    -> map_batches(ExtractTurns(token), concurrency=cap,
+                   batch_size=B, batch_format="pyarrow")    # one task stage
     -> sort(conv_id, turn_idx)                              # THE ordering shuffle
     -> write_parquet(group dir)                             # resumable partitions
 
 At 100 TB the only all-to-all exchange is the final sort; everything
-upstream is embarrassingly parallel per block. One pool serves every
+upstream is embarrassingly parallel per block. One stage serves every
 payload size: the streaming executor splits blocks by bytes, and
 per-document cost is sub-second, which bounds head-of-line blocking.
+
+Extraction runs as short tasks in the session's already-warm pooled
+workers; no actor starts for it. Its state is only a memo that can be
+rebuilt: each worker keeps one ExtractTurns
+per execution token (stages/extractors.stage_instance), so cache hits
+happen within one execution and never across calls.
 
 Never calls ray.init(); callers own the session.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import time
+import uuid
 
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -45,21 +51,6 @@ def _cluster_cpus() -> int:
 
 def _default_sort_partitions() -> int:
     return max(4, min(_cluster_cpus(), 64))
-
-
-def _pool(concurrency) -> tuple[int, int]:
-    """ExtractTurns actor-pool bounds (min, max).
-
-    None sizes the pool from the cluster, c = max(2, cpus - 2); an int
-    c gives (max(1, c - 2), c); a (min, max) tuple passes through. The
-    default c leaves two CPUs free, so the read and sort tasks always
-    find one; the high floor pre-warms the pool, since ramp-up
-    measurably cost ~10% of bench wall."""
-    if concurrency is None:
-        concurrency = max(2, _cluster_cpus() - 2)
-    if isinstance(concurrency, int):
-        return (max(1, concurrency - 2), concurrency)
-    return concurrency
 
 
 # bound on sort partitions: Ray's range shuffle creates partitions^2
@@ -97,8 +88,9 @@ def build_extraction(
 ):
     """Attach the extraction stages to a transcript Dataset.
 
-    concurrency: the ExtractTurns pool, see _pool (None sizes it from
-    the cluster).
+    concurrency: the cap on concurrent ExtractTurns tasks. None leaves
+    Ray Data's task pool uncapped, an int c caps it at c, and a
+    (min, max) tuple caps it at max.
 
     sort_partitions: block count entering the ordering sort. Ray's range
     shuffle creates partitions^2 intermediate objects, so many tiny
@@ -116,15 +108,16 @@ def build_extraction(
             input_bytes = ds.size_bytes()
         except Exception:
             input_bytes = None
+    # an instance, not the class (a class makes Ray start an actor
+    # pool): each worker's tasks share its memo for this token.
     # zero_copy_batch: ExtractTurns never mutates its input table, so
     # skip Ray Data's defensive copy and read the object-store block in place
     out = ds.map_batches(
-        ExtractTurns,
-        fn_constructor_kwargs={"mode": mode, "spec_mode": spec_mode},
+        ExtractTurns(mode=mode, spec_mode=spec_mode, token=uuid.uuid4().hex),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
-        concurrency=_pool(concurrency),
+        concurrency=concurrency[1] if isinstance(concurrency, tuple) else concurrency,
     )
     if order:
         npart = sort_partitions or _bytes_based_sort_partitions(input_bytes)
@@ -189,10 +182,6 @@ def run_extraction(
 
             shutil.rmtree(tmp)
         out.write_parquet(tmp)
-        # Ray ends a finished pool by dropping its actor handles, which sit
-        # in reference cycles: collect them, or the actors keep their CPUs
-        del ds, out
-        gc.collect()
         metrics = _group_metrics(tmp)
         manifest.commit_group(
             out_dir,

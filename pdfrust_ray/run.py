@@ -25,7 +25,7 @@ def main(argv=None) -> int:
     ap.set_defaults(mode="text")
     ap.add_argument("--group-size", type=int, default=16, help="input shards per resumable group")
     ap.add_argument("--batch-size", type=int, default=512)
-    ap.add_argument("--concurrency", type=int, default=None, help="max extraction actors")
+    ap.add_argument("--concurrency", type=int, default=None, help="max concurrent extraction tasks")
     ap.add_argument("--no-resume", action="store_true", help="reprocess completed groups")
     ap.add_argument(
         "--spec-mode",

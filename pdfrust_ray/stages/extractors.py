@@ -1,12 +1,16 @@
 """Ray Data stages for the transcript extraction pipeline.
 
 Design (SURVEY.md §3.4):
-  - `ExtractTurns`: the stateful actor-pool stage. One instance per
-    actor; holds the cross-payload CMap LRU cache (state the reference
-    keeps per-process, SURVEY §2.4/ST5). `__call__` receives a
+  - `ExtractTurns`: the extraction stage, mounted as a Ray Data *task*
+    stage that runs in the session's pooled workers. Its only state is
+    a memo: the cross-payload CMap LRU (state the reference keeps
+    per-process, SURVEY §2.4/ST5) and the whole-result LRU. Each worker
+    process holds at most one instance, owned by the execution whose
+    token built it (see `stage_instance`). `__call__` receives a
     pyarrow batch and emits the extracted-output batch. Parsing is
     row-logical inside (a content stream is sub-row data — there is no
     per-operator Ray stage, SURVEY §2.5).
+  - `InfoTurns`: the stateless metadata stage, also a task stage.
 
 All extraction errors become rows, never worker crashes, so Ray task
 retries only ever handle infra faults.
@@ -77,36 +81,44 @@ class BytesLruCache:
         self.size += cost
 
 
-# per-actor cache bounds: CMap entries, and whole-result bytes
+# per-instance cache bounds: CMap entries, and whole-result bytes
 CMAP_CACHE_SIZE = 512
 RESULT_CACHE_BYTES = 64 << 20
 
 
 class ExtractTurns:
-    """Actor-pool extraction stage (map_batches callable class).
+    """The extraction stage (a map_batches callable).
 
-    Stateful setup happens once per actor: the CMap cache (keyed by the
-    decoded CMap stream bytes, shared across payloads within the actor)
-    — mirroring the reference's per-process font/CMap state without any
-    cross-actor coordination.
+    The CMap cache is keyed by the decoded CMap stream bytes and shared
+    across the payloads one instance sees, mirroring the reference's
+    per-process font/CMap state without any cross-worker coordination.
 
     On top of the sub-document CMap memo sits a whole-result LRU keyed
     by md5(payload): extraction is a pure function of
     (payload bytes, mode, spec_mode), and real transcript corpora
     repeat payloads across turns (quoted documents, re-sent
     attachments), so a repeated payload costs one hash instead of a
-    full parse. Bounded in BYTES (payload + extracted text) per actor;
-    parity is unaffected by construction — the cache stores the exact
-    result the parse produced. Hit/miss counters stay on the actor for
-    observability."""
+    full parse. Bounded in BYTES (payload + extracted text) per
+    instance; parity is unaffected by construction — the cache stores
+    the exact result the parse produced. Hit/miss counters stay on the
+    instance.
 
-    def __init__(self, mode: str = "text", spec_mode: bool = False):
+    Built with a `token`, an instance is the handle of a task stage: it
+    pickles as (token, mode, spec_mode) only, and unpickles to the
+    receiving process's own instance for that token (`stage_instance`),
+    so every task of one execution on one worker shares one memo."""
+
+    def __init__(self, mode: str = "text", spec_mode: bool = False, token: str | None = None):
         self.mode = mode
         self.spec_mode = spec_mode
+        self.token = token
         self.cmap_cache = LruCache(CMAP_CACHE_SIZE)
         self.result_cache = BytesLruCache(RESULT_CACHE_BYTES)
         self.result_cache_hits = 0
         self.result_cache_misses = 0
+
+    def __reduce__(self):
+        return (stage_instance, (self.token, self.mode, self.spec_mode))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import hashlib
@@ -154,13 +166,30 @@ class ExtractTurns:
         )
 
 
+# this process's task-stage memo: (token, instance) of the last
+# execution that ran an ExtractTurns task here
+_stage: tuple[str, ExtractTurns] | None = None
+
+
+def stage_instance(token: str, mode: str, spec_mode: bool) -> ExtractTurns:
+    """This process's ExtractTurns for `token`. A new token replaces the
+    instance, so no cache entry crosses executions. A Ray worker runs
+    one task at a time, so the check and the swap need no lock."""
+    global _stage
+    if _stage is None or _stage[0] != token:
+        _stage = (token, ExtractTurns(mode=mode, spec_mode=spec_mode, token=token))
+    return _stage[1]
+
+
 INFO_FIELDS = ("title", "author", "creator", "producer", "creation_date", "mod_date")
 
 
 class InfoTurns:
-    """Actor-pool metadata extraction (P7, info.rs:23-75): per PDF turn,
+    """Stateless metadata extraction (P7, info.rs:23-75): per PDF turn,
     read the trailer Info dict. Non-PDF payloads yield parse_status
-    "skipped:<kind>"; PDFs without an Info entry yield "error:Info"."""
+    "skipped:<kind>"; PDFs without an Info entry yield "error:Info".
+    Mounted as a task stage by passing an instance:
+    `map_batches(InfoTurns(), ...)`."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..functions.payload import detect_kind, payload_bytes

@@ -1,15 +1,21 @@
-"""The whole-result LRU through the real Ray pipeline: a duplicate-
-heavy corpus extracts byte-identically with the cache on and off."""
+"""The result cache and the per-worker memo through the real Ray
+pipeline: a duplicate-heavy corpus, extracted by the ExtractTurns task
+stage across many tasks and workers, equals extract_row on every row."""
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from pdfrust_ray.fixtures.pdfgen import pdf_hello
+from pdfrust_ray.functions.payload import extract_row
 
-def test_pipeline_identical_with_and_without_cache(ray_session, tmp_path):
+_COLS = ("payload_kind", "extracted_text", "parse_status", "n_pages", "bytes_decoded", "error")
+
+
+def test_task_stage_matches_extract_row(ray_session, tmp_path):
     from pdfrust_ray.pipelines.extract_pipeline import build_extraction
     from pdfrust_ray.sources.transcripts import read_transcripts
 
-    pdf = open("/root/reference/data/helloworld.pdf", "rb").read().decode("latin-1")
+    pdf = pdf_hello("cache").decode("latin-1")
     rows = []
     for c in range(40):
         for i in range(5):
@@ -27,13 +33,13 @@ def test_pipeline_identical_with_and_without_cache(ray_session, tmp_path):
     )
     d = tmp_path / "corpus" / "shards"
     d.mkdir(parents=True)
-    pq.write_table(t, d / "part-0000.parquet")
+    for k in range(4):  # four read tasks, each split into many batches
+        pq.write_table(t.slice(50 * k, 50), d / f"part-{k:04d}.parquet")
 
-    base = build_extraction(
-        read_transcripts(str(tmp_path / "corpus")), mode="text", concurrency=2
-    ).to_pandas()
-    assert len(base) == len(rows)
-    # cached pdf turns all extracted identically (same bytes -> same result)
-    pdf_rows = base[base["payload_kind"] == "pdf"]
-    assert pdf_rows["extracted_text"].nunique() == 1
-    assert (pdf_rows["parse_status"] == "ok").all()
+    got = build_extraction(read_transcripts(str(tmp_path / "corpus")), batch_size=8).to_pandas()
+    assert list(zip(got["conv_id"], got["turn_idx"])) == [(c, i) for c, i, _ in rows]
+    for (_, _, text), (_, row) in zip(rows, got.iterrows()):
+        want = extract_row(text)
+        for col in _COLS:
+            assert row[col] == want[col], (row["conv_id"], row["turn_idx"], col)
+    assert (got["payload_kind"] == "pdf").sum() == 120

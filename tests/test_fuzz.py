@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 settings.register_profile("ci", derandomize=True)
 settings.load_profile("ci")
 
-from pdfrust_ray.fixtures.pdfgen import PDF_CONSTRUCTS
+from pdfrust_ray.fixtures.pdfgen import PDF_CONSTRUCTS, PdfBuilder
 from pdfrust_ray.functions.payload import encode_pdf_payload, extract_row
 from pdfrust_ray.pdfref import ParseError, extract
 
@@ -68,6 +68,35 @@ def test_library_raises_only_parseerror(data):
         pass
     except RecursionError:
         pass  # pathological nesting is allowed to surface
+
+
+def _nested_catalog_pdf(depth: int, opener: bytes, closer: bytes, leaf: bytes = b"") -> bytes:
+    """A one-page "Hello nest!" PDF whose catalog holds `depth` nested
+    containers under /Nest."""
+    b = PdfBuilder()
+    content = b.add_stream("", b"BT\n70 50 TD\n/F1 12 Tf\n(Hello nest!) Tj\nET")
+    font = b.add(b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>")
+    page = b.add(
+        f"<< /Type /Page /Parent 0 0 R /Resources << /Font << /F1 {font} 0 R >> >> "
+        f"/Contents {content} 0 R >>".encode()
+    )
+    pages = b.add(f"<< /Type /Pages /Kids [ {page} 0 R ] /Count 1 >>".encode())
+    nest = opener * depth + leaf + closer * depth
+    return b.build(b.add(f"<< /Type /Catalog /Pages {pages} 0 R /Nest ".encode() + nest + b" >>"))
+
+
+def test_nesting_gives_error_rows():
+    # 3,000 nested dictionaries (a 28 KB payload) once overflowed the
+    # recursive dictionary parser: a RecursionError out of extract_row
+    # failed the whole task
+    r = extract_row(encode_pdf_payload(_nested_catalog_pdf(3000, b"<< /A ", b" >>", b"1")))
+    assert r["parse_status"] == "error:Nesting"
+    r = extract_row(encode_pdf_payload(_nested_catalog_pdf(3000, b"[", b"]")))
+    assert r["parse_status"].startswith("error:")
+    # up to the bound, nesting parses: the page text is still extracted
+    for depth in (1, 100, 990):
+        r = extract_row(encode_pdf_payload(_nested_catalog_pdf(depth, b"<< /A ", b" >>", b"1")))
+        assert r["parse_status"] == "ok" and "Hello nest!" in r["extracted_text"], depth
 
 
 def test_flate_bomb_is_bounded():

@@ -49,12 +49,10 @@ def test_jsonl_drives_extraction_identically(ray_session, jsonl_dir, tmp_path):
         read_transcripts,
         read_transcripts_jsonl,
     )
-    from pdfrust_ray.stages.extractors import ExtractTurns
+    from pdfrust_ray.pipelines.extract_pipeline import build_extraction
 
     def run(ds):
-        out = ds.map_batches(
-            ExtractTurns, batch_format="pyarrow", batch_size=64, concurrency=(1, 2)
-        ).to_pandas()
+        out = build_extraction(ds, batch_size=64, order=False).to_pandas()
         return out.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
 
     a = run(read_transcripts_jsonl(jsonl_dir))

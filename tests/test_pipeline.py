@@ -45,7 +45,7 @@ def _assert_matches_golden(out, t1_dir):
 
 
 def test_default_pool_matches_golden(ray_session, t1_dir, tmp_path):
-    # concurrency=None sizes the ExtractTurns pool from the cluster
+    # concurrency=None leaves the ExtractTurns task stage uncapped
     from pdfrust_ray.pipelines.extract_pipeline import run_extraction
 
     out = str(tmp_path / "out")
@@ -54,7 +54,7 @@ def test_default_pool_matches_golden(ray_session, t1_dir, tmp_path):
 
 
 def test_plan_is_read_extract_sort(ray_session, t1_dir):
-    # one ExtractTurns pool straight off the pruned read, then the sort
+    # one ExtractTurns task stage straight off the pruned read, then the sort
     from pdfrust_ray.pipelines.extract_pipeline import build_extraction
     from pdfrust_ray.sources.transcripts import read_transcripts
 
@@ -165,7 +165,7 @@ def test_info_pipeline(ray_session):
     d = ensure_modes_fixture()
     ds = read_transcripts(d)
     got = (
-        ds.map_batches(InfoTurns, batch_format="pyarrow", batch_size=8, concurrency=(1, 2))
+        ds.map_batches(InfoTurns(), batch_format="pyarrow", batch_size=8)
         .to_pandas()
         .sort_values(["conv_id", "turn_idx"])
         .reset_index(drop=True)
@@ -247,7 +247,7 @@ def test_output_deterministic_across_parallelism(ray_session, t1_dir, tmp_path):
 
 
 def test_spec15_pipeline_matches_golden(ray_session):
-    """PDF 1.5 spec-mode pipeline (spec_mode=True actor pools) equals
+    """PDF 1.5 spec-mode pipeline (spec_mode=True task stage) equals
     the serially-computed spec golden per (conv_id, turn_idx)."""
     from pdfrust_ray.fixtures.corpus import ensure_spec15_fixture
     from pdfrust_ray.pipelines.extract_pipeline import build_extraction
@@ -298,24 +298,19 @@ def test_resume_redoes_crashed_partial_group(ray_session, t1_dir, tmp_path):
         assert got[col].to_pylist() == golden[col].to_pylist(), f"column {col} differs"
 
 
-def test_pool_released_when_group_ends(ray_session, t1_dir, tmp_path):
-    """Each group's ExtractTurns actors end with its execution, without
-    waiting for the cyclic garbage collector: with it disabled, no actor
-    that a 2-group run started is still alive shortly after it returns."""
+def test_extraction_and_build_start_no_actor(ray_session, t1_dir, tmp_path):
+    """ExtractTurns runs as tasks in the session's pooled workers: with
+    the cyclic garbage collector disabled, a 2-group run_extraction and
+    a run_corpus_build start no Ray actor, and both extract the golden
+    rows."""
     import gc
-    import time
 
+    import ray
     from ray._private import state
 
+    from pdfrust_ray.pipelines.corpusbuild import run_corpus_build
     from pdfrust_ray.pipelines.extract_pipeline import run_extraction
     from pdfrust_ray.sources.transcripts import list_shards
-
-    def alive_pool_actors():
-        return {
-            aid
-            for aid, a in state.actors().items()
-            if "ExtractTurns" in a["ActorClassName"] and a["State"] == "ALIVE"
-        }
 
     t = pq.read_table(list_shards(t1_dir)[0])
     shards = tmp_path / "in" / "shards"
@@ -324,14 +319,19 @@ def test_pool_released_when_group_ends(ray_session, t1_dir, tmp_path):
     pq.write_table(t.slice(0, half), str(shards / "a.parquet"))
     pq.write_table(t.slice(half), str(shards / "b.parquet"))
 
-    before = alive_pool_actors()
+    # Ray Data's session-wide helpers (its stats actor and autoscaling
+    # requester) start with a session's first Dataset execution
+    ray.data.range(1).materialize()
+    before = set(state.actors())
     gc.disable()
     try:
         m = run_extraction(str(tmp_path / "in"), str(tmp_path / "out"), group_size=1, concurrency=(1, 1))
-        assert m["groups"] == 2 and m["rows"] == t.num_rows
-        deadline = time.time() + 10
-        while alive_pool_actors() - before and time.time() < deadline:
-            time.sleep(0.2)
-        assert not alive_pool_actors() - before
+        b = run_corpus_build(t1_dir, str(tmp_path / "build"), concurrency=(1, 1))
+        started = set(state.actors()) - before
     finally:
         gc.enable()
+    assert not started, [state.actors()[a]["ActorClassName"] for a in started]
+    assert m["groups"] == 2 and m["rows"] == t.num_rows
+    _assert_matches_golden(str(tmp_path / "out"), t1_dir)
+    assert b["rows_extracted"] == t.num_rows
+    _assert_matches_golden(str(tmp_path / "build" / "stage_extract"), t1_dir)

@@ -55,3 +55,25 @@ def test_bytes_lru_evicts_by_cost():
     assert c.get("huge") is None and c.size == 80
     c.put("a", 40, 11)  # re-put replaces cost+value
     assert c.get("a") == 11 and c.size == 80
+
+
+def test_task_stage_memo_is_scoped_to_its_token():
+    # the stage handle travels to workers pickled; it resolves to the
+    # receiving process's one instance for its token
+    from ray import cloudpickle
+
+    pdf = pdf_hello("memo").decode("latin-1")
+    handle = cloudpickle.dumps(ExtractTurns(mode="text", token="exec-1"))
+    a = cloudpickle.loads(handle)
+    a(_batch([pdf]))
+    b = cloudpickle.loads(handle)  # a second task of the same execution
+    assert b is a
+    b(_batch([pdf]))
+    assert (a.result_cache_hits, a.result_cache_misses) == (1, 1)
+    # a new execution's token replaces the instance: its first payload misses
+    c = cloudpickle.loads(cloudpickle.dumps(ExtractTurns(mode="text", token="exec-2")))
+    assert c is not a and c.token == "exec-2"
+    c(_batch([pdf]))
+    assert (c.result_cache_hits, c.result_cache_misses) == (0, 1)
+    # at most one instance per process: exec-1's is gone
+    assert cloudpickle.loads(handle) is not a

@@ -53,7 +53,6 @@ def main() -> dict:
             outdir,
             mode="text",
             group_size=64,
-            concurrency=NUM_CPUS - 2,
         )
         out["flagship"] = {
             "rows": m["rows"],
