@@ -294,7 +294,7 @@ def _q_extract_mode(mode: str):
 
         d = ensure_modes_fixture()
         ds = read_transcripts(d)
-        out = build_extraction(ds, mode=mode, batch_size=4, concurrency=2)
+        out = build_extraction(ds, mode=mode, batch_size=4)
         return out.select_columns(["conv_id", "turn_idx", "extracted_text", "parse_status"])
 
     return run
@@ -312,7 +312,7 @@ def _q_content_op_census(sf_dir: str):
 
     d = ensure_modes_fixture()
     ds = read_transcripts(d)
-    out = build_extraction(ds, mode="raw-content", batch_size=4, concurrency=2)
+    out = build_extraction(ds, mode="raw-content", batch_size=4)
     return content_op_lexical_census(out)
 
 
@@ -330,7 +330,7 @@ def _q_extract_mode_agreement(sf_dir: str):
     outs = {}
     for mode in ("text", "chars"):
         ds = read_transcripts(d)
-        out = build_extraction(ds, mode=mode, batch_size=4, concurrency=2)
+        out = build_extraction(ds, mode=mode, batch_size=4)
         outs[mode] = (
             out.select_columns(["conv_id", "turn_idx", "parse_status"])
             .to_pandas()
@@ -356,7 +356,7 @@ def _q_extract_spec15(sf_dir: str):
 
     d = ensure_spec15_fixture()
     ds = read_transcripts(d)
-    out = build_extraction(ds, mode="text", batch_size=16, concurrency=2, spec_mode=True)
+    out = build_extraction(ds, mode="text", batch_size=16, spec_mode=True)
     return out.select_columns(_EXTRACT_COLS)
 
 
@@ -370,7 +370,7 @@ def _q_extract_xobj(sf_dir: str):
 
     d = ensure_xobj_fixture()
     ds = read_transcripts(d)
-    out = build_extraction(ds, mode="text", batch_size=16, concurrency=2, spec_mode=True)
+    out = build_extraction(ds, mode="text", batch_size=16, spec_mode=True)
     return out.select_columns(_EXTRACT_COLS)
 
 
@@ -386,7 +386,7 @@ def _q_extract_filters(sf_dir: str):
 
     d = ensure_filters_fixture()
     ds = read_transcripts(d)
-    out = build_extraction(ds, mode="text", batch_size=16, concurrency=2, spec_mode=True)
+    out = build_extraction(ds, mode="text", batch_size=16, spec_mode=True)
     return out.select_columns(_EXTRACT_COLS)
 
 
@@ -402,7 +402,7 @@ def _q_extract_encrypted(sf_dir: str):
 
     d = ensure_encrypted_fixture()
     ds = read_transcripts(d)
-    out = build_extraction(ds, mode="text", batch_size=16, concurrency=2, spec_mode=True)
+    out = build_extraction(ds, mode="text", batch_size=16, spec_mode=True)
     return out.select_columns(_EXTRACT_COLS)
 
 

@@ -8,7 +8,7 @@ LPC(1-32), partitioned Rice residuals (4- and 5-bit parameters with
 raw-bits escape), wasted-bits, stereo decorrelation (left/side,
 right/side, mid/side), frame CRC-16.
 
-Decode is the integration target for the multimodal actor pool
+Decode is the integration target for the multimodal decode stage
 (`stages/multimodal.py`): FLAC payloads are sniffed by the b"fLaC"
 magic next to the RIFF/WAV family. Fixed-predictor reconstruction is
 vectorized as repeated prefix sums (order-k inverse differencing);

@@ -139,7 +139,7 @@ class DocCtx:
     """Shared per-document context: file bytes + xref (+ caches).
 
     Replaces the reference's Rc<XRef> + &[u8] threading. `cmap_cache`
-    lets an actor share parsed CMaps across payloads whose ToUnicode
+    lets a worker share parsed CMaps across payloads whose ToUnicode
     streams are byte-identical (engine-side addition; semantics
     unchanged).
     """

@@ -83,7 +83,6 @@ def build_extraction(
     batch_size: int = 512,
     concurrency=None,
     order: bool = True,
-    sort_partitions: int | None = None,
     spec_mode: bool = False,
 ):
     """Attach the extraction stages to a transcript Dataset.
@@ -92,17 +91,17 @@ def build_extraction(
     Ray Data's task pool uncapped, an int c caps it at c, and a
     (min, max) tuple caps it at max.
 
-    sort_partitions: block count entering the ordering sort. Ray's range
-    shuffle creates partitions^2 intermediate objects, so many tiny
-    blocks make the sort object-store-metadata-bound (measured 14s ->
-    0.4s on 100k rows by coalescing 128 -> 16 blocks first). Default =
-    max(input_bytes / target_max_block_size, cluster CPU count) capped
-    at MAX_SORT_PARTITIONS — the bytes term is what scales on a
-    multi-node run (the input size probe is metadata-only on a fresh
-    parquet read).
+    The ordering sort's block count is max(input_bytes /
+    target_max_block_size, cluster CPU count) capped at
+    MAX_SORT_PARTITIONS. Ray's range shuffle creates partitions^2
+    intermediate objects, so many tiny blocks make the sort
+    object-store-metadata-bound (measured 14s -> 0.4s on 100k rows by
+    coalescing 128 -> 16 blocks first); the bytes term is what scales
+    on a multi-node run (the input size probe is metadata-only on a
+    fresh parquet read).
     """
     input_bytes = None
-    if order and sort_partitions is None:
+    if order:
         try:
             # metadata-cheap on the raw read (no stages attached yet)
             input_bytes = ds.size_bytes()
@@ -120,7 +119,7 @@ def build_extraction(
         concurrency=concurrency[1] if isinstance(concurrency, tuple) else concurrency,
     )
     if order:
-        npart = sort_partitions or _bytes_based_sort_partitions(input_bytes)
+        npart = _bytes_based_sort_partitions(input_bytes)
         out = out.repartition(npart).sort(["conv_id", "turn_idx"])
     return out
 

@@ -831,27 +831,22 @@ def bipartite_assortativity_stats(sf_dir: str) -> pd.DataFrame:
     pref = ray.put(pa.Table.from_pandas(pdeg, preserve_index=False))
     sref = ray.put(pa.Table.from_pandas(sdeg, preserve_index=False))
 
-    class Stats:
-        def __init__(self):
-            self.pd_ = ray.get(pref)
-            self.sd = ray.get(sref)
+    def stats(t: pa.Table) -> pa.Table:
+        j = t.join(ray.get(pref), keys="p").join(ray.get(sref), keys="s")
+        x = j["dp"].to_numpy().astype(np.int64)
+        y = j["ds"].to_numpy().astype(np.int64)
+        return pa.table(
+            {
+                "n": pa.array([len(j)], pa.int64()),
+                "sx": pa.array([int(x.sum())], pa.int64()),
+                "sy": pa.array([int(y.sum())], pa.int64()),
+                "sxx": pa.array([int((x * x).sum())], pa.int64()),
+                "syy": pa.array([int((y * y).sum())], pa.int64()),
+                "sxy": pa.array([int((x * y).sum())], pa.int64()),
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            j = t.join(self.pd_, keys="p").join(self.sd, keys="s")
-            x = j["dp"].to_numpy().astype(np.int64)
-            y = j["ds"].to_numpy().astype(np.int64)
-            return pa.table(
-                {
-                    "n": pa.array([len(j)], pa.int64()),
-                    "sx": pa.array([int(x.sum())], pa.int64()),
-                    "sy": pa.array([int(y.sum())], pa.int64()),
-                    "sxx": pa.array([int((x * x).sum())], pa.int64()),
-                    "syy": pa.array([int((y * y).sum())], pa.int64()),
-                    "sxy": pa.array([int((x * y).sum())], pa.int64()),
-                }
-            )
-
-    parts = edges.map_batches(Stats, batch_format="pyarrow", concurrency=(1, 2)).to_pandas()
+    parts = edges.map_batches(stats, batch_format="pyarrow").to_pandas()
     return pd.DataFrame({c: [int(parts[c].sum())] for c in ("n", "sx", "sy", "sxx", "syy", "sxy")})
 
 

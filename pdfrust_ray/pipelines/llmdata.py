@@ -20,6 +20,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..functions.textstats import token_count
+from ..stages.broadcast import worker_value
 
 
 def _word_counts(sf_dir: str) -> pd.DataFrame:
@@ -463,11 +464,12 @@ GROUP BY 1 ORDER BY 1
 def bpe_encode_counts(sf_dir: str, n_merges: int = 50) -> pd.DataFrame:
     """Apply the learned BPE merge table: per-document token count
     under the trained vocabulary (train + apply = the full tokenizer
-    lifecycle). The merge-rank dict is broadcast once; each actor
-    caches word->tokens encodings (vocabulary-sized, so the per-word
-    merge loop runs once per DISTINCT word per actor, not per
-    occurrence). Value-exact SQL twin (bpe_encode_counts_sql); also
-    pinned by the round-trip/monotonicity pytest."""
+    lifecycle). The merge-rank dict is broadcast once; each worker
+    process fetches it once and caches word->tokens encodings next to
+    it (so the per-word merge loop runs once per DISTINCT word per
+    worker, not per occurrence). Value-exact SQL twin
+    (bpe_encode_counts_sql); also pinned by the round-trip/monotonicity
+    pytest."""
     import ray
 
     merges = bpe_train(sf_dir, n_merges=n_merges)
@@ -476,34 +478,26 @@ def bpe_encode_counts(sf_dir: str, n_merges: int = 50) -> pd.DataFrame:
     }
     rref = ray.put(ranks)
 
-    class Encode:
-        def __init__(self):
-            self.ranks = ray.get(rref)
-            self.cache: dict[str, int] = {}
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            counts = []
-            for txt in t["text"].to_pylist():
-                n = 0
-                for w in txt.split():
-                    c = self.cache.get(w)
-                    if c is None:
-                        c = len(_bpe_apply(w, self.ranks))
-                        self.cache[w] = c
-                    n += c
-                counts.append(n)
-            return pa.table(
-                {
-                    "doc_id": t["doc_id"],
-                    "n_bpe_tokens": pa.array(counts, pa.int64()),
-                }
-            )
+    def encode(t: pa.Table) -> pa.Table:
+        ranks, cache = worker_value(rref, lambda r: (r, {}))
+        counts = []
+        for txt in t["text"].to_pylist():
+            n = 0
+            for w in txt.split():
+                c = cache.get(w)
+                if c is None:
+                    c = cache[w] = len(_bpe_apply(w, ranks))
+                n += c
+            counts.append(n)
+        return pa.table(
+            {
+                "doc_id": t["doc_id"],
+                "n_bpe_tokens": pa.array(counts, pa.int64()),
+            }
+        )
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = (
-        ds.map_batches(Encode, batch_format="pyarrow", batch_size=1024, concurrency=(1, 2))
-        .to_pandas()
-    )
+    out = ds.map_batches(encode, batch_format="pyarrow", batch_size=1024).to_pandas()
     out["doc_id"] = out["doc_id"].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)
 
@@ -1951,48 +1945,38 @@ def dsir_select(
     )
     q_ref = ray.put(q)
 
-    class Score:
-        def __init__(self):
-            self.q = ray.get(q_ref)
+    def score(t: pa.Table) -> pa.Table:
+        q = ray.get(q_ref)
+        ids, ntok, wq = [], [], []
+        texts = t["text"].to_pylist()
+        vocab = sorted({w for txt in texts for w in txt.split(" ") if w})
+        qw = dict(
+            zip(
+                vocab,
+                q[(md5_prefix_u64([w.encode() for w in vocab]) % n_buckets).astype(np.int64)],
+            )
+        )
+        for doc_id, txt in zip(t["doc_id"].to_pylist(), texts):
+            words = [w for w in txt.split(" ") if w]
+            if not words:
+                continue
+            ids.append(doc_id)
+            ntok.append(len(words))
+            wq.append(int(sum(qw[w] for w in words)))
+        df = pd.DataFrame(
+            {
+                "doc_id": pd.Series(ids, dtype="int64"),
+                "n_tokens": pd.Series(ntok, dtype="int64"),
+                "weight_q": pd.Series(wq, dtype="int64"),
+            }
+        )
+        # local top-m partial: bounded rows per block
+        return pa.Table.from_pandas(
+            df.sort_values(["weight_q", "doc_id"], ascending=[False, True]).head(m),
+            preserve_index=False,
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids, ntok, wq = [], [], []
-            texts = t["text"].to_pylist()
-            vocab = sorted({w for txt in texts for w in txt.split(" ") if w})
-            qw = dict(
-                zip(
-                    vocab,
-                    self.q[
-                        (md5_prefix_u64([w.encode() for w in vocab]) % n_buckets).astype(
-                            np.int64
-                        )
-                    ],
-                )
-            )
-            for doc_id, txt in zip(t["doc_id"].to_pylist(), texts):
-                words = [w for w in txt.split(" ") if w]
-                if not words:
-                    continue
-                ids.append(doc_id)
-                ntok.append(len(words))
-                wq.append(int(sum(qw[w] for w in words)))
-            df = pd.DataFrame(
-                {
-                    "doc_id": pd.Series(ids, dtype="int64"),
-                    "n_tokens": pd.Series(ntok, dtype="int64"),
-                    "weight_q": pd.Series(wq, dtype="int64"),
-                }
-            )
-            # local top-m partial: bounded rows per block
-            return pa.Table.from_pandas(
-                df.sort_values(["weight_q", "doc_id"], ascending=[False, True]).head(m),
-                preserve_index=False,
-            )
-
-    parts = (
-        ds.map_batches(Score, batch_format="pyarrow", batch_size=1024, concurrency=(1, 2))
-        .to_pandas()
-    )
+    parts = ds.map_batches(score, batch_format="pyarrow", batch_size=1024).to_pandas()
     out = (
         parts.sort_values(["weight_q", "doc_id"], ascending=[False, True])
         .head(m)
@@ -2186,28 +2170,25 @@ def ccnet_head_middle_mix(sf_dir: str) -> pd.DataFrame:
         )
     )
 
-    class Tag:
-        def __init__(self):
-            self.tile_of, self.w_of = ray.get(lut_ref)
-
-        def __call__(self, t: pa.Table) -> pd.DataFrame:
-            rows = []
-            for doc_id, lang, txt in zip(
-                t["doc_id"].to_pylist(), t["lang"].to_pylist(), t["text"].to_pylist()
-            ):
-                tile = self.tile_of.get(int(doc_id))
-                if tile is None or tile > 2:
-                    continue  # tail dropped
-                ntok = sum(1 for w in txt.split(" ") if w)
-                w = self.w_of.get(int(doc_id), 1_000_000)
-                rows.append((lang, tile, 1, ntok, ntok * w))
-            df = pd.DataFrame(
-                rows, columns=["lang", "tile", "n_docs", "sum_tokens", "weighted_tokens_ppm"]
-            )
-            return df.groupby(["lang", "tile"], as_index=False).sum()
+    def tag(t: pa.Table) -> pd.DataFrame:
+        tile_of, w_of = worker_value(lut_ref)
+        rows = []
+        for doc_id, lang, txt in zip(
+            t["doc_id"].to_pylist(), t["lang"].to_pylist(), t["text"].to_pylist()
+        ):
+            tile = tile_of.get(int(doc_id))
+            if tile is None or tile > 2:
+                continue  # tail dropped
+            ntok = sum(1 for w in txt.split(" ") if w)
+            w = w_of.get(int(doc_id), 1_000_000)
+            rows.append((lang, tile, 1, ntok, ntok * w))
+        df = pd.DataFrame(
+            rows, columns=["lang", "tile", "n_docs", "sum_tokens", "weighted_tokens_ppm"]
+        )
+        return df.groupby(["lang", "tile"], as_index=False).sum()
 
     out = (
-        ds.map_batches(Tag, batch_format="pyarrow", concurrency=(1, 2))
+        ds.map_batches(tag, batch_format="pyarrow")
         .groupby(["lang", "tile"])
         .aggregate(
             Sum("n_docs", alias_name="n_docs"),
@@ -2284,22 +2265,19 @@ def pretrain_mix_plan(sf_dir: str, epoch_cap: int = 2) -> pd.DataFrame:
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"])
 
-    class TokensByTile:
-        def __init__(self):
-            self.tile_of = ray.get(tile_ref)
-
-        def __call__(self, t: pa.Table) -> pd.DataFrame:
-            rows = []
-            for doc_id, lang, txt in zip(
-                t["doc_id"].to_pylist(), t["lang"].to_pylist(), t["text"].to_pylist()
-            ):
-                ntok = sum(1 for w in txt.split(" ") if w)
-                rows.append((lang, self.tile_of[int(doc_id)], ntok))
-            df = pd.DataFrame(rows, columns=["lang", "tile", "avail_tokens"])
-            return df.groupby(["lang", "tile"], as_index=False).sum()
+    def tokens_by_tile(t: pa.Table) -> pd.DataFrame:
+        tile_of = worker_value(tile_ref)
+        rows = []
+        for doc_id, lang, txt in zip(
+            t["doc_id"].to_pylist(), t["lang"].to_pylist(), t["text"].to_pylist()
+        ):
+            ntok = sum(1 for w in txt.split(" ") if w)
+            rows.append((lang, tile_of[int(doc_id)], ntok))
+        df = pd.DataFrame(rows, columns=["lang", "tile", "avail_tokens"])
+        return df.groupby(["lang", "tile"], as_index=False).sum()
 
     avail = (
-        ds.map_batches(TokensByTile, batch_format="pyarrow", concurrency=(1, 2))
+        ds.map_batches(tokens_by_tile, batch_format="pyarrow")
         .groupby(["lang", "tile"])
         .aggregate(Sum("avail_tokens", alias_name="avail_tokens"))
         .to_pandas()

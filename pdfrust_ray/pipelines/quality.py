@@ -31,6 +31,8 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from ..stages.broadcast import worker_value
+
 # Gopher-style thresholds, chosen to split the fixture corpus
 # non-trivially (dup-word median ~0.54, top-bigram median ~0.03).
 DUP_WORD_MAX = 0.6
@@ -295,7 +297,7 @@ def bigram_lm_scores(sf_dir: str) -> pd.DataFrame:
       quantize: p(b|a) = (c_ab + 0.5) / (c_a + 0.5*V)  (add-half
         smoothing); q_ab = floor(-ln(p)*1e6 + 0.5) — micro-nats,
         computed ONCE per distinct bigram with libm log (bit-identical
-        to DuckDB ln), broadcast to the scoring actors;
+        to DuckDB ln), broadcast to the scoring tasks;
       score: streaming scan summing int64 q over each doc's bigrams —
         order-free, so the SQL twin matches exactly.
 
@@ -351,29 +353,23 @@ def bigram_lm_scores(sf_dir: str) -> pd.DataFrame:
     }
     qref = ray.put(q_table)
 
-    class Score:
-        def __init__(self):
-            self.q = ray.get(qref)
+    def score(t: pa.Table) -> pa.Table:
+        q = worker_value(qref)
+        ids, nb, sq = [], [], []
+        for doc_id, txt in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
+            ws = _words(txt)
+            ids.append(doc_id)
+            nb.append(max(0, len(ws) - 1))
+            sq.append(sum(q[(a, b)] for a, b in zip(ws, ws[1:])))
+        return pa.table(
+            {
+                "doc_id": pa.array(ids, pa.int64()),
+                "n_bigrams": pa.array(nb, pa.int64()),
+                "surprisal_q": pa.array(sq, pa.int64()),
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids, nb, sq = [], [], []
-            for doc_id, txt in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-                ws = _words(txt)
-                ids.append(doc_id)
-                nb.append(max(0, len(ws) - 1))
-                sq.append(sum(self.q[(a, b)] for a, b in zip(ws, ws[1:])))
-            return pa.table(
-                {
-                    "doc_id": pa.array(ids, pa.int64()),
-                    "n_bigrams": pa.array(nb, pa.int64()),
-                    "surprisal_q": pa.array(sq, pa.int64()),
-                }
-            )
-
-    out = (
-        ds.map_batches(Score, batch_format="pyarrow", batch_size=1024, concurrency=(1, 2))
-        .to_pandas()
-    )
+    out = ds.map_batches(score, batch_format="pyarrow", batch_size=1024).to_pandas()
     for c in out.columns:
         out[c] = out[c].astype("int64")
     return out.sort_values("doc_id").reset_index(drop=True)
@@ -1222,44 +1218,36 @@ def nb_source_classifier(sf_dir: str, n_buckets: int = 1024) -> pd.DataFrame:
     )
     model_ref = ray.put((sources, q, prior))
 
-    class Predict:
-        def __init__(self):
-            self.sources, self.q, self.prior = ray.get(model_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            true_s, pred_s = [], []
-            texts = t["text"].to_pylist()
-            vocab = sorted({w for txt in texts for w in txt.split(" ") if w})
-            bucket_of = dict(
-                zip(
-                    vocab,
-                    (
-                        md5_prefix_u64([w.encode() for w in vocab]) % self.q.shape[1]
-                    ).astype(np.int64),
-                )
+    def predict(t: pa.Table) -> pa.Table:
+        srcs, q, pri = ray.get(model_ref)
+        true_s, pred_s = [], []
+        texts = t["text"].to_pylist()
+        vocab = sorted({w for txt in texts for w in txt.split(" ") if w})
+        bucket_of = dict(
+            zip(
+                vocab,
+                (md5_prefix_u64([w.encode() for w in vocab]) % q.shape[1]).astype(np.int64),
             )
-            for txt, src in zip(texts, t["source"].to_pylist()):
-                words = [w for w in txt.split(" ") if w]
-                if not words:
-                    continue
-                b = np.fromiter(
-                    (bucket_of[w] for w in words), dtype=np.int64, count=len(words)
-                )
-                cnt = np.bincount(b, minlength=self.q.shape[1])
-                scores = self.q @ cnt + self.prior
-                # argmax, source-asc tie-break: sources[] is sorted so
-                # np.argmax (first max) IS the tie-break
-                pred = self.sources[int(np.argmax(scores))]
-                true_s.append(src)
-                pred_s.append(pred)
-            df = pd.DataFrame({"source": true_s, "predicted": pred_s})
-            return pa.Table.from_pandas(
-                df.groupby(["source", "predicted"], as_index=False).size(),
-                preserve_index=False,
-            )
+        )
+        for txt, src in zip(texts, t["source"].to_pylist()):
+            words = [w for w in txt.split(" ") if w]
+            if not words:
+                continue
+            b = np.fromiter((bucket_of[w] for w in words), dtype=np.int64, count=len(words))
+            cnt = np.bincount(b, minlength=q.shape[1])
+            scores = q @ cnt + pri
+            # argmax, source-asc tie-break: srcs[] is sorted so
+            # np.argmax (first max) IS the tie-break
+            true_s.append(src)
+            pred_s.append(srcs[int(np.argmax(scores))])
+        df = pd.DataFrame({"source": true_s, "predicted": pred_s})
+        return pa.Table.from_pandas(
+            df.groupby(["source", "predicted"], as_index=False).size(),
+            preserve_index=False,
+        )
 
     out = (
-        ds.map_batches(Predict, batch_format="pyarrow", batch_size=1024, concurrency=(1, 2))
+        ds.map_batches(predict, batch_format="pyarrow", batch_size=1024)
         .groupby(["source", "predicted"])
         .aggregate(Sum("size", alias_name="n_docs"))
         .to_pandas()

@@ -1,4 +1,4 @@
-"""Text-analysis pipelines over the documents table (actor-pool stages)."""
+"""Text-analysis pipelines over the documents table (Ray Data task stages)."""
 
 from __future__ import annotations
 
@@ -17,34 +17,31 @@ from ..functions.textstats import (
     rolling_fingerprint,
     token_count,
 )
+from ..stages.broadcast import worker_value
 
 
-class TextStats:
-    """One actor-held stage computing all per-doc text statistics.
-
-    State (compiled regexes / stopword tables) is module-level and
-    loaded at import inside the actor; __call__ is a tight per-row loop
-    over the batch columns.
-    """
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch["text"].to_pylist()
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "token_count": pa.array([token_count(t) for t in texts], pa.int64()),
-                "bpe_token_count": pa.array([bpe_token_count(t) for t in texts], pa.int64()),
-                "lang_pred": pa.array([lang_id(t) for t in texts], pa.string()),
-                "quality": pa.array([quality_score(t) for t in texts], pa.float64()),
-                "fp_md5": pa.array([md5_fingerprint(t) for t in texts], pa.string()),
-                "fp_rolling": pa.array([str(rolling_fingerprint(t)) for t in texts], pa.string()),
-            }
-        )
+def _text_stats_batch(batch: pa.Table) -> pa.Table:
+    """All per-doc text statistics in one task stage. State (compiled
+    regexes / stopword tables) is module-level and loaded once per
+    worker process at import; this is a tight per-row loop over the
+    batch columns."""
+    texts = batch["text"].to_pylist()
+    return pa.table(
+        {
+            "doc_id": batch["doc_id"],
+            "token_count": pa.array([token_count(t) for t in texts], pa.int64()),
+            "bpe_token_count": pa.array([bpe_token_count(t) for t in texts], pa.int64()),
+            "lang_pred": pa.array([lang_id(t) for t in texts], pa.string()),
+            "quality": pa.array([quality_score(t) for t in texts], pa.float64()),
+            "fp_md5": pa.array([md5_fingerprint(t) for t in texts], pa.string()),
+            "fp_rolling": pa.array([str(rolling_fingerprint(t)) for t in texts], pa.string()),
+        }
+    )
 
 
 def text_stats(sf_dir: str) -> "rd.Dataset":
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return ds.map_batches(TextStats, batch_format="pyarrow", batch_size=1024, concurrency=(1, 2))
+    return ds.map_batches(_text_stats_batch, batch_format="pyarrow", batch_size=1024)
 
 
 def token_counts(sf_dir: str) -> pd.DataFrame:
@@ -259,36 +256,29 @@ def top_terms_per_doc(sf_dir: str, k: int = 3) -> pd.DataFrame:
     )
     df_ref = ray.put(dict(zip(df_tbl["term"], df_tbl["df"].astype("int64"))))
 
-    class RankTerms:
-        def __init__(self):
-            self.df = ray.get(df_ref)
+    def rank_terms(batch: pa.Table) -> pa.Table:
+        df = worker_value(df_ref)
+        out_doc, out_rank, out_term, out_tf, out_df = [], [], [], [], []
+        for did, t in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
+            tf = Counter(t.lower().split())
+            ranked = sorted(((-c, df[w], w) for w, c in tf.items()))[:k]
+            for r, (negc, dfv, w) in enumerate(ranked, start=1):
+                out_doc.append(did)
+                out_rank.append(r)
+                out_term.append(w)
+                out_tf.append(-negc)
+                out_df.append(dfv)
+        return pa.table(
+            {
+                "doc_id": pa.array(out_doc, pa.int64()),
+                "rank": pa.array(out_rank, pa.int64()),
+                "term": pa.array(out_term, pa.string()),
+                "tf": pa.array(out_tf, pa.int64()),
+                "df": pa.array(out_df, pa.int64()),
+            }
+        )
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            out_doc, out_rank, out_term, out_tf, out_df = [], [], [], [], []
-            for did, t in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
-                tf = Counter(t.lower().split())
-                ranked = sorted(
-                    ((-c, self.df[w], w) for w, c in tf.items())
-                )[:k]
-                for r, (negc, dfv, w) in enumerate(ranked, start=1):
-                    out_doc.append(did)
-                    out_rank.append(r)
-                    out_term.append(w)
-                    out_tf.append(-negc)
-                    out_df.append(dfv)
-            return pa.table(
-                {
-                    "doc_id": pa.array(out_doc, pa.int64()),
-                    "rank": pa.array(out_rank, pa.int64()),
-                    "term": pa.array(out_term, pa.string()),
-                    "tf": pa.array(out_tf, pa.int64()),
-                    "df": pa.array(out_df, pa.int64()),
-                }
-            )
-
-    out = ds.map_batches(
-        RankTerms, batch_format="pyarrow", batch_size=1024, concurrency=(1, 4)
-    ).to_pandas()
+    out = ds.map_batches(rank_terms, batch_format="pyarrow", batch_size=1024).to_pandas()
     return out.sort_values(["doc_id", "rank"]).reset_index(drop=True)
 
 
@@ -497,7 +487,7 @@ def _mask_match_exact(stats: pd.DataFrame):
     return pops, best, match
 
 
-class _CharsetFinalize:
+def _charset_finalize(batch: pa.Table, *, table_ref) -> pa.Table:
     """Broadcast-lookup output pass shared by the exact and LSH charset
     variants: per doc, recompute the 32-byte mask and read the per-mask
     verdict from the (O(u)-sized) broadcast table.
@@ -512,41 +502,35 @@ class _CharsetFinalize:
         candidate in the LSH variant: doc omitted, like any
         collisionless doc in an LSH scheme).
     """
+    import numpy as np
 
-    def __init__(self, table_ref):
-        import ray
-
-        self.table, self.g1, self.g2 = ray.get(table_ref)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        out_d, out_m, out_s = [], [], []
-        masks = _mask_matrix(batch["text"])
-        for i, d in enumerate(batch["doc_id"].to_pylist()):
-            count, m1, m2, pop, bo, mo = self.table[masks[i].tobytes()]
-            if pop == 0:
-                if self.g2 < 0:
-                    continue  # single-doc corpus: no other doc exists
-                match = self.g1 if d != self.g1 else self.g2
-                sim = 0.0
-            elif count >= 2:
-                match = m1 if d != m1 else m2
-                sim = 1.0
-            elif bo is not None:
-                match, sim = mo, bo
-            else:
-                continue
-            out_d.append(d)
-            out_m.append(match)
-            out_s.append(sim)
-        return pa.table(
-            {
-                "doc_id": pa.array(np.asarray(out_d, dtype=np.int64), pa.int64()),
-                "match_id": pa.array(np.asarray(out_m, dtype=np.int64), pa.int64()),
-                "sim": pa.array(np.asarray(out_s, dtype=np.float64), pa.float64()),
-            }
-        )
+    table, g1, g2 = worker_value(table_ref)
+    out_d, out_m, out_s = [], [], []
+    masks = _mask_matrix(batch["text"])
+    for i, d in enumerate(batch["doc_id"].to_pylist()):
+        count, m1, m2, pop, bo, mo = table[masks[i].tobytes()]
+        if pop == 0:
+            if g2 < 0:
+                continue  # single-doc corpus: no other doc exists
+            match = g1 if d != g1 else g2
+            sim = 0.0
+        elif count >= 2:
+            match = m1 if d != m1 else m2
+            sim = 1.0
+        elif bo is not None:
+            match, sim = mo, bo
+        else:
+            continue
+        out_d.append(d)
+        out_m.append(match)
+        out_s.append(sim)
+    return pa.table(
+        {
+            "doc_id": pa.array(np.asarray(out_d, dtype=np.int64), pa.int64()),
+            "match_id": pa.array(np.asarray(out_m, dtype=np.int64), pa.int64()),
+            "sim": pa.array(np.asarray(out_s, dtype=np.float64), pa.float64()),
+        }
+    )
 
 
 def _finalize_pass(sf_dir: str, table: dict, stats: pd.DataFrame) -> pd.DataFrame:
@@ -563,11 +547,7 @@ def _finalize_pass(sf_dir: str, table: dict, stats: pd.DataFrame) -> pd.DataFram
     ref = ray.put((table, g1, g2))
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     out = ds.map_batches(
-        _CharsetFinalize,
-        fn_constructor_args=(ref,),
-        batch_format="pyarrow",
-        batch_size=2048,
-        concurrency=(1, 4),
+        _charset_finalize, fn_kwargs={"table_ref": ref}, batch_format="pyarrow", batch_size=2048
     ).to_pandas()
     if "doc_id" not in out.columns:
         return pd.DataFrame(
@@ -847,26 +827,23 @@ def benchmark_contamination(sf_dir: str, n_bench: int = 20, n: int = 13) -> pd.D
     bench_grams = frozenset(r["gram"] for r in gram_rows)
     ref = ray.put(bench_grams)
 
-    class CountShared:
-        def __init__(self):
-            self.bench = ray.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids, counts = [], []
-            for doc_id, txt in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-                shared = {g for g in _word_ngrams(txt, n) if g in self.bench}
-                if shared:
-                    ids.append(doc_id)
-                    counts.append(len(shared))
-            return pa.table(
-                {
-                    "doc_id": pa.array(ids, pa.int64()),
-                    "n_shared_grams": pa.array(counts, pa.int64()),
-                }
-            )
+    def count_shared(t: pa.Table) -> pa.Table:
+        bench = worker_value(ref)
+        ids, counts = [], []
+        for doc_id, txt in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
+            shared = {g for g in _word_ngrams(txt, n) if g in bench}
+            if shared:
+                ids.append(doc_id)
+                counts.append(len(shared))
+        return pa.table(
+            {
+                "doc_id": pa.array(ids, pa.int64()),
+                "n_shared_grams": pa.array(counts, pa.int64()),
+            }
+        )
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = ds.map_batches(CountShared, batch_format="pyarrow", concurrency=(1, 2)).to_pandas()
+    out = ds.map_batches(count_shared, batch_format="pyarrow").to_pandas()
     if "doc_id" not in out.columns:
         out = pd.DataFrame(
             {
@@ -904,8 +881,9 @@ PII_PHONE = r"\b\d{3}[-.]\d{3}[-.]\d{4}\b"
 
 
 class PiiRedactor:
-    """Actor-pool redaction stage: patterns compiled once per actor in
-    __init__, per-batch sub/count over the text column. Counts are
+    """Redaction task stage: patterns compiled once in __init__ on the
+    driver and shipped with the instance, per-batch sub/count over the
+    text column. Counts are
     taken on the ORIGINAL text and both substitutions are applied
     email-first, mirroring the SQL oracle's nested regexp_replace."""
 
@@ -935,13 +913,13 @@ class PiiRedactor:
 
 def pii_redact(fixture_dir: str) -> pd.DataFrame:
     """PII scrubbing over transcript turns (email + phone patterns) —
-    the training-data privacy pass. Embarrassingly parallel actor-pool
-    map; no shuffle; output ordered only for the oracle compare."""
+    the training-data privacy pass. Embarrassingly parallel task map;
+    no shuffle; output ordered only for the oracle compare."""
     from ..sources.transcripts import read_transcripts
 
     ds = read_transcripts(fixture_dir)
     out = (
-        ds.map_batches(PiiRedactor, batch_format="pyarrow", batch_size=256, concurrency=(1, 2))
+        ds.map_batches(PiiRedactor(), batch_format="pyarrow", batch_size=256)
         .to_pandas()
     )
     return out.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
@@ -965,10 +943,10 @@ def pii_redact_sql(shards_glob: str) -> str:
 # ---------------------------------------------------------------------------
 
 class TurnNormalizer:
-    """Actor-pool normalization stage: lowercase + collapse whitespace
-    runs to single spaces + trim. The whitespace regex is compiled once
-    per actor; the fixture charset is ASCII so Python lower() and SQL
-    lower() agree."""
+    """Normalization task stage: lowercase + collapse whitespace runs
+    to single spaces + trim. The whitespace regex is compiled once in
+    __init__ and shipped with the instance; the fixture charset is
+    ASCII so Python lower() and SQL lower() agree."""
 
     def __init__(self):
         import re
@@ -1000,7 +978,7 @@ def turn_normalize(fixture_dir: str) -> pd.DataFrame:
 
     ds = read_transcripts(fixture_dir, columns=["conv_id", "turn_idx", "text", "tool"])
     out = (
-        ds.map_batches(TurnNormalizer, batch_format="pyarrow", batch_size=512, concurrency=(1, 2))
+        ds.map_batches(TurnNormalizer(), batch_format="pyarrow", batch_size=512)
         .to_pandas()
     )
     return out.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
@@ -1018,28 +996,23 @@ def turn_normalize_sql(shards_glob: str) -> str:
     """
 
 
-class HtmlLdExtractor:
-    """Actor-pool stage for the link-density (readability-style) HTML
-    main-content variant: the parser class is imported once per actor;
-    each batch maps html -> main text in-process. Second algorithm on
-    the same extraction surface (extract_main_text is the flagship's
-    density rule) — the axis-B extension point made concrete."""
+def _html_ld_batch(t: pa.Table) -> pa.Table:
+    """Task stage for the link-density (readability-style) HTML
+    main-content variant: each batch maps html -> main text in-process.
+    Second algorithm on the same extraction surface (extract_main_text
+    is the flagship's density rule) — the axis-B extension point made
+    concrete."""
+    from ..html.extract import extract_main_text_ld
 
-    def __init__(self):
-        from ..html.extract import extract_main_text_ld
-
-        self.fn = extract_main_text_ld
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "conv_id": t["conv_id"],
-                "turn_idx": t["turn_idx"],
-                "main_text": pa.array(
-                    [self.fn(x) for x in t["text"].to_pylist()], pa.string()
-                ),
-            }
-        )
+    return pa.table(
+        {
+            "conv_id": t["conv_id"],
+            "turn_idx": t["turn_idx"],
+            "main_text": pa.array(
+                [extract_main_text_ld(x) for x in t["text"].to_pylist()], pa.string()
+            ),
+        }
+    )
 
 
 def html_ld_extract(fixture_dir: str) -> pd.DataFrame:
@@ -1048,10 +1021,7 @@ def html_ld_extract(fixture_dir: str) -> pd.DataFrame:
     from ..sources.transcripts import read_transcripts
 
     ds = read_transcripts(fixture_dir)
-    out = (
-        ds.map_batches(HtmlLdExtractor, batch_format="pyarrow", batch_size=32, concurrency=(1, 2))
-        .to_pandas()
-    )
+    out = ds.map_batches(_html_ld_batch, batch_format="pyarrow", batch_size=32).to_pandas()
     out["turn_idx"] = out["turn_idx"].astype("int32")
     return out.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
 

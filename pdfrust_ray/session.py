@@ -12,7 +12,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def put_repo_on_pythonpath(env) -> None:
     """Prepend the repo to env's PYTHONPATH unless it is already there.
     Ray workers inherit it and must import pdfrust_ray; a PYTHONPATH that
-    was set without the repo would leave every actor failing its import."""
+    was set without the repo would leave every worker failing its import."""
     existing = env.get("PYTHONPATH", "")
     if REPO not in existing.split(os.pathsep):
         env["PYTHONPATH"] = REPO + (os.pathsep + existing if existing else "")

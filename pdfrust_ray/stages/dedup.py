@@ -49,6 +49,7 @@ from ..functions.minhash import (
     simhash64,
 )
 from ..functions.vectors import embedding_matrix, int_column
+from .broadcast import worker_value
 
 # Safety valve for degenerate LSH buckets (e.g. empty/boilerplate texts
 # that survive exact collapse but still share a band): cap the number of
@@ -201,8 +202,8 @@ class MinHashStage:
 # (no actor spin-up — measured ~2s per fresh autoscaling actor pool on
 # these short jobs), with their cheap, deterministic state (seeded
 # MinHasher permutations) rebuilt once per worker process and reused
-# across tasks. Genuinely expensive state (the extraction CMap cache)
-# stays in actor pools.
+# across tasks. The extraction stage keeps its CMap and result memo
+# per worker process the same way (stages/extractors.stage_instance).
 _STAGE_CACHE: dict = {}
 
 
@@ -2704,24 +2705,21 @@ def soft_dedup_reweight(sf_dir: str, threshold: float = 0.8) -> pd.DataFrame:
     size_of = dict(zip(labels["doc_id"].astype(int), sizes.astype(int)))
     size_ref = ray.put(size_of)
 
-    class Weight:
-        def __init__(self):
-            self.size_of = ray.get(size_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            cs = np.array([self.size_of.get(int(d), 1) for d in ids], dtype=np.int64)
-            return pa.table(
-                {
-                    "doc_id": pa.array(ids, pa.int64()),
-                    "cluster_size": pa.array(cs, pa.int64()),
-                    "weight_ppm": pa.array(1_000_000 // cs, pa.int64()),
-                }
-            )
+    def weight(t: pa.Table) -> pa.Table:
+        size_of = worker_value(size_ref)
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        cs = np.array([size_of.get(int(d), 1) for d in ids], dtype=np.int64)
+        return pa.table(
+            {
+                "doc_id": pa.array(ids, pa.int64()),
+                "cluster_size": pa.array(cs, pa.int64()),
+                "weight_ppm": pa.array(1_000_000 // cs, pa.int64()),
+            }
+        )
 
     out = (
         _docs(sf_dir, columns=("doc_id",))
-        .map_batches(Weight, batch_format="pyarrow", concurrency=(1, 2))
+        .map_batches(weight, batch_format="pyarrow")
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)

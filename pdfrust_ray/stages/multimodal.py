@@ -2,7 +2,7 @@
 
 Image/audio/video payloads are carried as Arrow `binary` columns with a
 metadata struct; decode / feature-extract / resize / frame-sample run
-as actor-pool map_batches stages with SMALL batch sizes (payload bytes
+as map_batches task stages with SMALL batch sizes (payload bytes
 dominate block size).
 
 Codec reality in this container: no PIL/ffmpeg/soundfile. Instead of
@@ -298,7 +298,7 @@ def _audio_features(samples: np.ndarray, rate: int) -> np.ndarray:
 
 
 class PixelDecoder:
-    """Actor-pool decode + feature stage over REAL payloads.
+    """Decode + feature task stage over REAL payloads.
 
     Per kind: image -> decode PPM, optional thumbnail resize, pixel
     features; audio -> decode WAV, signal features; video -> sample
@@ -361,7 +361,7 @@ class PixelDecoder:
             except (ValueError, wave.Error, EOFError, struct.error, zlib.error) as exc:
                 # struct/zlib errors escape the codecs on truncated
                 # containers and corrupt deflate streams — error rows,
-                # never actor crashes
+                # never worker crashes
                 feats.append([0.0] * FEATURE_DIM)
                 widths.append(0)
                 heights.append(0)
@@ -413,19 +413,13 @@ def media_features(media_path_or_table, batch_size: int = 8, thumb: int = 0) -> 
     """Decode/feature-extract pipeline over a media table (PixelDecoder,
     real codecs for PPM/WAV/PPM-stream payloads).
 
-    batch_size is deliberately tiny: payload bytes x batch x concurrency
-    must fit the worker heap (binary columns dominate)."""
+    batch_size is deliberately tiny: payload bytes x batch must fit
+    each task's heap (binary columns dominate)."""
     if isinstance(media_path_or_table, pa.Table):
         ds = rd.from_arrow(media_path_or_table)
     else:
         ds = rd.read_parquet(media_path_or_table)
-    return ds.map_batches(
-        PixelDecoder,
-        fn_constructor_kwargs={"thumb": thumb},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=(1, 2),
-    )
+    return ds.map_batches(PixelDecoder(thumb=thumb), batch_format="pyarrow", batch_size=batch_size)
 
 
 # --- perceptual-hash image near-dup ---------------------------------------
@@ -502,7 +496,7 @@ def image_phash_dedup(
     batch_size: int = 8,
     n_shards: int = 16,
 ) -> pd.DataFrame:
-    """Near-duplicate IMAGE pairs by perceptual hash: actor-pool decode
+    """Near-duplicate IMAGE pairs by perceptual hash: task-stage decode
     (PNG/GIF/JPEG/PPM, the real codecs) -> ahash64 -> 4 x 16-bit
     pigeonhole bands (complete for hamming <= max_hamming=3, same lemma
     as simhash_dedup) -> shard-grouped exact-Hamming verify. The
@@ -517,34 +511,30 @@ def image_phash_dedup(
     if media_table is None:
         media_table = synthesize_image_dedup_table()
 
-    class HashStage:
+    def hash_bands(t: pa.Table) -> pa.Table:
         """Decode once per payload, emit the 4 band rows."""
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids_out, chunk_id, chunk_value, shard, hashes = [], [], [], [], []
-            for mid, payload in zip(
-                t["media_id"].to_pylist(), t["payload"].to_pylist()
-            ):
-                try:
-                    hv = ahash64(sniff_decode_image(payload))
-                except (ValueError, struct.error, zlib.error):
-                    continue  # error row semantics: undecodable drops out
-                for c in range(4):
-                    cv = (hv >> (16 * c)) & 0xFFFF
-                    ids_out.append(mid)
-                    chunk_id.append(c)
-                    chunk_value.append(cv)
-                    shard.append((c * 65536 + cv) % n_shards)
-                    hashes.append(f"{hv:016x}")
-            return pa.table(
-                {
-                    "media_id": pa.array(ids_out, pa.int64()),
-                    "chunk_id": pa.array(chunk_id, pa.int32()),
-                    "chunk_value": pa.array(chunk_value, pa.int32()),
-                    "shard": pa.array(shard, pa.int32()),
-                    "ahash": pa.array(hashes, pa.string()),
-                }
-            )
+        ids_out, chunk_id, chunk_value, shard, hashes = [], [], [], [], []
+        for mid, payload in zip(t["media_id"].to_pylist(), t["payload"].to_pylist()):
+            try:
+                hv = ahash64(sniff_decode_image(payload))
+            except (ValueError, struct.error, zlib.error):
+                continue  # error row semantics: undecodable drops out
+            for c in range(4):
+                cv = (hv >> (16 * c)) & 0xFFFF
+                ids_out.append(mid)
+                chunk_id.append(c)
+                chunk_value.append(cv)
+                shard.append((c * 65536 + cv) % n_shards)
+                hashes.append(f"{hv:016x}")
+        return pa.table(
+            {
+                "media_id": pa.array(ids_out, pa.int64()),
+                "chunk_id": pa.array(chunk_id, pa.int32()),
+                "chunk_value": pa.array(chunk_value, pa.int32()),
+                "shard": pa.array(shard, pa.int32()),
+                "ahash": pa.array(hashes, pa.string()),
+            }
+        )
 
     def pairs_of_shard(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -565,9 +555,7 @@ def image_phash_dedup(
 
     ds = rd.from_arrow(media_table)
     out = (
-        ds.map_batches(
-            HashStage, batch_format="pyarrow", batch_size=batch_size, concurrency=(1, 2)
-        )
+        ds.map_batches(hash_bands, batch_format="pyarrow", batch_size=batch_size)
         .groupby("shard")
         .map_groups(pairs_of_shard, batch_format="pandas")
         .to_pandas()
@@ -622,14 +610,13 @@ def synthesize_speech_table(n: int = 48, seed: int = 7) -> pa.Table:
 
 
 class AudioEnergySegmenter:
-    """Actor-pool VAD-style energy segmentation: decode WAV -> 20 ms
+    """VAD-style energy segmentation task stage: decode WAV -> 20 ms
     frame RMS -> threshold -> merge adjacent active frames into
     segments (closing gaps up to `gap_frames`). Per-clip output is the
     segment count and active/total duration — the stats a speech
     pipeline filters on before transcription.
 
-    State (none beyond numpy) still follows the actor contract: decode
-    tables initialize once per actor; __call__ is vectorized framing
+    No state beyond the three settings; __call__ is vectorized framing
     per clip. Batches stay tiny — payload bytes dominate worker heap."""
 
     def __init__(self, frame_ms: int = 20, threshold: float = 500.0, gap_frames: int = 2):
@@ -694,14 +681,12 @@ class AudioEnergySegmenter:
 
 
 def audio_energy_segments(media_table: "pa.Table | None" = None) -> pd.DataFrame:
-    """Energy-based audio segmentation over the speech corpus (actor
-    pool, tiny batches — binary payloads dominate memory)."""
+    """Energy-based audio segmentation over the speech corpus (task
+    stage, tiny batches — binary payloads dominate memory)."""
     t = media_table if media_table is not None else synthesize_speech_table()
     out = (
         rd.from_arrow(t.select(["media_id", "payload"]))
-        .map_batches(
-            AudioEnergySegmenter, batch_size=8, concurrency=2, batch_format="pyarrow"
-        )
+        .map_batches(AudioEnergySegmenter(), batch_size=8, batch_format="pyarrow")
         .to_pandas()
         .sort_values("media_id")
         .reset_index(drop=True)
@@ -759,7 +744,7 @@ def synthesize_scene_video_table(n: int = 24, seed: int = 7) -> pa.Table:
 
 
 class SceneCutDetector:
-    """Actor-pool stage: decode each video's frames (real PPM / GIF
+    """Task stage: decode each video's frames (real PPM / GIF
     codecs), score consecutive-frame change as the INTEGER sum of
     absolute pixel deltas, and flag a cut where the per-pixel mean
     change exceeds `threshold` (exact comparison
@@ -802,21 +787,15 @@ class SceneCutDetector:
 def video_scene_cuts(media_table: pa.Table | None = None, threshold: int = 32) -> pd.DataFrame:
     """Scene segmentation over a video corpus: per video, the exact cut
     frame indices — the shot-boundary primitive video-curation
-    pipelines sample keyframes from. Actor-pool decode (state = codec
-    setup, per batch = a few MB of frames) exactly like media_features;
-    binary payloads never shuffle — each batch reduces to 4 scalar
-    columns in place."""
+    pipelines sample keyframes from. Task-stage decode (per batch = a
+    few MB of frames) exactly like media_features; binary payloads
+    never shuffle — each batch reduces to 4 scalar columns in place."""
     import ray.data as rd
 
     tbl = media_table if media_table is not None else synthesize_scene_video_table()
     ds = rd.from_arrow(tbl.select(["media_id", "payload"]))
     out = (
-        ds.map_batches(
-            SceneCutDetector(threshold),
-            batch_size=8,
-            concurrency=2,
-            batch_format="pyarrow",
-        )
+        ds.map_batches(SceneCutDetector(threshold), batch_size=8, batch_format="pyarrow")
         .to_pandas()
         .sort_values("media_id")
         .reset_index(drop=True)
@@ -860,7 +839,7 @@ def synthesize_tone_table(n: int = 36, seed: int = 11) -> pa.Table:
 
 
 class PitchEstimator:
-    """Actor-pool fundamental-period estimator: decode WAV -> exact
+    """Fundamental-period estimator task stage: decode WAV -> exact
     int64 autocorrelation r(L) = sum x[i] * x[i+L] over a fixed window
     (so different lags compare the same number of terms) for L in
     [min_lag, max_lag] -> smallest argmax lag (ties to the shortest
@@ -900,14 +879,14 @@ class PitchEstimator:
 
 
 def audio_pitch_estimate(media_table: "pa.Table | None" = None) -> pd.DataFrame:
-    """Pitch estimation over the tone corpus (actor pool, tiny batches
+    """Pitch estimation over the tone corpus (task stage, tiny batches
     — binary payloads dominate memory; rows-only query: WAV decode has
     no SQL equivalent, exact planted-period recovery is pinned in
     pytest)."""
     t = media_table if media_table is not None else synthesize_tone_table()
     return (
         rd.from_arrow(t.select(["media_id", "payload"]))
-        .map_batches(PitchEstimator, batch_size=8, concurrency=2, batch_format="pyarrow")
+        .map_batches(PitchEstimator(), batch_size=8, batch_format="pyarrow")
         .to_pandas()
         .sort_values("media_id")
         .reset_index(drop=True)
@@ -945,7 +924,7 @@ def media_header_audit(sf_dir: str | None = None) -> pd.DataFrame:
     errors — the container-corruption gate a media-training pipeline
     runs before spending GPU-decode time downstream.
 
-    Distributed plan: decoding runs in the PixelDecoder actor-pool
+    Distributed plan: decoding runs in the PixelDecoder task-stage
     pattern (tiny batches, binary payloads dominate memory); the
     3-kind census folds from per-batch partials. The SQL twin reads
     the same engine-written parquet's metadata, so the MATCH counts
@@ -1051,7 +1030,7 @@ def audio_duration_audit(sf_dir: str | None = None) -> pd.DataFrame:
     duration_ms metadata. Census per detected codec: payloads,
     duration matches, mismatches, decode errors.
 
-    Distributed plan: same actor-friendly tiny-batch decode shape as
+    Distributed plan: same tiny-batch task-stage decode shape as
     the visual audit; 4-codec census folds from per-batch partials."""
     import pandas as pd
 

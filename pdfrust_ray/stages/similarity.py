@@ -75,33 +75,29 @@ def brute_force_topk(sf_dir: str, query_ids=(0, 1, 2, 3, 4), k: int = 10) -> pd.
     q = _query_matrix(sf_dir, query_ids)
     ref = ray.put(q)
 
-    class TopKBlock:
-        def __init__(self):
-            self.q = ray.get(ref)  # [Q, D], fetched once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = int_column(batch["vec_id"])
-            v = _normalize(embedding_matrix(batch["embedding"]))
-            sims = v @ self.q.T  # [batch, Q]
-            out_q, out_v, out_s = [], [], []
-            for qi in range(sims.shape[1]):
-                col = sims[:, qi]
-                take = min(k, len(col))
-                # local top-k by (sim desc, vec_id asc)
-                idx = np.lexsort((vid, -col))[:take]
-                out_q.extend([qi] * take)
-                out_v.extend(vid[idx].tolist())
-                out_s.extend(col[idx].tolist())
-            return pa.table(
-                {
-                    "qi": pa.array(out_q, pa.int32()),
-                    "vec_id": pa.array(out_v, pa.int64()),
-                    "cosine": pa.array(out_s, pa.float64()),
-                }
-            )
+    def topk_block(batch: pa.Table) -> pa.Table:
+        vid = int_column(batch["vec_id"])
+        v = _normalize(embedding_matrix(batch["embedding"]))
+        sims = v @ ray.get(ref).T  # [batch, Q]; a zero-copy plasma read per batch
+        out_q, out_v, out_s = [], [], []
+        for qi in range(sims.shape[1]):
+            col = sims[:, qi]
+            take = min(k, len(col))
+            # local top-k by (sim desc, vec_id asc)
+            idx = np.lexsort((vid, -col))[:take]
+            out_q.extend([qi] * take)
+            out_v.extend(vid[idx].tolist())
+            out_s.extend(col[idx].tolist())
+        return pa.table(
+            {
+                "qi": pa.array(out_q, pa.int32()),
+                "vec_id": pa.array(out_v, pa.int64()),
+                "cosine": pa.array(out_s, pa.float64()),
+            }
+        )
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    partials = ds.map_batches(TopKBlock, batch_format="pyarrow", batch_size=4096, concurrency=(1, 2)).to_pandas()
+    partials = ds.map_batches(topk_block, batch_format="pyarrow", batch_size=4096).to_pandas()
 
     rows = []
     for qi, qid in enumerate(query_ids):
@@ -131,50 +127,43 @@ def ivf_topk(sf_dir: str, query_ids=(0, 1, 2, 3, 4), k: int = 10, n_centroids: i
     cref = ray.put(centroids)
     q = _query_matrix(sf_dir, query_ids)
 
-    class AssignBucket:
-        def __init__(self):
-            self.c = ray.get(cref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            v = _normalize(embedding_matrix(batch["embedding"]))
-            bucket = (v @ self.c.T).argmax(axis=1).astype(np.int32)
-            return batch.append_column("bucket", pa.array(bucket, pa.int32()))
+    def assign_bucket(batch: pa.Table) -> pa.Table:
+        v = _normalize(embedding_matrix(batch["embedding"]))
+        bucket = (v @ ray.get(cref).T).argmax(axis=1).astype(np.int32)
+        return batch.append_column("bucket", pa.array(bucket, pa.int32()))
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    assigned = ds.map_batches(AssignBucket, batch_format="pyarrow", concurrency=(1, 2))
+    assigned = ds.map_batches(assign_bucket, batch_format="pyarrow")
 
     probe = {qi: set((q[qi] @ centroids.T).argsort()[::-1][:n_probe].tolist()) for qi in range(len(query_ids))}
     qref = ray.put((q, probe))
 
-    class ProbeTopK:
-        def __init__(self):
-            self.q, self.probe = ray.get(qref)
+    def probe_topk(batch: pa.Table) -> pa.Table:
+        q, probe = ray.get(qref)
+        vid = int_column(batch["vec_id"])
+        bucket = int_column(batch["bucket"], dtype=np.int32)
+        v = _normalize(embedding_matrix(batch["embedding"]))
+        out_q, out_v, out_s = [], [], []
+        for qi in range(q.shape[0]):
+            mask = np.isin(bucket, list(probe[qi]))
+            if not mask.any():
+                continue
+            col = v[mask] @ q[qi]
+            sub_ids = vid[mask]
+            take = min(k, len(col))
+            idx = np.lexsort((sub_ids, -col))[:take]
+            out_q.extend([qi] * take)
+            out_v.extend(sub_ids[idx].tolist())
+            out_s.extend(col[idx].tolist())
+        return pa.table(
+            {
+                "qi": pa.array(out_q, pa.int32()),
+                "vec_id": pa.array(out_v, pa.int64()),
+                "cosine": pa.array(out_s, pa.float64()),
+            }
+        )
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = int_column(batch["vec_id"])
-            bucket = int_column(batch["bucket"], dtype=np.int32)
-            v = _normalize(embedding_matrix(batch["embedding"]))
-            out_q, out_v, out_s = [], [], []
-            for qi in range(self.q.shape[0]):
-                mask = np.isin(bucket, list(self.probe[qi]))
-                if not mask.any():
-                    continue
-                col = v[mask] @ self.q[qi]
-                sub_ids = vid[mask]
-                take = min(k, len(col))
-                idx = np.lexsort((sub_ids, -col))[:take]
-                out_q.extend([qi] * take)
-                out_v.extend(sub_ids[idx].tolist())
-                out_s.extend(col[idx].tolist())
-            return pa.table(
-                {
-                    "qi": pa.array(out_q, pa.int32()),
-                    "vec_id": pa.array(out_v, pa.int64()),
-                    "cosine": pa.array(out_s, pa.float64()),
-                }
-            )
-
-    partials = assigned.map_batches(ProbeTopK, batch_format="pyarrow", batch_size=4096, concurrency=(1, 2)).to_pandas()
+    partials = assigned.map_batches(probe_topk, batch_format="pyarrow", batch_size=4096).to_pandas()
     rows = []
     for qi, qid in enumerate(query_ids):
         sub = partials[partials["qi"] == qi]
@@ -329,27 +318,24 @@ def pq_encode(sf_dir: str, m: int = 8, k_sub: int = 32, train_n: int = 512, iter
     bref = ray.put(books)
     d = tmat.shape[1] // m
 
-    class Encode:
-        def __init__(self):
-            self.books = ray.get(bref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            v = _normalize(embedding_matrix(batch["embedding"]))
-            codes = np.empty((len(v), m), dtype=np.uint8)
-            for j in range(m):
-                x = v[:, j * d : (j + 1) * d]
-                c = self.books[j]
-                d2 = (x * x).sum(1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(1)[None, :]
-                codes[:, j] = d2.argmin(axis=1).astype(np.uint8)
-            return pa.table(
-                {
-                    "vec_id": batch["vec_id"],
-                    "code": pa.array(list(codes), pa.list_(pa.uint8())),
-                }
-            )
+    def encode(batch: pa.Table) -> pa.Table:
+        books = ray.get(bref)
+        v = _normalize(embedding_matrix(batch["embedding"]))
+        codes = np.empty((len(v), m), dtype=np.uint8)
+        for j in range(m):
+            x = v[:, j * d : (j + 1) * d]
+            c = books[j]
+            d2 = (x * x).sum(1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(1)[None, :]
+            codes[:, j] = d2.argmin(axis=1).astype(np.uint8)
+        return pa.table(
+            {
+                "vec_id": batch["vec_id"],
+                "code": pa.array(list(codes), pa.list_(pa.uint8())),
+            }
+        )
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    codes = ds.map_batches(Encode, batch_format="pyarrow", batch_size=4096, concurrency=(1, 2))
+    codes = ds.map_batches(encode, batch_format="pyarrow", batch_size=4096)
     return books, codes
 
 
@@ -375,33 +361,28 @@ def pq_topk(
     lut = np.stack([q[:, j * d : (j + 1) * d] @ books[j].T for j in range(m)], axis=1)
     lref = ray.put(lut)
 
-    class ScoreCodes:
-        def __init__(self):
-            self.lut = ray.get(lref)  # [Q, m, k_sub]
+    def score_codes(batch: pa.Table) -> pa.Table:
+        lut = ray.get(lref)  # [Q, m, k_sub]
+        vid = int_column(batch["vec_id"])
+        codes_np = np.stack(batch["code"].to_pylist()).astype(np.int64)  # [n, m]
+        out_q, out_v, out_s = [], [], []
+        for qi in range(lut.shape[0]):
+            t = lut[qi]  # [m, k_sub]
+            score = t[np.arange(m)[None, :], codes_np].sum(axis=1)
+            take = min(k, len(score))
+            idx = np.lexsort((vid, -score))[:take]
+            out_q.extend([qi] * take)
+            out_v.extend(vid[idx].tolist())
+            out_s.extend(score[idx].tolist())
+        return pa.table(
+            {
+                "qi": pa.array(out_q, pa.int32()),
+                "vec_id": pa.array(out_v, pa.int64()),
+                "score": pa.array(out_s, pa.float64()),
+            }
+        )
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = int_column(batch["vec_id"])
-            codes_np = np.stack(batch["code"].to_pylist()).astype(np.int64)  # [n, m]
-            out_q, out_v, out_s = [], [], []
-            for qi in range(self.lut.shape[0]):
-                t = self.lut[qi]  # [m, k_sub]
-                score = t[np.arange(m)[None, :], codes_np].sum(axis=1)
-                take = min(k, len(score))
-                idx = np.lexsort((vid, -score))[:take]
-                out_q.extend([qi] * take)
-                out_v.extend(vid[idx].tolist())
-                out_s.extend(score[idx].tolist())
-            return pa.table(
-                {
-                    "qi": pa.array(out_q, pa.int32()),
-                    "vec_id": pa.array(out_v, pa.int64()),
-                    "score": pa.array(out_s, pa.float64()),
-                }
-            )
-
-    partials = codes.map_batches(
-        ScoreCodes, batch_format="pyarrow", batch_size=4096, concurrency=(1, 2)
-    ).to_pandas()
+    partials = codes.map_batches(score_codes, batch_format="pyarrow", batch_size=4096).to_pandas()
     rows = []
     for qi, qid in enumerate(query_ids):
         sub = partials[partials["qi"] == qi]
@@ -592,33 +573,28 @@ def contrastive_pairs(
     qlabels = int_column(t["label"]).astype(np.int64)[order]
     ref = ray.put((qmat, qids, qlabels))
 
-    class PairBlock:
-        def __init__(self):
-            self.q, self.qids, self.qlabels = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = int_column(batch["vec_id"])
-            labels = int_column(batch["label"]).astype(np.int64)
-            v = _normalize(embedding_matrix(batch["embedding"]))
-            sims = v @ self.q.T  # [batch, Q]
-            same = labels[:, None] == self.qlabels[None, :]
-            mask = np.where(same, sims >= t_pos, sims >= t_neg)
-            mask &= vid[:, None] != self.qids[None, :]  # no self-pairs
-            bi, qi = np.nonzero(mask)
-            return pa.table(
-                {
-                    "query_id": pa.array(self.qids[qi], pa.int64()),
-                    "other_id": pa.array(vid[bi], pa.int64()),
-                    "kind": pa.array(np.where(same[bi, qi], "pos", "neg")),
-                }
-            )
+    def pair_block(batch: pa.Table) -> pa.Table:
+        qmat, qids, qlabels = ray.get(ref)
+        vid = int_column(batch["vec_id"])
+        labels = int_column(batch["label"]).astype(np.int64)
+        v = _normalize(embedding_matrix(batch["embedding"]))
+        sims = v @ qmat.T  # [batch, Q]
+        same = labels[:, None] == qlabels[None, :]
+        mask = np.where(same, sims >= t_pos, sims >= t_neg)
+        mask &= vid[:, None] != qids[None, :]  # no self-pairs
+        bi, qi = np.nonzero(mask)
+        return pa.table(
+            {
+                "query_id": pa.array(qids[qi], pa.int64()),
+                "other_id": pa.array(vid[bi], pa.int64()),
+                "kind": pa.array(np.where(same[bi, qi], "pos", "neg")),
+            }
+        )
 
     ds = rd.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding", "label"]
     )
-    out = ds.map_batches(
-        PairBlock, batch_format="pyarrow", batch_size=4096, concurrency=(1, 2)
-    ).to_pandas()
+    out = ds.map_batches(pair_block, batch_format="pyarrow", batch_size=4096).to_pandas()
     out["query_id"] = out["query_id"].astype("int64")
     out["other_id"] = out["other_id"].astype("int64")
     return out.sort_values(["query_id", "other_id"]).reset_index(drop=True)
@@ -836,7 +812,7 @@ def hard_negative_mining(sf_dir: str, pool_size: int = 500, scale: int = 1_000_0
     `pool_size` vectors by vec_id via a STREAMING limit read (real
     pipelines mine against a sampled pool — at 10^9 vectors the pool is
     the sample, not the corpus), broadcast ONCE via ray.put; anchors
-    stream through an actor pool doing one [batch, D] x [D, P] int64
+    stream through a task stage doing one [batch, D] x [D, P] int64
     matmul per batch with a same-label mask. No shuffle, no driver scan."""
     t = (
         rd.read_parquet(
@@ -853,36 +829,33 @@ def hard_negative_mining(sf_dir: str, pool_size: int = 500, scale: int = 1_000_0
     ).astype(np.int64)
     ref = ray.put((pool_ids, pool_lab, pool_mat))
 
-    class Miner:
-        def __init__(self):
-            self.ids, self.lab, self.mat = ray.get(ref)  # once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = int_column(batch["vec_id"])
-            lab = int_column(batch["label"])
-            v = np.round(
-                embedding_matrix(batch["embedding"]).astype(np.float64) * scale
-            ).astype(np.int64)
-            dots = v @ self.mat.T  # [batch, P] exact int64
-            # mask same-label columns per row (self is same-label too)
-            mask = lab[:, None] == self.lab[None, :]
-            dots = np.where(mask, np.iinfo(np.int64).min, dots)
-            best = np.argmax(dots, axis=1)  # first max -> min vec_id
-            return pa.table(
-                {
-                    "vec_id": pa.array(vid, pa.int64()),
-                    "label": pa.array(lab, pa.int64()),
-                    "neg_id": pa.array(self.ids[best], pa.int64()),
-                    "neg_label": pa.array(self.lab[best], pa.int64()),
-                    "dot": pa.array(dots[np.arange(len(best)), best], pa.int64()),
-                }
-            )
+    def miner(batch: pa.Table) -> pa.Table:
+        pool_ids, pool_lab, pool_mat = ray.get(ref)  # zero-copy plasma read
+        vid = int_column(batch["vec_id"])
+        lab = int_column(batch["label"])
+        v = np.round(
+            embedding_matrix(batch["embedding"]).astype(np.float64) * scale
+        ).astype(np.int64)
+        dots = v @ pool_mat.T  # [batch, P] exact int64
+        # mask same-label columns per row (self is same-label too)
+        mask = lab[:, None] == pool_lab[None, :]
+        dots = np.where(mask, np.iinfo(np.int64).min, dots)
+        best = np.argmax(dots, axis=1)  # first max -> min vec_id
+        return pa.table(
+            {
+                "vec_id": pa.array(vid, pa.int64()),
+                "label": pa.array(lab, pa.int64()),
+                "neg_id": pa.array(pool_ids[best], pa.int64()),
+                "neg_label": pa.array(pool_lab[best], pa.int64()),
+                "dot": pa.array(dots[np.arange(len(best)), best], pa.int64()),
+            }
+        )
 
     out = (
         rd.read_parquet(
             f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding", "label"]
         )
-        .map_batches(Miner, batch_size=256, concurrency=2, batch_format="pyarrow")
+        .map_batches(miner, batch_size=256, batch_format="pyarrow")
         .to_pandas()
         .sort_values("vec_id")
         .reset_index(drop=True)
@@ -940,36 +913,33 @@ def mutual_knn_degree(sf_dir: str, k: int = 5, scale: int = 1_000_000) -> pd.Dat
     n_total = len(pool_ids)
     ref = ray.put((pool_ids, pool_mat))
 
-    class KnnEdges:
-        def __init__(self):
-            self.ids, self.mat = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = int_column(batch["vec_id"])
-            v = np.round(
-                embedding_matrix(batch["embedding"]).astype(np.float64) * scale
-            ).astype(np.int64)
-            dots = v @ self.mat.T  # [batch, N] exact int64
-            # min+1, not min: -(int64.min) overflows back to int64.min and
-            # would sort the masked self-column FIRST instead of last
-            dots[vid[:, None] == self.ids[None, :]] = np.iinfo(np.int64).min + 1
-            # top-k by (dot DESC, id ASC): ids are sorted ascending, so
-            # a stable argsort on -dot resolves ties to the lowest id
-            order = np.argsort(-dots, axis=1, kind="stable")[:, :k]
-            src = np.repeat(vid, k)
-            dst = self.ids[order].ravel()
-            return pa.table(
-                {
-                    "a": pa.array(np.minimum(src, dst), pa.int64()),
-                    "b": pa.array(np.maximum(src, dst), pa.int64()),
-                }
-            )
+    def knn_edges(batch: pa.Table) -> pa.Table:
+        pool_ids, pool_mat = ray.get(ref)
+        vid = int_column(batch["vec_id"])
+        v = np.round(
+            embedding_matrix(batch["embedding"]).astype(np.float64) * scale
+        ).astype(np.int64)
+        dots = v @ pool_mat.T  # [batch, N] exact int64
+        # min+1, not min: -(int64.min) overflows back to int64.min and
+        # would sort the masked self-column FIRST instead of last
+        dots[vid[:, None] == pool_ids[None, :]] = np.iinfo(np.int64).min + 1
+        # top-k by (dot DESC, id ASC): ids are sorted ascending, so
+        # a stable argsort on -dot resolves ties to the lowest id
+        order = np.argsort(-dots, axis=1, kind="stable")[:, :k]
+        src = np.repeat(vid, k)
+        dst = pool_ids[order].ravel()
+        return pa.table(
+            {
+                "a": pa.array(np.minimum(src, dst), pa.int64()),
+                "b": pa.array(np.maximum(src, dst), pa.int64()),
+            }
+        )
 
     from ray.data.aggregate import Count, Sum
 
     edges = (
         rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-        .map_batches(KnnEdges, batch_size=256, concurrency=2, batch_format="pyarrow")
+        .map_batches(knn_edges, batch_size=256, batch_format="pyarrow")
         .groupby(["a", "b"])
         .aggregate(Count(alias_name="n_dir"))
         .map_batches(
@@ -1076,33 +1046,30 @@ def embedding_pair_distance_histogram(
     ).astype(np.int64)
     ref = ray.put((pool_ids, pool_mat))
 
-    class PairHist:
-        def __init__(self):
-            self.ids, self.mat = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = int_column(batch["vec_id"])
-            v = np.round(
-                embedding_matrix(batch["embedding"]).astype(np.float64) * scale
-            ).astype(np.int64)
-            dots = v @ self.mat.T  # [B, N] exact int64
-            keep = self.ids[None, :] > vid[:, None]  # unordered pairs once
-            b = (dots[keep] + offset) // width
-            if (b < 0).any():
-                raise ValueError("dot below the histogram offset")
-            u, c = np.unique(b, return_counts=True)
-            return pa.table(
-                {
-                    "bucket": pa.array(u, pa.int64()),
-                    "n": pa.array(c, pa.int64()),
-                }
-            )
+    def pair_hist(batch: pa.Table) -> pa.Table:
+        pool_ids, pool_mat = ray.get(ref)
+        vid = int_column(batch["vec_id"])
+        v = np.round(
+            embedding_matrix(batch["embedding"]).astype(np.float64) * scale
+        ).astype(np.int64)
+        dots = v @ pool_mat.T  # [B, N] exact int64
+        keep = pool_ids[None, :] > vid[:, None]  # unordered pairs once
+        b = (dots[keep] + offset) // width
+        if (b < 0).any():
+            raise ValueError("dot below the histogram offset")
+        u, c = np.unique(b, return_counts=True)
+        return pa.table(
+            {
+                "bucket": pa.array(u, pa.int64()),
+                "n": pa.array(c, pa.int64()),
+            }
+        )
 
     from ray.data.aggregate import Sum
 
     out = (
         rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-        .map_batches(PairHist, batch_size=256, concurrency=2, batch_format="pyarrow")
+        .map_batches(pair_hist, batch_size=256, batch_format="pyarrow")
         .groupby("bucket")
         .aggregate(Sum("n", alias_name="n_pairs"))
         .to_pandas()
@@ -1867,37 +1834,32 @@ def matryoshka_recall_curve(
     qcodes = _int8_codes(embedding_matrix(t["embedding"]))[[pos[q] for q in query_ids]]
     ref = ray.put(qcodes)
 
-    class PrefixTopK:
-        def __init__(self):
-            self.q = ray.get(ref)  # [Q, D] int64, once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vid = int_column(batch["vec_id"])
-            c = _int8_codes(embedding_matrix(batch["embedding"]))
-            out = {"qi": [], "dim": [], "vec_id": [], "dot": []}
-            for d in dims:
-                dots = c[:, :d] @ self.q[:, :d].T  # [B, Q] int64
-                take = min(k, len(vid))
-                for qi in range(dots.shape[1]):
-                    col = dots[:, qi]
-                    idx = np.lexsort((vid, -col))[:take]
-                    out["qi"].extend([qi] * take)
-                    out["dim"].extend([d] * take)
-                    out["vec_id"].extend(vid[idx].tolist())
-                    out["dot"].extend(col[idx].tolist())
-            return pa.table(
-                {
-                    "qi": pa.array(out["qi"], pa.int32()),
-                    "dim": pa.array(out["dim"], pa.int64()),
-                    "vec_id": pa.array(out["vec_id"], pa.int64()),
-                    "dot": pa.array(out["dot"], pa.int64()),
-                }
-            )
+    def prefix_topk(batch: pa.Table) -> pa.Table:
+        q = ray.get(ref)  # [Q, D] int64, a zero-copy plasma read per batch
+        vid = int_column(batch["vec_id"])
+        c = _int8_codes(embedding_matrix(batch["embedding"]))
+        out = {"qi": [], "dim": [], "vec_id": [], "dot": []}
+        for d in dims:
+            dots = c[:, :d] @ q[:, :d].T  # [B, Q] int64
+            take = min(k, len(vid))
+            for qi in range(dots.shape[1]):
+                col = dots[:, qi]
+                idx = np.lexsort((vid, -col))[:take]
+                out["qi"].extend([qi] * take)
+                out["dim"].extend([d] * take)
+                out["vec_id"].extend(vid[idx].tolist())
+                out["dot"].extend(col[idx].tolist())
+        return pa.table(
+            {
+                "qi": pa.array(out["qi"], pa.int32()),
+                "dim": pa.array(out["dim"], pa.int64()),
+                "vec_id": pa.array(out["vec_id"], pa.int64()),
+                "dot": pa.array(out["dot"], pa.int64()),
+            }
+        )
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    partials = ds.map_batches(
-        PrefixTopK, batch_format="pyarrow", batch_size=4096, concurrency=(1, 2)
-    ).to_pandas()
+    partials = ds.map_batches(prefix_topk, batch_format="pyarrow", batch_size=4096).to_pandas()
 
     full_d = dims[-1]
     topsets: dict[tuple[int, int], list[int]] = {}

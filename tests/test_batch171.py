@@ -30,23 +30,22 @@ def test_bytes_based_sort_partitions(ray_session):
     assert _bytes_based_sort_partitions(10**18) == MAX_SORT_PARTITIONS
 
 
-def test_flagship_output_identical_across_partitionings(ray_session):
+def test_flagship_output_identical_across_partitionings(ray_session, monkeypatch):
     """Same output rows whether the sort partition count comes from the
-    bytes-based default or an explicit override (the sort is a total
-    order, so partitioning must not leak into results)."""
+    bytes-based default or is forced to 3 (the sort is a total order,
+    so partitioning must not leak into results)."""
     import glob
     import os
 
     from pdfrust_ray.fixtures.corpus import ensure_modes_fixture
-    from pdfrust_ray.pipelines.extract_pipeline import build_extraction
+    from pdfrust_ray.pipelines import extract_pipeline
     from pdfrust_ray.sources.transcripts import read_transcripts
 
     d = ensure_modes_fixture()
     shards = sorted(glob.glob(os.path.join(d, "shards", "*.parquet")))
-    a = build_extraction(read_transcripts(shards), concurrency=2).to_pandas()
-    b = build_extraction(
-        read_transcripts(shards), concurrency=2, sort_partitions=3
-    ).to_pandas()
+    a = extract_pipeline.build_extraction(read_transcripts(shards), concurrency=2).to_pandas()
+    monkeypatch.setattr(extract_pipeline, "_bytes_based_sort_partitions", lambda _: 3)
+    b = extract_pipeline.build_extraction(read_transcripts(shards), concurrency=2).to_pandas()
     pd.testing.assert_frame_equal(a, b)
 
 
