@@ -4,7 +4,7 @@ The driver initialises Ray itself before importing this module; nothing
 here (or in pdfrust_ray) calls ray.init()/ray.shutdown().
 
   - entry(): flagship pipeline on the t1 (smoke) synthetic transcript
-    corpus — read shards -> detect/size -> actor-pool extraction ->
+    corpus — read shards -> ExtractTurns task stage -> repartition and
     ordering sort — returns the Dataset.
   - queries(): one entry per implemented operator/pipeline from
     SURVEY.md §2 plus the training-data ops (dedup, similarity search,
@@ -12,16 +12,21 @@ here (or in pdfrust_ray) calls ray.init()/ray.shutdown().
     the deterministic synthetic transcript fixtures (the graft input
     table has no driver-provided testdata); their oracles read the
     serially-computed golden parquet.
-  - oracle_sql(): DuckDB-SQL equivalents. The extraction oracles use
-    read_parquet on the frozen goldens under /tmp/pdfrust_ray_fixtures
+  - oracle_sql(): DuckDB-SQL equivalents. A query whose callable is a
+    module function `f` takes the `f_sql()` defined beside it; only the
+    twins that rule cannot find are written out. The extraction oracles
+    use read_parquet on the frozen goldens under /tmp/pdfrust_ray_fixtures
     (generated idempotently by queries()); relational/dedup/similarity
-    oracles run on the pre-registered testdata views. Omitted entries
-    (heuristics, LSH, IVF) get the driver's rows-only check.
+    oracles run on the pre-registered testdata views. Queries without a
+    twin are listed, with the reason, in NO_ORACLE_JUSTIFICATIONS and are
+    checked on rows only.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
+import sys
 from collections.abc import Callable
 from typing import Any
 
@@ -520,15 +525,6 @@ def _q_cross_conv_turn_dups(sf_dir: str):
     return cross_conv_turn_dups(ensure_forks_fixture())
 
 
-def _q_turn_normalize(sf_dir: str):
-    """Lowercase/whitespace canonicalization of the plain turns of the
-    t2 transcript corpus; DuckDB recomputes from the RAW shards."""
-    from pdfrust_ray.fixtures.corpus import ensure_corpus
-    from pdfrust_ray.pipelines.textops import turn_normalize
-
-    return turn_normalize(ensure_corpus("t2"))
-
-
 def _q_html_ld(sf_dir: str):
     """Readability-style link-density HTML extraction over the htmlld
     fixture family (axis B second algorithm); oracle reads the
@@ -572,39 +568,18 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from pdfrust_ray.pipelines import datasetops as dso
     from pdfrust_ray.pipelines import graph
     from pdfrust_ray.pipelines import calibration
-    from pdfrust_ray.pipelines import corpusbuild
     from pdfrust_ray.pipelines import llmdata as llm
     from pdfrust_ray.pipelines import mixing
     from pdfrust_ray.pipelines import quality as qual
     from pdfrust_ray.pipelines import relational as rel
     from pdfrust_ray.pipelines import textops
-    from pdfrust_ray.stages import dedup, similarity, sketches
+    from pdfrust_ray.stages import dedup, similarity, sketches, streaming
 
     def _q_conv(fn):
         def run(sf_dir: str):
             return fn(ensure_corpus(_scale_for(sf_dir)))
 
         return run
-
-    def _q_streaming_heavy_hitters(sf_dir: str):
-        from pdfrust_ray.stages.streaming import streaming_heavy_hitters
-
-        return streaming_heavy_hitters(sf_dir)
-
-    def _q_heavy_hitters_det(sf_dir: str):
-        from pdfrust_ray.stages.streaming import heavy_hitters_det
-
-        return heavy_hitters_det(sf_dir)
-
-    def _q_streaming_sessionize(sf_dir: str):
-        from pdfrust_ray.stages.streaming import streaming_sessionize
-
-        return streaming_sessionize(sf_dir)
-
-    def _q_streaming_windowed_dedup(sf_dir: str):
-        from pdfrust_ray.stages.streaming import streaming_windowed_dedup
-
-        return streaming_windowed_dedup(sf_dir)
 
     def media_features_q(sf_dir: str):
         from pdfrust_ray.stages.multimodal import media_features, synthesize_media_table
@@ -654,19 +629,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "extract_text_filters": _q_extract_filters,
         "extract_text_encrypted": _q_extract_encrypted,
         # --- training-data ops: dedup ---
-        "exact_dedup": lambda sf: dedup.exact_dedup(sf),
-        "minhash_dedup": lambda sf: dedup.minhash_lsh_dedup(sf),
+        "exact_dedup": dedup.exact_dedup,
+        "minhash_dedup": dedup.minhash_lsh_dedup,
         # exact n-gram Jaccard sibling: prefix-filtered inverted index,
         # candidate-complete by the prefix lemma (deterministic recall)
-        "ngram_jaccard_dedup": lambda sf: dedup.ngram_jaccard_dedup(sf),
-        "simhash_dedup": lambda sf: dedup.simhash_dedup(sf),
-        "embedding_dedup": lambda sf: dedup.embedding_dedup(sf),
-        "embedding_dedup_ivf": lambda sf: dedup.embedding_dedup_ivf(sf),
-        "dedup_clusters": lambda sf: dedup.dedup_clusters(sf),
+        "ngram_jaccard_dedup": dedup.ngram_jaccard_dedup,
+        "simhash_dedup": dedup.simhash_dedup,
+        "embedding_dedup": dedup.embedding_dedup,
+        "embedding_dedup_ivf": dedup.embedding_dedup_ivf,
+        "dedup_clusters": dedup.dedup_clusters,
         # --- similarity search ---
-        "ann_topk": lambda sf: similarity.brute_force_topk(sf),
-        "matryoshka_recall_curve": lambda sf: similarity.matryoshka_recall_curve(sf),
-        "ann_ivf_topk": lambda sf: similarity.ivf_topk(sf),
+        "ann_topk": similarity.brute_force_topk,
+        "matryoshka_recall_curve": similarity.matryoshka_recall_curve,
+        "ann_ivf_topk": similarity.ivf_topk,
         # IVF with every bucket probed is EXACT (same tie-break as the
         # brute-force scan) — proves the assign/probe machinery exactly
         "ann_ivf_full_probe": lambda sf: similarity.ivf_topk(sf, n_probe=16),
@@ -674,13 +649,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # bucketed map_groups path
         "embedding_dedup_ivf_exact": lambda sf: dedup.embedding_dedup_ivf(sf, n_centroids=1),
         # iterative distributed algorithm (Lloyd's rounds); no SQL twin
-        "kmeans_embeddings": lambda sf: similarity.kmeans_embeddings(sf),
+        "kmeans_embeddings": similarity.kmeans_embeddings,
         # product quantization: raw ADC scan over 32x-compressed codes
         # (approximate by construction; recall pinned by pytest)
-        "ann_pq_topk": lambda sf: similarity.pq_topk(sf),
+        "ann_pq_topk": similarity.pq_topk,
         # PQ shortlist + exact re-rank: deterministic and recall-1.0 at
         # the fixture defaults, so it takes the exact ann_topk oracle
-        "ann_pq_rerank_topk": lambda sf: similarity.pq_rerank_topk(sf),
+        "ann_pq_rerank_topk": similarity.pq_rerank_topk,
         # --- text analysis ---
         "token_counts": textops.token_counts,
         "bpe_token_counts": textops.bpe_token_counts,
@@ -699,14 +674,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "media_features": media_features_q,
         # --- mergeable distributed sketches ---
         # exact top-k via Misra-Gries candidates + filtered recount
-        "heavy_tokens": lambda sf: sketches.heavy_tokens(sf),
-        # HyperLogLog distinct count (deterministic splitmix64 hash);
-        # no SQL twin — pinned by the exact-vs-estimate bound pytest
-        "hll_distinct_users": lambda sf: sketches.hll_distinct_users(sf),
+        "heavy_tokens": sketches.heavy_tokens,
+        # HyperLogLog distinct count (deterministic splitmix64 hash)
+        "hll_distinct_users": sketches.hll_distinct_users,
         # Count-Min probe frequencies: exact SQL twin is valid because
         # the fixture vocab is far below the sketch width (no probe
         # collisions — any collision would hash-mismatch)
-        "cms_token_freqs": lambda sf: sketches.cms_token_freqs(sf),
+        "cms_token_freqs": sketches.cms_token_freqs,
         # --- conversation analytics over the transcript input table ---
         "conv_stats": _q_conv(cv.conv_stats),
         "conv_prefix_echo": _q_conv(cv.conv_prefix_echo),
@@ -772,42 +746,43 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_dow_grid": rel.events_dow_grid,
         # TPC-H discounted-revenue expression (half-away rounding parity)
         "lineitem_discounted_revenue": rel.lineitem_discounted_revenue,
-        # canonicalization pass over plain transcript turns
-        "turn_normalize": _q_turn_normalize,
-        # distributed BPE vocabulary learning (iterative; no SQL twin)
-        "bpe_merges": lambda sf: llm.bpe_train(sf),
+        # canonicalization pass over plain transcript turns; DuckDB
+        # recomputes from the RAW shards
+        "turn_normalize": _q_conv(textops.turn_normalize),
+        # distributed BPE vocabulary learning (iterative)
+        "bpe_merges": llm.bpe_train,
         # greedy fixed-budget sequence packing (recursive-CTE oracle)
-        "pack_sequences": lambda sf: llm.pack_sequences(sf),
+        "pack_sequences": llm.pack_sequences,
         # data mixing: downsample every language to the smallest one
-        "lang_rebalanced_sample": lambda sf: llm.lang_rebalanced_sample(sf),
+        "lang_rebalanced_sample": llm.lang_rebalanced_sample,
         # apply the learned BPE vocabulary (train + encode lifecycle)
-        "bpe_encode_counts": lambda sf: llm.bpe_encode_counts(sf),
+        "bpe_encode_counts": llm.bpe_encode_counts,
         # ExactSubstr dedup: verbatim shared-window pairs
-        "substring_dedup": lambda sf: dedup.substring_dedup(sf),
+        "substring_dedup": dedup.substring_dedup,
         # Gopher repetition filters (dup-word frac, top-bigram share)
-        "gopher_repetition": lambda sf: qual.gopher_repetition(sf),
+        "gopher_repetition": qual.gopher_repetition,
         # Okapi BM25 ranked retrieval (nano-quantized integer scores)
-        "bm25_topk": lambda sf: qual.bm25_topk(sf),
+        "bm25_topk": qual.bm25_topk,
         # SemDeDup: k-means clusters, within-cluster cosine pairs
         # (approximate by construction — pinned by k=1-exactness,
         # subset-of-exact and planted-duplicate pytests; no SQL twin)
-        "semantic_dedup": lambda sf: dedup.semantic_dedup(sf),
+        "semantic_dedup": dedup.semantic_dedup,
         # temperature-based mixture sampling (integer-exact, alpha=0.5)
-        "temperature_mix_sample": lambda sf: llm.temperature_mix_sample(sf),
+        "temperature_mix_sample": llm.temperature_mix_sample,
         # global prefix scan (two-phase up-sweep/down-sweep, no key)
         "running_global_total": rel.running_global_total,
         # corpus-trained bigram-LM surprisal (micro-nat integer scores)
-        "bigram_lm_scores": lambda sf: qual.bigram_lm_scores(sf),
+        "bigram_lm_scores": qual.bigram_lm_scores,
         # bottom-k hash sketch: uniform k-sample, mergeable, no shuffle
         "bottom_k_sample": rel.bottom_k_sample,
         # string-similarity self-join (prefix-filtered, candidate-complete)
-        "name_similarity_join": lambda sf: qual.name_similarity_join(sf),
+        "name_similarity_join": qual.name_similarity_join,
         # mergeable compactor quantile sketch (approximate; rank-error
         # bound + exact-when-small pytests; no SQL twin)
-        "quantile_sketch": lambda sf: sketches.quantile_sketch(sf),
+        "quantile_sketch": sketches.quantile_sketch,
         # deterministically-partitioned sibling whose full compaction
         # schedule is replayed by an exact recursive-CTE twin
-        "quantile_sketch_det": lambda sf: sketches.quantile_sketch_det(sf),
+        "quantile_sketch_det": sketches.quantile_sketch_det,
         # FULL OUTER of two filtered aggregates (union+indicator groupby)
         "heavy_user_full_outer": rel.heavy_user_full_outer,
         # unpivot: wide pivot melted back to long incl. zero cells
@@ -817,15 +792,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # event-time watermark late-data accounting (two-phase prefix-max)
         "late_events_by_day": rel.late_events_by_day,
         # END-TO-END corpus prep: gopher -> dedups -> rebalance -> pack
-        "clean_pack_pipeline": lambda sf: llm.clean_pack_pipeline(sf),
+        "clean_pack_pipeline": llm.clean_pack_pipeline,
         # zlib compressibility quality signal (deterministic integers;
         # no SQL surface for zlib — serial-recompute pytest pins it)
-        "compression_ratio_scores": lambda sf: qual.compression_ratio_scores(sf),
+        "compression_ratio_scores": qual.compression_ratio_scores,
         # distributed Gram/second-moment matrix (pico-quantized exact)
-        "embedding_second_moment": lambda sf: similarity.embedding_second_moment(sf),
+        "embedding_second_moment": similarity.embedding_second_moment,
         # PCA spectrum from the exact distributed matrix (driver eigh;
         # trace/PSD/determinism pytests; no SQL eigensolve)
-        "embedding_pca_topk": lambda sf: similarity.embedding_pca_topk(sf),
+        "embedding_pca_topk": similarity.embedding_pca_topk,
         # link-density HTML main-content variant (axis B, 2nd algorithm)
         "html_ld_extract": _q_html_ld,
         # skyline / Pareto front (two-phase local-front combiner)
@@ -833,7 +808,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # per-group bottom-k sampling (deterministic grouped reservoir)
         "events_per_user_sample": rel.events_per_user_sample,
         # SymSpell deletion-neighborhood edit-distance-1 join
-        "name_editdist_join": lambda sf: qual.name_editdist_join(sf),
+        "name_editdist_join": qual.name_editdist_join,
         # deterministic train/val/test split (md5-bucket, shuffle-free)
         "dataset_split": dso.dataset_split,
         # sliding-window token chunker (RAG / context-window prep)
@@ -843,7 +818,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # PMI collocation mining (micro-nat-quantized exact doubles)
         "pmi_collocations": dso.pmi_collocations,
         # snapshot-vs-snapshot dedup: Bloom prefilter + exact confirm
-        "incremental_dedup": lambda sf: dedup.incremental_dedup(sf),
+        "incremental_dedup": dedup.incremental_dedup,
         # A-ES weighted sampling without replacement (pow-key top-k)
         "weighted_sample": rel.weighted_sample,
         # time-band self-join via tiled windows + halo duplication
@@ -855,7 +830,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # JSON property extraction + per-type aggregate
         "props_k_stats": rel.props_k_stats,
         # per-doc unigram entropy (nano-nat-quantized exact)
-        "token_entropy": lambda sf: qual.token_entropy(sf),
+        "token_entropy": qual.token_entropy,
         # per-type OLS via distributed moment sums (quantized exact)
         "events_value_regression": rel.events_value_regression,
         # EXACT global median by iterative histogram refinement —
@@ -882,40 +857,40 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # perceptual-hash image near-dup (real codecs; no SQL on pixels)
         "image_phash_dedup": image_phash_dedup_q,
         # containment (near-superset) dedup — the axis Jaccard misses
-        "containment_dedup": lambda sf: dedup.containment_dedup(sf),
+        "containment_dedup": dedup.containment_dedup,
         # scale sibling: stop-shingle-capped SSJoin (bounded posting
         # lists; exact verify, recall-only approximation)
-        "containment_dedup_dfcap": lambda sf: dedup.containment_dedup_dfcap(sf),
+        "containment_dedup_dfcap": dedup.containment_dedup_dfcap,
         # soft dedup: 1/cluster_size ppm weights over near-dup clusters
-        "soft_dedup_reweight": lambda sf: dedup.soft_dedup_reweight(sf),
+        "soft_dedup_reweight": dedup.soft_dedup_reweight,
         # DSIR hashed-ngram importance resampling (Xie et al. 2023)
-        "dsir_select": lambda sf: llm.dsir_select(sf),
+        "dsir_select": llm.dsir_select,
         # UniMax epoch-capped budget water-filling (Chung et al. 2023)
-        "unimax_allocation": lambda sf: llm.unimax_allocation(sf),
+        "unimax_allocation": llm.unimax_allocation,
         # CCNet head/middle/tail perplexity tertiles
-        "perplexity_buckets": lambda sf: qual.perplexity_buckets(sf),
+        "perplexity_buckets": qual.perplexity_buckets,
         # hashed-feature Naive Bayes domain classifier (confusion matrix)
-        "nb_source_classifier": lambda sf: qual.nb_source_classifier(sf),
+        "nb_source_classifier": qual.nb_source_classifier,
         # CCNet capstone: LM tertiles -> keep head+middle -> soft-dedup
         # weighted per-(lang, tile) training mix
-        "ccnet_head_middle_mix": lambda sf: llm.ccnet_head_middle_mix(sf),
+        "ccnet_head_middle_mix": llm.ccnet_head_middle_mix,
         # full curriculum plan: UniMax budgets x perplexity tiles with
         # 3:2:1 weighting, epoch caps and deterministic spill
-        "pretrain_mix_plan": lambda sf: llm.pretrain_mix_plan(sf),
+        "pretrain_mix_plan": llm.pretrain_mix_plan,
         # integer Lloyd: the k-means sibling with an exact recursive twin
-        "kmeans_fixedpoint": lambda sf: similarity.kmeans_fixedpoint(sf),
+        "kmeans_fixedpoint": similarity.kmeans_fixedpoint,
         # integer power iteration: the PCA sibling with an exact twin
-        "pca_power_fixedpoint": lambda sf: similarity.pca_power_fixedpoint(sf),
+        "pca_power_fixedpoint": similarity.pca_power_fixedpoint,
         # integer SemDeDup: clusters AND cosine test exactly oracled
-        "semantic_dedup_fixedpoint": lambda sf: similarity.semantic_dedup_fixedpoint(sf),
+        "semantic_dedup_fixedpoint": similarity.semantic_dedup_fixedpoint,
         # deterministic blocked Misra-Gries heavy hitters (exact twin)
-        "heavy_hitters_det": _q_heavy_hitters_det,
+        "heavy_hitters_det": streaming.heavy_hitters_det,
         # DPO preference pairs mined from forked conversations
         "dpo_pairs": _q_dpo_pairs,
         # per-language chars-per-BPE-token equity metric
-        "tokenizer_fertility": lambda sf: llm.tokenizer_fertility(sf),
+        "tokenizer_fertility": llm.tokenizer_fertility,
         # the (metric, value) dataset card a curation run publishes
-        "corpus_datasheet": lambda sf: llm.corpus_datasheet(sf),
+        "corpus_datasheet": llm.corpus_datasheet,
         # behavioral event-type trigram mining (what follows what)
         "user_event_trigrams": rel.user_event_trigrams,
         # gaps-and-islands interval-union coverage per user
@@ -924,15 +899,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "orders_fk_profile": rel.orders_fk_profile,
         # frequent event-type pair mining (A-priori level-2)
         "user_type_itemsets": rel.user_type_itemsets,
-        # MMR diverse subset selection (greedy distributed argmax;
-        # rows-only: greedy argmax has no SQL — pinned by serial recompute)
+        # MMR diverse subset selection (greedy distributed argmax)
         "mmr_diverse_topk": similarity.mmr_diverse_topk,
         # MDM golden records: editdist-1 clusters + survivorship rule
         "part_golden_records": qual.part_golden_records,
         # incremental stateful streaming: per-bucket session actors fed
         # in ts order; same exact oracle as the batch sessionize
-        "streaming_sessionize": _q_streaming_sessionize,
-        "streaming_heavy_hitters": _q_streaming_heavy_hitters,
+        "streaming_sessionize": streaming.streaming_sessionize,
+        "streaming_heavy_hitters": streaming.streaming_heavy_hitters,
         # TPC-H Q5 shape: multiway join with the customer=supplier
         # nation colocation predicate (big x big shuffle + broadcast dims)
         "local_supplier_revenue": rel.local_supplier_revenue,
@@ -1059,7 +1033,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # hashing-trick bag-of-words (vocabulary-free features)
         "feature_hashing": textops.feature_hashing,
         # inverse-frequency language class weights (integer ppm)
-        "lang_class_weights": lambda sf: llm.lang_class_weights(sf),
+        "lang_class_weights": llm.lang_class_weights,
         # recsys negative sampling (deterministic hash-ranked)
         "negative_samples": rel.negative_samples,
         # leave-last-out temporal holdout per user
@@ -1095,11 +1069,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # lakehouse orphan-file audit (rows-only: filesystem state)
         "orphan_files_audit": dso.orphan_files_audit,
         # incremental stateful stream dedup (per-bucket state actors)
-        "streaming_windowed_dedup": _q_streaming_windowed_dedup,
+        "streaming_windowed_dedup": streaming.streaming_windowed_dedup,
         # tokenizer-coverage OOV audit (build -> broadcast -> apply)
-        "oov_rate": lambda sf: qual.oov_rate(sf),
+        "oov_rate": qual.oov_rate,
         # sequence-length bucketing + padding-waste report
-        "length_bucket_stats": lambda sf: qual.length_bucket_stats(sf),
+        "length_bucket_stats": qual.length_bucket_stats,
         # TPC-H Q4 shape: big x big EXISTS via shard-distinct keys
         "returned_order_priority_counts": rel.returned_order_priority_counts,
         # TPC-H Q14 shape: promo revenue share per month (integer ppm)
@@ -1109,7 +1083,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # per-tool latency SLA percentiles (second-grain exact)
         "tool_latency_quantiles": _q_conv(cv.tool_latency_quantiles),
         # hybrid-search reciprocal-rank fusion (exact integer terms)
-        "ann_rrf_fusion": lambda sf: similarity.ann_rrf_fusion(sf),
+        "ann_rrf_fusion": similarity.ann_rrf_fusion,
         # catalog-wide row-count + key-checksum manifest
         "catalog_integrity_report": dso.catalog_integrity_report,
         # keyed pseudonymization preserving joinability
@@ -1139,11 +1113,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # RANK()-with-ties top-k per group (boundary peers kept)
         "top_value_events_with_ties": rel.top_value_events_with_ties,
         # near-dup cluster-size distribution (dedup run report)
-        "dedup_cluster_size_histogram": lambda sf: dedup.dedup_cluster_size_histogram(sf),
+        "dedup_cluster_size_histogram": dedup.dedup_cluster_size_histogram,
         # diurnal hour-of-day activity profile
         "hourly_profile": rel.hourly_profile,
         # boilerplate mining: top duplicated passages
-        "boilerplate_segments": lambda sf: llm.boilerplate_segments(sf),
+        "boilerplate_segments": llm.boilerplate_segments,
         # first-response SLA per conversation
         "conv_first_response_latency": _q_conv(cv.conv_first_response_latency),
         # trailing-window adaptive anomaly flags (exact integer test)
@@ -1169,16 +1143,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # exact weighted percentiles over a bounded domain
         "weighted_median_k": rel.weighted_median_k,
         # cross-split near-dup leakage scan (eval hygiene)
-        "split_leakage_scan": lambda sf: dedup.split_leakage_scan(sf),
-        # greedy coverage-driven data selection (rows-only: greedy
-        # argmax has no SQL — pinned by serial recompute pytest)
-        "coverage_selection": lambda sf: llm.coverage_selection(sf),
+        "split_leakage_scan": dedup.split_leakage_scan,
+        # greedy coverage-driven data selection
+        "coverage_selection": llm.coverage_selection,
         # Hive-partitioned sink + partition-pruned read round-trip
         "partitioned_write_pruned_read": dso.partitioned_write_pruned_read,
         "parquet_layout_audit": dso.parquet_layout_audit,
         "rowgroup_pruning_audit": dso.rowgroup_pruning_audit,
         # ANN acceptance report: recall@k of IVF vs exact (rows-only)
-        "ann_recall_report": lambda sf: similarity.ann_recall_report(sf),
+        "ann_recall_report": similarity.ann_recall_report,
         # grounding-effect panel: assistant length by tool context
         "assistant_length_by_tool_context": _q_conv(cv.assistant_length_by_tool_context),
         # TPC-H Q8 shape: national market share in integer ppm
@@ -1229,7 +1202,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # exact-integer Pearson sufficient stats for the numeric pairs
         "lineitem_corr_stats": rel.lineitem_corr_stats,
         # contrastive hard negatives: exact int-dot argmax vs broadcast pool
-        "hard_negative_mining": lambda sf: similarity.hard_negative_mining(sf),
+        "hard_negative_mining": similarity.hard_negative_mining,
         # Hamilton largest-remainder share allocation (sums to 10000 bps)
         "largest_remainder_allocation": rel.largest_remainder_allocation,
         # md5-partition skew diagnostic (predicts sink file sizes)
@@ -1244,19 +1217,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # per-user exact p95 banded histogram (co-located quantiles)
         "user_p95_distribution": rel.user_p95_distribution,
         # distributed Bloom build + no-false-negative / FPR audit
-        # (rows-only: hash internals have no SQL twin; invariants pinned
-        # by pytest — zero false negatives, FPR near theoretical)
-        "bloom_dedup_audit": lambda sf: dedup.bloom_dedup_audit(sf),
+        "bloom_dedup_audit": dedup.bloom_dedup_audit,
         # MOSS winnowing fingerprint near-dup pairs (stop-df capped)
-        "winnowing_dedup": lambda sf: dedup.winnowing_dedup(sf),
+        "winnowing_dedup": dedup.winnowing_dedup,
         # contamination / canary phrase substring census
-        "lexicon_match_census": lambda sf: textops.lexicon_match_census(sf),
+        "lexicon_match_census": textops.lexicon_match_census,
         # density clustering with exact integer geometry
-        "dbscan_embeddings": lambda sf: similarity.dbscan_embeddings(sf),
+        "dbscan_embeddings": similarity.dbscan_embeddings,
         # Gonzalez farthest-first coreset (max-min diversity seeds)
-        "kcenter_coreset": lambda sf: similarity.kcenter_coreset(sf),
+        "kcenter_coreset": similarity.kcenter_coreset,
         # submodular facility-location representative selection
-        "facility_location_selection": lambda sf: similarity.facility_location_selection(sf),
+        "facility_location_selection": similarity.facility_location_selection,
         # two-pass deterministic-sample hot-key detection + exact recount
         "hot_key_detector": dso.hot_key_detector,
         # quantile-boundary range-sharded sink with round-trip audit
@@ -1275,36 +1246,30 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # TPC-H Q2 shape: argmax supplier per part via packed-int Max agg
         "best_supplier_per_part": rel.best_supplier_per_part,
         # deterministic hash k-fold split with stratification audit
-        "kfold_assignment": lambda sf: llm.kfold_assignment(sf),
+        "kfold_assignment": llm.kfold_assignment,
         # exact int-dot kNN graph + mutual-edge degree histogram
-        "mutual_knn_degree": lambda sf: similarity.mutual_knn_degree(sf),
+        "mutual_knn_degree": similarity.mutual_knn_degree,
         # IVF-bucketed scale siblings of the broadcast-pool embedding
         # audits (within-bucket only; no driver read of the table) plus
         # the n_centroids=1 / all-candidates degenerates that push the
         # exact results through the same bucketed machinery
-        "mutual_knn_degree_ivf": lambda sf: similarity.mutual_knn_degree_ivf(sf),
+        "mutual_knn_degree_ivf": similarity.mutual_knn_degree_ivf,
         "mutual_knn_degree_ivf_exact": lambda sf: similarity.mutual_knn_degree_ivf(
             sf, n_centroids=1
         ),
-        "embedding_pair_distance_histogram_ivf": lambda sf: (
-            similarity.embedding_pair_distance_histogram_ivf(sf)
-        ),
+        "embedding_pair_distance_histogram_ivf": similarity.embedding_pair_distance_histogram_ivf,
         "embedding_pair_distance_histogram_ivf_exact": lambda sf: (
             similarity.embedding_pair_distance_histogram_ivf(sf, n_centroids=1)
         ),
-        "triplet_margin_violations_ivf": lambda sf: (
-            similarity.triplet_margin_violations_ivf(sf)
-        ),
+        "triplet_margin_violations_ivf": similarity.triplet_margin_violations_ivf,
         "triplet_margin_violations_ivf_exact": lambda sf: (
             similarity.triplet_margin_violations_ivf(sf, n_centroids=1)
         ),
-        "dbscan_embeddings_ivf": lambda sf: similarity.dbscan_embeddings_ivf(sf),
+        "dbscan_embeddings_ivf": similarity.dbscan_embeddings_ivf,
         "dbscan_embeddings_ivf_exact": lambda sf: similarity.dbscan_embeddings_ivf(
             sf, n_centroids=1
         ),
-        "facility_location_selection_ivf": lambda sf: (
-            similarity.facility_location_selection_ivf(sf)
-        ),
+        "facility_location_selection_ivf": similarity.facility_location_selection_ivf,
         "facility_location_selection_ivf_exact": lambda sf: (
             similarity.facility_location_selection_ivf(sf, all_candidates=True)
         ),
@@ -1321,7 +1286,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # growth accounting: new/retained/resurrected/churned per day
         "user_lifecycle_daily": rel.user_lifecycle_daily,
         # cross-doc chunk-hash duplication histogram (RAG ingest profile)
-        "chunk_dedup_stats": lambda sf: dso.chunk_dedup_stats(sf),
+        "chunk_dedup_stats": dso.chunk_dedup_stats,
         # relational division: users covering EVERY event type
         "users_all_event_types": rel.users_all_event_types,
         # co-partitioned self-agg join: events above the user's own p95
@@ -1331,7 +1296,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # iterative distributed BFS over the co-purchase graph
         "part_bfs_levels": graph.part_bfs_levels,
         # token-budget curriculum prefix via two-phase scan on the score key
-        "quality_budget_selection": lambda sf: llm.quality_budget_selection(sf),
+        "quality_budget_selection": llm.quality_budget_selection,
         # exact distributed NTILE(10) via order-statistic selection, no global sort
         "customer_decile_transition": rel.customer_decile_transition,
         # dyadic-exact exponential time-decay engagement ranking
@@ -1346,17 +1311,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # exact Mann-Whitney AUC (tie-corrected, doubled-numerator ints)
         "events_value_auc": rel.events_value_auc,
         # MinHash vs SimHash pair-set agreement (method calibration)
-        "dedup_method_overlap": lambda sf: dedup.dedup_method_overlap(sf),
+        "dedup_method_overlap": dedup.dedup_method_overlap,
         # exact audience-overlap Jaccard matrix via bitmask histogram
         "event_type_jaccard_matrix": rel.event_type_jaccard_matrix,
         # exact all-pairs dot-product landscape, histogram-sized exchange
-        "embedding_pair_distance_histogram": lambda sf: similarity.embedding_pair_distance_histogram(sf),
+        "embedding_pair_distance_histogram": similarity.embedding_pair_distance_histogram,
         # t-closeness release gate: exact integer EMD per QI cell
         "t_closeness_audit": rel.t_closeness_audit,
         # top-p 'nucleus' audience per type (exact threshold arithmetic)
         "revenue_nucleus_users": rel.revenue_nucleus_users,
         # prefix-cluster survivorship dedup (keep highest-quality member)
-        "prefix_cluster_keep_best": lambda sf: dedup.prefix_cluster_keep_best(sf),
+        "prefix_cluster_keep_best": dedup.prefix_cluster_keep_best,
         # per-user max drawdown via segmented cummax (exact signed cents)
         "user_max_drawdown": rel.user_max_drawdown,
         # sequential A/B monitoring curve (cumulative per-arm, exact ppm)
@@ -1366,11 +1331,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # cross-table financial reconciliation (big x big shuffle join)
         "order_price_reconciliation": rel.order_price_reconciliation,
         # length-vs-quality Pearson sufficient stats (bias audit, int-exact)
-        "doc_len_quality_corr": lambda sf: llm.doc_len_quality_corr(sf),
+        "doc_len_quality_corr": llm.doc_len_quality_corr,
         # response-length drift: first vs last assistant turn per conv
         "assistant_drift": _q_conv(cv.assistant_drift),
         # Zipf-head vocabulary nucleus (tokenizer budget planning)
-        "token_nucleus_share": lambda sf: llm.token_nucleus_share(sf),
+        "token_nucleus_share": llm.token_nucleus_share,
         # distinct-tools-per-conversation histogram (agentic-ness)
         "conv_tool_diversity": _q_conv(cv.conv_tool_diversity),
         # onboarding first-touch event-type distribution
@@ -1378,25 +1343,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # delete-one-block jackknife inputs (user-clustered uncertainty)
         "block_jackknife_stats": rel.block_jackknife_stats,
         # distribution-preserving dedup weights per language
-        "dedup_weight_correction": lambda sf: dedup.dedup_weight_correction(sf),
+        "dedup_weight_correction": dedup.dedup_weight_correction,
         # vendor-SLA tail: per-supplier exact p90 ship delay, k slowest
         "slowest_suppliers_p90": rel.slowest_suppliers_p90,
-        # iterative k-core peeling of the co-purchase graph
-        # (rows-only: fixpoint loop has no SQL; pinned by serial peel)
+        # iterative k-core peeling of the co-purchase graph;
         # ks sit at the sf0.01 co-purchase graph's core phase
         # transition (64: mild peel, 80: 6-round cascade, 96: total
         # collapse) so the fixpoint actually iterates
         "part_kcore_sizes": lambda sf: graph.part_kcore_sizes(sf, ks=(64, 80, 96)),
-        # hyperplane sign-LSH near-dup pairs (third embedding path;
-        # rows-only: banding is probabilistic — subset-of-exact +
-        # recall bound pinned in pytest, theory-matched at 4x4 bands)
-        "embedding_sign_lsh_pairs": lambda sf: similarity.embedding_sign_lsh_pairs(sf),
+        # hyperplane sign-LSH near-dup pairs (third embedding path)
+        "embedding_sign_lsh_pairs": similarity.embedding_sign_lsh_pairs,
         # daily-count overdispersion (Fano) sufficient stats per type
         "events_burstiness_fano": rel.events_burstiness_fano,
         # hub-hub wiring: bipartite degree-assortativity sufficient stats
         "bipartite_assortativity_stats": graph.bipartite_assortativity_stats,
         # near-dup cluster language purity (label-consistency audit)
-        "cluster_lang_purity": lambda sf: dedup.cluster_lang_purity(sf),
+        "cluster_lang_purity": dedup.cluster_lang_purity,
         # Spearman rank-correlation sufficient stats (doubled avg ranks)
         "events_spearman_stats": rel.events_spearman_stats,
         # 0-1-loss decision stump threshold (exact integer argmin)
@@ -1410,22 +1372,22 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # longest increasing subsequence per user (patience DP in shards)
         "user_lis_lengths": rel.user_lis_lengths,
         # pairwise SimHash hamming-distance landscape (histogram-sized exchange)
-        "simhash_hamming_histogram": lambda sf: dedup.simhash_hamming_histogram(sf),
+        "simhash_hamming_histogram": dedup.simhash_hamming_histogram,
         # banded scale sibling: LSH-bucketed landscape, bins < n_bands exact
         # by pigeonhole, no driver-side signature materialization
-        "simhash_hamming_histogram_banded": lambda sf: dedup.simhash_hamming_histogram_banded(sf),
+        "simhash_hamming_histogram_banded": dedup.simhash_hamming_histogram_banded,
         # LSH health audit: band-bucket size distribution = the candidate
         # mass / skew readout BEFORE paying a banded shuffle
-        "simhash_band_skew_census": lambda sf: dedup.simhash_band_skew_census(sf),
+        "simhash_band_skew_census": dedup.simhash_band_skew_census,
         # DoReMi-shaped Group-DRO domain reweighting, exact integer rounds
         "doremi_fixedpoint": mixing.doremi_fixedpoint,
         # capstone: DoReMi mixture -> epoch-capped token allocation with
         # deterministic excess-ranked spill
-        "doremi_mix_plan": lambda sf: mixing.doremi_mix_plan(sf),
+        "doremi_mix_plan": mixing.doremi_mix_plan,
         # calibration sweeps: retention curve per candidate cutoff,
         # grid-sized exchanges
         "quality_threshold_sweep": calibration.quality_threshold_sweep,
-        "jaccard_threshold_sweep": lambda sf: calibration.jaccard_threshold_sweep(sf),
+        "jaccard_threshold_sweep": calibration.jaccard_threshold_sweep,
         # GRAND CAPSTONE: extraction -> quality filter -> exact dedup ->
         # greedy packing, one chained golden-anchored exact twin. Feeds
         # from the process-memoized shared extraction (same amortization
@@ -1445,8 +1407,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # fundamental-period estimation over real WAV codecs (rows-only:
         # decode has no SQL; exact planted-period recovery pinned in pytest)
         "audio_pitch_estimate": _q_audio_pitch_estimate,
-        # minimum spanning forest via Boruvka rounds (rows-only: iterative
-        # fixpoint like k-core; serial-Kruskal edge-set equality in pytest)
+        # minimum spanning forest via Boruvka rounds
         "part_mst_boruvka": graph.part_mst_boruvka,
         # Pettitt change-point over the value stream (doubled-rank ints)
         "events_pettitt_change": rel.events_pettitt_change,
@@ -1463,7 +1424,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # weighted interval scheduling DP per user (exact cents optimum)
         "user_interval_scheduling": rel.user_interval_scheduling,
         # metric-learning triplet violations over labeled embeddings
-        "triplet_margin_violations": lambda sf: similarity.triplet_margin_violations(sf),
+        "triplet_margin_violations": similarity.triplet_margin_violations,
         # weekday-vs-weekend integrated CDF gap (integer energy distance)
         "events_cdf_l1_gap": rel.events_cdf_l1_gap,
         # MASE denominators: seasonal vs plain naive daily backtest
@@ -1476,8 +1437,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "event_debruijn_balance": graph.event_debruijn_balance,
         # optimal-stopping secretary-rule replay over daily revenue
         "secretary_rule_replay": rel.secretary_rule_replay,
-        # Burrows-Wheeler compressibility audit (rows-only: transform has
-        # no SQL; inverse-LF roundtrip pinned in pytest)
+        # Burrows-Wheeler compressibility audit
         "bwt_compressibility": textops.bwt_compressibility,
         # exact histogram convolution (click + purchase combined cost)
         "value_sum_convolution": rel.value_sum_convolution,
@@ -1485,8 +1445,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "topk_overlap_profile": rel.topk_overlap_profile,
         # iterated-skyline (onion) depth decomposition of the part cloud
         "part_onion_layers": rel.part_onion_layers,
-        # Gale-Shapley stable matching (rows-only: proposal fixpoint;
-        # serial equality + no-blocking-pair brute pinned in pytest)
+        # Gale-Shapley stable matching
         "supplier_part_stable_matching": rel.supplier_part_stable_matching,
         # Kadane max-subarray burst per user (prefix-min identity)
         "user_max_burst": rel.user_max_burst,
@@ -1679,11 +1638,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "turn_homoglyph_audit": _q_turn_homoglyph_audit,
         # LRU stack-distance cache-hit replay (exact SQL twin)
         "user_lru_hit_audit": rel.user_lru_hit_audit,
-        # greedy max-coverage doc selection (rows-only; iterative state)
+        # greedy max-coverage doc selection
         "vocab_cover_greedy": llm.vocab_cover_greedy,
         # ANALYZE-style catalog statistics collection
         "table_stats_profile": dso.table_stats_profile,
-        # Belady OPT vs LRU cache replay (rows-only; future-knowledge state)
+        # Belady OPT vs LRU cache replay
         "belady_opt_cache_audit": rel.belady_opt_cache_audit,
         # physical shard-spread census (reader provenance + conv shuffle)
         "conv_shard_spread_audit": _q_conv(cv.conv_shard_spread_audit),
@@ -1757,7 +1716,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "cross_conv_turn_dups": _q_cross_conv_turn_dups,
         # churn-reactivation win-back census
         "customer_reactivation_census": rel.customer_reactivation_census,
-        # exact V-optimal optimizer-statistics histogram (DP, no SQL)
+        # exact V-optimal optimizer-statistics histogram (DP)
         "v_optimal_daily_histogram": rel.v_optimal_daily_histogram,
         # block-stitched prefix scan: stream-balance discrepancy
         "source_prefix_discrepancy": rel.source_prefix_discrepancy,
@@ -1799,7 +1758,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "session_timeout_sensitivity": rel.session_timeout_sensitivity,
         # per-language char-bigram language-ID fingerprint
         "lang_char_bigram_fingerprint": rel.lang_char_bigram_fingerprint,
-        # exact-rational RBO between cosine and MIPS rankings (no SQL)
+        # exact-rational RBO between cosine and MIPS rankings
         "rbo_ranking_overlap": similarity.rbo_ranking_overlap,
         # event-type lifecycle catalog (first/last seen, occupancy)
         "type_lifecycle": rel.type_lifecycle,
@@ -1813,7 +1772,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "customer_growth_bands": rel.customer_growth_bands,
         # automated join-key discovery census (exact)
         "key_joinability_census": rel.key_joinability_census,
-        # KMV-sketch joinability estimate (scale path, no SQL)
+        # KMV-sketch joinability estimate (scale path)
         "kmv_joinability_estimate": rel.kmv_joinability_estimate,
         # per-brand integer least-squares price-size slope
         "brand_price_size_regression": rel.brand_price_size_regression,
@@ -1878,33 +1837,39 @@ NO_ORACLE_JUSTIFICATIONS: dict = {
 }
 
 
-def oracle_sql() -> dict[str, str]:
-    from pdfrust_ray.stages.streaming import heavy_hitters_det_sql as _hh_det_sql
+def _sql_twin(fn: Callable[[str], Any]) -> Callable[[], str] | None:
+    """The SQL twin of a query callable: for a module function `f`, the
+    `f_sql` defined beside it in the same module, if that takes no
+    required arguments."""
+    mod = sys.modules.get(fn.__module__)
+    if getattr(mod, fn.__name__, None) is not fn:
+        return None
+    twin = getattr(mod, fn.__name__ + "_sql", None)
+    if twin is None:
+        return None
+    for p in inspect.signature(twin).parameters.values():
+        if p.default is p.empty and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD):
+            return None
+    return twin
 
+
+def oracle_sql() -> dict[str, str]:
+    """A query whose callable is a module function `f` takes `f_sql()`
+    (`_sql_twin`). The entries below are the ones that rule cannot find:
+    inline SQL, twins that take arguments, and twins named differently
+    from their query. Queries without an oracle are listed in
+    NO_ORACLE_JUSTIFICATIONS."""
     from pdfrust_ray.pipelines import conversation as cv
+    from pdfrust_ray.pipelines import corpusbuild
     from pdfrust_ray.pipelines import datasetops as dso
     from pdfrust_ray.pipelines import graph
-    from pdfrust_ray.pipelines import calibration
-    from pdfrust_ray.pipelines import corpusbuild
-    from pdfrust_ray.pipelines import llmdata as llm
-    from pdfrust_ray.pipelines import calibration as calibration_mod
-    from pdfrust_ray.pipelines import corpusbuild as corpusbuild_mod
-    from pdfrust_ray.pipelines import mixing as mixing_mod
-    from pdfrust_ray.pipelines import quality as qual
     from pdfrust_ray.pipelines import relational as rel
-    from pdfrust_ray.stages import dedup as dedup_mod
-    from pdfrust_ray.stages import multimodal as mm_mod
-    from pdfrust_ray.stages import similarity as similarity_mod
-    from pdfrust_ray.stages import sketches
     from pdfrust_ray.pipelines import textops
-    from pdfrust_ray.stages.dedup import (
-        dedup_clusters_sql,
-        embedding_dedup_sql,
-        minhash_lsh_dedup_sql,
-        simhash_dedup_sql,
-    )
+    from pdfrust_ray.stages import dedup, multimodal, similarity
 
+    twins = {name: _sql_twin(fn) for name, fn in queries().items()}
     return {
+        **{name: twin() for name, twin in twins.items() if twin is not None},
         "extract_text": f"""
             SELECT conv_id, turn_idx, payload_kind, extracted_text,
                    parse_status, n_pages, bytes_decoded, error
@@ -2022,11 +1987,6 @@ def oracle_sql() -> dict[str, str]:
                    COUNT(*) AS dup_count
             FROM documents GROUP BY md5(text) ORDER BY text_hash
         """,
-        "matryoshka_recall_curve": similarity_mod.matryoshka_recall_curve_sql(),
-        "kmv_joinability_estimate": rel.kmv_joinability_estimate_sql(),
-        "hll_distinct_users": sketches.hll_distinct_users_sql(),
-        "quantile_sketch_det": sketches.quantile_sketch_det_sql(),
-        "language_profile": textops.language_profile_sql(),
         "ann_topk": """
             WITH q AS (
                 SELECT vec_id AS query_id, embedding AS qe
@@ -2080,85 +2040,12 @@ def oracle_sql() -> dict[str, str]:
             SELECT query_id, rank, vec_id
             FROM r WHERE rank <= 10 ORDER BY query_id, rank
         """,
-        "embedding_dedup": embedding_dedup_sql(),
-        "embedding_dedup_ivf_exact": embedding_dedup_sql(),
-        # exact shingle-Jaccard pair set — verifies the whole LSH path
-        # (banding, distributed verify, exact-dup expansion) value-exactly
-        "minhash_dedup": minhash_lsh_dedup_sql(),
+        "embedding_dedup_ivf_exact": dedup.embedding_dedup_sql(),
         # same exact pair-set oracle: the prefix-filter path must
         # reproduce it deterministically (LSH matches it probabilistically)
-        "ngram_jaccard_dedup": minhash_lsh_dedup_sql(),
-        # exact hamming-<=3 pair set (simhash64 is md5-based so the
-        # signature itself is SQL-reproducible)
-        "simhash_dedup": simhash_dedup_sql(),
-        # recursive-CTE min-label closure over the exact pair set
-        "dedup_clusters": dedup_clusters_sql(),
-        "charset_best_match": textops.charset_best_match_sql(),
-        "benchmark_contamination": textops.benchmark_contamination_sql(),
+        "ngram_jaccard_dedup": dedup.minhash_lsh_dedup_sql(),
         "pii_redact": textops.pii_redact_sql(_PII_SHARDS),
-        "token_counts": textops.token_counts_sql(),
-        # float-op-order-exact SQL twin of the quality heuristic
-        "quality_scores": textops.quality_scores_sql(),
-        "top_bigrams": textops.top_bigrams_sql(),
-        "top_terms_per_doc": textops.top_terms_per_doc_sql(),
-        "bpe_token_counts": textops.bpe_token_counts_sql(),
-        "fingerprints": textops.fingerprints_sql(),
-        "lineitem_agg": rel.lineitem_agg_sql(),
-        "segment_revenue": rel.segment_revenue_sql(),
-        # big x big hash-partitioned shuffle join (Dataset.join)
-        "order_priority_revenue": rel.order_priority_revenue_sql(),
-        "top_parts": rel.top_parts_sql(),
-        "events_hourly": rel.events_hourly_sql(),
-        "events_hopping_15m": rel.events_hopping_15m_sql(),
-        "distinct_mktsegments": rel.distinct_mktsegments_sql(),
-        "supplier_nation_agg": rel.supplier_nation_agg_sql(),
-        "orders_rollup": rel.orders_rollup_sql(),
-        "lineitem_quantiles": rel.lineitem_quantiles_sql(),
-        "customers_without_orders": rel.customers_without_orders_sql(),
-        "orders_sample": rel.orders_sample_sql(),
-        "customer_stratified_sample": rel.customer_stratified_sample_sql(),
-        "events_value_quartiles": rel.events_value_quartiles_sql(),
-        "sessionize": rel.sessionize_sql(),
-        "events_sliding_hour": rel.events_sliding_hour_sql(),
-        "nation_supplier_names": rel.nation_supplier_names_sql(),
-        "running_user_totals": rel.running_user_totals_sql(),
-        "asof_click_before_purchase": rel.asof_click_before_purchase_sql(),
-        "top_orders_per_segment": rel.top_orders_per_segment_sql(),
-        "user_next_event": rel.user_next_event_sql(),
-        "user_funnel_sets": rel.user_funnel_sets_sql(),
-        "events_value_percentiles": rel.events_value_percentiles_sql(),
-        "events_daily_pivot": rel.events_daily_pivot_sql(),
-        "region_revenue": rel.region_revenue_sql(),
-        "first_last_order_per_customer": rel.first_last_order_per_customer_sql(),
-        "orders_above_customer_avg": rel.orders_above_customer_avg_sql(),
-        "user_top_event_type": rel.user_top_event_type_sql(),
-        "events_value_histogram": rel.events_value_histogram_sql(),
-        "user_value_percent_rank": rel.user_value_percent_rank_sql(),
-        "customers_with_big_orders": rel.customers_with_big_orders_sql(),
-        "events_dow_grid": rel.events_dow_grid_sql(),
-        "lineitem_discounted_revenue": rel.lineitem_discounted_revenue_sql(),
         "turn_normalize": textops.turn_normalize_sql(_T2_SHARDS),
-        "pack_sequences": llm.pack_sequences_sql(),
-        "lang_rebalanced_sample": llm.lang_rebalanced_sample_sql(),
-        "substring_dedup": dedup_mod.substring_dedup_sql(),
-        "heavy_tokens": sketches.heavy_tokens_sql(),
-        "cms_token_freqs": sketches.cms_token_freqs_sql(),
-        "gopher_repetition": qual.gopher_repetition_sql(),
-        "bm25_topk": qual.bm25_topk_sql(),
-        "temperature_mix_sample": llm.temperature_mix_sample_sql(),
-        "running_global_total": rel.running_global_total_sql(),
-        "bigram_lm_scores": qual.bigram_lm_scores_sql(),
-        "bottom_k_sample": rel.bottom_k_sample_sql(),
-        "name_similarity_join": qual.name_similarity_join_sql(),
-        "heavy_user_full_outer": rel.heavy_user_full_outer_sql(),
-        "events_daily_unpivot": rel.events_daily_unpivot_sql(),
-        "orders_cube": rel.orders_cube_sql(),
-        "late_events_by_day": rel.late_events_by_day_sql(),
-        "clean_pack_pipeline": llm.clean_pack_pipeline_sql(),
-        "embedding_second_moment": similarity_mod.embedding_second_moment_sql(),
-        "orders_skyline": rel.orders_skyline_sql(),
-        "name_editdist_join": qual.name_editdist_join_sql(),
-        "events_per_user_sample": rel.events_per_user_sample_sql(),
         "html_ld_extract": textops.html_ld_extract_sql(
             f"{_FIXTURE_BASE}/htmlld/golden.parquet"
         ),
@@ -2178,498 +2065,73 @@ def oracle_sql() -> dict[str, str]:
         "role_transitions": cv.role_transitions_sql(_T2_SHARDS),
         "conv_fingerprints": cv.conv_fingerprints_sql(_T2_SHARDS),
         "conv_extract_stats": cv.conv_extract_stats_sql(_T2_GOLDEN),
-        # dataset-construction ops
-        "dataset_split": dso.dataset_split_sql(),
-        "doc_chunks": dso.doc_chunks_sql(),
-        "inverted_index_topk": dso.inverted_index_topk_sql(),
-        "pmi_collocations": dso.pmi_collocations_sql(),
-        "incremental_dedup": dedup_mod.incremental_dedup_sql(),
-        "weighted_sample": rel.weighted_sample_sql(),
-        "events_band_join": rel.events_band_join_sql(),
-        "events_value_outliers": rel.events_value_outliers_sql(),
-        "windowed_event_dedup": rel.windowed_event_dedup_sql(),
-        "props_k_stats": rel.props_k_stats_sql(),
-        "token_entropy": qual.token_entropy_sql(),
-        "events_value_regression": rel.events_value_regression_sql(),
-        "global_exact_median": rel.global_exact_median_sql(),
-        "user_activity_gini": rel.user_activity_gini_sql(),
-        "funnel_within_hour": rel.funnel_within_hour_sql(),
-        "events_table_profile": rel.events_table_profile_sql(),
-        "bipartite_pagerank": graph.bipartite_pagerank_sql(),
-        "cohort_retention": rel.cohort_retention_sql(),
-        "supplier_butterflies": graph.supplier_butterflies_sql(),
-        "contrastive_pairs": similarity_mod.contrastive_pairs_sql(),
-        "snapshot_diff": dso.snapshot_diff_sql(),
-        "events_value_rank_normalize": rel.events_value_rank_normalize_sql(),
-        "containment_dedup": dedup_mod.containment_dedup_sql(),
-        "soft_dedup_reweight": dedup_mod.soft_dedup_reweight_sql(),
-        "dsir_select": llm.dsir_select_sql(),
-        "unimax_allocation": llm.unimax_allocation_sql(),
-        "perplexity_buckets": qual.perplexity_buckets_sql(),
-        "nb_source_classifier": qual.nb_source_classifier_sql(),
-        "ccnet_head_middle_mix": llm.ccnet_head_middle_mix_sql(),
-        "pretrain_mix_plan": llm.pretrain_mix_plan_sql(),
-        "kmeans_fixedpoint": similarity_mod.kmeans_fixedpoint_sql(),
-        "pca_power_fixedpoint": similarity_mod.pca_power_fixedpoint_sql(),
-        "semantic_dedup_fixedpoint": similarity_mod.semantic_dedup_fixedpoint_sql(),
-        "heavy_hitters_det": _hh_det_sql(),
-        "bwt_compressibility": textops.bwt_compressibility_sql(),
-        "belady_opt_cache_audit": rel.belady_opt_cache_audit_sql(),
-        "user_event_trigrams": rel.user_event_trigrams_sql(),
-        "user_active_time": rel.user_active_time_sql(),
-        "orders_fk_profile": rel.orders_fk_profile_sql(),
-        "user_type_itemsets": rel.user_type_itemsets_sql(),
-        "part_golden_records": qual.part_golden_records_sql(),
         # the streaming replay must reproduce the batch operator's result
         "streaming_sessionize": rel.sessionize_sql(),
-        "local_supplier_revenue": rel.local_supplier_revenue_sql(),
-        "events_rolling_peak": rel.events_rolling_peak_sql(),
-        "concurrent_sessions_daily_peak": rel.concurrent_sessions_daily_peak_sql(),
-        "user_triangles": graph.user_triangles_sql(),
-        "zorder_layout": dso.zorder_layout_sql(),
-        "zorder_pruned_count": dso.zorder_pruned_count_sql(),
-        "events_type_daily_uniques": rel.events_type_daily_uniques_sql(),
-        "events_value_equidepth": rel.events_value_equidepth_sql(),
         # the CSV path must reproduce the parquet operator's result
         "events_hourly_csv": rel.events_hourly_sql(),
-        "events_table_checksum": rel.events_table_checksum_sql(),
-        "rolling_wau": rel.rolling_wau_sql(),
-        "funnel_three_step": rel.funnel_three_step_sql(),
-        "top_value_events": rel.top_value_events_sql(),
-        "user_gap_stats": rel.user_gap_stats_sql(),
-        "source_quality_rollup": rel.source_quality_rollup_sql(),
-        "customer_ltv_cohorts": rel.customer_ltv_cohorts_sql(),
-        "nation_revenue_share": rel.nation_revenue_share_sql(),
-        "session_bounce_rate": rel.session_bounce_rate_sql(),
-        "event_type_transitions": rel.event_type_transitions_sql(),
-        "events_daily_percentiles": rel.events_daily_percentiles_sql(),
-        "user_journey_counts": rel.user_journey_counts_sql(),
-        "user_type_entropy": rel.user_type_entropy_sql(),
-        "days_to_first_purchase": rel.days_to_first_purchase_sql(),
-        "customer_revenue_concentration": rel.customer_revenue_concentration_sql(),
         "tool_latency": cv.tool_latency_sql(_T2_SHARDS),
-        "fulfillment_latency": rel.fulfillment_latency_sql(),
-        "scd2_history": dso.scd2_history_sql(),
-        "segment_dedup": llm.segment_dedup_sql(),
         "context_truncation": cv.context_truncation_sql(_T2_SHARDS),
-        "tpch_q3": rel.tpch_q3_sql(),
-        "ntile_quartiles": rel.ntile_quartiles_sql(),
-        "cumulative_distinct_users": rel.cumulative_distinct_users_sql(),
-        "documents_checksum_orc": dso.documents_checksum_orc_sql(),
-        "last_touch_attribution": rel.last_touch_attribution_sql(),
-        "rolling_median_value": rel.rolling_median_value_sql(),
-        "mv_incremental_daily_revenue": rel.mv_incremental_daily_revenue_sql(),
-        "experiment_lift": rel.experiment_lift_sql(),
-        "bucketed_join_revenue": dso.bucketed_join_revenue_sql(),
-        "kmv_type_intersections": sketches.kmv_type_intersections_sql(),
-        "compact_events_checksum": dso.compact_events_checksum_sql(),
-        "schema_migration_counts": dso.schema_migration_counts_sql(),
         "role_length_quantiles": cv.role_length_quantiles_sql(_T2_SHARDS),
-        "filter_funnel": qual.filter_funnel_sql(),
-        "dod_growth": rel.dod_growth_sql(),
-        "distinct_types_so_far": rel.distinct_types_so_far_sql(),
-        "order_backlog_curve": rel.order_backlog_curve_sql(),
-        "time_travel_read": dso.time_travel_read_sql(),
-        "bloom_join_revenue": rel.bloom_join_revenue_sql(),
-        "winsorized_mean_value": rel.winsorized_mean_value_sql(),
-        "monthly_seasonality": rel.monthly_seasonality_sql(),
-        "feature_snapshot": rel.feature_snapshot_sql(),
-        "k_anonymity_check": rel.k_anonymity_check_sql(),
-        "embedding_dim_stats": rel.embedding_dim_stats_sql(),
-        "merge_upsert": dso.merge_upsert_sql(),
-        "label_centroid_profile": rel.label_centroid_profile_sql(),
-        "contract_violations": rel.contract_violations_sql(),
-        "customer_order_distribution": rel.customer_order_distribution_sql(),
-        "nation_pair_trade": rel.nation_pair_trade_sql(),
-        "latest_event_per_user": rel.latest_event_per_user_sql(),
-        "scd2_pit_join": dso.scd2_pit_join_sql(),
         "user_retry_rate": cv.user_retry_rate_sql(_T2_SHARDS),
-        "feature_hashing": textops.feature_hashing_sql(),
-        "lang_class_weights": llm.lang_class_weights_sql(),
-        "negative_samples": rel.negative_samples_sql(),
-        "leave_last_out_split": rel.leave_last_out_split_sql(),
-        "events_weekly_weekend": rel.events_weekly_weekend_sql(),
-        "deletion_vector_read": dso.deletion_vector_read_sql(),
-        "events_grouping_sets": rel.events_grouping_sets_sql(),
-        "daily_count_anomalies": rel.daily_count_anomalies_sql(),
-        "type_stats_salted": rel.type_stats_salted_sql(),
-        "documents_jsonl_roundtrip": dso.documents_jsonl_roundtrip_sql(),
         "sft_pairs": cv.sft_pairs_sql(_T2_SHARDS),
-        "quarantine_split": rel.quarantine_split_sql(),
-        "events_value_zscore": rel.events_value_zscore_sql(),
-        "embedding_int8_quantize": rel.embedding_int8_quantize_sql(),
         "tool_chain_bigrams": cv.tool_chain_bigrams_sql(_T2_SHARDS),
-        "categorical_encode": rel.categorical_encode_sql(),
-        "events_keyset_page": rel.events_keyset_page_sql(),
-        "ann_quantized_topk": rel.ann_quantized_topk_sql(),
-        # orphan_files_audit: rows-only (filesystem audit, no SQL surface)
         # the streaming replay must reproduce the batch dedup exactly
         "streaming_windowed_dedup": rel.windowed_event_dedup_sql(),
-        "oov_rate": qual.oov_rate_sql(),
-        "length_bucket_stats": qual.length_bucket_stats_sql(),
-        "returned_order_priority_counts": rel.returned_order_priority_counts_sql(),
-        "promo_revenue_share": rel.promo_revenue_share_sql(),
-        "value_drift_psi": rel.value_drift_psi_sql(),
         "tool_latency_quantiles": cv.tool_latency_quantiles_sql(_T2_SHARDS),
-        "ann_rrf_fusion": similarity_mod.ann_rrf_fusion_sql(),
-        "catalog_integrity_report": dso.catalog_integrity_report_sql(),
-        "pseudonymize_users": rel.pseudonymize_users_sql(),
-        "type_value_similarity": rel.type_value_similarity_sql(),
-        "returned_customer_revenue": rel.returned_customer_revenue_sql(),
-        "large_order_customers": rel.large_order_customers_sql(),
-        "orders_yearly_growth": rel.orders_yearly_growth_sql(),
-        "embedding_label_outliers": rel.embedding_label_outliers_sql(),
-        "supplier_part_coverage": rel.supplier_part_coverage_sql(),
-        "dow_type_lift": rel.dow_type_lift_sql(),
         "payload_error_taxonomy": cv.payload_error_taxonomy_sql(_T2_GOLDEN),
-        "shuffle_integrity": rel.shuffle_integrity_sql(),
-        "multisource_events_union": rel.multisource_events_union_sql(),
-        "top_value_events_with_ties": rel.top_value_events_with_ties_sql(),
-        "dedup_cluster_size_histogram": dedup_mod.dedup_cluster_size_histogram_sql(),
-        "hourly_profile": rel.hourly_profile_sql(),
-        "boilerplate_segments": llm.boilerplate_segments_sql(),
         "conv_first_response_latency": cv.conv_first_response_latency_sql(_T2_SHARDS),
-        "rolling_count_anomalies": rel.rolling_count_anomalies_sql(),
-        "order_fanout_histogram": rel.order_fanout_histogram_sql(),
-        "dnf_filter_revenue": rel.dnf_filter_revenue_sql(),
-        "user_longest_streak": rel.user_longest_streak_sql(),
-        "bigram_vocab_growth": dso.bigram_vocab_growth_sql(),
-        "csv_shard_lineage": dso.csv_shard_lineage_sql(),
-        "events_type_share_trend": rel.events_type_share_trend_sql(),
-        "embedding_norm_histogram": rel.embedding_norm_histogram_sql(),
-        "events_value_benford": rel.events_value_benford_sql(),
-        "session_size_histogram": rel.session_size_histogram_sql(),
-        "weighted_median_k": rel.weighted_median_k_sql(),
-        "split_leakage_scan": dedup_mod.split_leakage_scan_sql(),
-        "partitioned_write_pruned_read": dso.partitioned_write_pruned_read_sql(),
         "parquet_layout_audit": dso.parquet_layout_audit_sql("/root/testdata/sf0.01"),
         "rowgroup_pruning_audit": dso.rowgroup_pruning_audit_sql("/root/testdata/sf0.01"),
         "assistant_length_by_tool_context": cv.assistant_length_by_tool_context_sql(
             _T2_SHARDS
         ),
-        "tpch_q8_market_share": rel.tpch_q8_market_share_sql(),
-        "tpch_q15_top_supplier": rel.tpch_q15_top_supplier_sql(),
-        "tpch_q17_small_quantity_revenue": rel.tpch_q17_small_quantity_revenue_sql(),
-        "tpch_q21_waiting_suppliers": rel.tpch_q21_waiting_suppliers_sql(),
-        "tpch_q22_idle_balance": rel.tpch_q22_idle_balance_sql(),
-        "loo_target_encode_audit": rel.loo_target_encode_audit_sql(),
-        "part_copurchase_pairs": rel.part_copurchase_pairs_sql(),
-        "orders_repeat_interval_histogram": rel.orders_repeat_interval_histogram_sql(),
-        "daily_count_autocorr_stats": rel.daily_count_autocorr_stats_sql(),
-        "salted_repartition_join": rel.salted_repartition_join_sql(),
-        "erasure_sweep": dso.erasure_sweep_sql(),
-        "cdc_apply": rel.cdc_apply_sql(),
-        "orders_mad_outliers": rel.orders_mad_outliers_sql(),
-        "user_inactivity_churn": rel.user_inactivity_churn_sql(),
-        "daily_revenue_cusum": rel.daily_revenue_cusum_sql(),
-        "token_lang_chi2": textops.token_lang_chi2_sql(),
-        "source_token_kl": textops.source_token_kl_sql(),
-        "heaps_law_fit": textops.heaps_law_fit_sql(),
-        "doc_filter_funnel": textops.doc_filter_funnel_sql(),
-        "source_len_ks_matrix": textops.source_len_ks_matrix_sql(),
-        "zipf_slope_fit": textops.zipf_slope_fit_sql(),
-        "nb_source_confusion": textops.nb_source_confusion_sql(),
-        "token_adaptation_stats": textops.token_adaptation_stats_sql(),
-        "daily_gap_fill": rel.daily_gap_fill_sql(),
-        "user_active_day_bitmap": rel.user_active_day_bitmap_sql(),
-        "l_diversity_check": rel.l_diversity_check_sql(),
-        "lineitem_corr_stats": rel.lineitem_corr_stats_sql(),
-        "hard_negative_mining": similarity_mod.hard_negative_mining_sql(),
-        "largest_remainder_allocation": rel.largest_remainder_allocation_sql(),
-        "hash_partition_skew": dso.hash_partition_skew_sql(),
-        "documents_arrow_ipc_roundtrip": dso.documents_arrow_ipc_roundtrip_sql(),
-        "markov_backtest": rel.markov_backtest_sql(),
-        "user_p95_distribution": rel.user_p95_distribution_sql(),
-        "hot_key_detector": dso.hot_key_detector_sql(),
-        "range_partitioned_write": dso.range_partitioned_write_sql(),
-        "range_merge_join": dso.range_merge_join_sql(),
         "context_size_at_turn": cv.context_size_at_turn_sql(_T2_SHARDS),
-        "rfm_segments": rel.rfm_segments_sql(),
-        "daily_ewma": rel.daily_ewma_sql(),
-        "supplier_cnt_by_part_attrs": rel.supplier_cnt_by_part_attrs_sql(),
-        "best_supplier_per_part": rel.best_supplier_per_part_sql(),
-        "kfold_assignment": llm.kfold_assignment_sql(),
-        "mutual_knn_degree": similarity_mod.mutual_knn_degree_sql(),
-        "time_embargo_split": rel.time_embargo_split_sql(),
-        "event_type_user_sets": rel.event_type_user_sets_sql(),
-        "consistent_big_spenders": rel.consistent_big_spenders_sql(),
-        "supplier_runnerup_gap": rel.supplier_runnerup_gap_sql(),
-        "same_day_repeat_orders": rel.same_day_repeat_orders_sql(),
-        "user_lifecycle_daily": rel.user_lifecycle_daily_sql(),
-        "chunk_dedup_stats": dso.chunk_dedup_stats_sql(),
-        "users_all_event_types": rel.users_all_event_types_sql(),
-        "events_above_own_p95": rel.events_above_own_p95_sql(),
         "role_run_lengths": cv.role_run_lengths_sql(_T2_SHARDS),
-        "part_bfs_levels": graph.part_bfs_levels_sql(),
-        "quality_budget_selection": llm.quality_budget_selection_sql(),
-        "customer_decile_transition": rel.customer_decile_transition_sql(),
-        "recency_weighted_user_scores": rel.recency_weighted_user_scores_sql(),
-        "supplier_part_herfindahl": rel.supplier_part_herfindahl_sql(),
-        "events_ks_statistic": rel.events_ks_statistic_sql(),
-        "events_value_auc": rel.events_value_auc_sql(),
-        "dedup_method_overlap": dedup_mod.dedup_method_overlap_sql(),
-        "bloom_dedup_audit": dedup_mod.bloom_dedup_audit_sql(),
         "part_kcore_sizes": graph.part_kcore_sizes_sql(ks=(64, 80, 96)),
-        "rbo_ranking_overlap": similarity_mod.rbo_ranking_overlap_sql(),
-        "vocab_cover_greedy": llm.vocab_cover_greedy_sql(),
-        "mmr_diverse_topk": similarity_mod.mmr_diverse_topk_sql(),
-        "coverage_selection": llm.coverage_selection_sql(),
-        "embedding_sign_lsh_pairs": similarity_mod.embedding_sign_lsh_pairs_sql(),
-        "v_optimal_daily_histogram": rel.v_optimal_daily_histogram_sql(),
-        "supplier_part_stable_matching": rel.supplier_part_stable_matching_sql(),
-        "part_mst_boruvka": graph.part_mst_boruvka_sql(),
-        "winnowing_dedup": dedup_mod.winnowing_dedup_sql(),
-        "lexicon_match_census": textops.lexicon_match_census_sql(),
-        "dbscan_embeddings": similarity_mod.dbscan_embeddings_sql(),
-        "kcenter_coreset": similarity_mod.kcenter_coreset_sql(),
-        "facility_location_selection": similarity_mod.facility_location_selection_sql(),
         # the *_ivf_exact degenerates reproduce the exact variants
         # through the bucketed machinery, so they carry the same twins
-        "mutual_knn_degree_ivf_exact": similarity_mod.mutual_knn_degree_sql(),
+        "mutual_knn_degree_ivf_exact": similarity.mutual_knn_degree_sql(),
         "embedding_pair_distance_histogram_ivf_exact": (
-            similarity_mod.embedding_pair_distance_histogram_sql()
+            similarity.embedding_pair_distance_histogram_sql()
         ),
         "triplet_margin_violations_ivf_exact": (
-            similarity_mod.triplet_margin_violations_sql()
+            similarity.triplet_margin_violations_sql()
         ),
-        "dbscan_embeddings_ivf_exact": similarity_mod.dbscan_embeddings_sql(),
+        "dbscan_embeddings_ivf_exact": similarity.dbscan_embeddings_sql(),
         "facility_location_selection_ivf_exact": (
-            similarity_mod.facility_location_selection_sql()
+            similarity.facility_location_selection_sql()
         ),
-        "bpe_merges": llm.bpe_train_sql(),
-        "bpe_encode_counts": llm.bpe_encode_counts_sql(),
-        "part_supplier_articulation": graph.part_supplier_articulation_sql(),
-        "event_type_jaccard_matrix": rel.event_type_jaccard_matrix_sql(),
-        "embedding_pair_distance_histogram": similarity_mod.embedding_pair_distance_histogram_sql(),
-        "t_closeness_audit": rel.t_closeness_audit_sql(),
-        "revenue_nucleus_users": rel.revenue_nucleus_users_sql(),
-        "prefix_cluster_keep_best": dedup_mod.prefix_cluster_keep_best_sql(),
-        "user_max_drawdown": rel.user_max_drawdown_sql(),
-        "experiment_lift_curve": rel.experiment_lift_curve_sql(),
         "conv_abandonment": cv.conv_abandonment_sql(_T2_SHARDS),
-        "order_price_reconciliation": rel.order_price_reconciliation_sql(),
-        "doc_len_quality_corr": llm.doc_len_quality_corr_sql(),
         "assistant_drift": cv.assistant_drift_sql(_T2_SHARDS),
-        "token_nucleus_share": llm.token_nucleus_share_sql(),
         "conv_tool_diversity": cv.conv_tool_diversity_sql(_T2_SHARDS),
-        "first_event_type_counts": rel.first_event_type_counts_sql(),
-        "block_jackknife_stats": rel.block_jackknife_stats_sql(),
-        "dedup_weight_correction": dedup_mod.dedup_weight_correction_sql(),
-        "slowest_suppliers_p90": rel.slowest_suppliers_p90_sql(),
-        "events_burstiness_fano": rel.events_burstiness_fano_sql(),
-        "bipartite_assortativity_stats": graph.bipartite_assortativity_stats_sql(),
-        "cluster_lang_purity": dedup_mod.cluster_lang_purity_sql(),
-        "events_spearman_stats": rel.events_spearman_stats_sql(),
-        "stump_threshold_split": rel.stump_threshold_split_sql(),
-        "events_runs_test": rel.events_runs_test_sql(),
-        "user_theil_sen_slope": rel.user_theil_sen_slope_sql(),
-        "part_weighted_sssp": graph.part_weighted_sssp_sql(),
-        "user_lis_lengths": rel.user_lis_lengths_sql(),
-        "simhash_hamming_histogram": dedup_mod.simhash_hamming_histogram_sql(),
-        "simhash_hamming_histogram_banded": dedup_mod.simhash_hamming_histogram_banded_sql(),
-        "simhash_band_skew_census": dedup_mod.simhash_band_skew_census_sql(),
-        "doremi_fixedpoint": mixing_mod.doremi_fixedpoint_sql(),
-        "doremi_mix_plan": mixing_mod.doremi_mix_plan_sql(),
-        "quality_threshold_sweep": calibration_mod.quality_threshold_sweep_sql(),
-        "jaccard_threshold_sweep": calibration_mod.jaccard_threshold_sweep_sql(),
-        "transcript_corpus_build": corpusbuild_mod.transcript_corpus_build_sql(_T2_GOLDEN),
-        "length_bucketed_batch_plan": llm.length_bucketed_batch_plan_sql(),
-        "pad_efficiency_report": llm.pad_efficiency_report_sql(),
+        "transcript_corpus_build": corpusbuild.transcript_corpus_build_sql(_T2_GOLDEN),
         "conv_context_pack": cv.conv_context_pack_sql(_T2_SHARDS),
-        "bandit_greedy_replay": rel.bandit_greedy_replay_sql(),
-        "isotonic_rate_curve": rel.isotonic_rate_curve_sql(),
-        "events_pettitt_change": rel.events_pettitt_change_sql(),
-        "gapped_triple_patterns": rel.gapped_triple_patterns_sql(),
-        "daily_lead_lag_xcorr": rel.daily_lead_lag_xcorr_sql(),
         "conv_editdist_drift": cv.conv_editdist_drift_sql(_T2_SHARDS),
-        "mann_kendall_daily_trend": rel.mann_kendall_daily_trend_sql(),
-        "user_kendall_concordance": rel.user_kendall_concordance_sql(),
-        "user_interval_scheduling": rel.user_interval_scheduling_sql(),
-        "triplet_margin_violations": similarity_mod.triplet_margin_violations_sql(),
-        "events_cdf_l1_gap": rel.events_cdf_l1_gap_sql(),
-        "seasonal_naive_backtest": rel.seasonal_naive_backtest_sql(),
         "conv_alternation_rate": cv.conv_alternation_rate_sql(_T2_SHARDS),
-        "dictionary_match_counts": textops.dictionary_match_counts_sql(),
-        "event_debruijn_balance": graph.event_debruijn_balance_sql(),
-        "secretary_rule_replay": rel.secretary_rule_replay_sql(),
-        "value_sum_convolution": rel.value_sum_convolution_sql(),
-        "topk_overlap_profile": rel.topk_overlap_profile_sql(),
-        "part_onion_layers": rel.part_onion_layers_sql(),
-        "user_max_burst": rel.user_max_burst_sql(),
-        "capped_top_events": rel.capped_top_events_sql(),
-        "consistent_hash_ring": dso.consistent_hash_ring_sql(),
-        "varint_delta_size_audit": rel.varint_delta_size_audit_sql(),
-        "rice_param_audit": rel.rice_param_audit_sql(),
-        "position_attribution": rel.position_attribution_sql(),
-        "hourly_emd_matrix": rel.hourly_emd_matrix_sql(),
-        "duplicate_payment_pairs": rel.duplicate_payment_pairs_sql(),
-        "priority_inversion_census": rel.priority_inversion_census_sql(),
-        "selectivity_estimate_audit": rel.selectivity_estimate_audit_sql(),
-        "capacity_waterfill_allocation": rel.capacity_waterfill_allocation_sql(),
-        "embedding_split_half_drift": rel.embedding_split_half_drift_sql(),
-        "nation_revenue_theil": rel.nation_revenue_theil_sql(),
-        "user_value_msd_median": rel.user_value_msd_median_sql(),
-        "custbal_revenue_kendall": rel.custbal_revenue_kendall_sql(),
-        "hourly_acf_spectrum": rel.hourly_acf_spectrum_sql(),
-        "session_entry_exit_matrix": rel.session_entry_exit_matrix_sql(),
-        "cosupplier_degree_histogram": rel.cosupplier_degree_histogram_sql(),
-        "orders_monthly_bridge": rel.orders_monthly_bridge_sql(),
-        "type_sojourn_time": rel.type_sojourn_time_sql(),
-        "type_above_median_runs": rel.type_above_median_runs_sql(),
-        "boundary_timestamp_audit": rel.boundary_timestamp_audit_sql(),
-        "user_activity_lorenz": rel.user_activity_lorenz_sql(),
-        "order_brand_simpson": rel.order_brand_simpson_sql(),
-        "type_halfmass_time": rel.type_halfmass_time_sql(),
-        "type_gini_mean_diff": rel.type_gini_mean_diff_sql(),
-        "returns_pchart_audit": rel.returns_pchart_audit_sql(),
-        "user_daily_periodicity": rel.user_daily_periodicity_sql(),
-        "value_sortedness_audit": rel.value_sortedness_audit_sql(),
-        "daily_revenue_max_surge": rel.daily_revenue_max_surge_sql(),
-        "daily_merkle_root": rel.daily_merkle_root_sql(),
-        "daily_haar_coeffs": rel.daily_haar_coeffs_sql(),
-        "signup_to_purchase_clean": rel.signup_to_purchase_clean_sql(),
-        "min_audit_points": rel.min_audit_points_sql(),
-        "queue_sim_wait_times": rel.queue_sim_wait_times_sql(),
-        "label_agreement_kappa": rel.label_agreement_kappa_sql(),
-        "sfe_code_lengths": rel.sfe_code_lengths_sql(),
-        "events_mannwhitney_u": rel.events_mannwhitney_u_sql(),
-        "dhondt_allocation": rel.dhondt_allocation_sql(),
-        "min_service_rate": rel.min_service_rate_sql(),
-        "simpson_paradox_audit": rel.simpson_paradox_audit_sql(),
-        "daily_ohlc_donchian": rel.daily_ohlc_donchian_sql(),
-        "user_type_period": rel.user_type_period_sql(),
-        "min_cost_assignment": rel.min_cost_assignment_sql(),
-        "user_type_min_rotation": rel.user_type_min_rotation_sql(),
-        "inventory_policy_replay": rel.inventory_policy_replay_sql(),
-        "embedding_closest_pair": rel.embedding_closest_pair_sql(),
-        "type_value_sd_floor": rel.type_value_sd_floor_sql(),
-        "user_distinct_subseq_count": rel.user_distinct_subseq_count_sql(),
-        "events_lcs_top2": rel.events_lcs_top2_sql(),
-        "daily_value_convex_hull": rel.daily_value_convex_hull_sql(),
-        "user_value_inversions": rel.user_value_inversions_sql(),
-        "huffman_total_bits": rel.huffman_total_bits_sql(),
-        "user_viterbi_score": rel.user_viterbi_score_sql(),
-        "daily_hist_max_rectangle": rel.daily_hist_max_rectangle_sql(),
-        "best_rational_rate": rel.best_rational_rate_sql(),
-        "orders_balanced_partition": rel.orders_balanced_partition_sql(),
-        "user_trailing_distinct_types": rel.user_trailing_distinct_types_sql(),
-        "type_irv_winner": rel.type_irv_winner_sql(),
-        "compaction_ffd_plan": rel.compaction_ffd_plan_sql(),
-        "part_prefix_trie_stats": rel.part_prefix_trie_stats_sql(),
-        "events_pr_curve": rel.events_pr_curve_sql(),
-        "type_wilson_bounds": rel.type_wilson_bounds_sql(),
-        "events_welch_ttest": rel.events_welch_ttest_sql(),
-        "purchase_km_table": rel.purchase_km_table_sql(),
-        "score_brier_calibration": rel.score_brier_calibration_sql(),
-        "events_type_dow_independence": rel.events_type_dow_independence_sql(),
-        "part_word_canonical_match": rel.part_word_canonical_match_sql(),
-        "custkey_luhn_audit": rel.custkey_luhn_audit_sql(),
-        "string_dictionary_audit": rel.string_dictionary_audit_sql(),
         "conv_prefix_forks": cv.conv_prefix_forks_sql(_FORKS_SHARDS),
         "dpo_pairs": cv.dpo_pairs_sql(_FORKS_SHARDS),
-        "tokenizer_fertility": llm.tokenizer_fertility_sql(),
-        "corpus_datasheet": llm.corpus_datasheet_sql(),
-        "doc_ngram_novelty": textops.doc_ngram_novelty_sql(),
-        "late_event_audit": dso.late_event_audit_sql(),
-        "doc_adler32_audit": textops.doc_adler32_audit_sql(),
-        "orders_weighted_sample": rel.orders_weighted_sample_sql(),
-        "poisson_bootstrap_stats": dso.poisson_bootstrap_stats_sql(),
-        "bitmap_index_audit": dso.bitmap_index_audit_sql(),
-        "lsh_plan_table": dedup_mod.lsh_plan_table_sql(),
-        "daily_holt_linear": rel.daily_holt_linear_sql(),
-        "blocking_plan_audit": rel.blocking_plan_audit_sql(),
-        "embedding_int8_quant_audit": similarity_mod.embedding_int8_quant_audit_sql(),
-        "event_props_json_audit": rel.event_props_json_audit_sql(),
-        "price_quantile_normalize": rel.price_quantile_normalize_sql(),
-        "daily_periodogram": rel.daily_periodogram_sql(),
         "turn_encoding_audit": cv.turn_encoding_audit_sql(_T2_SHARDS),
         "payload_sniff_stats": cv.payload_sniff_stats_sql(_T2_SHARDS),
-        "acctbal_winsorize": rel.acctbal_winsorize_sql(),
-        "user_running_median": rel.user_running_median_sql(),
-        "jl_projection_audit": similarity_mod.jl_projection_audit_sql(),
-        "doc_minimizer_sketch": textops.doc_minimizer_sketch_sql(),
         "conv_chain_stitch": cv.conv_chain_stitch_sql(_CHAINS_SHARDS),
-        "doc_script_census": textops.doc_script_census_sql(),
         "turn_nfc_audit": cv.turn_nfc_audit_sql(_UNICODE_SHARDS),
-        "rendezvous_hash_audit": dso.rendezvous_hash_audit_sql(),
-        "doc_knapsack_curve": llm.doc_knapsack_curve_sql(),
-        "user_interval_union": rel.user_interval_union_sql(),
-        "cust_edf_lateness": rel.cust_edf_lateness_sql(),
-        "part_trigram_selectivity": dso.part_trigram_selectivity_sql(),
-        "neyman_allocation": rel.neyman_allocation_sql(),
-        "type_hoover_index": rel.type_hoover_index_sql(),
-        "fd_discovery_audit": dso.fd_discovery_audit_sql(),
-        "part_abc_classification": rel.part_abc_classification_sql(),
-        "join_cardinality_audit": dso.join_cardinality_audit_sql(),
-        "doc_sentence_census": textops.doc_sentence_census_sql(),
         "turn_homoglyph_audit": cv.turn_homoglyph_audit_sql(_HOMOGLYPH_SHARDS),
-        "user_lru_hit_audit": rel.user_lru_hit_audit_sql(),
-        "table_stats_profile": dso.table_stats_profile_sql(),
         "conv_shard_spread_audit": cv.conv_shard_spread_audit_sql(_T2_SHARDS),
-        "orderkey_fragmentation_audit": dso.orderkey_fragmentation_audit_sql(),
-        "event_nearmiss_dups": rel.event_nearmiss_dups_sql(),
         "turn_invisible_chars_audit": cv.turn_invisible_chars_audit_sql(_INVISIBLE_SHARDS),
-        "value_trailing_digit_audit": rel.value_trailing_digit_audit_sql(),
         "conv_tool_burst": cv.conv_tool_burst_sql(_T2_SHARDS),
         "conv_protocol_violations": cv.conv_protocol_violations_sql(_T2_SHARDS),
-        "important_parts_q11": rel.important_parts_q11_sql(),
-        "events_idle_gaps_topk": rel.events_idle_gaps_topk_sql(),
-        "late_ship_orders": rel.late_ship_orders_sql(),
-        "impossible_ship_audit": rel.impossible_ship_audit_sql(),
-        "part_supplier_price_spread": rel.part_supplier_price_spread_sql(),
-        "events_minute_skew": rel.events_minute_skew_sql(),
-        "segment_priority_mix": rel.segment_priority_mix_sql(),
-        "orders_price_log2_histogram": rel.orders_price_log2_histogram_sql(),
-        "events_gap_log2_histogram": rel.events_gap_log2_histogram_sql(),
-        "source_lang_simpson": rel.source_lang_simpson_sql(),
-        "user_bookend_types": rel.user_bookend_types_sql(),
-        "nation_balance_sheet": rel.nation_balance_sheet_sql(),
-        "doc_utf8_inflation": rel.doc_utf8_inflation_sql(),
         "turn_utf8_inflation": cv.turn_utf8_inflation_sql(_UNICODE_SHARDS),
-        "user_activity_log2_bands": rel.user_activity_log2_bands_sql(),
         "conv_position_role_mix": cv.conv_position_role_mix_sql(_T2_SHARDS),
-        "user_type_run_histogram": rel.user_type_run_histogram_sql(),
-        "region_year_order_matrix": rel.region_year_order_matrix_sql(),
-        "value_quantization_audit": rel.value_quantization_audit_sql(),
-        "doc_first_token_census": rel.doc_first_token_census_sql(),
-        "t5_span_mask_plan": textops.t5_span_mask_plan_sql(),
         "cross_conv_turn_dups": cv.cross_conv_turn_dups_sql(_FORKS_SHARDS),
-        "customer_reactivation_census": rel.customer_reactivation_census_sql(),
-        "source_prefix_discrepancy": rel.source_prefix_discrepancy_sql(),
-        "percentile_stitch_bias_audit": rel.percentile_stitch_bias_audit_sql(),
-        "events_type_peak_hour": rel.events_type_peak_hour_sql(),
         "skeleton_token_collisions": cv.skeleton_token_collisions_sql(
             _HOMOGLYPH_SHARDS
         ),
         "reply_length_by_prompt_decile": cv.reply_length_by_prompt_decile_sql(
             _T2_SHARDS
         ),
-        "daily_dominance_counts": rel.daily_dominance_counts_sql(),
-        "event_value_did": rel.event_value_did_sql(),
-        "cohort_persistence": rel.cohort_persistence_sql(),
-        "cross_source_contamination": llm.cross_source_contamination_sql(),
-        "order_value_sign_test": rel.order_value_sign_test_sql(),
-        "aa_split_invariance": rel.aa_split_invariance_sql(),
-        "daily_type_mix_drift": rel.daily_type_mix_drift_sql(),
-        "hdr_quantile_sketch": rel.hdr_quantile_sketch_sql(),
-        "discount_return_contingency": rel.discount_return_contingency_sql(),
-        "mips_topk": similarity_mod.mips_topk_sql(),
-        "linenumber_contiguity_audit": rel.linenumber_contiguity_audit_sql(),
-        "session_timeout_sensitivity": rel.session_timeout_sensitivity_sql(),
-        "lang_char_bigram_fingerprint": rel.lang_char_bigram_fingerprint_sql(),
-        "type_lifecycle": rel.type_lifecycle_sql(),
-        "bracket_balance_audit": rel.bracket_balance_audit_sql(),
         "conv_shape_census": cv.conv_shape_census_sql(_T2_SHARDS),
-        "weekday_extremes": rel.weekday_extremes_sql(),
-        "customer_growth_bands": rel.customer_growth_bands_sql(),
-        "key_joinability_census": rel.key_joinability_census_sql(),
-        "brand_price_size_regression": rel.brand_price_size_regression_sql(),
-        "user_dow_concentration_bands": rel.user_dow_concentration_bands_sql(),
         "conv_motif_census": cv.conv_motif_census_sql(_T2_SHARDS),
-        "order_status_return_mix": rel.order_status_return_mix_sql(),
-        "value_tail_hill": rel.value_tail_hill_sql(),
         "turn_format_census": cv.turn_format_census_sql(_T2_SHARDS),
-        "media_header_audit": mm_mod.media_header_audit_sql(),
+        "media_header_audit": multimodal.media_header_audit_sql(),
         "html_tag_census": cv.html_tag_census_sql(_T2_SHARDS),
         "html_href_census": cv.html_href_census_sql(_T2_SHARDS),
         "extracted_dup_census": f"""
@@ -2707,7 +2169,4 @@ def oracle_sql() -> dict[str, str]:
                    CAST(COUNT(DISTINCT w) AS BIGINT) AS n_distinct_tokens
             FROM tok GROUP BY payload_kind ORDER BY payload_kind
         """,
-        # rows-only (no SQL equivalent): simhash_dedup (signatures need
-        # blake2b, pinned instead by the exact-Hamming side-table pytest),
-        # ann_ivf_topk, language_profile, media_features
     }

@@ -100,7 +100,7 @@ def ima_adpcm_encode_block(samples: np.ndarray, predictor: int, index: int):
             delta += step >> 2
         pred = pred - delta if code & 8 else pred + delta
         pred = max(-32768, min(32767, pred))
-        index = int(np.clip(index + _IMA_INDEX_TABLE[code & 7], 0, 88))
+        index = max(0, min(88, index + int(_IMA_INDEX_TABLE[code & 7])))
         nibbles.append(code)
     return nibbles, pred, index
 
@@ -120,7 +120,7 @@ def ima_adpcm_decode(nibbles, predictor: int, index: int) -> np.ndarray:
         pred = pred - delta if code & 8 else pred + delta
         pred = max(-32768, min(32767, pred))
         out[i] = pred
-        index = int(np.clip(index + _IMA_INDEX_TABLE[code & 7], 0, 88))
+        index = max(0, min(88, index + int(_IMA_INDEX_TABLE[code & 7])))
     return out
 
 

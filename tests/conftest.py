@@ -6,20 +6,11 @@ import pytest
 @pytest.fixture(scope="session")
 def ray_session():
     """One Ray session for the whole pytest run (driver contract)."""
-    # workers must import pdfrust_ray even when pytest runs from elsewhere
-    from pdfrust_ray.session import put_repo_on_pythonpath
-
-    put_repo_on_pythonpath(os.environ)
     import ray
 
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=4,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
+    from pdfrust_ray.session import start_session
+
+    start_session(num_cpus=4)
     yield
     ray.shutdown()
 

@@ -16,6 +16,7 @@ from pdfrust_ray.functions.audio import (
     encode_wav_ima_adpcm,
     encode_wav_mulaw,
     ima_adpcm_decode,
+    ima_adpcm_encode_block,
     mulaw_decode,
     mulaw_encode,
 )
@@ -64,6 +65,12 @@ def test_adpcm_exact_nibble_vector():
     #   nibble 8+4 (-(9 + 9>>3=1)) -> 10-10 = 0, index 2+2=4
     out = ima_adpcm_decode([2, 4, 12], 0, 0)
     assert out.tolist() == [3, 10, 0]
+    # the index clamps at 88 too: from 84 the three +8 nibbles (7, 7, 15)
+    # pin it at 88, then 0, 8, 3, 11 step it down to 87, 86, 85, 84
+    out = ima_adpcm_decode([7, 7, 15, 0, 8, 3, 11], 0, 84)
+    assert out.tolist() == [32767, 32767, -28669, -24574, -28298, -4599, -26142]
+    loud = np.array([0, 30000, -30000, 30000, -30000, 0, 0, 0], np.int16)
+    assert ima_adpcm_encode_block(loud, 0, 80) == ([7, 15, 7, 15, 4, 8, 0], 3723, 86)
 
 
 def test_rejects_malformed():

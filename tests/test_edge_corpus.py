@@ -7,7 +7,6 @@ inner joins dropping token-less rows, DuckDB array_to_string([]) being
 NULL, likelihood grids missing token-less candidate sources). A token
 of 56 bytes or more once crashed the md5 lanes of the DoReMi kernel."""
 
-import duckdb
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -55,15 +54,9 @@ def edge_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def con(edge_dir):
-    c = duckdb.connect()
-    for t in (
-        "region nation customer supplier part orders lineitem events "
-        "documents embeddings"
-    ).split():
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{edge_dir}/{t}.parquet')"
-        )
-    return c
+    from tools.contract_check import connect
+
+    return connect(edge_dir)
 
 
 def _cmp(mine, con, sql):

@@ -19,12 +19,9 @@ needs_testdata = pytest.mark.skipif(not os.path.isdir(SF), reason="testdata not 
 
 @pytest.fixture(scope="module")
 def duck():
-    import duckdb
+    from tools.contract_check import connect
 
-    con = duckdb.connect()
-    for t in "region nation customer supplier part orders lineitem events documents embeddings".split():
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return con
+    return connect(SF)
 
 
 def _compare(mine: pd.DataFrame, oracle: pd.DataFrame):

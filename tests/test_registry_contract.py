@@ -7,16 +7,13 @@ path that no longer exists all fail here in seconds instead of at
 driver-gate time.
 """
 
+import inspect
 import re
+import sys
 
-import duckdb
 import pytest
 
 SF = "/root/testdata/sf0.001"
-TABLES = (
-    "region nation customer supplier part orders lineitem "
-    "events documents embeddings"
-).split()
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +44,10 @@ def test_query_names_are_snake_case(entry):
 def test_every_oracle_parses_and_binds(entry):
     # queries() eagerly materializes the fixture corpora, so every
     # read_parquet path referenced by an oracle exists afterwards
+    from tools.contract_check import connect
+
     entry.queries()
-    con = duckdb.connect()
-    for t in TABLES:
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
-        )
+    con = connect(SF)
     failures = {}
     for name, sql in entry.oracle_sql().items():
         try:
@@ -83,3 +78,38 @@ def test_every_rows_only_query_is_justified():
             "engine-artifact",
             "sequential-state",
         }, name
+
+
+def test_oracles_follow_the_sql_twin_rule():
+    """A query whose callable is a module function `f`, with an `f_sql`
+    beside it that takes no required arguments, has `f_sql()` as its
+    oracle; no rows-only query has such a twin."""
+    import __ray_entry__ as e
+
+    oracles = e.oracle_sql()
+    covered = {}
+    for name, fn in e.queries().items():
+        mod = sys.modules.get(fn.__module__)
+        if mod is None or getattr(mod, fn.__name__, None) is not fn:
+            continue
+        twin = getattr(mod, fn.__name__ + "_sql", None)
+        if twin is None or any(
+            p.default is p.empty and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+            for p in inspect.signature(twin).parameters.values()
+        ):
+            continue
+        covered[name] = twin
+    assert covered
+    for name, twin in covered.items():
+        assert oracles.get(name) == twin(), name
+    assert not set(covered) & set(e.NO_ORACLE_JUSTIFICATIONS)
+
+
+def test_bench_tier_is_a_registry_subset():
+    import __ray_entry__ as e
+    import bench
+
+    names = bench.BENCH_QUERIES
+    assert len(names) == len(set(names))
+    assert set(names) <= set(e.queries()), sorted(set(names) - set(e.queries()))
+    assert bench.BENCH_ONE_SHOT <= set(names)

@@ -20,9 +20,6 @@ from test_ops import SF
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PKG = os.path.join(REPO, "pdfrust_ray")
-TABLES = (
-    "region nation customer supplier part orders lineitem events documents embeddings"
-).split()
 MAP_METHODS = {"map", "map_batches", "flat_map", "map_groups"}
 
 
@@ -78,12 +75,11 @@ def test_former_pool_stages_start_no_actor(ray_session):
     """One former actor-pool stage per module runs with the cyclic
     garbage collector off: no Ray actor starts, and each result equals
     its SQL twin (media_features: its decode expectations)."""
-    import duckdb
     import ray
     from ray._private import state
 
     import __ray_entry__ as entry
-    from tools.contract_check import _canon
+    from tools.contract_check import _canon, connect
     from pdfrust_ray.pipelines import graph, llmdata, quality, relational, textops
     from pdfrust_ray.stages import dedup, multimodal, similarity
 
@@ -111,9 +107,7 @@ def test_former_pool_stages_start_no_actor(ray_session):
         gc.enable()
     assert not started, [state.actors()[a]["ActorClassName"] for a in started]
 
-    con = duckdb.connect()
-    for t in TABLES:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
+    con = connect(SF)
     sql = entry.oracle_sql()
     for name, mine in got.items():
         want = con.execute(sql[name]).df()

@@ -51,6 +51,19 @@ def _canon(df) -> str:
     return hashlib.md5(buf.getvalue().encode()).hexdigest()
 
 
+def connect(sf_dir: str):
+    """An in-memory DuckDB connection with the ten testdata tables of
+    sf_dir registered as views."""
+    import duckdb
+
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(
+            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
+        )
+    return con
+
+
 def _to_pandas(res):
     import pandas as pd
     import pyarrow as pa
@@ -82,17 +95,11 @@ def main() -> None:
         elif a == "--only":
             only = args.pop(0).split(",")
 
-    import duckdb
-
     import ray
 
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "8")),
-            include_dashboard=False,
-            logging_level="ERROR",
-        )
+    from pdfrust_ray.session import start_session
+
+    start_session(int(os.environ.get("RAY_GRAFT_CPUS", "8")))
     import logging
 
     logging.getLogger("ray.data").setLevel(logging.CRITICAL)
@@ -101,12 +108,7 @@ def main() -> None:
 
     qs = entry.queries()
     oracles = entry.oracle_sql()
-    con = duckdb.connect()
-    for t in TABLES:
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM "
-            f"read_parquet('{SF_DIR}/{t}.parquet')"
-        )
+    con = connect(SF_DIR)
 
     names = sorted(qs)[sl_i::sl_n]
     if only is not None:

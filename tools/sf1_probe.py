@@ -16,7 +16,6 @@ import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
-os.environ["PYTHONPATH"] = REPO + os.pathsep + os.environ.get("PYTHONPATH", "")
 
 SF1 = "/tmp/sf1"
 STRESS = "/tmp/pdfrust_ray_fixtures/stress"
@@ -26,16 +25,9 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 def main() -> dict:
     import ray
 
-    ray.init(
-        address="local",
-        num_cpus=NUM_CPUS,
-        include_dashboard=False,
-        logging_level="ERROR",
-    )
-    import ray.data as rd
+    from pdfrust_ray.session import start_session
 
-    ctx = rd.DataContext.get_current()
-    ctx.enable_progress_bars = False
+    start_session(NUM_CPUS)
 
     out: dict = {"num_cpus": NUM_CPUS, "sf1_dir": SF1}
     args = sys.argv[1:]
