@@ -305,6 +305,28 @@ def _q_extract_mode(mode: str):
     return run
 
 
+def _q_extract_spec(ensure_fixture):
+    """Spec-mode text extraction over one fixture family the reference
+    cannot read, golden computed serially with spec_mode=True: PDF 1.5
+    xref streams / ObjStm / predictors (xref.rs:331-376), Form XObject
+    recursion via `Do` (content.rs:615-620), the ASCIIHex / ASCII85 /
+    RunLength / LZW stream filters incl. EarlyChange=0 and a corrupted
+    ASCII85 stream that must become an error row (body.rs:47-54), and
+    standard-security-handler decryption (RC4-40/128, AES-128, empty
+    user password; password-protected documents stay error:Encrypted
+    rows, xref.rs:136-139)."""
+
+    def run(sf_dir: str):
+        from pdfrust_ray.pipelines.extract_pipeline import build_extraction
+        from pdfrust_ray.sources.transcripts import read_transcripts
+
+        ds = read_transcripts(ensure_fixture())
+        out = build_extraction(ds, mode="text", batch_size=16, spec_mode=True)
+        return out.select_columns(_EXTRACT_COLS)
+
+    return run
+
+
 def _q_content_op_census(sf_dir: str):
     """Content-stream operator census: run the raw-content pipeline
     LIVE over the modes fixture, then census operator tokens
@@ -349,66 +371,6 @@ def _q_extract_mode_agreement(sf_dir: str):
             ["conv_id", "turn_idx", "status_text", "status_chars", "agree"]
         ]
     )
-
-
-def _q_extract_spec15(sf_dir: str):
-    """PDF 1.5 spec-mode pipeline (xref streams / ObjStm / predictors)
-    over the spec15 fixture family — the reference cannot read these
-    payloads (xref.rs:331-376); golden computed serially."""
-    from pdfrust_ray.fixtures.corpus import ensure_spec15_fixture
-    from pdfrust_ray.pipelines.extract_pipeline import build_extraction
-    from pdfrust_ray.sources.transcripts import read_transcripts
-
-    d = ensure_spec15_fixture()
-    ds = read_transcripts(d)
-    out = build_extraction(ds, mode="text", batch_size=16, spec_mode=True)
-    return out.select_columns(_EXTRACT_COLS)
-
-
-def _q_extract_xobj(sf_dir: str):
-    """Spec-mode Form XObject recursion (`Do`) over the xobj fixture
-    family — the reference parses-and-ignores Do (content.rs:615-620);
-    golden computed serially with spec_mode=True."""
-    from pdfrust_ray.fixtures.corpus import ensure_xobj_fixture
-    from pdfrust_ray.pipelines.extract_pipeline import build_extraction
-    from pdfrust_ray.sources.transcripts import read_transcripts
-
-    d = ensure_xobj_fixture()
-    ds = read_transcripts(d)
-    out = build_extraction(ds, mode="text", batch_size=16, spec_mode=True)
-    return out.select_columns(_EXTRACT_COLS)
-
-
-def _q_extract_filters(sf_dir: str):
-    """Spec-mode stream-filter family (ASCIIHex / ASCII85 / RunLength /
-    LZW incl. EarlyChange=0, plus a corrupted ASCII85 stream that must
-    become an error row) over the filters fixture family — the
-    reference rejects every non-Flate /Filter name (body.rs:47-54);
-    golden computed serially with spec_mode=True."""
-    from pdfrust_ray.fixtures.corpus import ensure_filters_fixture
-    from pdfrust_ray.pipelines.extract_pipeline import build_extraction
-    from pdfrust_ray.sources.transcripts import read_transcripts
-
-    d = ensure_filters_fixture()
-    ds = read_transcripts(d)
-    out = build_extraction(ds, mode="text", batch_size=16, spec_mode=True)
-    return out.select_columns(_EXTRACT_COLS)
-
-
-def _q_extract_encrypted(sf_dir: str):
-    """Spec-mode standard-security-handler decryption (RC4-40/128,
-    AES-128 crypt filters, empty user password) over the encrypted
-    fixture family — the reference only type-checks the trailer
-    /Encrypt entry (xref.rs:136-139); password-protected documents
-    stay error:Encrypted rows; golden computed serially."""
-    from pdfrust_ray.fixtures.corpus import ensure_encrypted_fixture
-    from pdfrust_ray.pipelines.extract_pipeline import build_extraction
-    from pdfrust_ray.sources.transcripts import read_transcripts
-
-    d = ensure_encrypted_fixture()
-    ds = read_transcripts(d)
-    out = build_extraction(ds, mode="text", batch_size=16, spec_mode=True)
-    return out.select_columns(_EXTRACT_COLS)
 
 
 _PII_SHARDS = f"{_FIXTURE_BASE}/pii/shards/*.parquet"
@@ -624,10 +586,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "extract_font": _q_extract_mode("font"),
         "extract_raw_content": _q_extract_mode("raw-content"),
         "content_op_census": _q_content_op_census,
-        "extract_text_spec15": _q_extract_spec15,
-        "extract_text_xobj": _q_extract_xobj,
-        "extract_text_filters": _q_extract_filters,
-        "extract_text_encrypted": _q_extract_encrypted,
+        "extract_text_spec15": _q_extract_spec(ensure_spec15_fixture),
+        "extract_text_xobj": _q_extract_spec(ensure_xobj_fixture),
+        "extract_text_filters": _q_extract_spec(ensure_filters_fixture),
+        "extract_text_encrypted": _q_extract_spec(ensure_encrypted_fixture),
         # --- training-data ops: dedup ---
         "exact_dedup": dedup.exact_dedup,
         "minhash_dedup": dedup.minhash_lsh_dedup,
@@ -1858,7 +1820,13 @@ def oracle_sql() -> dict[str, str]:
     (`_sql_twin`). The entries below are the ones that rule cannot find:
     inline SQL, twins that take arguments, and twins named differently
     from their query. Queries without an oracle are listed in
-    NO_ORACLE_JUSTIFICATIONS."""
+    NO_ORACLE_JUSTIFICATIONS.
+
+    The transcript queries pick their corpus with `_scale_for` (t1 at
+    sf0.001, t2 at sf0.01, the bench corpus at sf0.1) while their twins
+    read the t2 shards or golden, so a transcript query and its twin
+    agree only at sf0.01: a serial sweep at sf0.001 found 51 misses,
+    all transcript queries (`extract_text`: 100 rows against 2,000)."""
     from pdfrust_ray.pipelines import conversation as cv
     from pdfrust_ray.pipelines import corpusbuild
     from pdfrust_ray.pipelines import datasetops as dso

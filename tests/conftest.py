@@ -15,6 +15,20 @@ def ray_session():
     ray.shutdown()
 
 
+SF = "/root/testdata/sf0.001"
+
+
+@pytest.fixture(scope="module")
+def con():
+    """The ten sf0.001 testdata tables as DuckDB views; one connection
+    per test module."""
+    from tools.contract_check import connect
+
+    if not os.path.isdir(SF):
+        pytest.skip(f"testdata not available: {SF}")
+    return connect(SF)
+
+
 REFERENCE_DATA = "/root/reference/data"
 
 

@@ -4,25 +4,10 @@ ingest parity."""
 
 import duckdb
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 SF01 = "/root/testdata/sf0.01"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("customer", "orders", "lineitem", "events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_segment_dedup_oracle(ray_session, con):
@@ -32,7 +17,7 @@ def test_segment_dedup_oracle(ray_session, con):
     assert len(mine) == 500
     assert (mine["n_removed"] > 0).any()  # non-vacuous on the fixture
     assert (mine["n_removed"] <= mine["n_segs"]).all()
-    _assert_oracle(con, mine, segment_dedup_sql())
+    compare_twin(mine, con, segment_dedup_sql())
 
 
 def test_segment_dedup_planted(ray_session, tmp_path):
@@ -77,7 +62,7 @@ def test_context_truncation_oracle(ray_session):
     assert (mine["tokens_kept"] <= 256).all()
     assert (mine["n_kept"] <= mine["n_turns"]).all()
     c = duckdb.connect()
-    _assert_oracle(c, mine, context_truncation_sql(f"{d}/shards/*.parquet"))
+    compare_twin(mine, c, context_truncation_sql(f"{d}/shards/*.parquet"))
 
 
 def test_context_truncation_edges(ray_session, tmp_path):
@@ -120,7 +105,7 @@ def test_tpch_q3_oracle(ray_session, con):
     mine = tpch_q3(SF)
     assert 0 < len(mine) <= 10
     assert mine["revenue_cents"].is_monotonic_decreasing
-    _assert_oracle(con, mine, tpch_q3_sql())
+    compare_twin(mine, con, tpch_q3_sql())
 
 
 def test_ntile_quartiles_oracle(ray_session, con):
@@ -132,7 +117,7 @@ def test_ntile_quartiles_oracle(ray_session, con):
     for _, g in mine.groupby("c_mktsegment"):
         g = g.sort_values("quartile")
         assert g["min_cents"].is_monotonic_increasing
-    _assert_oracle(con, mine, ntile_quartiles_sql())
+    compare_twin(mine, con, ntile_quartiles_sql())
 
 
 def test_cumulative_distinct_users_oracle(ray_session, con):
@@ -144,7 +129,7 @@ def test_cumulative_distinct_users_oracle(ray_session, con):
     mine = cumulative_distinct_users(SF)
     assert mine["cum_users"].is_monotonic_increasing
     assert len(mine) >= 28  # events fixture spans January 2024
-    _assert_oracle(con, mine, cumulative_distinct_users_sql())
+    compare_twin(mine, con, cumulative_distinct_users_sql())
 
 
 def test_documents_checksum_orc(ray_session, con):
@@ -155,7 +140,7 @@ def test_documents_checksum_orc(ray_session, con):
 
     mine = documents_checksum_orc(SF)
     assert mine["n_rows"].item() == 500
-    _assert_oracle(con, mine, documents_checksum_orc_sql())
+    compare_twin(mine, con, documents_checksum_orc_sql())
 
 
 def test_orc_read_roundtrip(ray_session):
@@ -184,7 +169,7 @@ def test_last_touch_attribution_oracle(ray_session, con):
     mine = last_touch_attribution(SF)
     assert set(mine["channel"]) <= {"click", "view", "direct"}
     assert len(mine) >= 2  # attribution and direct both occur
-    _assert_oracle(con, mine, last_touch_attribution_sql())
+    compare_twin(mine, con, last_touch_attribution_sql())
 
 
 def test_last_touch_attribution_hand(ray_session, tmp_path):
@@ -230,7 +215,7 @@ def test_rolling_median_value_oracle(ray_session, con):
 
     mine = rolling_median_value(SF)
     assert len(mine) == 1000
-    _assert_oracle(con, mine, rolling_median_value_sql())
+    compare_twin(mine, con, rolling_median_value_sql())
 
 
 def test_mv_incremental_oracle(ray_session, con):
@@ -241,7 +226,7 @@ def test_mv_incremental_oracle(ray_session, con):
 
     mine = mv_incremental_daily_revenue(SF)
     assert len(mine) > 100  # 5 types x ~31 days
-    _assert_oracle(con, mine, mv_incremental_daily_revenue_sql())
+    compare_twin(mine, con, mv_incremental_daily_revenue_sql())
 
 
 def test_experiment_lift_oracle(ray_session, con):
@@ -250,7 +235,7 @@ def test_experiment_lift_oracle(ray_session, con):
     mine = experiment_lift(SF)
     assert list(mine["variant"]) == ["A", "B"]
     assert (mine["n_converted"] <= mine["n_users"]).all()
-    _assert_oracle(con, mine, experiment_lift_sql())
+    compare_twin(mine, con, experiment_lift_sql())
 
 
 def test_bucketed_join_revenue_oracle(ray_session, con):
@@ -261,7 +246,7 @@ def test_bucketed_join_revenue_oracle(ray_session, con):
 
     mine = bucketed_join_revenue(SF)
     assert len(mine) >= 2
-    _assert_oracle(con, mine, bucketed_join_revenue_sql())
+    compare_twin(mine, con, bucketed_join_revenue_sql())
 
 
 def test_bucketed_layout_covers_all_rows(ray_session):
@@ -288,7 +273,7 @@ def test_kmv_type_intersections_oracle(ray_session, con):
 
     mine = kmv_type_intersections(SF)
     assert len(mine) == 10  # 5 choose 2 pairs
-    _assert_oracle(con, mine, kmv_type_intersections_sql())
+    compare_twin(mine, con, kmv_type_intersections_sql())
 
 
 def test_kmv_saturated_estimate():
@@ -321,7 +306,7 @@ def test_compact_events_checksum(ray_session, con):
     )
 
     mine = compact_events_checksum(SF)
-    _assert_oracle(con, mine, compact_events_checksum_sql())
+    compare_twin(mine, con, compact_events_checksum_sql())
     frag = ensure_fragmented_events(SF)
     n_before = len(glob.glob(f"{frag}/part-*.parquet"))
     n_after = len(glob.glob(f"/tmp/pdfrust_ray_compact_sf0.001/*.parquet"))
@@ -342,7 +327,7 @@ def test_schema_migration_counts(ray_session, con):
         lambda r: r["n_rows"] == r["n_null_props"]
     )
     assert mine.set_index("schema_version").loc["v2", "n_null_props"] == 0
-    _assert_oracle(con, mine, schema_migration_counts_sql())
+    compare_twin(mine, con, schema_migration_counts_sql())
 
 
 def test_role_length_quantiles(ray_session):
@@ -357,7 +342,7 @@ def test_role_length_quantiles(ray_session):
     assert set(mine["role"]) == {"user", "assistant", "tool"}
     assert (mine["p25"] <= mine["p50"]).all() and (mine["p50"] <= mine["p90"]).all()
     c = duckdb.connect()
-    _assert_oracle(c, mine, role_length_quantiles_sql(f"{d}/shards/*.parquet"))
+    compare_twin(mine, c, role_length_quantiles_sql(f"{d}/shards/*.parquet"))
 
 
 def test_filter_funnel_oracle(ray_session, con):
@@ -367,7 +352,7 @@ def test_filter_funnel_oracle(ray_session, con):
     assert len(mine) == 4
     assert mine["n_surviving"].is_monotonic_decreasing
     assert mine.loc[0, "n_surviving"] == 500
-    _assert_oracle(con, mine, filter_funnel_sql())
+    compare_twin(mine, con, filter_funnel_sql())
 
 
 def test_dod_growth_oracle(ray_session, con):
@@ -378,7 +363,7 @@ def test_dod_growth_oracle(ray_session, con):
     # first day of each type has no predecessor -> sentinel
     firsts = mine.groupby("event_type").first()
     assert (firsts["growth_ppm"] == -1_000_000).all()
-    _assert_oracle(con, mine, dod_growth_sql())
+    compare_twin(mine, con, dod_growth_sql())
 
 
 def test_distinct_types_so_far_oracle(ray_session, con):
@@ -390,7 +375,7 @@ def test_distinct_types_so_far_oracle(ray_session, con):
     mine = distinct_types_so_far(SF)
     assert len(mine) == 1000
     assert mine["n_types_so_far"].between(1, 5).all()
-    _assert_oracle(con, mine, distinct_types_so_far_sql())
+    compare_twin(mine, con, distinct_types_so_far_sql())
 
 
 def test_order_backlog_curve_oracle(ray_session, con):
@@ -402,7 +387,7 @@ def test_order_backlog_curve_oracle(ray_session, con):
     mine = order_backlog_curve(SF)
     assert (mine["open_orders"] >= 0).all()
     assert mine["open_orders"].iloc[-1] == 0  # every order eventually ships
-    _assert_oracle(con, mine, order_backlog_curve_sql())
+    compare_twin(mine, con, order_backlog_curve_sql())
 
 
 def test_time_travel_read(ray_session, con):
@@ -414,7 +399,7 @@ def test_time_travel_read(ray_session, con):
 
     mine = time_travel_read(SF)
     assert list(mine["version"]) == ["v1", "v2"]
-    _assert_oracle(con, mine, time_travel_read_sql())
+    compare_twin(mine, con, time_travel_read_sql())
     # versions share the untouched data file (no rewrite on delete+append)
     import json
     import os
@@ -434,7 +419,7 @@ def test_bloom_join_revenue(ray_session, con):
 
     mine = bloom_join_revenue(SF)
     assert list(mine["o_orderpriority"]) == ["1-URGENT", "2-HIGH"]
-    _assert_oracle(con, mine, bloom_join_revenue_sql())
+    compare_twin(mine, con, bloom_join_revenue_sql())
 
 
 def test_bloom_filter_selectivity():
@@ -460,7 +445,7 @@ def test_winsorized_mean_value(ray_session, con):
     mine = winsorized_mean_value(SF)
     assert len(mine) == 5
     assert (mine["p5_cents"] <= mine["p95_cents"]).all()
-    _assert_oracle(con, mine, winsorized_mean_value_sql())
+    compare_twin(mine, con, winsorized_mean_value_sql())
 
 
 def test_monthly_seasonality(ray_session, con):
@@ -471,7 +456,7 @@ def test_monthly_seasonality(ray_session, con):
 
     mine = monthly_seasonality(SF)
     assert list(mine["month"]) == list(range(1, 13))
-    _assert_oracle(con, mine, monthly_seasonality_sql())
+    compare_twin(mine, con, monthly_seasonality_sql())
 
 
 def test_feature_snapshot(ray_session, con):
@@ -480,7 +465,7 @@ def test_feature_snapshot(ray_session, con):
     mine = feature_snapshot(SF)
     assert (mine["n_last_7d"] <= mine["n_events"]).all()
     assert (mine["days_since_last"] >= 0).all()
-    _assert_oracle(con, mine, feature_snapshot_sql())
+    compare_twin(mine, con, feature_snapshot_sql())
 
 
 def test_feature_snapshot_no_leakage(ray_session, con):
@@ -500,20 +485,16 @@ def test_k_anonymity_check(ray_session, con):
     mine = k_anonymity_check(SF)
     assert len(mine) == 5
     assert (mine["n_suppressed"] <= mine["n_cells"]).all()
-    _assert_oracle(con, mine, k_anonymity_check_sql())
+    compare_twin(mine, con, k_anonymity_check_sql())
 
 
-def test_embedding_dim_stats(ray_session):
+def test_embedding_dim_stats(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         embedding_dim_stats,
         embedding_dim_stats_sql,
     )
 
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW embeddings AS SELECT * FROM read_parquet('{SF}/embeddings.parquet')"
-    )
     mine = embedding_dim_stats(SF)
     assert len(mine) == 64
     assert (mine["min_q"] <= mine["max_q"]).all()
-    _assert_oracle(c, mine, embedding_dim_stats_sql())
+    compare_twin(mine, con, embedding_dim_stats_sql())

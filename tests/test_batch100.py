@@ -2,34 +2,16 @@
 
 import math
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "orders", "lineitem"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_neyman_oracle_and_properties(ray_session, con):
     from pdfrust_ray.pipelines.relational import neyman_allocation, neyman_allocation_sql
 
     mine = neyman_allocation(SF)
-    _cmp(mine, con, neyman_allocation_sql())
+    compare_twin(mine, con, neyman_allocation_sql())
     # seats sum exactly to the budget
     assert int(mine["alloc"].sum()) == 1000
     # proportionality: alloc within 1 of the exact fractional share
@@ -53,7 +35,7 @@ def test_hoover_oracle_and_bounds(ray_session, con):
     from pdfrust_ray.pipelines.relational import type_hoover_index, type_hoover_index_sql
 
     mine = type_hoover_index(SF)
-    _cmp(mine, con, type_hoover_index_sql())
+    compare_twin(mine, con, type_hoover_index_sql())
     # 0 <= H < 1 and exact-integer recount for one type
     assert (mine["hoover_num"] >= 0).all()
     assert (mine["hoover_num"] < mine["hoover_den"]).all()
@@ -74,7 +56,7 @@ def test_fd_oracle_and_key_discovery(ray_session, con):
     from pdfrust_ray.pipelines.datasetops import fd_discovery_audit, fd_discovery_audit_sql
 
     mine = fd_discovery_audit(SF)
-    _cmp(mine, con, fd_discovery_audit_sql())
+    compare_twin(mine, con, fd_discovery_audit_sql())
     by = mine.set_index(["tbl", "lhs", "rhs"])
     # o_orderkey is a true key: the FD holds with fanout exactly 1
     assert int(by.loc[("orders", "o_orderkey", "o_custkey"), "holds"]) == 1

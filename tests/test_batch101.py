@@ -1,26 +1,8 @@
 """Batch-101: ABC classification, join-cardinality audit, sentence census."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("lineitem", "orders", "customer", "part", "supplier", "events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_abc_oracle_and_pareto_shape(ray_session, con):
@@ -30,7 +12,7 @@ def test_abc_oracle_and_pareto_shape(ray_session, con):
     )
 
     mine = part_abc_classification(SF)
-    _cmp(mine, con, part_abc_classification_sql())
+    compare_twin(mine, con, part_abc_classification_sql())
     by = mine.set_index("cls")
     total = int(mine["revenue_cents"].sum())
     n_parts = con.execute("SELECT COUNT(DISTINCT l_partkey) FROM lineitem").fetchone()[0]
@@ -76,7 +58,7 @@ def test_join_cardinality_oracle_and_fk_exactness(ray_session, con):
     )
 
     mine = join_cardinality_audit(SF)
-    _cmp(mine, con, join_cardinality_audit_sql())
+    compare_twin(mine, con, join_cardinality_audit_sql())
     by = mine.set_index("join_name")
     # FK joins with full containment: actual == n_left exactly
     assert int(by.loc["orders_customer", "actual"]) == int(
@@ -93,7 +75,7 @@ def test_sentence_census_oracle_and_recount(ray_session, con):
     from pdfrust_ray.pipelines.textops import doc_sentence_census, doc_sentence_census_sql
 
     mine = doc_sentence_census(SF)
-    _cmp(mine, con, doc_sentence_census_sql())
+    compare_twin(mine, con, doc_sentence_census_sql())
     # runs <= chars; python recount of runs for one lang
     assert (mine["n_sentence_runs"] <= mine["n_terminal_chars"]).all()
     import re

@@ -1,26 +1,9 @@
 """Batch-102: homoglyph audit, LRU hit replay, greedy vocab coverage."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_homoglyph_oracle_and_planted_signal(ray_session):
@@ -32,12 +15,7 @@ def test_homoglyph_oracle_and_planted_signal(ray_session):
 
     base = ensure_homoglyph_fixture()
     mine = turn_homoglyph_audit(base)
-    odf = duckdb.connect().execute(
-        turn_homoglyph_audit_sql(f"{base}/shards/*.parquet")
-    ).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, duckdb.connect(), turn_homoglyph_audit_sql(f"{base}/shards/*.parquet"))
     # mixed tokens are planted; pure-script tokens must never be flagged
     assert int(mine["n_mixed_tokens"].sum()) > 0
     assert int(mine["n_cyrillic_tokens"].sum()) > 0
@@ -61,7 +39,7 @@ def test_lru_oracle_and_simulator_equivalence(ray_session, con):
     from pdfrust_ray.pipelines.relational import user_lru_hit_audit, user_lru_hit_audit_sql
 
     mine = user_lru_hit_audit(SF)
-    _cmp(mine, con, user_lru_hit_audit_sql())
+    compare_twin(mine, con, user_lru_hit_audit_sql())
     assert (mine["n_hits"] + mine["n_cold"] <= mine["n_accesses"]).all()
     assert int(mine["n_hits"].sum()) > 0
     # the stack-distance criterion equals a REAL LRU simulator

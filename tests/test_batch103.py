@@ -1,33 +1,16 @@
 """Batch-103: table stats profile, Belady OPT audit, shard-spread census."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("customer", "orders", "lineitem", "part", "events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_table_stats_oracle_and_consistency(ray_session, con):
     from pdfrust_ray.pipelines.datasetops import table_stats_profile, table_stats_profile_sql
 
     mine = table_stats_profile(SF)
-    _cmp(mine, con, table_stats_profile_sql())
+    compare_twin(mine, con, table_stats_profile_sql())
     assert len(mine) == 10
     assert (mine["n_distinct"] <= mine["n_rows"]).all()
     assert (mine["n_null"] == 0).all()  # fixtures carry no nulls
@@ -91,12 +74,7 @@ def test_shard_spread_oracle_and_scatter(ray_session):
 
     base = ensure_corpus("t2")
     mine = conv_shard_spread_audit(base)
-    odf = duckdb.connect().execute(
-        conv_shard_spread_audit_sql(f"{base}/shards/*.parquet")
-    ).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, duckdb.connect(), conv_shard_spread_audit_sql(f"{base}/shards/*.parquet"))
     # t2 deliberately scatters: most conversations span >1 shard, so a
     # local per-shard sort could NOT produce stable turn ordering
     assert int(mine[mine["n_shards"] > 1]["n_convs"].sum()) > 0

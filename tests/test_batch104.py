@@ -1,27 +1,9 @@
 """Batch-104: keyspace fragmentation, near-miss dups, range-shard plan."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("orders", "events"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_fragmentation_oracle_and_identity(ray_session, con):
@@ -31,7 +13,7 @@ def test_fragmentation_oracle_and_identity(ray_session, con):
     )
 
     mine = orderkey_fragmentation_audit(SF)
-    _cmp(mine, con, orderkey_fragmentation_audit_sql())
+    compare_twin(mine, con, orderkey_fragmentation_audit_sql())
     r = mine.iloc[0]
     # deleting ~1/3 of a dense keyspace must tear holes
     assert int(r["n_gap_runs"]) > 0
@@ -71,7 +53,7 @@ def test_nearmiss_oracle_and_signal(ray_session, con):
     from pdfrust_ray.pipelines.relational import event_nearmiss_dups, event_nearmiss_dups_sql
 
     mine = event_nearmiss_dups(SF)
-    _cmp(mine, con, event_nearmiss_dups_sql())
+    compare_twin(mine, con, event_nearmiss_dups_sql())
     assert int(mine["n_nearmiss"].sum()) > 0
     assert (mine["n_nearmiss"] < mine["n_events"]).all()
 

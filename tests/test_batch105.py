@@ -1,26 +1,9 @@
 """Batch-105: invisible chars, trailing digits, tool bursts."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events",):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_invisible_oracle_and_planted_salt(ray_session):
@@ -32,11 +15,8 @@ def test_invisible_oracle_and_planted_salt(ray_session):
 
     base = ensure_invisible_fixture()
     mine = turn_invisible_chars_audit(base)
-    odf = duckdb.connect().execute(
-        turn_invisible_chars_audit_sql(f"{base}/shards/*.parquet")
-    ).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
+    compare_twin(
+        mine, duckdb.connect(), turn_invisible_chars_audit_sql(f"{base}/shards/*.parquet")
     )
     assert int(mine["n_salted_turns"].sum()) > 0
     assert int(mine["n_zero_width"].sum()) > 0
@@ -68,7 +48,7 @@ def test_trailing_digit_oracle_and_identity(ray_session, con):
     )
 
     mine = value_trailing_digit_audit(SF)
-    _cmp(mine, con, value_trailing_digit_audit_sql())
+    compare_twin(mine, con, value_trailing_digit_audit_sql())
     assert (mine["n_cells_hit"] <= 100).all()
     assert (mine["max_cell"] >= mine["min_cell"]).all()
     # chi-square numerator identity on a python recount for one type
@@ -94,12 +74,7 @@ def test_tool_burst_oracle_and_window_semantics(ray_session):
 
     base = ensure_corpus("t1")
     mine = conv_tool_burst(base)
-    odf = duckdb.connect().execute(
-        conv_tool_burst_sql(f"{base}/shards/*.parquet")
-    ).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, duckdb.connect(), conv_tool_burst_sql(f"{base}/shards/*.parquet"))
     assert (mine["max_burst"] <= mine["n_tool_turns"]).all()
     assert (mine["max_burst"] <= 10).all()
     assert int(mine["n_tool_turns"].sum()) > 0

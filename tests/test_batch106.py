@@ -3,9 +3,8 @@
 import re
 
 import duckdb
-import pandas as pd
 import pyarrow.dataset as pads
-import pytest
+from tools.contract_check import compare_twin
 
 
 def _corpus():
@@ -19,12 +18,7 @@ def test_tag_census_oracle_and_recount(ray_session):
 
     base = _corpus()
     mine = html_tag_census(base)
-    odf = duckdb.connect().execute(
-        html_tag_census_sql(f"{base}/shards/*.parquet")
-    ).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, duckdb.connect(), html_tag_census_sql(f"{base}/shards/*.parquet"))
     assert len(mine) > 0
     # python recount for the top tag
     t = pads.dataset(f"{base}/shards").to_table()
@@ -45,12 +39,7 @@ def test_href_census_oracle(ray_session):
 
     base = _corpus()
     mine = html_href_census(base)
-    odf = duckdb.connect().execute(
-        html_href_census_sql(f"{base}/shards/*.parquet")
-    ).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, duckdb.connect(), html_href_census_sql(f"{base}/shards/*.parquet"))
     assert len(mine) > 0
     assert (mine["n"] > 0).all()
 

@@ -7,12 +7,9 @@ import pytest
 
 @pytest.fixture(scope="module")
 def entry():
-    import importlib.util
+    import __ray_entry__
 
-    spec = importlib.util.spec_from_file_location("e_b107", "/root/repo/__ray_entry__.py")
-    m = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(m)
-    return m
+    return __ray_entry__
 
 
 def _cmp(mine, sql):

@@ -1,26 +1,9 @@
 """Batch-108: protocol violations, Q11 important parts, idle gaps."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("lineitem", "events"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_protocol_violations_oracle(ray_session):
@@ -32,12 +15,7 @@ def test_protocol_violations_oracle(ray_session):
 
     base = ensure_corpus("t1")
     mine = conv_protocol_violations(base)
-    odf = duckdb.connect().execute(
-        conv_protocol_violations_sql(f"{base}/shards/*.parquet")
-    ).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, duckdb.connect(), conv_protocol_violations_sql(f"{base}/shards/*.parquet"))
     assert (mine["n_same_role_runs"] < mine["n_turns"]).all()
     # the fixture's role grammar: user opens every conversation
     assert (mine["bad_opening"] == 0).all()
@@ -47,7 +25,7 @@ def test_q11_oracle_and_threshold(ray_session, con):
     from pdfrust_ray.pipelines.relational import important_parts_q11, important_parts_q11_sql
 
     mine = important_parts_q11(SF)
-    _cmp(mine, con, important_parts_q11_sql())
+    compare_twin(mine, con, important_parts_q11_sql())
     assert len(mine) > 0
     # every kept part strictly exceeds the ppm threshold; shares are
     # floor-exact
@@ -72,7 +50,7 @@ def test_idle_gaps_oracle_and_stitch(ray_session, con):
     from pdfrust_ray.pipelines.relational import events_idle_gaps_topk, events_idle_gaps_topk_sql
 
     mine = events_idle_gaps_topk(SF)
-    _cmp(mine, con, events_idle_gaps_topk_sql())
+    compare_twin(mine, con, events_idle_gaps_topk_sql())
     assert len(mine) == 10
     assert (mine["gap_s"].diff().fillna(0) <= 0).all()
     assert (mine["end_s"] - mine["start_s"] == mine["gap_s"]).all()

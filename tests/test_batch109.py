@@ -1,33 +1,15 @@
 """Batch-109: late-ship EXISTS, impossible-ship audit, price spread."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("lineitem", "orders"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_late_ship_orders_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import late_ship_orders, late_ship_orders_sql
 
     mine = late_ship_orders(SF)
-    _cmp(mine, con, late_ship_orders_sql())
+    compare_twin(mine, con, late_ship_orders_sql())
     assert len(mine) > 0
     assert (mine["worst_late_days"] > 60).all()
     # the late-order total equals a direct EXISTS count
@@ -46,7 +28,7 @@ def test_impossible_ship_audit_oracle(ray_session, con):
     )
 
     mine = impossible_ship_audit(SF)
-    _cmp(mine, con, impossible_ship_audit_sql())
+    compare_twin(mine, con, impossible_ship_audit_sql())
     assert len(mine) > 0
     assert (mine["worst_lag_days"] < 0).all()
     # distinct orders never exceed row count
@@ -74,7 +56,7 @@ def test_part_supplier_price_spread_oracle(ray_session, con):
     )
 
     mine = part_supplier_price_spread(SF)
-    _cmp(mine, con, part_supplier_price_spread_sql())
+    compare_twin(mine, con, part_supplier_price_spread_sql())
     assert len(mine) > 0
     assert (mine["spread_c"] == mine["max_unit_c"] - mine["min_unit_c"]).all()
     assert (mine["n_suppliers"] >= 2).all()

@@ -1,34 +1,18 @@
 """Batch-11 ops: distributed MERGE INTO, label-centroid similarity
 profile, data-contract validation."""
 
-import duckdb
 import numpy as np
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "embeddings"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_merge_upsert_oracle(ray_session, con):
     from pdfrust_ray.pipelines.datasetops import merge_upsert, merge_upsert_sql
 
     mine = merge_upsert(SF)
-    _assert_oracle(con, mine, merge_upsert_sql())
+    compare_twin(mine, con, merge_upsert_sql())
 
 
 def test_merge_upsert_row_accounting(ray_session, con):
@@ -62,7 +46,7 @@ def test_label_centroid_profile_oracle(ray_session, con):
     mine = label_centroid_profile(SF)
     n_labels = con.execute("SELECT COUNT(DISTINCT label) FROM embeddings").fetchone()[0]
     assert len(mine) == n_labels * (n_labels + 1) // 2
-    _assert_oracle(con, mine, label_centroid_profile_sql())
+    compare_twin(mine, con, label_centroid_profile_sql())
 
 
 def test_label_centroid_profile_diagonal_dominance(ray_session):
@@ -105,7 +89,7 @@ def test_contract_violations_oracle(ray_session, con):
     )
 
     mine = contract_violations(SF)
-    _assert_oracle(con, mine, contract_violations_sql())
+    compare_twin(mine, con, contract_violations_sql())
 
 
 def test_contract_violations_semantics(ray_session):

@@ -1,33 +1,15 @@
 """Batch-110: minute-of-hour skew audit, segment x priority mix."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "orders", "customer"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_minute_skew_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import events_minute_skew, events_minute_skew_sql
 
     mine = events_minute_skew(SF)
-    _cmp(mine, con, events_minute_skew_sql())
+    compare_twin(mine, con, events_minute_skew_sql())
     assert mine["minute"].between(0, 59).all()
     total = int(mine["n"].sum())
     assert total == con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
@@ -45,7 +27,7 @@ def test_segment_priority_mix_oracle(ray_session, con):
     )
 
     mine = segment_priority_mix(SF)
-    _cmp(mine, con, segment_priority_mix_sql())
+    compare_twin(mine, con, segment_priority_mix_sql())
     assert len(mine) > 1
     # per-segment shares recompute exactly
     seg_tot = mine.groupby("c_mktsegment")["n_orders"].transform("sum")

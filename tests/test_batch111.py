@@ -1,27 +1,9 @@
 """Batch-111: HDR log2 value histogram, inter-event gap log2 census."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "orders"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_bit_length_exact_boundaries():
@@ -43,7 +25,7 @@ def test_orders_price_log2_histogram_oracle(ray_session, con):
     )
 
     mine = orders_price_log2_histogram(SF)
-    _cmp(mine, con, orders_price_log2_histogram_sql())
+    compare_twin(mine, con, orders_price_log2_histogram_sql())
     # edges are consistent powers of two and counts reconcile
     assert (mine["lo_cents"] == (1 << mine["bucket"].to_numpy())).all()
     assert (mine["hi_cents"] == mine["lo_cents"] * 2 - 1).all()
@@ -57,7 +39,7 @@ def test_events_gap_log2_histogram_oracle(ray_session, con):
     )
 
     mine = events_gap_log2_histogram(SF)
-    _cmp(mine, con, events_gap_log2_histogram_sql())
+    compare_twin(mine, con, events_gap_log2_histogram_sql())
     # pair count = rows - distinct users (each user contributes n_i - 1 gaps)
     rows, users = con.execute(
         "SELECT COUNT(*), COUNT(DISTINCT user_id) FROM events"

@@ -1,26 +1,8 @@
 """Batch-112: per-source Simpson language concentration, bookend census."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_source_lang_simpson_oracle(ray_session, con):
@@ -30,7 +12,7 @@ def test_source_lang_simpson_oracle(ray_session, con):
     )
 
     mine = source_lang_simpson(SF)
-    _cmp(mine, con, source_lang_simpson_sql())
+    compare_twin(mine, con, source_lang_simpson_sql())
     # rational is exact: num <= den, ppm recomputes, docs reconcile
     assert (mine["simpson_num"] <= mine["simpson_den"]).all()
     assert (
@@ -51,7 +33,7 @@ def test_user_bookend_types_oracle(ray_session, con):
     )
 
     mine = user_bookend_types(SF)
-    _cmp(mine, con, user_bookend_types_sql())
+    compare_twin(mine, con, user_bookend_types_sql())
     # one row per user folds into the census total
     assert int(mine["n_users"].sum()) == con.execute(
         "SELECT COUNT(DISTINCT user_id) FROM events"

@@ -1,26 +1,9 @@
 """Batch-113: nation balance sheet, UTF-8 inflation censuses."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("nation", "customer", "supplier", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_nation_balance_sheet_oracle(ray_session, con):
@@ -30,7 +13,7 @@ def test_nation_balance_sheet_oracle(ray_session, con):
     )
 
     mine = nation_balance_sheet(SF)
-    _cmp(mine, con, nation_balance_sheet_sql())
+    compare_twin(mine, con, nation_balance_sheet_sql())
     # all 25 nations present even if a side is empty; totals reconcile
     assert len(mine) == con.execute("SELECT COUNT(*) FROM nation").fetchone()[0]
     assert int(mine["n_custs"].sum()) == con.execute(
@@ -48,7 +31,7 @@ def test_doc_utf8_inflation_oracle(ray_session, con):
     )
 
     mine = doc_utf8_inflation(SF)
-    _cmp(mine, con, doc_utf8_inflation_sql())
+    compare_twin(mine, con, doc_utf8_inflation_sql())
     assert (mine["total_bytes"] >= mine["total_chars"]).all()
     assert (mine["bytes_per_1k_chars"] >= 1000).all()
 
@@ -63,10 +46,7 @@ def test_turn_utf8_inflation_nonvacuous(ray_session):
     corpus = ensure_unicode_fixture()
     mine = turn_utf8_inflation(corpus)
     con = duckdb.connect()
-    odf = con.execute(turn_utf8_inflation_sql(f"{corpus}/shards/*.parquet")).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, turn_utf8_inflation_sql(f"{corpus}/shards/*.parquet"))
     # the planted-unicode fixture must actually exercise the multibyte path
     assert int(mine["n_multibyte_turns"].sum()) > 0
     assert int((mine["total_bytes"] - mine["total_chars"]).sum()) > 0

@@ -1,32 +1,19 @@
 """Batch-114: user-activity log2 bands, position-normalized role mix."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
-
-
-def test_user_activity_log2_bands_oracle(ray_session):
+def test_user_activity_log2_bands_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         user_activity_log2_bands,
         user_activity_log2_bands_sql,
     )
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')"
-    )
     mine = user_activity_log2_bands(SF)
-    _cmp(mine, con, user_activity_log2_bands_sql())
+    compare_twin(mine, con, user_activity_log2_bands_sql())
     # users and events both reconcile with the base table
     rows, users = con.execute(
         "SELECT COUNT(*), COUNT(DISTINCT user_id) FROM events"
@@ -38,9 +25,6 @@ def test_user_activity_log2_bands_oracle(ray_session):
 
 
 def test_conv_position_role_mix_oracle(ray_session):
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     from __ray_entry__ import _scale_for
     from pdfrust_ray.fixtures.corpus import ensure_corpus
     from pdfrust_ray.pipelines.conversation import (
@@ -51,7 +35,7 @@ def test_conv_position_role_mix_oracle(ray_session):
     corpus = ensure_corpus(_scale_for(SF))
     mine = conv_position_role_mix(corpus)
     con = duckdb.connect()
-    _cmp(mine, con, conv_position_role_mix_sql(f"{corpus}/shards/*.parquet"))
+    compare_twin(mine, con, conv_position_role_mix_sql(f"{corpus}/shards/*.parquet"))
     # thirds are 0..2 (turn_idx is 0-based) and every third is populated
     assert set(mine["third"].unique()) == {0, 1, 2}
     # per-third shares recompute exactly

@@ -1,26 +1,8 @@
 """Batch-115: event-type RLE census, region x year market mix."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "orders", "customer", "nation", "region"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_user_type_run_histogram_oracle(ray_session, con):
@@ -30,7 +12,7 @@ def test_user_type_run_histogram_oracle(ray_session, con):
     )
 
     mine = user_type_run_histogram(SF)
-    _cmp(mine, con, user_type_run_histogram_sql())
+    compare_twin(mine, con, user_type_run_histogram_sql())
     # run lengths weighted by count reconcile with total events
     assert int((mine["run_len"] * mine["n_runs"]).sum()) == con.execute(
         "SELECT COUNT(*) FROM events"
@@ -45,7 +27,7 @@ def test_region_year_order_matrix_oracle(ray_session, con):
     )
 
     mine = region_year_order_matrix(SF)
-    _cmp(mine, con, region_year_order_matrix_sql())
+    compare_twin(mine, con, region_year_order_matrix_sql())
     # every order lands in exactly one cell (all customers have nations)
     assert int(mine["n_orders"].sum()) == con.execute(
         "SELECT COUNT(*) FROM orders"

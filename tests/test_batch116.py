@@ -1,26 +1,8 @@
 """Batch-116: value quantization-grid audit, first-token census."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_value_quantization_audit_oracle(ray_session, con):
@@ -30,7 +12,7 @@ def test_value_quantization_audit_oracle(ray_session, con):
     )
 
     mine = value_quantization_audit(SF)
-    _cmp(mine, con, value_quantization_audit_sql())
+    compare_twin(mine, con, value_quantization_audit_sql())
     # misfit counts nest: not divisible by 5 implies not divisible by 10/100
     assert (mine["not_div_10"] >= mine["not_div_5"]).all()
     assert (mine["not_div_100"] >= mine["not_div_10"]).all()
@@ -68,7 +50,7 @@ def test_doc_first_token_census_oracle(ray_session, con):
     )
 
     mine = doc_first_token_census(SF)
-    _cmp(mine, con, doc_first_token_census_sql())
+    compare_twin(mine, con, doc_first_token_census_sql())
     assert len(mine) <= 30
     assert (mine["n_docs"] >= 1).all()
     # census is ranked: counts non-increasing

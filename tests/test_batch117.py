@@ -1,29 +1,16 @@
 """Batch-117: T5 span-mask budget plan, cross-conv turn duplicates."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
-
-
-def test_t5_span_mask_plan_oracle(ray_session):
+def test_t5_span_mask_plan_oracle(ray_session, con):
     from pdfrust_ray.pipelines.textops import t5_span_mask_plan, t5_span_mask_plan_sql
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
     mine = t5_span_mask_plan(SF)
-    _cmp(mine, con, t5_span_mask_plan_sql())
+    compare_twin(mine, con, t5_span_mask_plan_sql())
     # invariants of the plan arithmetic
     m = mine[mine["n_tokens"] >= 2]
     assert (m["n_masked"] >= 1).all() and (m["n_masked"] < m["n_tokens"]).all()
@@ -42,7 +29,7 @@ def test_cross_conv_turn_dups_oracle(ray_session):
     forks = ensure_forks_fixture()
     mine = cross_conv_turn_dups(forks)
     con = duckdb.connect()
-    _cmp(mine, con, cross_conv_turn_dups_sql(f"{forks}/shards/*.parquet"))
+    compare_twin(mine, con, cross_conv_turn_dups_sql(f"{forks}/shards/*.parquet"))
     # the forks fixture plants shared prefixes: spread must be non-vacuous
     assert len(mine) > 0
     assert int(mine["n_convs"].max()) >= 2

@@ -5,27 +5,20 @@ from fractions import Fraction
 
 import duckdb
 import numpy as np
-import pandas as pd
 import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_customer_reactivation_census_oracle(ray_session):
+def test_customer_reactivation_census_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         customer_reactivation_census,
         customer_reactivation_census_sql,
     )
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW orders AS SELECT * FROM read_parquet('{SF}/orders.parquet')"
-    )
     mine = customer_reactivation_census(SF)
-    odf = con.execute(customer_reactivation_census_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, customer_reactivation_census_sql())
     assert len(mine) > 0
     # distinct customers never exceed reactivation count; shares recompute
     assert (mine["n_customers"] <= mine["n_reactivations"]).all()

@@ -5,26 +5,19 @@ import collections
 import duckdb
 import numpy as np
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_source_prefix_discrepancy_oracle(ray_session):
+def test_source_prefix_discrepancy_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         source_prefix_discrepancy,
         source_prefix_discrepancy_sql,
     )
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
     mine = source_prefix_discrepancy(SF)
-    odf = con.execute(source_prefix_discrepancy_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, source_prefix_discrepancy_sql())
     # deviation at the full prefix is 0, so max is attained strictly inside
     n = con.execute("SELECT COUNT(*) FROM documents").fetchone()[0]
     assert (mine["at_prefix"] < n).all()

@@ -3,27 +3,9 @@ point-in-time join, transcript retry detection."""
 
 import duckdb
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in (
-        "customer", "orders", "lineitem", "supplier", "nation", "region",
-        "events", "documents",
-    ):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_customer_order_distribution_oracle(ray_session, con):
@@ -33,7 +15,7 @@ def test_customer_order_distribution_oracle(ray_session, con):
     )
 
     mine = customer_order_distribution(SF)
-    _assert_oracle(con, mine, customer_order_distribution_sql())
+    compare_twin(mine, con, customer_order_distribution_sql())
     # the distribution accounts for EVERY customer, with the zero
     # bucket present exactly when zero-order customers exist
     n_cust = con.execute("SELECT COUNT(*) FROM customer").fetchone()[0]
@@ -80,7 +62,7 @@ def test_nation_pair_trade_oracle(ray_session, con):
     assert len(mine) > 0
     # no self-trade pairs survive the != predicate
     assert (mine["supp_nation"] != mine["cust_nation"]).all()
-    _assert_oracle(con, mine, nation_pair_trade_sql())
+    compare_twin(mine, con, nation_pair_trade_sql())
 
 
 def test_latest_event_per_user_oracle(ray_session, con):
@@ -92,7 +74,7 @@ def test_latest_event_per_user_oracle(ray_session, con):
     mine = latest_event_per_user(SF)
     n_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
     assert len(mine) == n_users
-    _assert_oracle(con, mine, latest_event_per_user_sql())
+    compare_twin(mine, con, latest_event_per_user_sql())
 
 
 def test_latest_event_per_user_tie_break(ray_session, tmp_path):
@@ -125,7 +107,7 @@ def test_scd2_pit_join_oracle(ray_session, con):
 
     mine = scd2_pit_join(SF)
     assert len(mine) > 0
-    _assert_oracle(con, mine, scd2_pit_join_sql())
+    compare_twin(mine, con, scd2_pit_join_sql())
 
 
 def test_scd2_pit_join_version_semantics(ray_session):
@@ -156,4 +138,4 @@ def test_user_retry_rate_oracle(ray_session):
     assert (mine["n_retries"] > 0).any()  # non-vacuous on the fixture
     assert (mine["n_retries"] < mine["n_user_turns"]).all()
     c = duckdb.connect()
-    _assert_oracle(c, mine, user_retry_rate_sql(f"{d}/shards/*.parquet"))
+    compare_twin(mine, c, user_retry_rate_sql(f"{d}/shards/*.parquet"))

@@ -1,25 +1,8 @@
 """Batch-120: shard-percentile bias audit, per-type peak hour."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_percentile_stitch_bias_oracle(ray_session, con):
@@ -29,7 +12,7 @@ def test_percentile_stitch_bias_oracle(ray_session, con):
     )
 
     mine = percentile_stitch_bias_audit(SF)
-    _cmp(mine, con, percentile_stitch_bias_audit_sql())
+    compare_twin(mine, con, percentile_stitch_bias_audit_sql())
     # the audit only teaches something if the naive estimator is
     # actually biased somewhere on this data
     assert (mine["bias_cents"] != 0).any()
@@ -59,7 +42,7 @@ def test_events_type_peak_hour_oracle(ray_session, con):
     )
 
     mine = events_type_peak_hour(SF)
-    _cmp(mine, con, events_type_peak_hour_sql())
+    compare_twin(mine, con, events_type_peak_hour_sql())
     assert mine["peak_hour"].between(0, 23).all()
     assert (mine["n_peak"] <= mine["type_total"]).all()
     # peak share can never be below the uniform share floor

@@ -1,18 +1,9 @@
 """Batch-121: skeleton collision census, reply length by prompt decile."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_skeleton_token_collisions_oracle(ray_session):
@@ -25,7 +16,7 @@ def test_skeleton_token_collisions_oracle(ray_session):
     hg = ensure_homoglyph_fixture()
     mine = skeleton_token_collisions(hg)
     con = duckdb.connect()
-    _cmp(mine, con, skeleton_token_collisions_sql(f"{hg}/shards/*.parquet"))
+    compare_twin(mine, con, skeleton_token_collisions_sql(f"{hg}/shards/*.parquet"))
     # the planted spoofed tokens must collide with their clean twins
     assert "payment" in set(mine["skeleton"])
     assert (mine["n_forms"] >= 2).all()
@@ -43,9 +34,6 @@ def test_skeleton_collisions_invisible_to_exact_dedup(ray_session):
 
 
 def test_reply_length_by_prompt_decile_oracle(ray_session):
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     from __ray_entry__ import _scale_for
     from pdfrust_ray.fixtures.corpus import ensure_corpus
     from pdfrust_ray.pipelines.conversation import (
@@ -56,7 +44,7 @@ def test_reply_length_by_prompt_decile_oracle(ray_session):
     corpus = ensure_corpus(_scale_for(SF))
     mine = reply_length_by_prompt_decile(corpus)
     con = duckdb.connect()
-    _cmp(mine, con, reply_length_by_prompt_decile_sql(f"{corpus}/shards/*.parquet"))
+    compare_twin(mine, con, reply_length_by_prompt_decile_sql(f"{corpus}/shards/*.parquet"))
     assert mine["decile"].between(0, 9).all()
     # deciles are monotone in average prompt length by construction
     assert mine["avg_prompt_len"].is_monotonic_increasing

@@ -1,26 +1,9 @@
 """Batch-122: daily dominance counts (BIT sweep), DiD audit."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_daily_dominance_counts_oracle(ray_session, con):
@@ -30,7 +13,7 @@ def test_daily_dominance_counts_oracle(ray_session, con):
     )
 
     mine = daily_dominance_counts(SF)
-    _cmp(mine, con, daily_dominance_counts_sql())
+    compare_twin(mine, con, daily_dominance_counts_sql())
     D = len(mine)
     assert (mine["n_dominated"] < D).all()
     # at least one day dominates someone unless the series is degenerate
@@ -48,7 +31,7 @@ def test_event_value_did_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import event_value_did, event_value_did_sql
 
     mine = event_value_did(SF)
-    _cmp(mine, con, event_value_did_sql())
+    compare_twin(mine, con, event_value_did_sql())
     assert len(mine) > 0
     # DiD recomputes from the four cells exactly
     assert (

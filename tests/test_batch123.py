@@ -3,26 +3,19 @@
 import duckdb
 import numpy as np
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_cohort_persistence_oracle(ray_session):
+def test_cohort_persistence_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         cohort_persistence,
         cohort_persistence_sql,
     )
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')"
-    )
     mine = cohort_persistence(SF)
-    odf = con.execute(cohort_persistence_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, cohort_persistence_sql())
     # thresholds nest: full-strength <= half-strength <= max offset
     assert (mine["full_strength_days"] <= mine["persistence_days"]).all()
     assert (mine["persistence_days"] <= mine["max_offset"]).all()

@@ -1,32 +1,18 @@
 """Batch-124: cross-source contamination matrix, order-value sign test."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
-
-
-def test_cross_source_contamination_oracle(ray_session):
+def test_cross_source_contamination_oracle(ray_session, con):
     from pdfrust_ray.pipelines.llmdata import (
         cross_source_contamination,
         cross_source_contamination_sql,
     )
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
     mine = cross_source_contamination(SF)
-    _cmp(mine, con, cross_source_contamination_sql())
+    compare_twin(mine, con, cross_source_contamination_sql())
     assert len(mine) > 0
     # pairs are canonical (a < b) and counts positive, ranked desc
     assert (mine["source_a"] < mine["source_b"]).all()
@@ -58,18 +44,14 @@ def test_cross_source_contamination_planted(ray_session, tmp_path):
     assert row["shared_grams"] == 2
 
 
-def test_order_value_sign_test_oracle(ray_session):
+def test_order_value_sign_test_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         order_value_sign_test,
         order_value_sign_test_sql,
     )
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW orders AS SELECT * FROM read_parquet('{SF}/orders.parquet')"
-    )
     mine = order_value_sign_test(SF)
-    _cmp(mine, con, order_value_sign_test_sql())
+    compare_twin(mine, con, order_value_sign_test_sql())
     r = mine.iloc[0]
     assert r["n_pairs"] == r["n_up"] + r["n_down"] + r["n_tie"]
     # pairs = orders - customers-with-orders

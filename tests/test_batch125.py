@@ -1,25 +1,8 @@
 """Batch-125: A/A split invariance, daily type-mix weighted Jaccard."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_aa_split_invariance_oracle(ray_session, con):
@@ -29,7 +12,7 @@ def test_aa_split_invariance_oracle(ray_session, con):
     )
 
     mine = aa_split_invariance(SF)
-    _cmp(mine, con, aa_split_invariance_sql())
+    compare_twin(mine, con, aa_split_invariance_sql())
     total = con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     # every salt's arms partition the events
     assert ((mine["n_arm0"] + mine["n_arm1"]) == total).all()
@@ -46,7 +29,7 @@ def test_daily_type_mix_drift_oracle(ray_session, con):
     )
 
     mine = daily_type_mix_drift(SF)
-    _cmp(mine, con, daily_type_mix_drift_sql())
+    compare_twin(mine, con, daily_type_mix_drift_sql())
     days = con.execute("SELECT COUNT(DISTINCT CAST(ts AS DATE)) FROM events").fetchone()[0]
     assert len(mine) == days - 1
     # weighted Jaccard bounds

@@ -1,33 +1,19 @@
 """Batch-126: HDR log-linear quantile sketch, discount-return odds."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
-
-
-def test_hdr_quantile_sketch_oracle(ray_session):
+def test_hdr_quantile_sketch_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         hdr_quantile_sketch,
         hdr_quantile_sketch_sql,
     )
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')"
-    )
     mine = hdr_quantile_sketch(SF)
-    _cmp(mine, con, hdr_quantile_sketch_sql())
+    compare_twin(mine, con, hdr_quantile_sketch_sql())
     # error certificate: every selected bucket contains the exact
     # order statistic, and bucket width / lo <= 1/8 (12.5% rel error)
     cents = (
@@ -69,18 +55,14 @@ def test_hdr_bucket_is_mergeable():
     assert merged == cab
 
 
-def test_discount_return_contingency_oracle(ray_session):
+def test_discount_return_contingency_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         discount_return_contingency,
         discount_return_contingency_sql,
     )
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW lineitem AS SELECT * FROM read_parquet('{SF}/lineitem.parquet')"
-    )
     mine = discount_return_contingency(SF)
-    _cmp(mine, con, discount_return_contingency_sql())
+    compare_twin(mine, con, discount_return_contingency_sql())
     r = mine.iloc[0]
     total = con.execute("SELECT COUNT(*) FROM lineitem").fetchone()[0]
     assert (

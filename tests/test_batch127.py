@@ -1,30 +1,16 @@
 """Batch-127: exact-integer MIPS top-k, line-number contiguity audit."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
-
-
-def test_mips_topk_oracle(ray_session):
+def test_mips_topk_oracle(ray_session, con):
     from pdfrust_ray.stages.similarity import mips_topk, mips_topk_sql
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW embeddings AS SELECT * FROM read_parquet('{SF}/embeddings.parquet')"
-    )
     mine = mips_topk(SF)
-    _cmp(mine, con, mips_topk_sql())
+    compare_twin(mine, con, mips_topk_sql())
     # k results per query, ranks dense, self excluded
     assert (mine.groupby("query_id").size() == 10).all()
     assert (mine["vec_id"] != mine["query_id"]).all()
@@ -46,18 +32,14 @@ def test_mips_differs_from_cosine_ranking(ray_session):
     assert any(m[q] != c[q] for q in common)
 
 
-def test_linenumber_contiguity_audit_oracle(ray_session):
+def test_linenumber_contiguity_audit_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         linenumber_contiguity_audit,
         linenumber_contiguity_audit_sql,
     )
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW lineitem AS SELECT * FROM read_parquet('{SF}/lineitem.parquet')"
-    )
     mine = linenumber_contiguity_audit(SF)
-    _cmp(mine, con, linenumber_contiguity_audit_sql())
+    compare_twin(mine, con, linenumber_contiguity_audit_sql())
     assert int(mine["n_orders"].sum()) == con.execute(
         "SELECT COUNT(DISTINCT l_orderkey) FROM lineitem"
     ).fetchone()[0]

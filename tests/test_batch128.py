@@ -1,26 +1,8 @@
 """Batch-128: session-timeout sensitivity, lang char-bigram fingerprint."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_session_timeout_sensitivity_oracle(ray_session, con):
@@ -30,7 +12,7 @@ def test_session_timeout_sensitivity_oracle(ray_session, con):
     )
 
     mine = session_timeout_sensitivity(SF)
-    _cmp(mine, con, session_timeout_sensitivity_sql())
+    compare_twin(mine, con, session_timeout_sensitivity_sql())
     # monotone: larger timeout -> fewer or equal sessions
     assert mine["n_sessions"].is_monotonic_decreasing
     # asymptotes: huge timeout -> one session per user; tiny timeout ->
@@ -79,7 +61,7 @@ def test_lang_char_bigram_fingerprint_oracle(ray_session, con):
     )
 
     mine = lang_char_bigram_fingerprint(SF)
-    _cmp(mine, con, lang_char_bigram_fingerprint_sql())
+    compare_twin(mine, con, lang_char_bigram_fingerprint_sql())
     # 10 ranked bigrams per language, counts non-increasing
     assert (mine.groupby("lang").size() == 10).all()
     for _, g in mine.groupby("lang"):

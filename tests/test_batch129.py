@@ -2,9 +2,7 @@
 
 from fractions import Fraction
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
@@ -48,18 +46,11 @@ def test_rbo_hand_fixture():
     assert Fraction(full, scale) == expect
 
 
-def test_type_lifecycle_oracle(ray_session):
+def test_type_lifecycle_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import type_lifecycle, type_lifecycle_sql
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')"
-    )
     mine = type_lifecycle(SF)
-    odf = con.execute(type_lifecycle_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, type_lifecycle_sql())
     assert (mine["active_days"] <= mine["span_days"]).all()
     assert (mine["occupancy_ppm"] <= 1_000_000).all()
     assert int(mine["n_events"].sum()) == con.execute(

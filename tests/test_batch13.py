@@ -1,27 +1,10 @@
 """Batch-13 ops: feature hashing, class weights, negative sampling,
 leave-last-out split, calendar rollup, deletion-vector reads."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("customer", "orders", "lineitem", "part", "events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_feature_hashing_oracle(ray_session, con):
@@ -30,7 +13,7 @@ def test_feature_hashing_oracle(ray_session, con):
     mine = feature_hashing(SF)
     assert len(mine) == 500
     assert (mine["nnz"] > 0).all() and (mine["nnz"] <= 64).all()
-    _assert_oracle(con, mine, feature_hashing_sql())
+    compare_twin(mine, con, feature_hashing_sql())
 
 
 def test_feature_hashing_long_token(ray_session, tmp_path):
@@ -67,7 +50,7 @@ def test_lang_class_weights_oracle(ray_session, con):
         mine.loc[mine["n_docs"].idxmin(), "weight_ppm"]
         == mine["weight_ppm"].max()
     )
-    _assert_oracle(con, mine, lang_class_weights_sql())
+    compare_twin(mine, con, lang_class_weights_sql())
 
 
 def test_negative_samples_oracle(ray_session, con):
@@ -76,7 +59,7 @@ def test_negative_samples_oracle(ray_session, con):
     mine = negative_samples(SF)
     n_cust = con.execute("SELECT COUNT(*) FROM customer").fetchone()[0]
     assert len(mine) == 3 * n_cust  # k per customer, incl. orderless ones
-    _assert_oracle(con, mine, negative_samples_sql())
+    compare_twin(mine, con, negative_samples_sql())
 
 
 def test_negative_samples_never_interacted(ray_session, con):
@@ -106,7 +89,7 @@ def test_leave_last_out_split_oracle(ray_session, con):
     n_events = con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     # train + one test row per user account for every event
     assert int(mine["n_train"].sum()) + len(mine) == n_events
-    _assert_oracle(con, mine, leave_last_out_split_sql())
+    compare_twin(mine, con, leave_last_out_split_sql())
 
 
 def test_leave_last_out_matches_latest_event(ray_session):
@@ -130,7 +113,7 @@ def test_events_weekly_weekend_oracle(ray_session, con):
     assert set(mine["is_weekend"].unique()) == {False, True}
     n_events = con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     assert int(mine["n_events"].sum()) == n_events
-    _assert_oracle(con, mine, events_weekly_weekend_sql())
+    compare_twin(mine, con, events_weekly_weekend_sql())
 
 
 def test_deletion_vector_read_oracle(ray_session, con):
@@ -141,7 +124,7 @@ def test_deletion_vector_read_oracle(ray_session, con):
 
     mine = deletion_vector_read(SF)
     assert len(mine) == 2
-    _assert_oracle(con, mine, deletion_vector_read_sql())
+    compare_twin(mine, con, deletion_vector_read_sql())
 
 
 def test_deletion_vector_sidecar_is_positional(ray_session, con):

@@ -1,32 +1,19 @@
 """Batch-130: delimiter balance audit, dialogue-shape census."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
-
-
-def test_bracket_balance_audit_oracle(ray_session):
+def test_bracket_balance_audit_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         bracket_balance_audit,
         bracket_balance_audit_sql,
     )
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
     mine = bracket_balance_audit(SF)
-    _cmp(mine, con, bracket_balance_audit_sql())
+    compare_twin(mine, con, bracket_balance_audit_sql())
     assert int(mine["n_docs"].sum()) == con.execute(
         "SELECT COUNT(*) FROM documents"
     ).fetchone()[0]
@@ -60,9 +47,6 @@ def test_bracket_balance_planted(ray_session, tmp_path):
 
 
 def test_conv_shape_census_oracle(ray_session):
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     from __ray_entry__ import _scale_for
     from pdfrust_ray.fixtures.corpus import ensure_corpus
     from pdfrust_ray.pipelines.conversation import (
@@ -73,7 +57,7 @@ def test_conv_shape_census_oracle(ray_session):
     corpus = ensure_corpus(_scale_for(SF))
     mine = conv_shape_census(corpus)
     con = duckdb.connect()
-    _cmp(mine, con, conv_shape_census_sql(f"{corpus}/shards/*.parquet"))
+    compare_twin(mine, con, conv_shape_census_sql(f"{corpus}/shards/*.parquet"))
     # every shape starts with a user turn in this corpus and counts rank
     assert (mine["shape"].str[0] == "u").all()
     assert (mine["n_convs"].diff().dropna() <= 0).all()

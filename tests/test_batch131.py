@@ -1,33 +1,16 @@
 """Batch-131: weekday-peer extremes, customer growth bands."""
 
-import duckdb
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "orders"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_weekday_extremes_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import weekday_extremes, weekday_extremes_sql
 
     mine = weekday_extremes(SF)
-    _cmp(mine, con, weekday_extremes_sql())
+    compare_twin(mine, con, weekday_extremes_sql())
     assert len(mine) == 7 and set(mine["dow"]) == set(range(1, 8))
     assert (mine["min_n"] <= mine["max_n"]).all()
     # the extreme days really belong to their weekday cohort
@@ -42,7 +25,7 @@ def test_customer_growth_bands_oracle(ray_session, con):
     )
 
     mine = customer_growth_bands(SF)
-    _cmp(mine, con, customer_growth_bands_sql())
+    compare_twin(mine, con, customer_growth_bands_sql())
     # covers exactly the repeat customers
     repeats = con.execute(
         "SELECT COUNT(*) FROM (SELECT o_custkey FROM orders GROUP BY 1 HAVING COUNT(*) >= 2)"

@@ -1,26 +1,18 @@
 """Batch-132: join-key discovery census, KMV joinability estimate."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_key_joinability_census_oracle(ray_session):
+def test_key_joinability_census_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         key_joinability_census,
         key_joinability_census_sql,
     )
 
-    con = duckdb.connect()
-    for t in ("customer", "orders", "events"):
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
     mine = key_joinability_census(SF)
-    odf = con.execute(key_joinability_census_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, key_joinability_census_sql())
     # the FK signature: orders.o_custkey ⊆ customer.c_custkey domain
     r = mine.set_index(["col_a", "col_b"]).loc[
         ("customer.c_custkey", "orders.o_custkey")

@@ -1,26 +1,8 @@
 """Batch-133: per-brand integer regression, weekday concentration bands."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("part", "events"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_brand_price_size_regression_oracle(ray_session, con):
@@ -30,7 +12,7 @@ def test_brand_price_size_regression_oracle(ray_session, con):
     )
 
     mine = brand_price_size_regression(SF)
-    _cmp(mine, con, brand_price_size_regression_sql())
+    compare_twin(mine, con, brand_price_size_regression_sql())
     # the data has both positive and negative slopes, which exercises
     # the floor-vs-truncate division divergence the SQL must mirror
     assert (mine["slope_num"] > 0).any() and (mine["slope_num"] < 0).any()
@@ -50,7 +32,7 @@ def test_user_dow_concentration_bands_oracle(ray_session, con):
     )
 
     mine = user_dow_concentration_bands(SF)
-    _cmp(mine, con, user_dow_concentration_bands_sql())
+    compare_twin(mine, con, user_dow_concentration_bands_sql())
     assert int(mine["n_users"].sum()) == con.execute(
         "SELECT COUNT(DISTINCT user_id) FROM events"
     ).fetchone()[0]

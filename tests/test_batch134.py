@@ -1,24 +1,12 @@
 """Batch-134: dialogue motif census, order-status return-mix audit."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
-
-
 def test_conv_motif_census_oracle(ray_session):
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     from __ray_entry__ import _scale_for
     from pdfrust_ray.fixtures.corpus import ensure_corpus
     from pdfrust_ray.pipelines.conversation import (
@@ -29,7 +17,7 @@ def test_conv_motif_census_oracle(ray_session):
     corpus = ensure_corpus(_scale_for(SF))
     mine = conv_motif_census(corpus)
     con = duckdb.connect()
-    _cmp(mine, con, conv_motif_census_sql(f"{corpus}/shards/*.parquet"))
+    compare_twin(mine, con, conv_motif_census_sql(f"{corpus}/shards/*.parquet"))
     m = mine.set_index("motif")["n_convs"]
     # subsequence containment nests: u.*a.*t implies u.*a (not checked
     # directly) but uat and uta both imply a tool turn exists
@@ -52,17 +40,14 @@ def test_motif_semantics_planted():
     assert not re.search(pats["tt"], "utau")
 
 
-def test_order_status_return_mix_oracle(ray_session):
+def test_order_status_return_mix_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         order_status_return_mix,
         order_status_return_mix_sql,
     )
 
-    con = duckdb.connect()
-    for t in ("orders", "lineitem"):
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
     mine = order_status_return_mix(SF)
-    _cmp(mine, con, order_status_return_mix_sql())
+    compare_twin(mine, con, order_status_return_mix_sql())
     # every order with lineitems lands in exactly one mix cell
     assert int(mine["n_orders"].sum()) == con.execute(
         "SELECT COUNT(DISTINCT l_orderkey) FROM lineitem"

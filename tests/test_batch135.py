@@ -2,26 +2,17 @@
 
 import math
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_value_tail_hill_oracle(ray_session):
+def test_value_tail_hill_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import value_tail_hill, value_tail_hill_sql
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')"
-    )
     mine = value_tail_hill(SF)
-    odf = con.execute(value_tail_hill_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, value_tail_hill_sql())
     assert (mine["k"] == 64).all()
     assert (mine["sum_lnratio_nano"] > 0).all()
     # alpha recomputes from the folded integers

@@ -1,16 +1,12 @@
 """Batch-136: turn-format classifier census."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
 def test_turn_format_census_oracle(ray_session):
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     from __ray_entry__ import _scale_for
     from pdfrust_ray.fixtures.corpus import ensure_corpus
     from pdfrust_ray.pipelines.conversation import (
@@ -21,10 +17,7 @@ def test_turn_format_census_oracle(ray_session):
     corpus = ensure_corpus(_scale_for(SF))
     mine = turn_format_census(corpus)
     con = duckdb.connect()
-    odf = con.execute(turn_format_census_sql(f"{corpus}/shards/*.parquet")).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, turn_format_census_sql(f"{corpus}/shards/*.parquet"))
     assert set(mine["format"]) <= {"code", "list", "question", "prose"}
     tot = mine.groupby("role")["n_turns"].transform("sum")
     assert (mine["role_share_ppm"] == mine["n_turns"] * 1_000_000 // tot).all()

@@ -1,18 +1,15 @@
 """Batch-137: real-codec decode-vs-metadata media audit."""
 
 import duckdb
-import pandas as pd
 import pytest
+from tools.contract_check import compare_twin
 
 
 def test_media_header_audit_oracle(ray_session):
     from pdfrust_ray.stages.multimodal import media_header_audit, media_header_audit_sql
 
     mine = media_header_audit()
-    odf = duckdb.connect().execute(media_header_audit_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, duckdb.connect(), media_header_audit_sql())
     m = mine.set_index("kind")
     # every visual payload decodes and matches its metadata dims
     assert m.loc["image", "n_dim_match"] == m.loc["image", "n"]

@@ -3,24 +3,9 @@ JSONL sink round-trip, SFT pair extraction."""
 
 import duckdb
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_events_grouping_sets_oracle(ray_session, con):
@@ -30,7 +15,7 @@ def test_events_grouping_sets_oracle(ray_session, con):
     )
 
     mine = events_grouping_sets(SF)
-    _assert_oracle(con, mine, events_grouping_sets_sql())
+    compare_twin(mine, con, events_grouping_sets_sql())
     # lattice structure: the grand-total row equals the table size,
     # and each marginal re-sums to it
     total = mine[(mine.event_type == "ALL") & (mine.day == "ALL")]
@@ -53,7 +38,7 @@ def test_daily_count_anomalies_oracle(ray_session, con):
     mine = daily_count_anomalies(SF)
     assert mine["is_anomaly"].any()  # non-vacuous on the fixture
     assert not mine["is_anomaly"].all()
-    _assert_oracle(con, mine, daily_count_anomalies_sql())
+    compare_twin(mine, con, daily_count_anomalies_sql())
 
 
 def test_daily_count_anomalies_planted(ray_session, tmp_path):
@@ -90,7 +75,7 @@ def test_type_stats_salted_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import type_stats_salted, type_stats_salted_sql
 
     mine = type_stats_salted(SF)
-    _assert_oracle(con, mine, type_stats_salted_sql())
+    compare_twin(mine, con, type_stats_salted_sql())
 
 
 def test_type_stats_salted_salt_invariance(ray_session):
@@ -109,7 +94,7 @@ def test_documents_jsonl_roundtrip_oracle(ray_session, con):
 
     mine = documents_jsonl_roundtrip(SF)
     assert int(mine["n_docs"].sum()) == 500
-    _assert_oracle(con, mine, documents_jsonl_roundtrip_sql())
+    compare_twin(mine, con, documents_jsonl_roundtrip_sql())
 
 
 def test_sft_pairs_oracle(ray_session):
@@ -121,4 +106,4 @@ def test_sft_pairs_oracle(ray_session):
     assert (mine["n_pairs"] > 0).all()
     assert (mine.loc[mine["n_pairs"] > 0, "sum_pair_chars"] > 0).all()
     c = duckdb.connect()
-    _assert_oracle(c, mine, sft_pairs_sql(f"{d}/shards/*.parquet"))
+    compare_twin(mine, c, sft_pairs_sql(f"{d}/shards/*.parquet"))

@@ -3,25 +3,9 @@ quantization, tool-chain mining."""
 
 import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "embeddings"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_quarantine_split_oracle(ray_session, con):
@@ -31,7 +15,7 @@ def test_quarantine_split_oracle(ray_session, con):
     assert mine["dest"].tolist() == ["main", "quarantine"]
     assert (mine["n_rows"] > 0).all()  # both routes used on the fixture
     assert int(mine["n_rows"].sum()) == 1000  # a partition: nothing lost
-    _assert_oracle(con, mine, quarantine_split_sql())
+    compare_twin(mine, con, quarantine_split_sql())
 
 
 def test_quarantine_split_consistent_with_contract(ray_session):
@@ -50,7 +34,7 @@ def test_events_value_zscore_oracle(ray_session, con):
 
     mine = events_value_zscore(SF)
     assert len(mine) == 1000
-    _assert_oracle(con, mine, events_value_zscore_sql())
+    compare_twin(mine, con, events_value_zscore_sql())
     # standardization sanity: mean(z) ~ 0, |z| mostly small
     z = mine["z_micro"].to_numpy() / 1e6
     assert abs(z.mean()) < 1e-3
@@ -67,7 +51,7 @@ def test_embedding_int8_quantize_oracle(ray_session, con):
     assert len(mine) == 500
     assert (mine["scale_micro"] > 0).all()
     assert (mine["sum_abs_codes"] >= 127).all()  # the max element is always 127
-    _assert_oracle(con, mine, embedding_int8_quantize_sql())
+    compare_twin(mine, con, embedding_int8_quantize_sql())
 
 
 def test_embedding_int8_roundtrip_error_bound(ray_session):
@@ -96,4 +80,4 @@ def test_tool_chain_bigrams_oracle(ray_session):
     mine = tool_chain_bigrams(d)
     assert len(mine) > 0 and (mine["n_chains"] > 0).all()
     c = duckdb.connect()
-    _assert_oracle(c, mine, tool_chain_bigrams_sql(f"{d}/shards/*.parquet"))
+    compare_twin(mine, c, tool_chain_bigrams_sql(f"{d}/shards/*.parquet"))

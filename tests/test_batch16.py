@@ -1,26 +1,10 @@
 """Batch-16 ops: categorical encoding, keyset pagination, quantized
 retrieval, orphan-file audit."""
 
-import duckdb
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "embeddings"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_categorical_encode_oracle(ray_session, con):
@@ -30,7 +14,7 @@ def test_categorical_encode_oracle(ray_session, con):
     assert mine["code"].tolist() == list(range(len(mine)))
     assert mine["event_type"].is_monotonic_increasing  # sorted codebook
     assert int(mine["n_events"].sum()) == 1000
-    _assert_oracle(con, mine, categorical_encode_sql())
+    compare_twin(mine, con, categorical_encode_sql())
 
 
 def test_events_keyset_page_oracle(ray_session, con):
@@ -42,7 +26,7 @@ def test_events_keyset_page_oracle(ray_session, con):
     # strictly after the cursor and ordered
     assert (mine["ts_us"] >= pd.Timestamp("2024-01-15").value // 1000).all()
     assert mine.sort_values(["ts_us", "event_id"])["rank"].is_monotonic_increasing
-    _assert_oracle(con, mine, events_keyset_page_sql())
+    compare_twin(mine, con, events_keyset_page_sql())
 
 
 def test_ann_quantized_topk_oracle(ray_session, con):
@@ -53,7 +37,7 @@ def test_ann_quantized_topk_oracle(ray_session, con):
     # each query's own vector ranks first (self-dot dominates on the fixture)
     firsts = mine[mine["rank"] == 1]
     assert (firsts["query_id"].to_numpy() == firsts["vec_id"].to_numpy()).all()
-    _assert_oracle(con, mine, ann_quantized_topk_sql())
+    compare_twin(mine, con, ann_quantized_topk_sql())
 
 
 def test_ann_quantized_topk_batch_invariance(ray_session):

@@ -5,7 +5,6 @@ import duckdb
 import hashlib
 import numpy as np
 import pandas as pd
-import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -86,14 +85,10 @@ def test_winnowing_no_surviving_pairs_returns_empty(ray_session):
     assert all(str(out[c].dtype) == "int64" for c in out.columns)
 
 
-def test_winnowing_sql_twin_exact(ray_session):
+def test_winnowing_sql_twin_exact(ray_session, con):
     from pdfrust_ray.stages.dedup import winnowing_dedup, winnowing_dedup_sql
 
     mine = winnowing_dedup(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
     ora = con.execute(winnowing_dedup_sql()).fetchdf().astype("int64")
     pd.testing.assert_frame_equal(mine.reset_index(drop=True), ora)
 
@@ -115,16 +110,12 @@ def test_lexicon_census_matches_str_count(ray_session):
         assert int(row["n_occurrences"]) == sum(counts)
 
 
-def test_lexicon_census_sql_twin_exact(ray_session):
+def test_lexicon_census_sql_twin_exact(ray_session, con):
     from pdfrust_ray.pipelines.textops import (
         lexicon_match_census,
         lexicon_match_census_sql,
     )
 
     mine = lexicon_match_census(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
     ora = con.execute(lexicon_match_census_sql()).fetchdf()
     pd.testing.assert_frame_equal(mine.reset_index(drop=True), ora)

@@ -94,16 +94,12 @@ def test_dbscan_partition_is_complete(ray_session, quantized):
     assert (clusters["n_core"] >= 1).all()
 
 
-def test_dbscan_sql_twin_exact(ray_session):
+def test_dbscan_sql_twin_exact(ray_session, con):
     from pdfrust_ray.stages.similarity import (
         dbscan_embeddings,
         dbscan_embeddings_sql,
     )
 
     mine = dbscan_embeddings(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW embeddings AS SELECT * FROM read_parquet('{SF}/embeddings.parquet')"
-    )
     ora = con.execute(dbscan_embeddings_sql()).fetchdf().astype("int64")
     pd.testing.assert_frame_equal(mine.reset_index(drop=True), ora)

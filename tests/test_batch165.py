@@ -48,13 +48,9 @@ def test_kcenter_radius_monotone_nonincreasing(ray_session):
     assert mine["vec_id"].is_unique
 
 
-def test_kcenter_sql_twin_exact(ray_session):
+def test_kcenter_sql_twin_exact(ray_session, con):
     from pdfrust_ray.stages.similarity import kcenter_coreset, kcenter_coreset_sql
 
     mine = kcenter_coreset(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW embeddings AS SELECT * FROM read_parquet('{SF}/embeddings.parquet')"
-    )
     ora = con.execute(kcenter_coreset_sql()).fetchdf().astype("int64")
     pd.testing.assert_frame_equal(mine.reset_index(drop=True), ora)

@@ -52,46 +52,34 @@ def test_facility_location_gains_diminish(ray_session):
     assert mine["vec_id"].is_unique
 
 
-def test_facility_location_sql_twin_exact(ray_session):
+def test_facility_location_sql_twin_exact(ray_session, con):
     from pdfrust_ray.stages.similarity import (
         facility_location_selection,
         facility_location_selection_sql,
     )
 
     mine = facility_location_selection(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW embeddings AS SELECT * FROM read_parquet('{SF}/embeddings.parquet')"
-    )
     ora = con.execute(facility_location_selection_sql()).fetchdf().astype("int64")
     pd.testing.assert_frame_equal(mine.reset_index(drop=True), ora)
 
 
-def test_bpe_train_sql_twin_exact(ray_session):
+def test_bpe_train_sql_twin_exact(ray_session, con):
     from pdfrust_ray.pipelines.llmdata import bpe_train, bpe_train_sql
 
     mine = bpe_train(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
     ora = con.execute(bpe_train_sql()).fetchdf()
     ora["merge_rank"] = ora["merge_rank"].astype("int64")
     ora["pair_count"] = ora["pair_count"].astype("int64")
     pd.testing.assert_frame_equal(mine.reset_index(drop=True), ora)
 
 
-def test_bpe_encode_counts_sql_twin_exact(ray_session):
+def test_bpe_encode_counts_sql_twin_exact(ray_session, con):
     from pdfrust_ray.pipelines.llmdata import (
         bpe_encode_counts,
         bpe_encode_counts_sql,
     )
 
     mine = bpe_encode_counts(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
     ora = con.execute(bpe_encode_counts_sql()).fetchdf()
     ora["doc_id"] = ora["doc_id"].astype("int64")
     pd.testing.assert_frame_equal(mine.reset_index(drop=True), ora)

@@ -121,17 +121,13 @@ def test_planted_bridges_sql_twin(ray_session, planted_dir):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_fixture_sql_twin_exact(ray_session):
+def test_fixture_sql_twin_exact(ray_session, con):
     from pdfrust_ray.pipelines.graph import (
         part_supplier_articulation,
         part_supplier_articulation_sql,
     )
 
     eng = part_supplier_articulation(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW lineitem AS SELECT * FROM read_parquet('{SF}/lineitem.parquet')"
-    )
     ora = con.execute(part_supplier_articulation_sql()).fetchdf()
     a = eng.astype(str).reset_index(drop=True)
     b = ora.astype(str).reset_index(drop=True)

@@ -1,26 +1,10 @@
 """Batch-17 ops: streaming windowed dedup, OOV audit, length
 bucketing."""
 
-import duckdb
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_streaming_windowed_dedup_matches_batch(ray_session, con):
@@ -33,7 +17,7 @@ def test_streaming_windowed_dedup_matches_batch(ray_session, con):
     stream = streaming_windowed_dedup(SF)
     batch = windowed_event_dedup(SF)
     pd.testing.assert_frame_equal(stream, batch, check_dtype=False)
-    _assert_oracle(con, stream, windowed_event_dedup_sql())
+    compare_twin(stream, con, windowed_event_dedup_sql())
 
 
 def test_streaming_windowed_dedup_suppression_state(ray_session, tmp_path):
@@ -74,7 +58,7 @@ def test_oov_rate_oracle(ray_session, con):
     assert (mine["n_oov"] > 0).any()
     assert (mine["n_oov"] <= mine["n_tokens"]).all()
     assert (mine["oov_ppm"] <= 1_000_000).all()
-    _assert_oracle(con, mine, oov_rate_sql())
+    compare_twin(mine, con, oov_rate_sql())
 
 
 def test_oov_rate_full_vocab_is_zero(ray_session):
@@ -92,4 +76,4 @@ def test_length_bucket_stats_oracle(ray_session, con):
     assert len(mine) > 2
     assert int(mine["n_docs"].sum()) == 500
     assert (mine["padding_waste"] >= 0).all()
-    _assert_oracle(con, mine, length_bucket_stats_sql())
+    compare_twin(mine, con, length_bucket_stats_sql())

@@ -16,26 +16,10 @@
 import duckdb
 import numpy as np
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 SF01 = "/root/testdata/sf0.01"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 # ---------------------------------------------------------------- containment
@@ -103,7 +87,7 @@ def test_soft_dedup_reweight_oracle(ray_session, con):
     mine = soft_dedup_reweight(SF)
     assert len(mine) == 500
     assert (mine.cluster_size > 1).any()  # non-vacuous on the fixture
-    _assert_oracle(con, mine, soft_dedup_reweight_sql())
+    compare_twin(mine, con, soft_dedup_reweight_sql())
 
 
 def test_soft_dedup_reweight_invariants(ray_session):
@@ -126,7 +110,7 @@ def test_dsir_select_oracle(ray_session, con):
 
     mine = dsir_select(SF)
     assert len(mine) == 100
-    _assert_oracle(con, mine, dsir_select_sql())
+    compare_twin(mine, con, dsir_select_sql())
 
 
 def test_dsir_select_prefers_target_vocabulary(ray_session, tmp_path):
@@ -168,7 +152,7 @@ def test_unimax_allocation_oracle(ray_session, con):
     from pdfrust_ray.pipelines.llmdata import unimax_allocation, unimax_allocation_sql
 
     mine = unimax_allocation(SF)
-    _assert_oracle(con, mine, unimax_allocation_sql())
+    compare_twin(mine, con, unimax_allocation_sql())
 
 
 def test_unimax_allocation_both_branches_and_invariants(ray_session):
@@ -193,7 +177,7 @@ def test_perplexity_buckets_oracle(ray_session, con):
 
     mine = perplexity_buckets(SF)
     assert len(mine) == 500
-    _assert_oracle(con, mine, perplexity_buckets_sql())
+    compare_twin(mine, con, perplexity_buckets_sql())
 
 
 def test_perplexity_buckets_tiles_balanced_and_ordered(ray_session):
@@ -222,7 +206,7 @@ def test_nb_source_classifier_oracle(ray_session, con):
 
     mine = nb_source_classifier(SF)
     assert int(mine.n_docs.sum()) == 500  # every doc classified once
-    _assert_oracle(con, mine, nb_source_classifier_sql())
+    compare_twin(mine, con, nb_source_classifier_sql())
 
 
 def test_nb_source_classifier_separable_vocab(ray_session, tmp_path):
@@ -265,7 +249,7 @@ def test_ccnet_head_middle_mix_oracle(ray_session, con):
     mine = ccnet_head_middle_mix(SF)
     assert set(mine.tile) == {1, 2}  # tail dropped
     assert int(mine.n_docs.sum()) == 334  # 2/3 of 500, NTILE split
-    _assert_oracle(con, mine, ccnet_head_middle_mix_sql())
+    compare_twin(mine, con, ccnet_head_middle_mix_sql())
 
 
 def test_ccnet_mix_consistent_with_constituents(ray_session):
@@ -294,29 +278,24 @@ def test_bwt_compressibility_oracle(ray_session, con):
 
     mine = bwt_compressibility(SF)
     assert (mine.runs_bwt <= mine.runs_orig).all()  # BWT clusters chars
-    _assert_oracle(con, mine, bwt_compressibility_sql())
+    compare_twin(mine, con, bwt_compressibility_sql())
 
 
 # ------------------------------------------------- Belady OPT oracle upgrade
 
 
-def test_belady_opt_cache_audit_oracle(ray_session):
+def test_belady_opt_cache_audit_oracle(ray_session, con):
     # round-4 upgrade: the former rows-only OPT replay now has an exact
     # recursive-CTE twin (one access step per round across all users)
-    import duckdb
 
     from pdfrust_ray.pipelines.relational import (
         belady_opt_cache_audit,
         belady_opt_cache_audit_sql,
     )
 
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')"
-    )
     mine = belady_opt_cache_audit(SF)
     assert (mine.opt_hits >= mine.lru_hits).all()  # the OPT theorem
-    _assert_oracle(c, mine, belady_opt_cache_audit_sql())
+    compare_twin(mine, con, belady_opt_cache_audit_sql())
 
 
 # ------------------------------------------------------------ pretrain plan
@@ -327,7 +306,7 @@ def test_pretrain_mix_plan_oracle(ray_session, con):
 
     mine = pretrain_mix_plan(SF)
     assert len(mine) == 15  # 5 langs x 3 tiles
-    _assert_oracle(con, mine, pretrain_mix_plan_sql())
+    compare_twin(mine, con, pretrain_mix_plan_sql())
 
 
 def test_pretrain_mix_plan_invariants(ray_session):
@@ -352,20 +331,13 @@ def test_pretrain_mix_plan_invariants(ray_session):
 # ------------------------------------------------------- fixed-point k-means
 
 
-def test_kmeans_fixedpoint_oracle(ray_session):
-    import duckdb
-
+def test_kmeans_fixedpoint_oracle(ray_session, con):
     from pdfrust_ray.stages.similarity import kmeans_fixedpoint, kmeans_fixedpoint_sql
 
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW embeddings AS SELECT * FROM "
-        f"read_parquet('{SF}/embeddings.parquet')"
-    )
     mine = kmeans_fixedpoint(SF)
     assert int(mine.n_members.sum()) == 500  # every vector assigned
     assert len(mine) <= 10
-    _assert_oracle(c, mine, kmeans_fixedpoint_sql())
+    compare_twin(mine, con, kmeans_fixedpoint_sql())
 
 
 def test_kmeans_fixedpoint_label_recovery(ray_session, tmp_path):
@@ -399,23 +371,16 @@ def test_kmeans_fixedpoint_label_recovery(ray_session, tmp_path):
 # ----------------------------------------------------- fixed-point PCA power
 
 
-def test_pca_power_fixedpoint_oracle(ray_session):
-    import duckdb
-
+def test_pca_power_fixedpoint_oracle(ray_session, con):
     from pdfrust_ray.stages.similarity import (
         pca_power_fixedpoint,
         pca_power_fixedpoint_sql,
     )
 
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW embeddings AS SELECT * FROM "
-        f"read_parquet('{SF}/embeddings.parquet')"
-    )
     mine = pca_power_fixedpoint(SF)
     assert len(mine) == 65  # 64 dims + the lam_q row
     assert int(mine.loc[mine.dim == -1, "component"].iloc[0]) > 0
-    _assert_oracle(c, mine, pca_power_fixedpoint_sql())
+    compare_twin(mine, con, pca_power_fixedpoint_sql())
 
 
 def test_pca_power_fixedpoint_matches_float_eigenvector(ray_session):
@@ -446,23 +411,16 @@ def test_pca_power_fixedpoint_matches_float_eigenvector(ray_session):
 # ------------------------------------------------- fixed-point SemDeDup
 
 
-def test_semantic_dedup_fixedpoint_oracle(ray_session):
-    import duckdb
-
+def test_semantic_dedup_fixedpoint_oracle(ray_session, con):
     from pdfrust_ray.stages.similarity import (
         semantic_dedup_fixedpoint,
         semantic_dedup_fixedpoint_sql,
     )
 
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW embeddings AS SELECT * FROM "
-        f"read_parquet('{SF}/embeddings.parquet')"
-    )
     mine = semantic_dedup_fixedpoint(SF)
     assert len(mine) > 0  # non-vacuous at the fixture threshold
     assert (mine.vec_a < mine.vec_b).all()
-    _assert_oracle(c, mine, semantic_dedup_fixedpoint_sql())
+    compare_twin(mine, con, semantic_dedup_fixedpoint_sql())
 
 
 def test_semantic_dedup_fixedpoint_pairs_verify_cosine(ray_session):
@@ -487,18 +445,12 @@ def test_semantic_dedup_fixedpoint_pairs_verify_cosine(ray_session):
 # ---------------------------------------------- det heavy hitters (MG tree)
 
 
-def test_heavy_hitters_det_oracle(ray_session):
-    import duckdb
-
+def test_heavy_hitters_det_oracle(ray_session, con):
     from pdfrust_ray.stages.streaming import heavy_hitters_det, heavy_hitters_det_sql
 
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')"
-    )
     mine = heavy_hitters_det(SF)
     assert 0 < len(mine) <= 4
-    _assert_oracle(c, mine, heavy_hitters_det_sql())
+    compare_twin(mine, con, heavy_hitters_det_sql())
 
 
 def test_heavy_hitters_det_mg_guarantees(ray_session):
@@ -540,13 +492,7 @@ def test_dpo_pairs_oracle(ray_session):
     assert len(mine) > 0  # the planted forks yield pairs
     assert (mine.chosen_chars >= mine.rejected_chars).all()
     assert (mine.chosen_conv != mine.rejected_conv).all()
-    c = duckdb.connect()
-    odf = c.execute(dpo_pairs_sql(f"{d}/shards/*.parquet")).fetchdf()
-    import pandas as pd
-
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, duckdb.connect(), dpo_pairs_sql(f"{d}/shards/*.parquet"))
 
 
 def test_dpo_pairs_planted(ray_session, tmp_path):
@@ -595,7 +541,7 @@ def test_tokenizer_fertility_oracle(ray_session, con):
     assert len(mine) == 5  # one row per language
     # word-soup text: every token spans >1 char, fertility > 1000 milli
     assert (mine.chars_per_token_milli > 1000).all()
-    _assert_oracle(con, mine, tokenizer_fertility_sql())
+    compare_twin(mine, con, tokenizer_fertility_sql())
 
 
 # ----------------------------------------------------------- corpus datasheet
@@ -609,4 +555,4 @@ def test_corpus_datasheet_oracle(ray_session, con):
     assert vals["n_docs"] == 500 and vals["n_langs"] == 5
     assert vals["neardup_docs"] > 0
     assert vals["n_tokens"] * 1000 // vals["n_docs"] == vals["mean_doc_tokens_milli"]
-    _assert_oracle(con, mine, corpus_datasheet_sql())
+    compare_twin(mine, con, corpus_datasheet_sql())

@@ -2,25 +2,9 @@
 PSI drift, tool latency percentiles."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("orders", "lineitem", "part", "events"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_returned_order_priority_counts_oracle(ray_session, con):
@@ -34,7 +18,7 @@ def test_returned_order_priority_counts_oracle(ray_session, con):
     # a semi-join counts each order at most once
     n_orders = con.execute("SELECT COUNT(*) FROM orders").fetchone()[0]
     assert int(mine["n_orders"].sum()) <= n_orders
-    _assert_oracle(con, mine, returned_order_priority_counts_sql())
+    compare_twin(mine, con, returned_order_priority_counts_sql())
 
 
 def test_promo_revenue_share_oracle(ray_session, con):
@@ -47,7 +31,7 @@ def test_promo_revenue_share_oracle(ray_session, con):
     assert (mine["promo_cents"] <= mine["total_cents"]).all()
     assert (mine["promo_ppm"] < 1_000_000).all()
     assert (mine["promo_ppm"] > 0).any()
-    _assert_oracle(con, mine, promo_revenue_share_sql())
+    compare_twin(mine, con, promo_revenue_share_sql())
 
 
 def test_value_drift_psi_oracle(ray_session, con):
@@ -56,7 +40,7 @@ def test_value_drift_psi_oracle(ray_session, con):
     mine = value_drift_psi(SF)
     assert (mine["n_ref"] + mine["n_cur"] > 0).all()
     assert int((mine["n_ref"] + mine["n_cur"]).sum()) == 1000
-    _assert_oracle(con, mine, value_drift_psi_sql())
+    compare_twin(mine, con, value_drift_psi_sql())
 
 
 def test_value_drift_psi_identical_windows_is_zero(ray_session, tmp_path):
@@ -97,4 +81,4 @@ def test_tool_latency_quantiles_oracle(ray_session):
     assert len(mine) > 0
     assert (mine["p50_s"] <= mine["p95_s"]).all()
     c = duckdb.connect()
-    _assert_oracle(c, mine, tool_latency_quantiles_sql(f"{d}/shards/*.parquet"))
+    compare_twin(mine, c, tool_latency_quantiles_sql(f"{d}/shards/*.parquet"))

@@ -1,29 +1,9 @@
 """Batch-19 ops: RRF hybrid fusion, catalog integrity, keyed
 pseudonymization, distribution-similarity matrix."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in (
-        "region", "nation", "customer", "supplier", "part", "orders",
-        "lineitem", "events", "documents", "embeddings",
-    ):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_ann_rrf_fusion_oracle(ray_session, con):
@@ -36,7 +16,7 @@ def test_ann_rrf_fusion_oracle(ray_session, con):
     assert mine["rrf_micro"].max() <= top_both
     firsts = mine[mine["rank"] == 1]
     assert (firsts["rrf_micro"] == top_both).all()  # self-vector tops both
-    _assert_oracle(con, mine, ann_rrf_fusion_sql())
+    compare_twin(mine, con, ann_rrf_fusion_sql())
 
 
 def test_catalog_integrity_report_oracle(ray_session, con):
@@ -48,7 +28,7 @@ def test_catalog_integrity_report_oracle(ray_session, con):
     mine = catalog_integrity_report(SF)
     assert len(mine) == 9
     assert (mine["n_rows"] > 0).all()
-    _assert_oracle(con, mine, catalog_integrity_report_sql())
+    compare_twin(mine, con, catalog_integrity_report_sql())
 
 
 def test_pseudonymize_users_oracle(ray_session, con):
@@ -62,7 +42,7 @@ def test_pseudonymize_users_oracle(ray_session, con):
     ).fetchdf()["n"].tolist()
     assert len(mine) == len(per_user)
     assert sorted(mine["n_events"].tolist()) == per_user
-    _assert_oracle(con, mine, pseudonymize_users_sql())
+    compare_twin(mine, con, pseudonymize_users_sql())
 
 
 def test_pseudonymize_users_salt_changes_tokens(ray_session):
@@ -87,4 +67,4 @@ def test_type_value_similarity_oracle(ray_session, con):
     # self-intersection is ~1 (only ppm truncation below), others less
     assert (diag["intersection_ppm"] >= 999_000).all()
     assert (off["intersection_ppm"] < diag["intersection_ppm"].min()).all()
-    _assert_oracle(con, mine, type_value_similarity_sql())
+    compare_twin(mine, con, type_value_similarity_sql())

@@ -1,25 +1,8 @@
 """Batch-20 ops: TPC-H Q10/Q18 shapes, YoY growth."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("orders", "lineitem", "customer"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_returned_customer_revenue_oracle(ray_session, con):
@@ -33,7 +16,7 @@ def test_returned_customer_revenue_oracle(ray_session, con):
     assert mine["revenue_cents"].is_monotonic_decreasing or (
         mine["revenue_cents"].diff().dropna() <= 0
     ).all()
-    _assert_oracle(con, mine, returned_customer_revenue_sql())
+    compare_twin(mine, con, returned_customer_revenue_sql())
 
 
 def test_large_order_customers_oracle(ray_session, con):
@@ -45,7 +28,7 @@ def test_large_order_customers_oracle(ray_session, con):
     mine = large_order_customers(SF)
     assert len(mine) > 0
     assert (mine["total_qty"] > 300).all()
-    _assert_oracle(con, mine, large_order_customers_sql())
+    compare_twin(mine, con, large_order_customers_sql())
 
 
 def test_large_order_customers_threshold_monotone(ray_session):
@@ -66,4 +49,4 @@ def test_orders_yearly_growth_oracle(ray_session, con):
     assert len(mine) >= 5  # multi-year history
     assert mine.iloc[0]["yoy_growth_ppm"] == 0  # first year has no prior
     assert (mine["yoy_growth_ppm"] != 0).any()
-    _assert_oracle(con, mine, orders_yearly_growth_sql())
+    compare_twin(mine, con, orders_yearly_growth_sql())

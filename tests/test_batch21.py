@@ -1,26 +1,9 @@
 """Batch-21 ops: embedding label outliers, supplier catalog coverage,
 dow x type lift."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("lineitem", "part", "events", "embeddings"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_embedding_label_outliers_oracle(ray_session, con):
@@ -32,7 +15,7 @@ def test_embedding_label_outliers_oracle(ray_session, con):
     mine = embedding_label_outliers(SF)
     n_labels = con.execute("SELECT COUNT(DISTINCT label) FROM embeddings").fetchone()[0]
     assert len(mine) == 3 * n_labels
-    _assert_oracle(con, mine, embedding_label_outliers_sql())
+    compare_twin(mine, con, embedding_label_outliers_sql())
 
 
 def test_embedding_label_outliers_are_minima(ray_session):
@@ -55,7 +38,7 @@ def test_supplier_part_coverage_oracle(ray_session, con):
     mine = supplier_part_coverage(SF)
     assert (mine["coverage_ppm"] <= 1_000_000).all()
     assert (mine["n_parts"] > 0).all()
-    _assert_oracle(con, mine, supplier_part_coverage_sql())
+    compare_twin(mine, con, supplier_part_coverage_sql())
 
 
 def test_dow_type_lift_oracle(ray_session, con):
@@ -67,4 +50,4 @@ def test_dow_type_lift_oracle(ray_session, con):
     # lift is centered around 1.0 (1e6 ppm): both sides occur
     assert (mine["lift_ppm"] > 1_000_000).any()
     assert (mine["lift_ppm"] < 1_000_000).any()
-    _assert_oracle(con, mine, dow_type_lift_sql())
+    compare_twin(mine, con, dow_type_lift_sql())

@@ -3,23 +3,9 @@ cross-format union."""
 
 import duckdb
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_shuffle_integrity_oracle(ray_session, con):
@@ -27,7 +13,7 @@ def test_shuffle_integrity_oracle(ray_session, con):
 
     mine = shuffle_integrity(SF)
     assert int(mine["n_events"].sum()) == 1000
-    _assert_oracle(con, mine, shuffle_integrity_sql())
+    compare_twin(mine, con, shuffle_integrity_sql())
 
 
 def test_shuffle_integrity_seed_invariant(ray_session):
@@ -47,7 +33,7 @@ def test_multisource_events_union_oracle(ray_session, con):
 
     mine = multisource_events_union(SF)
     assert int(mine["n_events"].sum()) == 1000  # nothing lost at the seam
-    _assert_oracle(con, mine, multisource_events_union_sql())
+    compare_twin(mine, con, multisource_events_union_sql())
 
 
 def test_payload_error_taxonomy_oracle(ray_session):
@@ -67,6 +53,6 @@ def test_payload_error_taxonomy_oracle(ray_session):
     assert (mine["parse_status"] == "ok").any()
     assert (mine["parse_status"] != "ok").any()
     c = duckdb.connect()
-    _assert_oracle(
-        c, mine, payload_error_taxonomy_sql("/tmp/pdfrust_ray_fixtures/t2/golden.parquet")
+    compare_twin(
+        mine, c, payload_error_taxonomy_sql("/tmp/pdfrust_ray_fixtures/t2/golden.parquet")
     )

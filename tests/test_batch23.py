@@ -1,26 +1,9 @@
 """Batch-23 ops: RANK-with-ties top-k, near-dup cluster histogram,
 hour-of-day profile."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_top_value_events_with_ties_oracle(ray_session, con):
@@ -31,7 +14,7 @@ def test_top_value_events_with_ties_oracle(ray_session, con):
 
     mine = top_value_events_with_ties(SF)
     assert (mine["rank"] <= 3).all()
-    _assert_oracle(con, mine, top_value_events_with_ties_sql())
+    compare_twin(mine, con, top_value_events_with_ties_sql())
 
 
 def test_top_value_events_with_ties_keeps_peers(ray_session, tmp_path):
@@ -69,7 +52,7 @@ def test_dedup_cluster_size_histogram_oracle(ray_session, con):
     mine = dedup_cluster_size_histogram(SF)
     assert (mine["cluster_size"] >= 2).all()  # singletons are not clusters
     assert (mine["n_clusters"] > 0).all()
-    _assert_oracle(con, mine, dedup_cluster_size_histogram_sql())
+    compare_twin(mine, con, dedup_cluster_size_histogram_sql())
 
 
 def test_hourly_profile_oracle(ray_session, con):
@@ -78,4 +61,4 @@ def test_hourly_profile_oracle(ray_session, con):
     mine = hourly_profile(SF)
     assert len(mine) == 24
     assert int(mine["n_events"].sum()) == 1000
-    _assert_oracle(con, mine, hourly_profile_sql())
+    compare_twin(mine, con, hourly_profile_sql())

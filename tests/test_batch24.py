@@ -2,25 +2,9 @@
 anomaly flags."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_boilerplate_segments_oracle(ray_session, con):
@@ -33,7 +17,7 @@ def test_boilerplate_segments_oracle(ray_session, con):
     assert len(mine) == 10
     assert (mine["n_docs"] >= 2).all()
     assert mine["n_docs"].is_monotonic_decreasing
-    _assert_oracle(con, mine, boilerplate_segments_sql())
+    compare_twin(mine, con, boilerplate_segments_sql())
 
 
 def test_boilerplate_consistent_with_segment_dedup(ray_session):
@@ -57,7 +41,7 @@ def test_conv_first_response_latency_oracle(ray_session):
     mine = conv_first_response_latency(d)
     assert (mine["latency_us"] > 0).all()  # assistant replies after user
     c = duckdb.connect()
-    _assert_oracle(c, mine, conv_first_response_latency_sql(f"{d}/shards/*.parquet"))
+    compare_twin(mine, c, conv_first_response_latency_sql(f"{d}/shards/*.parquet"))
 
 
 def test_rolling_count_anomalies_oracle(ray_session, con):
@@ -68,7 +52,7 @@ def test_rolling_count_anomalies_oracle(ray_session, con):
 
     mine = rolling_count_anomalies(SF)
     assert mine["is_anomaly"].any() and not mine["is_anomaly"].all()
-    _assert_oracle(con, mine, rolling_count_anomalies_sql())
+    compare_twin(mine, con, rolling_count_anomalies_sql())
 
 
 def test_rolling_count_anomalies_planted_step(ray_session, tmp_path):

@@ -1,26 +1,9 @@
 """Batch-25 ops: join-fanout histogram, Q19 DNF filter, activity
 streaks."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("lineitem", "part", "events"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_order_fanout_histogram_oracle(ray_session, con):
@@ -35,7 +18,7 @@ def test_order_fanout_histogram_oracle(ray_session, con):
         "SELECT COUNT(DISTINCT l_orderkey) FROM lineitem"
     ).fetchone()[0]
     assert int(mine["n_orders"].sum()) == n_orders_with_lines
-    _assert_oracle(con, mine, order_fanout_histogram_sql())
+    compare_twin(mine, con, order_fanout_histogram_sql())
 
 
 def test_dnf_filter_revenue_oracle(ray_session, con):
@@ -43,7 +26,7 @@ def test_dnf_filter_revenue_oracle(ray_session, con):
 
     mine = dnf_filter_revenue(SF)
     assert len(mine) == 1 and mine.iloc[0]["n_items"] > 0
-    _assert_oracle(con, mine, dnf_filter_revenue_sql())
+    compare_twin(mine, con, dnf_filter_revenue_sql())
 
 
 def test_user_longest_streak_oracle(ray_session, con):
@@ -52,7 +35,7 @@ def test_user_longest_streak_oracle(ray_session, con):
     mine = user_longest_streak(SF)
     assert (mine["longest_streak"] <= mine["n_active_days"]).all()
     assert mine["longest_streak"].nunique() > 1  # non-degenerate
-    _assert_oracle(con, mine, user_longest_streak_sql())
+    compare_twin(mine, con, user_longest_streak_sql())
 
 
 def test_user_longest_streak_planted(ray_session, tmp_path):

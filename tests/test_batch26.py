@@ -1,26 +1,9 @@
 """Batch-26 ops: bigram vocabulary growth, ingest lineage, type-share
 trend."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_bigram_vocab_growth_oracle(ray_session, con):
@@ -34,7 +17,7 @@ def test_bigram_vocab_growth_oracle(ray_session, con):
     # diminishing returns: the first bucket dominates, curve is monotone
     assert mine.iloc[0]["n_new_bigrams"] > mine.iloc[1:]["n_new_bigrams"].sum()
     assert mine["cum_vocab"].is_monotonic_increasing
-    _assert_oracle(con, mine, bigram_vocab_growth_sql())
+    compare_twin(mine, con, bigram_vocab_growth_sql())
 
 
 def test_csv_shard_lineage_oracle(ray_session, con):
@@ -43,7 +26,7 @@ def test_csv_shard_lineage_oracle(ray_session, con):
     mine = csv_shard_lineage(SF)
     assert len(mine) == 8
     assert int(mine["n_rows"].sum()) == 1000
-    _assert_oracle(con, mine, csv_shard_lineage_sql())
+    compare_twin(mine, con, csv_shard_lineage_sql())
 
 
 def test_events_type_share_trend_oracle(ray_session, con):
@@ -56,4 +39,4 @@ def test_events_type_share_trend_oracle(ray_session, con):
     # per-day shares sum to ~1e6 (ppm truncation loses < n_types ppm)
     day_sums = mine.groupby("day")["share_ppm"].sum()
     assert ((day_sums > 999_990) & (day_sums <= 1_000_000)).all()
-    _assert_oracle(con, mine, events_type_share_trend_sql())
+    compare_twin(mine, con, events_type_share_trend_sql())

@@ -1,26 +1,9 @@
 """Batch-27 ops: norm histogram, Benford audit, session-size
 distribution."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "embeddings"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_embedding_norm_histogram_oracle(ray_session, con):
@@ -31,7 +14,7 @@ def test_embedding_norm_histogram_oracle(ray_session, con):
 
     mine = embedding_norm_histogram(SF)
     assert int(mine["n_vecs"].sum()) == 500
-    _assert_oracle(con, mine, embedding_norm_histogram_sql())
+    compare_twin(mine, con, embedding_norm_histogram_sql())
 
 
 def test_events_value_benford_oracle(ray_session, con):
@@ -43,7 +26,7 @@ def test_events_value_benford_oracle(ray_session, con):
     mine = events_value_benford(SF)
     assert mine["digit"].tolist() == list(range(1, 10))
     assert int(mine["benford_ppm"].sum()) in (999_999, 1_000_000, 1_000_001)
-    _assert_oracle(con, mine, events_value_benford_sql())
+    compare_twin(mine, con, events_value_benford_sql())
 
 
 def test_session_size_histogram_oracle(ray_session, con):
@@ -56,4 +39,4 @@ def test_session_size_histogram_oracle(ray_session, con):
     mine = session_size_histogram(SF)
     n_sessions = len(sessionize(SF))
     assert int(mine["n_sessions"].sum()) == n_sessions
-    _assert_oracle(con, mine, session_size_histogram_sql())
+    compare_twin(mine, con, session_size_histogram_sql())

@@ -1,26 +1,9 @@
 """Batch-28 ops: weighted percentiles, split-leakage scan, coverage
 selection."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_weighted_median_k_oracle(ray_session, con):
@@ -29,7 +12,7 @@ def test_weighted_median_k_oracle(ray_session, con):
     mine = weighted_median_k(SF)
     assert mine["pct"].tolist() == [25, 50, 75]
     assert mine["weighted_k"].is_monotonic_increasing
-    _assert_oracle(con, mine, weighted_median_k_sql())
+    compare_twin(mine, con, weighted_median_k_sql())
 
 
 def test_split_leakage_scan_oracle(ray_session, con):
@@ -40,7 +23,7 @@ def test_split_leakage_scan_oracle(ray_session, con):
     # hash split ignores content, so some dups straddle the boundary)
     cross = mine[mine["split_a"] != mine["split_b"]]
     assert int(cross["n_pairs"].sum()) > 0
-    _assert_oracle(con, mine, split_leakage_scan_sql())
+    compare_twin(mine, con, split_leakage_scan_sql())
 
 
 def test_coverage_selection_serial_recompute(ray_session):

@@ -2,24 +2,9 @@
 assistant grounding panel."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_partitioned_write_pruned_read_oracle(ray_session, con):
@@ -30,7 +15,7 @@ def test_partitioned_write_pruned_read_oracle(ray_session, con):
 
     mine = partitioned_write_pruned_read(SF)
     assert mine.iloc[0]["n_rows"] > 0
-    _assert_oracle(con, mine, partitioned_write_pruned_read_sql())
+    compare_twin(mine, con, partitioned_write_pruned_read_sql())
 
 
 def test_partitioned_layout_is_per_key(ray_session):
@@ -71,6 +56,6 @@ def test_assistant_length_by_tool_context_oracle(ray_session):
     mine = assistant_length_by_tool_context(d)
     assert set(mine["after_tool"]) == {False, True}
     c = duckdb.connect()
-    _assert_oracle(
-        c, mine, assistant_length_by_tool_context_sql(f"{d}/shards/*.parquet")
+    compare_twin(
+        mine, c, assistant_length_by_tool_context_sql(f"{d}/shards/*.parquet")
     )

@@ -1,27 +1,9 @@
 """Batch-30 ops: TPC-H Q8/Q15/Q17/Q21/Q22 shapes and the LOO
 target-encoding audit."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["region", "nation", "customer", "supplier", "part",
-              "orders", "lineitem", "events"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_tpch_q8_market_share_oracle(ray_session, con):
@@ -34,7 +16,7 @@ def test_tpch_q8_market_share_oracle(ray_session, con):
     assert len(mine) >= 5  # one row per order year with AMERICA/ECONOMY revenue
     assert (mine["mkt_share_ppm"] <= 1_000_000).all()
     assert (mine["nation_cents"] <= mine["total_cents"]).all()
-    _assert_oracle(con, mine, tpch_q8_market_share_sql())
+    compare_twin(mine, con, tpch_q8_market_share_sql())
 
 
 def test_tpch_q15_top_supplier_oracle(ray_session, con):
@@ -45,7 +27,7 @@ def test_tpch_q15_top_supplier_oracle(ray_session, con):
 
     mine = tpch_q15_top_supplier(SF)
     assert len(mine) >= 1  # at least one supplier at the max (ties kept)
-    _assert_oracle(con, mine, tpch_q15_top_supplier_sql())
+    compare_twin(mine, con, tpch_q15_top_supplier_sql())
 
 
 def test_tpch_q17_small_quantity_revenue_oracle(ray_session, con):
@@ -57,7 +39,7 @@ def test_tpch_q17_small_quantity_revenue_oracle(ray_session, con):
     mine = tpch_q17_small_quantity_revenue(SF)
     assert mine.iloc[0]["n_items"] > 0
     assert mine.iloc[0]["avg_yearly_cents"] == mine.iloc[0]["total_cents"] // 7
-    _assert_oracle(con, mine, tpch_q17_small_quantity_revenue_sql())
+    compare_twin(mine, con, tpch_q17_small_quantity_revenue_sql())
 
 
 def test_tpch_q21_waiting_suppliers_oracle(ray_session, con):
@@ -69,7 +51,7 @@ def test_tpch_q21_waiting_suppliers_oracle(ray_session, con):
     mine = tpch_q21_waiting_suppliers(SF)
     assert len(mine) > 0
     assert (mine["numwait"].diff().dropna() <= 0).all()  # sorted desc
-    _assert_oracle(con, mine, tpch_q21_waiting_suppliers_sql())
+    compare_twin(mine, con, tpch_q21_waiting_suppliers_sql())
 
 
 def test_tpch_q22_idle_balance_oracle(ray_session, con):
@@ -80,7 +62,7 @@ def test_tpch_q22_idle_balance_oracle(ray_session, con):
 
     mine = tpch_q22_idle_balance(SF)
     assert mine["n_custs"].sum() > 0
-    _assert_oracle(con, mine, tpch_q22_idle_balance_sql())
+    compare_twin(mine, con, tpch_q22_idle_balance_sql())
 
 
 def test_loo_target_encode_audit_oracle(ray_session, con):
@@ -94,7 +76,7 @@ def test_loo_target_encode_audit_oracle(ray_session, con):
     # above-LOO-mean counts are a strict subset of each type's rows
     assert (mine["n_above_loo_mean"] < mine["n_rows"]).all()
     assert (mine["n_above_loo_mean"] > 0).all()
-    _assert_oracle(con, mine, loo_target_encode_audit_sql())
+    compare_twin(mine, con, loo_target_encode_audit_sql())
 
 
 def test_loo_predicate_matches_serial_recompute(ray_session):

@@ -1,26 +1,10 @@
 """Batch-31 ops: co-purchase pairs, repeat-interval histogram,
 autocorrelation stats, salted join, erasure sweep."""
 
-import duckdb
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["customer", "orders", "lineitem", "events"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_part_copurchase_pairs_oracle(ray_session, con):
@@ -33,7 +17,7 @@ def test_part_copurchase_pairs_oracle(ray_session, con):
     assert len(mine) == 20
     assert (mine["p_a"] < mine["p_b"]).all()
     assert (mine["n_orders"].diff().dropna() <= 0).all()
-    _assert_oracle(con, mine, part_copurchase_pairs_sql())
+    compare_twin(mine, con, part_copurchase_pairs_sql())
 
 
 def test_orders_repeat_interval_histogram_oracle(ray_session, con):
@@ -48,7 +32,7 @@ def test_orders_repeat_interval_histogram_oracle(ray_session, con):
     n_orders = con.execute("SELECT COUNT(*) FROM orders").fetchone()[0]
     n_cust = con.execute("SELECT COUNT(DISTINCT o_custkey) FROM orders").fetchone()[0]
     assert mine["n_gaps"].sum() == n_orders - n_cust
-    _assert_oracle(con, mine, orders_repeat_interval_histogram_sql())
+    compare_twin(mine, con, orders_repeat_interval_histogram_sql())
 
 
 def test_daily_count_autocorr_stats_oracle(ray_session, con):
@@ -61,7 +45,7 @@ def test_daily_count_autocorr_stats_oracle(ray_session, con):
     assert list(mine["lag"]) == [1, 2, 3, 4, 5, 6, 7]
     # events cover one month: lag-k pair count = observed days - k
     assert (mine["n_pairs"].diff().dropna() == -1).all()
-    _assert_oracle(con, mine, daily_count_autocorr_stats_sql())
+    compare_twin(mine, con, daily_count_autocorr_stats_sql())
 
 
 def test_salted_repartition_join_oracle(ray_session, con):
@@ -74,7 +58,7 @@ def test_salted_repartition_join_oracle(ray_session, con):
     # sf0.001 has only 15 event users -> 4 of 5 segments reached
     assert 4 <= len(mine) <= 5
     assert mine["n_events"].sum() > 0
-    _assert_oracle(con, mine, salted_repartition_join_sql())
+    compare_twin(mine, con, salted_repartition_join_sql())
 
 
 def test_salted_join_matches_unsalted_broadcast(ray_session):
@@ -106,7 +90,7 @@ def test_erasure_sweep_oracle(ray_session, con):
     total_events = con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     kept = mine["n_rows"].sum()
     assert 0 < kept < total_events  # something deleted, something kept
-    _assert_oracle(con, mine, erasure_sweep_sql())
+    compare_twin(mine, con, erasure_sweep_sql())
 
 
 def test_erasure_sweep_removes_every_subject_row(ray_session, con):

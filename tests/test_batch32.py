@@ -1,27 +1,11 @@
 """Batch-32 ops: CDC apply, MAD outliers, inactivity churn, CUSUM
 curve, token-lang chi-square."""
 
-import duckdb
 import numpy as np
-import pandas as pd
 import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["customer", "orders", "lineitem", "events", "documents"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_cdc_apply_oracle(ray_session, con):
@@ -31,7 +15,7 @@ def test_cdc_apply_oracle(ray_session, con):
     # survivors + deleted == distinct keys in the changelog
     n_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
     assert mine["n_users"].sum() <= n_users
-    _assert_oracle(con, mine, cdc_apply_sql())
+    compare_twin(mine, con, cdc_apply_sql())
 
 
 def test_cdc_apply_last_op_wins(ray_session, con):
@@ -64,7 +48,7 @@ def test_orders_mad_outliers_oracle(ray_session, con):
     n_orders = con.execute("SELECT COUNT(*) FROM orders").fetchone()[0]
     assert mine["n_orders"].sum() == n_orders
     assert (mine["n_outliers"] <= mine["n_orders"]).all()
-    _assert_oracle(con, mine, orders_mad_outliers_sql())
+    compare_twin(mine, con, orders_mad_outliers_sql())
 
 
 def test_exact_quantile_disc_matches_duckdb(ray_session, con):
@@ -99,7 +83,7 @@ def test_user_inactivity_churn_oracle(ray_session, con):
     n_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
     assert mine["n_users"].sum() == n_users
     assert (mine["recency_band"] >= 0).all()
-    _assert_oracle(con, mine, user_inactivity_churn_sql())
+    compare_twin(mine, con, user_inactivity_churn_sql())
 
 
 def test_daily_revenue_cusum_oracle(ray_session, con):
@@ -112,7 +96,7 @@ def test_daily_revenue_cusum_oracle(ray_session, con):
     # CUSUM is anchored: S_D = D*total - D*total = 0
     assert int(mine["s_scaled"].iloc[-1]) == 0
     assert mine["day"].is_monotonic_increasing
-    _assert_oracle(con, mine, daily_revenue_cusum_sql())
+    compare_twin(mine, con, daily_revenue_cusum_sql())
 
 
 def test_token_lang_chi2_oracle(ray_session, con):
@@ -125,7 +109,7 @@ def test_token_lang_chi2_oracle(ray_session, con):
         con.execute("SELECT lang, COUNT(*) FROM documents GROUP BY 1").fetchall()
     )
     assert (mine["n_docs"] <= mine["lang"].map(r)).all()
-    _assert_oracle(con, mine, token_lang_chi2_sql())
+    compare_twin(mine, con, token_lang_chi2_sql())
 
 
 def test_token_lang_chi2_independence_identity(ray_session):

@@ -1,26 +1,10 @@
 """Batch-33 ops: gap-fill, activity bitmaps, l-diversity, corr stats."""
 
-import duckdb
 import numpy as np
-import pandas as pd
 import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["customer", "orders", "lineitem", "events"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_daily_gap_fill_oracle(ray_session, con):
@@ -38,7 +22,7 @@ def test_daily_gap_fill_oracle(ray_session, con):
     g = mine[mine["o_orderpriority"] == mine["o_orderpriority"].iloc[0]]
     filled = g.loc[~g["is_observed"], "cents_filled"]
     assert (filled.iloc[0] == 0) or True  # leading gap fills 0
-    _assert_oracle(con, mine, daily_gap_fill_sql())
+    compare_twin(mine, con, daily_gap_fill_sql())
 
 
 def test_daily_gap_fill_ffill_semantics(ray_session):
@@ -63,7 +47,7 @@ def test_user_active_day_bitmap_oracle(ray_session, con):
     n_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
     assert mine["n_users"].sum() == n_users
     assert (mine["n_active_days"] >= 1).all()
-    _assert_oracle(con, mine, user_active_day_bitmap_sql())
+    compare_twin(mine, con, user_active_day_bitmap_sql())
 
 
 def test_bitmap_popcount_matches_distinct_days(ray_session, con):
@@ -84,7 +68,7 @@ def test_l_diversity_check_oracle(ray_session, con):
     mine = l_diversity_check(SF)
     assert (mine["min_l"] >= 1).all()
     assert (mine["n_low_diversity"] <= mine["n_groups"]).all()
-    _assert_oracle(con, mine, l_diversity_check_sql())
+    compare_twin(mine, con, l_diversity_check_sql())
 
 
 def test_lineitem_corr_stats_oracle(ray_session, con):
@@ -96,7 +80,7 @@ def test_lineitem_corr_stats_oracle(ray_session, con):
     mine = lineitem_corr_stats(SF)
     assert len(mine) == 6  # C(4,2) pairs
     assert mine["n"].nunique() == 1  # every pair sees every row
-    _assert_oracle(con, mine, lineitem_corr_stats_sql())
+    compare_twin(mine, con, lineitem_corr_stats_sql())
 
 
 def test_corr_stats_reconstruct_pearson(ray_session, con):

@@ -1,27 +1,10 @@
 """Batch-34 ops: hard-negative mining, largest-remainder allocation,
 hash-partition skew, Arrow IPC round trip, audio energy segmentation."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["customer", "orders", "events", "documents", "embeddings"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_hard_negative_mining_oracle(ray_session, con):
@@ -35,7 +18,7 @@ def test_hard_negative_mining_oracle(ray_session, con):
     assert len(mine) == n  # one negative per anchor
     assert (mine["label"] != mine["neg_label"]).all()
     assert (mine["vec_id"] != mine["neg_id"]).all()
-    _assert_oracle(con, mine, hard_negative_mining_sql())
+    compare_twin(mine, con, hard_negative_mining_sql())
 
 
 def test_hard_negative_is_argmax(ray_session, con):
@@ -68,7 +51,7 @@ def test_largest_remainder_allocation_oracle(ray_session, con):
     # every share within 1 bp of the unrounded proportion
     frac = mine["cents"] / mine["cents"].sum() * 10000
     assert (np.abs(mine["bps"] - frac) < 1.0 + 1e-9).all()
-    _assert_oracle(con, mine, largest_remainder_allocation_sql())
+    compare_twin(mine, con, largest_remainder_allocation_sql())
 
 
 def test_hash_partition_skew_oracle(ray_session, con):
@@ -80,7 +63,7 @@ def test_hash_partition_skew_oracle(ray_session, con):
     mine = hash_partition_skew(SF)
     n = con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     assert mine["n_rows"].sum() == n
-    _assert_oracle(con, mine, hash_partition_skew_sql())
+    compare_twin(mine, con, hash_partition_skew_sql())
 
 
 def test_documents_arrow_ipc_roundtrip_oracle(ray_session, con):
@@ -90,7 +73,7 @@ def test_documents_arrow_ipc_roundtrip_oracle(ray_session, con):
     )
 
     mine = documents_arrow_ipc_roundtrip(SF)
-    _assert_oracle(con, mine, documents_arrow_ipc_roundtrip_sql())
+    compare_twin(mine, con, documents_arrow_ipc_roundtrip_sql())
 
 
 def test_audio_energy_segments_recovers_bursts(ray_session):

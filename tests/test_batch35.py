@@ -1,26 +1,9 @@
 """Batch-35 ops: Markov backtest, per-user p95 histogram, Bloom audit."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["events", "documents"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_markov_backtest_oracle(ray_session, con):
@@ -30,7 +13,7 @@ def test_markov_backtest_oracle(ray_session, con):
     assert len(mine) >= 3  # several previous-event types evaluated
     assert (mine["n_correct"] <= mine["n_eval"]).all()
     assert mine["n_eval"].sum() > 0
-    _assert_oracle(con, mine, markov_backtest_sql())
+    compare_twin(mine, con, markov_backtest_sql())
 
 
 def test_markov_backtest_beats_nothing(ray_session):
@@ -51,7 +34,7 @@ def test_user_p95_distribution_oracle(ray_session, con):
     mine = user_p95_distribution(SF)
     n_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
     assert mine["n_users"].sum() == n_users
-    _assert_oracle(con, mine, user_p95_distribution_sql())
+    compare_twin(mine, con, user_p95_distribution_sql())
 
 
 def test_bloom_dedup_audit_invariants(ray_session, con):

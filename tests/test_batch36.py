@@ -2,25 +2,9 @@
 
 import os
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_hot_key_detector_oracle(ray_session, con):
@@ -30,7 +14,7 @@ def test_hot_key_detector_oracle(ray_session, con):
     assert len(mine) >= 1  # the fixture has at least one flagged key
     assert (mine["est_count"] == mine["n_sampled"] * 10).all()
     assert (mine["exact_count"] > 0).all()
-    _assert_oracle(con, mine, hot_key_detector_sql())
+    compare_twin(mine, con, hot_key_detector_sql())
 
 
 def test_hot_key_detector_empty_threshold(ray_session):
@@ -51,7 +35,7 @@ def test_range_partitioned_write_oracle(ray_session, con):
     mine = range_partitioned_write(SF)
     n = con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     assert mine["n_rows"].sum() == n  # nothing lost in the sink
-    _assert_oracle(con, mine, range_partitioned_write_sql())
+    compare_twin(mine, con, range_partitioned_write_sql())
 
 
 def test_range_partitions_are_disjoint_ordered(ray_session):

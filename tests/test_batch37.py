@@ -1,25 +1,9 @@
 """Batch-37 ops: co-partitioned range merge join, context growth curve."""
 
-import duckdb
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["customer", "events"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_range_merge_join_oracle(ray_session, con):
@@ -27,7 +11,7 @@ def test_range_merge_join_oracle(ray_session, con):
 
     mine = range_merge_join(SF)
     assert mine["n_events"].sum() > 0
-    _assert_oracle(con, mine, range_merge_join_sql())
+    compare_twin(mine, con, range_merge_join_sql())
 
 
 def test_range_merge_join_matches_broadcast(ray_session):
@@ -70,4 +54,4 @@ def test_context_size_at_turn_oracle(ray_session, con):
     first = mine.iloc[0]["sum_cum_chars"] / mine.iloc[0]["n_convs"]
     last = mine.iloc[-1]["sum_cum_chars"] / mine.iloc[-1]["n_convs"]
     assert last > first
-    _assert_oracle(con, mine, context_size_at_turn_sql(f"{corpus}/shards/*.parquet"))
+    compare_twin(mine, con, context_size_at_turn_sql(f"{corpus}/shards/*.parquet"))

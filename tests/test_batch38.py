@@ -1,29 +1,11 @@
 """Batch-38 ops: RFM cube, dyadic-exact EWMA, adapted TPC-H Q16/Q2,
 deterministic k-fold audit."""
 
-import duckdb
 import numpy as np
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-TABLES = ["customer", "orders", "lineitem", "part", "supplier", "nation", "region", "events", "documents"]
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in TABLES:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_rfm_segments_oracle(ray_session, con):
@@ -42,7 +24,7 @@ def test_rfm_segments_oracle(ray_session, con):
            JOIN customer ON c_custkey = o_custkey GROUP BY 1 ORDER BY 1"""
     ).fetchall()
     assert dict(per_seg) == {k: v for k, v in exp}
-    _assert_oracle(con, mine, rfm_segments_sql())
+    compare_twin(mine, con, rfm_segments_sql())
 
 
 def test_daily_ewma_oracle_and_recurrence(ray_session, con):
@@ -54,7 +36,7 @@ def test_daily_ewma_oracle_and_recurrence(ray_session, con):
     s = mine["ewma"].to_numpy()
     assert s[0] == x[0]
     np.testing.assert_array_equal(s[1:], (x[1:] + s[:-1]) / 2.0)
-    _assert_oracle(con, mine, daily_ewma_sql())
+    compare_twin(mine, con, daily_ewma_sql())
 
 
 def test_supplier_cnt_by_part_attrs_oracle(ray_session, con):
@@ -66,7 +48,7 @@ def test_supplier_cnt_by_part_attrs_oracle(ray_session, con):
     mine = supplier_cnt_by_part_attrs(SF)
     assert (mine["supplier_cnt"] >= 1).all()
     assert not (mine["p_brand"] == "Brand#1").any()
-    _assert_oracle(con, mine, supplier_cnt_by_part_attrs_sql())
+    compare_twin(mine, con, supplier_cnt_by_part_attrs_sql())
 
 
 def test_best_supplier_per_part_oracle(ray_session, con):
@@ -86,7 +68,7 @@ def test_best_supplier_per_part_oracle(ray_session, con):
         ).fetchall()
     }
     assert set(mine["s_suppkey"]) <= eu
-    _assert_oracle(con, mine, best_supplier_per_part_sql())
+    compare_twin(mine, con, best_supplier_per_part_sql())
 
 
 def test_best_supplier_tie_break(ray_session, con):
@@ -125,4 +107,4 @@ def test_kfold_assignment_oracle(ray_session, con):
     # determinism: re-run is identical
     again = kfold_assignment(SF)
     pd.testing.assert_frame_equal(mine, again)
-    _assert_oracle(con, mine, kfold_assignment_sql())
+    compare_twin(mine, con, kfold_assignment_sql())

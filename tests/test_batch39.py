@@ -1,32 +1,10 @@
 """Batch-39 ops: mutual kNN degree histogram, purged/embargoed time
 split, event-behaviour set algebra, ALL-quantifier big spenders."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-TABLES = [
-    "customer", "orders", "lineitem", "part", "supplier",
-    "nation", "region", "events", "documents", "embeddings",
-]
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in TABLES:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_mutual_knn_degree_oracle(ray_session, con):
@@ -37,7 +15,7 @@ def test_mutual_knn_degree_oracle(ray_session, con):
     # histogram covers every vector exactly once, degrees within 0..k
     assert int(mine["n_vectors"].sum()) == n_vec
     assert mine["degree"].between(0, 5).all()
-    _assert_oracle(con, mine, mutual_knn_degree_sql())
+    compare_twin(mine, con, mutual_knn_degree_sql())
 
 
 def test_mutual_knn_mutuality_invariant(ray_session, con):
@@ -64,7 +42,7 @@ def test_time_embargo_split_oracle(ray_session, con):
     # embargo window is [cutoff-2d, cutoff): strictly fewer than train
     row = mine.set_index("split")
     assert row.loc["embargo", "n_events"] < row.loc["train", "n_events"]
-    _assert_oracle(con, mine, time_embargo_split_sql())
+    compare_twin(mine, con, time_embargo_split_sql())
 
 
 def test_event_type_user_sets_oracle(ray_session, con):
@@ -76,7 +54,7 @@ def test_event_type_user_sets_oracle(ray_session, con):
     mine = event_type_user_sets(SF)
     n_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
     assert int(mine["n_users"].sum()) == n_users
-    _assert_oracle(con, mine, event_type_user_sets_sql())
+    compare_twin(mine, con, event_type_user_sets_sql())
 
 
 def test_consistent_big_spenders_oracle(ray_session, con):
@@ -86,7 +64,7 @@ def test_consistent_big_spenders_oracle(ray_session, con):
     )
 
     mine = consistent_big_spenders(SF)
-    _assert_oracle(con, mine, consistent_big_spenders_sql())
+    compare_twin(mine, con, consistent_big_spenders_sql())
 
 
 def test_consistent_big_spenders_all_quantifier(ray_session, con):

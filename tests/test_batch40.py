@@ -1,32 +1,10 @@
 """Batch-40 ops: supplier runner-up gap (top-2 window), same-day
 repeat orders, daily growth accounting, chunk-level dedup histogram."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-TABLES = [
-    "customer", "orders", "lineitem", "part", "supplier",
-    "nation", "region", "events", "documents",
-]
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in TABLES:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_supplier_runnerup_gap_oracle(ray_session, con):
@@ -40,7 +18,7 @@ def test_supplier_runnerup_gap_oracle(ray_session, con):
     assert (mine["best_suppkey"] != mine["runnerup_suppkey"]).all()
     # gaps arrive widest-first
     assert (np.diff(mine["gap_cents"].to_numpy()) <= 0).all()
-    _assert_oracle(con, mine, supplier_runnerup_gap_sql())
+    compare_twin(mine, con, supplier_runnerup_gap_sql())
 
 
 def test_same_day_repeat_orders_oracle(ray_session, con):
@@ -52,7 +30,7 @@ def test_same_day_repeat_orders_oracle(ray_session, con):
     mine = same_day_repeat_orders(SF)
     # every repeat cell carries at least one surplus order
     assert (mine["n_extra_orders"] >= mine["n_repeat_cells"]).all()
-    _assert_oracle(con, mine, same_day_repeat_orders_sql())
+    compare_twin(mine, con, same_day_repeat_orders_sql())
 
 
 def test_user_lifecycle_daily_oracle(ray_session, con):
@@ -66,7 +44,7 @@ def test_user_lifecycle_daily_oracle(ray_session, con):
     # total 'new' across all days == number of distinct users
     n_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
     assert int(mine.loc[mine["state"] == "new", "n_users"].sum()) == n_users
-    _assert_oracle(con, mine, user_lifecycle_daily_sql())
+    compare_twin(mine, con, user_lifecycle_daily_sql())
 
 
 def test_user_lifecycle_flow_conservation(ray_session, con):
@@ -104,4 +82,4 @@ def test_chunk_dedup_stats_oracle(ray_session, con):
     chunks = doc_chunks(SF)
     assert int(mine["n_chunk_hashes"].sum()) == chunks["chunk_md5"].nunique()
     assert int((mine["dup_count"] * mine["n_chunk_hashes"]).sum()) == len(chunks)
-    _assert_oracle(con, mine, chunk_dedup_stats_sql())
+    compare_twin(mine, con, chunk_dedup_stats_sql())

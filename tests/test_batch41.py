@@ -2,25 +2,9 @@
 role run-length histogram (gaps-and-islands on transcripts)."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["events", "customer", "orders"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_users_all_event_types_oracle(ray_session, con):
@@ -34,7 +18,7 @@ def test_users_all_event_types_oracle(ray_session, con):
     n = int(mine["n_users"].iloc[0])
     assert n > 0  # fixture has fully-activated users (non-vacuous)
     assert mine["min_user"].iloc[0] <= mine["max_user"].iloc[0]
-    _assert_oracle(con, mine, users_all_event_types_sql())
+    compare_twin(mine, con, users_all_event_types_sql())
 
 
 def test_events_above_own_p95_oracle(ray_session, con):
@@ -50,7 +34,7 @@ def test_events_above_own_p95_oracle(ray_session, con):
     assert int(mine["n_above"].sum()) > 0
     total = int(mine["n_events"].sum())
     assert int(mine["n_above"].sum()) <= total * 0.05
-    _assert_oracle(con, mine, events_above_own_p95_sql())
+    compare_twin(mine, con, events_above_own_p95_sql())
 
 
 def test_role_run_lengths_oracle(ray_session):
@@ -63,10 +47,7 @@ def test_role_run_lengths_oracle(ray_session):
     d = ensure_corpus("t1")
     mine = role_run_lengths(d)
     con = duckdb.connect()
-    odf = con.execute(role_run_lengths_sql(f"{d}/shards/*.parquet")).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, role_run_lengths_sql(f"{d}/shards/*.parquet"))
     # run-length mass == total turns
     n_turns = con.execute(
         f"SELECT COUNT(*) FROM read_parquet('{d}/shards/*.parquet')"

@@ -1,26 +1,9 @@
 """Batch-42 ops: distributed BFS levels (recursive-CTE oracle),
 token-budget curriculum selection (two-phase scan on the score key)."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["lineitem", "orders", "documents"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_part_bfs_levels_oracle(ray_session, con):
@@ -33,7 +16,7 @@ def test_part_bfs_levels_oracle(ray_session, con):
     # levels are contiguous from 0 and non-vacuous past the seed
     assert list(mine["lvl"]) == list(range(len(mine)))
     assert len(mine) >= 2
-    _assert_oracle(con, mine, part_bfs_levels_sql())
+    compare_twin(mine, con, part_bfs_levels_sql())
 
 
 def test_part_bfs_monotone_frontier(ray_session, con):
@@ -60,4 +43,4 @@ def test_quality_budget_selection_oracle(ray_session, con):
     ).fetchone()[0]
     # the selected prefix respects the half-corpus budget and is non-empty
     assert 0 < int(mine["n_tokens"].sum()) <= total // 2
-    _assert_oracle(con, mine, quality_budget_selection_sql())
+    compare_twin(mine, con, quality_budget_selection_sql())

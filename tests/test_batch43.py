@@ -1,18 +1,9 @@
 """Batch-43: exact distributed NTILE(10) decile transition matrix
 (coarse-histogram order-statistic selection, no global sort)."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW orders AS SELECT * FROM read_parquet('{SF}/orders.parquet')")
-    return c
 
 
 def test_customer_decile_transition_oracle(ray_session, con):
@@ -22,10 +13,7 @@ def test_customer_decile_transition_oracle(ray_session, con):
     )
 
     mine = customer_decile_transition(SF)
-    odf = con.execute(customer_decile_transition_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, customer_decile_transition_sql())
     # matrix mass == customers active in BOTH years
     both = con.execute(
         """SELECT COUNT(*) FROM (

@@ -1,25 +1,8 @@
 """Batch-44 ops: dyadic time-decay scoring, Herfindahl concentration."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["events", "lineitem"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_recency_weighted_user_scores_oracle(ray_session, con):
@@ -39,7 +22,7 @@ def test_recency_weighted_user_scores_oracle(ray_session, con):
         or (d[i] == d[i + 1] and mine["user_id"][i] < mine["user_id"][i + 1])
         for i in range(len(d) - 1)
     )
-    _assert_oracle(con, mine, recency_weighted_user_scores_sql())
+    compare_twin(mine, con, recency_weighted_user_scores_sql())
 
 
 def test_recency_decay_semantics(ray_session, con):
@@ -68,4 +51,4 @@ def test_supplier_part_herfindahl_oracle(ray_session, con):
     # HHI of an n-supplier part lies in [10^6/n, 10^6)
     assert (mine["hhi_ppm"] < 1_000_000).all()
     assert (mine["hhi_ppm"] * mine["n_suppliers"] >= 1_000_000 - mine["n_suppliers"]).all()
-    _assert_oracle(con, mine, supplier_part_herfindahl_sql())
+    compare_twin(mine, con, supplier_part_herfindahl_sql())

@@ -1,24 +1,8 @@
 """Batch-46 ops: exact-integer KS distance and Mann-Whitney AUC."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_events_ks_statistic_oracle(ray_session, con):
@@ -32,7 +16,7 @@ def test_events_ks_statistic_oracle(ray_session, con):
     assert 0 <= d_num <= n1 * n2  # D in [0, 1]
     total = con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     assert n1 + n2 == total
-    _assert_oracle(con, mine, events_ks_statistic_sql())
+    compare_twin(mine, con, events_ks_statistic_sql())
 
 
 def test_ks_vs_scipy_semantics(ray_session, con):
@@ -65,7 +49,7 @@ def test_events_value_auc_oracle(ray_session, con):
     mine = events_value_auc(SF)
     n1, n2, auc2 = (int(mine[c].iloc[0]) for c in ("n_pos", "n_neg", "auc2_num"))
     assert 0 <= auc2 <= 2 * n1 * n2  # AUC in [0, 1]
-    _assert_oracle(con, mine, events_value_auc_sql())
+    compare_twin(mine, con, events_value_auc_sql())
 
 
 def test_auc_brute_force(ray_session, con):

@@ -1,13 +1,11 @@
 """Batch-47: MinHash vs SimHash pair-set agreement audit."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_dedup_method_overlap_oracle(ray_session):
+def test_dedup_method_overlap_oracle(ray_session, con):
     from pdfrust_ray.stages.dedup import (
         dedup_method_overlap,
         dedup_method_overlap_sql,
@@ -26,11 +24,4 @@ def test_dedup_method_overlap_oracle(ray_session):
     assert int(row["n_both"]) + int(row["n_simhash_only"]) == s
     assert int(row["n_both"]) > 0  # planted dups are found by both
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
-    odf = con.execute(dedup_method_overlap_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, dedup_method_overlap_sql())

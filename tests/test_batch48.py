@@ -1,17 +1,8 @@
 """Batch-48: exact audience-overlap Jaccard matrix between event types."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
 
 
 def test_event_type_jaccard_matrix_oracle(ray_session, con):
@@ -25,10 +16,7 @@ def test_event_type_jaccard_matrix_oracle(ray_session, con):
     assert len(mine) == n_types * (n_types - 1) // 2  # full upper triangle
     assert (mine["n_both"] <= mine[["n_a", "n_b"]].min(axis=1)).all()
     assert mine["jaccard_ppm"].between(0, 1_000_000).all()
-    odf = con.execute(event_type_jaccard_matrix_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, event_type_jaccard_matrix_sql())
 
 
 def test_jaccard_matrix_brute_force_one_pair(ray_session, con):

@@ -1,32 +1,24 @@
 """Batch-49: exact all-pairs embedding dot-product histogram."""
 
-import duckdb
 import numpy as np
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_embedding_pair_distance_histogram_oracle(ray_session):
+def test_embedding_pair_distance_histogram_oracle(ray_session, con):
     from pdfrust_ray.stages.similarity import (
         embedding_pair_distance_histogram,
         embedding_pair_distance_histogram_sql,
     )
 
     mine = embedding_pair_distance_histogram(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW embeddings AS SELECT * FROM read_parquet('{SF}/embeddings.parquet')"
-    )
     # histogram mass == C(n, 2): every unordered pair exactly once
     n = con.execute("SELECT COUNT(*) FROM embeddings").fetchone()[0]
     assert int(mine["n_pairs"].sum()) == n * (n - 1) // 2
     assert len(mine) > 1  # non-degenerate spread
-    odf = con.execute(embedding_pair_distance_histogram_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, embedding_pair_distance_histogram_sql())
 
 
 def test_pair_histogram_brute_force(ray_session):

@@ -1,18 +1,9 @@
 """Batch-50: t-closeness audit (exact integer 1-D EMD per QI cell)."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
 
 
 def test_t_closeness_audit_oracle(ray_session, con):
@@ -22,10 +13,7 @@ def test_t_closeness_audit_oracle(ray_session, con):
     assert set(mine["dow"]) <= set(range(7))
     total = con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     assert int(mine["n_cell"].sum()) == total
-    odf = con.execute(t_closeness_audit_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, t_closeness_audit_sql())
 
 
 def test_t_closeness_emd_semantics(ray_session, con):

@@ -1,18 +1,9 @@
 """Batch-51: top-p nucleus audience per event type."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
 
 
 def test_revenue_nucleus_users_oracle(ray_session, con):
@@ -24,10 +15,7 @@ def test_revenue_nucleus_users_oracle(ray_session, con):
     mine = revenue_nucleus_users(SF)
     assert (mine["n_users_nucleus"] <= mine["n_users_total"]).all()
     assert (mine["n_users_nucleus"] >= 1).all()
-    odf = con.execute(revenue_nucleus_users_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, revenue_nucleus_users_sql())
 
 
 def test_nucleus_minimality(ray_session, con):

@@ -1,26 +1,9 @@
 """Batch-52: prefix-cluster survivorship dedup, per-user max drawdown."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["documents", "events"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_prefix_cluster_keep_best_oracle(ray_session, con):
@@ -32,7 +15,7 @@ def test_prefix_cluster_keep_best_oracle(ray_session, con):
     mine = prefix_cluster_keep_best(SF)
     assert (mine["dup_count"] >= 2).all()
     assert len(mine) > 0  # prefix clusters exist on the 31-token fixture
-    _assert_oracle(con, mine, prefix_cluster_keep_best_sql())
+    compare_twin(mine, con, prefix_cluster_keep_best_sql())
 
 
 def test_keep_best_policy(ray_session, con):
@@ -69,7 +52,7 @@ def test_user_max_drawdown_oracle(ray_session, con):
     assert (mine["max_drawdown_cents"] >= 0).all()
     d = mine["max_drawdown_cents"].to_numpy()
     assert (np.diff(d) <= 0).all()  # ranked deepest-first
-    _assert_oracle(con, mine, user_max_drawdown_sql())
+    compare_twin(mine, con, user_max_drawdown_sql())
 
 
 def test_drawdown_brute_force_one_user(ray_session, con):

@@ -2,17 +2,9 @@
 
 import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
 
 
 def test_experiment_lift_curve_oracle(ray_session, con):
@@ -23,10 +15,7 @@ def test_experiment_lift_curve_oracle(ray_session, con):
     )
 
     mine = experiment_lift_curve(SF)
-    odf = con.execute(experiment_lift_curve_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, experiment_lift_curve_sql())
     # cumulative columns are monotone per arm
     for v in ("A", "B"):
         sub = mine[mine["variant"] == v]
@@ -47,10 +36,7 @@ def test_conv_abandonment_oracle(ray_session):
     d = ensure_corpus("t1")
     mine = conv_abandonment(d)
     con = duckdb.connect()
-    odf = con.execute(conv_abandonment_sql(f"{d}/shards/*.parquet")).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, conv_abandonment_sql(f"{d}/shards/*.parquet"))
     n_convs = con.execute(
         f"SELECT COUNT(DISTINCT conv_id) FROM read_parquet('{d}/shards/*.parquet')"
     ).fetchone()[0]

@@ -1,26 +1,18 @@
 """Batch-54: cross-table order price reconciliation."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_order_price_reconciliation_oracle(ray_session):
+def test_order_price_reconciliation_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         order_price_reconciliation,
         order_price_reconciliation_sql,
     )
 
     mine = order_price_reconciliation(SF)
-    con = duckdb.connect()
-    for t in ["orders", "lineitem"]:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    odf = con.execute(order_price_reconciliation_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, order_price_reconciliation_sql())
     row = mine.iloc[0]
     # every order with line items is audited
     n = con.execute("SELECT COUNT(DISTINCT l_orderkey) FROM lineitem").fetchone()[0]

@@ -1,28 +1,19 @@
 """Batch-55: length-vs-quality Pearson sufficient statistics."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_doc_len_quality_corr_oracle(ray_session):
+def test_doc_len_quality_corr_oracle(ray_session, con):
     from pdfrust_ray.pipelines.llmdata import (
         doc_len_quality_corr,
         doc_len_quality_corr_sql,
     )
 
     mine = doc_len_quality_corr(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
-    odf = con.execute(doc_len_quality_corr_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, doc_len_quality_corr_sql())
     # Cauchy-Schwarz on the centered sums: cov_num^2 <= varx_num * vary_num
     n, sx, sy, sxx, syy, sxy = (int(mine[c].iloc[0]) for c in mine.columns)
     cov = n * sxy - sx * sy

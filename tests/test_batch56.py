@@ -2,8 +2,7 @@
 
 import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
@@ -16,10 +15,7 @@ def test_assistant_drift_oracle(ray_session):
     mine = assistant_drift(d)
     assert (mine["drift"] == mine["last_len"] - mine["first_len"]).all()
     con = duckdb.connect()
-    odf = con.execute(assistant_drift_sql(f"{d}/shards/*.parquet")).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, assistant_drift_sql(f"{d}/shards/*.parquet"))
     # every conv with an assistant turn appears exactly once
     n = con.execute(
         f"""SELECT COUNT(DISTINCT conv_id) FROM read_parquet('{d}/shards/*.parquet')
@@ -28,21 +24,14 @@ def test_assistant_drift_oracle(ray_session):
     assert len(mine) == n
 
 
-def test_token_nucleus_share_oracle(ray_session):
+def test_token_nucleus_share_oracle(ray_session, con):
     from pdfrust_ray.pipelines.llmdata import (
         token_nucleus_share,
         token_nucleus_share_sql,
     )
 
     mine = token_nucleus_share(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
-    odf = con.execute(token_nucleus_share_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, token_nucleus_share_sql())
     row = mine.iloc[0]
     # nucleus covers >= 90% and is minimal
     assert int(row["nucleus_tokens"]) * 10 >= int(row["n_tokens_total"]) * 9

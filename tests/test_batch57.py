@@ -1,8 +1,7 @@
 """Batch-57: conversation tool diversity, first-touch event types."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
@@ -17,28 +16,20 @@ def test_conv_tool_diversity_oracle(ray_session):
     d = ensure_corpus("t1")
     mine = conv_tool_diversity(d)
     con = duckdb.connect()
-    odf = con.execute(conv_tool_diversity_sql(f"{d}/shards/*.parquet")).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, conv_tool_diversity_sql(f"{d}/shards/*.parquet"))
     n_convs = con.execute(
         f"SELECT COUNT(DISTINCT conv_id) FROM read_parquet('{d}/shards/*.parquet')"
     ).fetchone()[0]
     assert int(mine["n_convs"].sum()) == n_convs
 
 
-def test_first_event_type_counts_oracle(ray_session):
+def test_first_event_type_counts_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         first_event_type_counts,
         first_event_type_counts_sql,
     )
 
     mine = first_event_type_counts(SF)
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    odf = con.execute(first_event_type_counts_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, first_event_type_counts_sql())
     n_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
     assert int(mine["n_users"].sum()) == n_users

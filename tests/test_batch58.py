@@ -1,18 +1,8 @@
 """Batch-58: block jackknife inputs, dedup weight correction."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["events", "documents"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
 
 
 def test_block_jackknife_stats_oracle(ray_session, con):
@@ -27,10 +17,7 @@ def test_block_jackknife_stats_oracle(ray_session, con):
     tot_s = int(mine["sum_cents"].sum())
     assert ((mine["n"] + mine["loo_n"]) == tot_n).all()
     assert ((mine["sum_cents"] + mine["loo_sum_cents"]) == tot_s).all()
-    odf = con.execute(block_jackknife_stats_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, block_jackknife_stats_sql())
 
 
 def test_dedup_weight_correction_oracle(ray_session, con):
@@ -49,7 +36,4 @@ def test_dedup_weight_correction_oracle(ray_session, con):
     full = dict(full)
     for _, row in mine.iterrows():
         assert int(row["tokens_weighted"]) == int(full[row["lang"]])
-    odf = con.execute(dedup_weight_correction_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, dedup_weight_correction_sql())

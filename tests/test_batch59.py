@@ -1,41 +1,30 @@
 """Batch-59: per-supplier p90 ship-delay tail over the fact join."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_slowest_suppliers_p90_oracle(ray_session):
+def test_slowest_suppliers_p90_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         slowest_suppliers_p90,
         slowest_suppliers_p90_sql,
     )
 
     mine = slowest_suppliers_p90(SF)
-    con = duckdb.connect()
-    for t in ["lineitem", "orders"]:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    odf = con.execute(slowest_suppliers_p90_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, slowest_suppliers_p90_sql())
     # ranked slowest-first; delays are plausible TPC-H ship windows
     d = mine["p90_delay_days"].to_numpy()
     assert (np.diff(d) <= 0).all()
     assert (mine["p90_delay_days"] >= 0).all()
 
 
-def test_p90_brute_force_one_supplier(ray_session):
+def test_p90_brute_force_one_supplier(ray_session, con):
     from pdfrust_ray.pipelines.relational import slowest_suppliers_p90
 
     mine = slowest_suppliers_p90(SF, k=3)
     sk = int(mine["s_suppkey"].iloc[0])
-    con = duckdb.connect()
-    for t in ["lineitem", "orders"]:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
     delays = con.execute(
         f"""SELECT date_diff('day', CAST(o_orderdate AS DATE),
                              CAST(l_shipdate AS DATE)) d

@@ -1,29 +1,12 @@
 """Batch-6 ops: snapshot diff, global rank transform, perceptual-hash
 image near-dup."""
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
-        )
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_snapshot_diff_matches_oracle(ray_session, con):
@@ -31,7 +14,7 @@ def test_snapshot_diff_matches_oracle(ray_session, con):
 
     mine = snapshot_diff(SF)
     assert set(mine["status"]) == {"added", "removed", "changed"}
-    _assert_oracle(con, mine, snapshot_diff_sql())
+    compare_twin(mine, con, snapshot_diff_sql())
 
 
 def test_snapshot_diff_classes_by_construction(ray_session):
@@ -55,7 +38,7 @@ def test_rank_normalize_matches_oracle(ray_session, con):
     )
 
     mine = events_value_rank_normalize(SF)
-    _assert_oracle(con, mine, events_value_rank_normalize_sql())
+    compare_twin(mine, con, events_value_rank_normalize_sql())
 
 
 def test_rank_normalize_properties(ray_session):

@@ -3,7 +3,6 @@
 import duckdb
 import numpy as np
 import pandas as pd
-import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -65,18 +64,13 @@ def test_part_kcore_contract_ks_vs_serial_peel(ray_session):
         assert int(row["node_checksum"]) == checksum
 
 
-def test_kcore_sql_twin_matches_engine_rounds(ray_session):
+def test_kcore_sql_twin_matches_engine_rounds(ray_session, con):
     """The recursive-CTE twin must agree with the engine on ALL
     columns including peel_rounds (the fixpoint-detection subtlety)."""
     from pdfrust_ray.pipelines.graph import part_kcore_sizes, part_kcore_sizes_sql
 
     ks = (4, 64, 96)
     mine = part_kcore_sizes(SF, ks=ks).reset_index(drop=True)
-    con = duckdb.connect()
-    for t in ("lineitem",):
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
-        )
     ora = con.execute(part_kcore_sizes_sql(ks=ks)).fetchdf()
     pd.testing.assert_frame_equal(mine, ora, check_dtype=False)
 

@@ -1,25 +1,18 @@
 """Batch-62: daily-count overdispersion (Fano) sufficient stats."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_events_burstiness_fano_oracle(ray_session):
+def test_events_burstiness_fano_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         events_burstiness_fano,
         events_burstiness_fano_sql,
     )
 
     mine = events_burstiness_fano(SF)
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    odf = con.execute(events_burstiness_fano_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, events_burstiness_fano_sql())
     # total mass == event count; Cauchy-Schwarz: n * S2 >= S^2
     total = con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     assert int(mine["sum_n"].sum()) == total

@@ -1,18 +1,8 @@
 """Batch-63: bipartite assortativity stats, cluster language purity."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["lineitem", "documents"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
 
 
 def test_bipartite_assortativity_oracle(ray_session, con):
@@ -22,10 +12,7 @@ def test_bipartite_assortativity_oracle(ray_session, con):
     )
 
     mine = bipartite_assortativity_stats(SF)
-    odf = con.execute(bipartite_assortativity_stats_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, bipartite_assortativity_stats_sql())
     n, sx, sy, sxx, syy, sxy = (int(mine[c].iloc[0]) for c in mine.columns)
     # n == number of distinct edges; degree sums bounded by n * max-degree
     n_edges = con.execute(
@@ -46,7 +33,4 @@ def test_cluster_lang_purity_oracle(ray_session, con):
     clusters = dedup_clusters(SF)
     # histogram mass == number of clusters
     assert int(mine["n_clusters"].sum()) == clusters["cluster_id"].nunique()
-    odf = con.execute(cluster_lang_purity_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, cluster_lang_purity_sql())

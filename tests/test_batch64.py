@@ -1,25 +1,8 @@
 """Batch-64: Spearman stats, 0-1 stump, runs test, Theil-Sen slopes."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_spearman_oracle_and_bounds(ray_session, con):
@@ -29,7 +12,7 @@ def test_spearman_oracle_and_bounds(ray_session, con):
     )
 
     mine = events_spearman_stats(SF)
-    _cmp(mine, con, events_spearman_stats_sql())
+    compare_twin(mine, con, events_spearman_stats_sql())
     n, sx, sy, sxx, syy, sxy = (int(mine[c].iloc[0]) for c in mine.columns)
     # doubled ranks sum to n(n+1) exactly, per axis, ties or not
     assert sx == n * (n + 1) and sy == n * (n + 1)
@@ -47,7 +30,7 @@ def test_stump_oracle_and_bound(ray_session, con):
     )
 
     mine = stump_threshold_split(SF)
-    _cmp(mine, con, stump_threshold_split_sql())
+    compare_twin(mine, con, stump_threshold_split_sql())
     errors, n, npur = (int(mine[c].iloc[0]) for c in ("errors", "n", "n_purchase"))
     # never worse than the majority-class constant rule
     assert errors <= min(npur, n - npur)
@@ -57,7 +40,7 @@ def test_runs_test_oracle_and_bounds(ray_session, con):
     from pdfrust_ray.pipelines.relational import events_runs_test, events_runs_test_sql
 
     mine = events_runs_test(SF)
-    _cmp(mine, con, events_runs_test_sql())
+    compare_twin(mine, con, events_runs_test_sql())
     n, n_above, n_rest, n_runs, med = (int(mine[c].iloc[0]) for c in mine.columns)
     assert n_above + n_rest == n
     # strictly-above count can never exceed half (lower median rule)
@@ -72,7 +55,7 @@ def test_theil_sen_oracle_and_brute(ray_session, con):
     )
 
     mine = user_theil_sen_slope(SF)
-    _cmp(mine, con, user_theil_sen_slope_sql())
+    compare_twin(mine, con, user_theil_sen_slope_sql())
     assert (mine["slope_den"] > 0).all()
     # brute-force one user in pure python (fractions, no float shortcut)
     from fractions import Fraction

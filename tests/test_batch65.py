@@ -1,26 +1,9 @@
 """Batch-65: weighted SSSP, per-user LIS, simhash hamming histogram."""
 
-import duckdb
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["lineitem", "events", "documents"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_weighted_sssp_oracle_and_dijkstra(ray_session, con):
@@ -29,7 +12,7 @@ def test_weighted_sssp_oracle_and_dijkstra(ray_session, con):
     from pdfrust_ray.pipelines.graph import part_weighted_sssp, part_weighted_sssp_sql
 
     mine = part_weighted_sssp(SF)
-    _cmp(mine, con, part_weighted_sssp_sql())
+    compare_twin(mine, con, part_weighted_sssp_sql())
     # seed sits alone at distance 0
     assert int(mine["dist"].iloc[0]) == 0 and int(mine["n_parts"].iloc[0]) == 1
     assert int(mine["dist"].max()) <= 15
@@ -63,7 +46,7 @@ def test_lis_oracle_and_brute(ray_session, con):
     from pdfrust_ray.pipelines.relational import user_lis_lengths, user_lis_lengths_sql
 
     mine = user_lis_lengths(SF)
-    _cmp(mine, con, user_lis_lengths_sql())
+    compare_twin(mine, con, user_lis_lengths_sql())
     assert (mine["lis_len"] >= 1).all() and (mine["lis_len"] <= mine["n_events"]).all()
 
     # quadratic DP for every user (pure python, no patience shortcut)
@@ -90,7 +73,7 @@ def test_hamming_histogram_oracle_and_mass(ray_session, con):
     )
 
     mine = simhash_hamming_histogram(SF)
-    _cmp(mine, con, simhash_hamming_histogram_sql())
+    compare_twin(mine, con, simhash_hamming_histogram_sql())
     n_docs = con.execute("SELECT COUNT(*) FROM documents").fetchone()[0]
     assert int(mine["n_pairs"].sum()) == n_docs * (n_docs - 1) // 2
     # histogram mass at hamming <= 3 equals the exact near-dup pair count
@@ -113,7 +96,7 @@ def test_hamming_histogram_banded_agreement(ray_session, con):
     for n_bands in (4, 8):
         banded = simhash_hamming_histogram_banded(SF, n_bands=n_bands)
         if n_bands == 4:  # the registered operating setting
-            _cmp(banded, con, simhash_hamming_histogram_banded_sql(n_bands))
+            compare_twin(banded, con, simhash_hamming_histogram_banded_sql(n_bands))
         b = banded.set_index("hamming")["n_pairs"]
         # pigeonhole: any pair with hamming < n_bands shares a band
         for h in range(n_bands):
@@ -135,7 +118,7 @@ def test_band_skew_census_oracle_and_mass(ray_session, con):
     )
 
     mine = simhash_band_skew_census(SF)
-    _cmp(mine, con, simhash_band_skew_census_sql())
+    compare_twin(mine, con, simhash_band_skew_census_sql())
     assert sorted(mine["band"].unique()) == [0, 1, 2, 3]
     # singleton buckets contribute no pairs; every bin is consistent
     assert (mine.loc[mine["log2_size"] == 0, "n_pairs"] == 0).all()

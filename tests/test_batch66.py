@@ -2,26 +2,9 @@
 
 from fractions import Fraction
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_bandit_oracle_and_replay(ray_session, con):
@@ -32,7 +15,7 @@ def test_bandit_oracle_and_replay(ray_session, con):
     )
 
     mine = bandit_greedy_replay(SF)
-    _cmp(mine, con, bandit_greedy_replay_sql())
+    compare_twin(mine, con, bandit_greedy_replay_sql())
     # warm-up: first five days pull each arm once, lexicographic order
     assert list(mine["arm"].iloc[:5]) == list(_BANDIT_ARMS)
     assert (mine["cum_reward_cents"] == mine["reward_cents"].cumsum()).all()
@@ -63,7 +46,7 @@ def test_isotonic_oracle_and_pava(ray_session, con):
     from pdfrust_ray.pipelines.relational import isotonic_rate_curve, isotonic_rate_curve_sql
 
     mine = isotonic_rate_curve(SF)
-    _cmp(mine, con, isotonic_rate_curve_sql())
+    compare_twin(mine, con, isotonic_rate_curve_sql())
     fits = [Fraction(int(n), int(d)) for n, d in zip(mine["fit_num"], mine["fit_den"])]
     assert all(b <= a for b, a in zip(fits, fits[1:])) or all(
         a <= b for a, b in zip(fits, fits[1:])

@@ -1,8 +1,5 @@
 """Batch-67: autocorrelation pitch estimation, Boruvka MSF."""
 
-import duckdb
-import pandas as pd
-import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -22,14 +19,10 @@ def test_pitch_exact_planted_recovery(ray_session):
     ).all()
 
 
-def test_boruvka_equals_serial_kruskal(ray_session):
+def test_boruvka_equals_serial_kruskal(ray_session, con):
     from pdfrust_ray.pipelines.graph import part_mst_boruvka
 
     mine = part_mst_boruvka(SF)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW lineitem AS SELECT * FROM read_parquet('{SF}/lineitem.parquet')"
-    )
     pairs = con.execute(
         "SELECT DISTINCT LEAST(a.l_partkey, b.l_partkey), "
         "GREATEST(a.l_partkey, b.l_partkey) FROM lineitem a JOIN lineitem b "

@@ -1,26 +1,9 @@
 """Batch-68: Pettitt change-point, gapped triples, lead-lag xcorr."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_pettitt_oracle_and_brute(ray_session, con):
@@ -30,7 +13,7 @@ def test_pettitt_oracle_and_brute(ray_session, con):
     )
 
     mine = events_pettitt_change(SF)
-    _cmp(mine, con, events_pettitt_change_sql())
+    compare_twin(mine, con, events_pettitt_change_sql())
     # brute force with scipy-free average ranks
     x = np.array(
         [r[0] for r in con.execute(
@@ -62,7 +45,7 @@ def test_gapped_triples_oracle_and_brute(ray_session, con):
     )
 
     mine = gapped_triple_patterns(SF)
-    _cmp(mine, con, gapped_triple_patterns_sql())
+    compare_twin(mine, con, gapped_triple_patterns_sql())
     # brute-force subsequence containment (no greedy shortcut)
     rows = con.execute(
         "SELECT user_id, event_type FROM events ORDER BY user_id, ts"
@@ -94,7 +77,7 @@ def test_xcorr_oracle_and_symmetry(ray_session, con):
     from pdfrust_ray.pipelines.relational import daily_lead_lag_xcorr, daily_lead_lag_xcorr_sql
 
     mine = daily_lead_lag_xcorr(SF)
-    _cmp(mine, con, daily_lead_lag_xcorr_sql())
+    compare_twin(mine, con, daily_lead_lag_xcorr_sql())
     assert list(mine["lag"]) == list(range(-3, 4))
     # lag-0 equals the plain same-day dot product
     dot = con.execute(

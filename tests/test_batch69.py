@@ -1,28 +1,9 @@
 """Batch-69: editdist drift, Mann-Kendall trend, Kendall concordance."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 T2 = "/tmp/pdfrust_ray_fixtures/t2"
-
-
-@pytest.fixture(scope="module")
-def con():
-    import __ray_entry__  # noqa: F401 — materializes the t2 fixture shards
-
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_levenshtein_unit_matches_duckdb_bytes(con):
@@ -43,13 +24,14 @@ def test_levenshtein_unit_matches_duckdb_bytes(con):
 
 
 def test_editdist_drift_oracle(ray_session, con):
+    import __ray_entry__  # noqa: F401 — materializes the t2 fixture shards
     from pdfrust_ray.pipelines.conversation import (
         conv_editdist_drift,
         conv_editdist_drift_sql,
     )
 
     mine = conv_editdist_drift(T2)
-    _cmp(mine, con, conv_editdist_drift_sql(f"{T2}/shards/*.parquet"))
+    compare_twin(mine, con, conv_editdist_drift_sql(f"{T2}/shards/*.parquet"))
     assert (mine["max_editdist"] <= mine["sum_editdist"]).all()
     assert (mine["n_pairs"] >= 1).all()
 
@@ -61,7 +43,7 @@ def test_mann_kendall_oracle_and_bounds(ray_session, con):
     )
 
     mine = mann_kendall_daily_trend(SF)
-    _cmp(mine, con, mann_kendall_daily_trend_sql())
+    compare_twin(mine, con, mann_kendall_daily_trend_sql())
     for _, r in mine.iterrows():
         nd = int(r["n_days"])
         assert abs(int(r["s_stat"])) <= nd * (nd - 1) // 2
@@ -75,7 +57,7 @@ def test_kendall_concordance_oracle_and_consistency(ray_session, con):
     )
 
     mine = user_kendall_concordance(SF)
-    _cmp(mine, con, user_kendall_concordance_sql())
+    compare_twin(mine, con, user_kendall_concordance_sql())
     assert (
         mine["n_concordant"] + mine["n_discordant"] + mine["n_ties"] == mine["n_pairs"]
     ).all()

@@ -1,28 +1,10 @@
 """Batch-7 ops: containment dedup, behavioral trigram mining."""
 
-import duckdb
 import numpy as np
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
-        )
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_containment_matches_oracle(ray_session, con):
@@ -30,7 +12,7 @@ def test_containment_matches_oracle(ray_session, con):
 
     mine = containment_dedup(SF)
     assert len(mine) > 0
-    _assert_oracle(con, mine, containment_dedup_sql())
+    compare_twin(mine, con, containment_dedup_sql())
 
 
 def test_containment_catches_subset_jaccard_misses(ray_session, tmp_path):
@@ -73,7 +55,7 @@ def test_trigrams_match_oracle(ray_session, con):
 
     mine = user_event_trigrams(SF)
     assert len(mine) == 20
-    _assert_oracle(con, mine, user_event_trigrams_sql())
+    compare_twin(mine, con, user_event_trigrams_sql())
 
 
 def test_trigrams_hand_corpus(ray_session, tmp_path):

@@ -3,25 +3,9 @@
 import duckdb
 import numpy as np
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["events", "embeddings"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_interval_scheduling_oracle_and_brute(ray_session, con):
@@ -31,7 +15,7 @@ def test_interval_scheduling_oracle_and_brute(ray_session, con):
     )
 
     mine = user_interval_scheduling(SF)
-    _cmp(mine, con, user_interval_scheduling_sql())
+    compare_twin(mine, con, user_interval_scheduling_sql())
 
     # exponential brute force vs the SQL twin on a SYNTHETIC tiny log
     # (engine == twin is already hash-pinned above, so this closes the
@@ -81,7 +65,7 @@ def test_triplet_violations_oracle_and_brute(ray_session, con):
     )
 
     mine = triplet_margin_violations(SF)
-    _cmp(mine, con, triplet_margin_violations_sql())
+    compare_twin(mine, con, triplet_margin_violations_sql())
     assert (mine["n_violations"] <= mine["n_anchors"]).all()
 
     # numpy brute force over the full quantized pool

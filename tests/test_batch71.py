@@ -1,36 +1,17 @@
 """Batch-71: CDF L1 gap, seasonal-naive backtest, alternation rate."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 T2 = "/tmp/pdfrust_ray_fixtures/t2"
-
-
-@pytest.fixture(scope="module")
-def con():
-    import __ray_entry__  # noqa: F401 — materializes the t2 fixture shards
-
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_cdf_l1_gap_oracle_and_brute(ray_session, con):
     from pdfrust_ray.pipelines.relational import events_cdf_l1_gap, events_cdf_l1_gap_sql
 
     mine = events_cdf_l1_gap(SF)
-    _cmp(mine, con, events_cdf_l1_gap_sql())
+    compare_twin(mine, con, events_cdf_l1_gap_sql())
     # brute force with python bigints (no int64 shortcut)
     rows = con.execute(
         "SELECT CAST(ROUND(value*100) AS BIGINT), "
@@ -56,20 +37,21 @@ def test_seasonal_backtest_oracle(ray_session, con):
     )
 
     mine = seasonal_naive_backtest(SF)
-    _cmp(mine, con, seasonal_naive_backtest_sql())
+    compare_twin(mine, con, seasonal_naive_backtest_sql())
     # evaluation windows are consistent across types (shared spine)
     assert mine["n_eval7"].nunique() == 1 and mine["n_eval1"].nunique() == 1
     assert (mine["n_eval1"] == mine["n_eval7"] + 6).all()
 
 
 def test_alternation_oracle_and_mass(ray_session, con):
+    import __ray_entry__  # noqa: F401 — materializes the t2 fixture shards
     from pdfrust_ray.pipelines.conversation import (
         conv_alternation_rate,
         conv_alternation_rate_sql,
     )
 
     mine = conv_alternation_rate(T2)
-    _cmp(mine, con, conv_alternation_rate_sql(f"{T2}/shards/*.parquet"))
+    compare_twin(mine, con, conv_alternation_rate_sql(f"{T2}/shards/*.parquet"))
     assert (mine["n_role_switches"] <= mine["n_adjacent_pairs"]).all()
     n_turns = con.execute(
         f"SELECT COUNT(*) FROM read_parquet('{T2}/shards/*.parquet')"

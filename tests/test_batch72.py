@@ -1,26 +1,9 @@
 """Batch-72: dictionary matching, de Bruijn balance, secretary replay."""
 
-import duckdb
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["events", "documents"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_dictionary_match_oracle_and_brute(ray_session, con):
@@ -31,7 +14,7 @@ def test_dictionary_match_oracle_and_brute(ray_session, con):
     )
 
     mine = dictionary_match_counts(SF)
-    _cmp(mine, con, dictionary_match_counts_sql())
+    compare_twin(mine, con, dictionary_match_counts_sql())
     texts = [r[0] for r in con.execute("SELECT text FROM documents").fetchall()]
     got = mine.set_index("pattern")
     for pat in _MATCH_LEXICON:
@@ -49,7 +32,7 @@ def test_debruijn_oracle_and_euler_algebra(ray_session, con):
     )
 
     mine = event_debruijn_balance(SF)
-    _cmp(mine, con, event_debruijn_balance_sql())
+    compare_twin(mine, con, event_debruijn_balance_sql())
     # total out-degree mass == total in-degree mass == trigram count
     n_tri = con.execute(
         """
@@ -71,7 +54,7 @@ def test_secretary_oracle_and_rule(ray_session, con):
     )
 
     mine = secretary_rule_replay(SF)
-    _cmp(mine, con, secretary_rule_replay_sql())
+    compare_twin(mine, con, secretary_rule_replay_sql())
     daily = con.execute(
         "SELECT CAST(date_trunc('day', ts) AS TIMESTAMP), "
         "SUM(CAST(ROUND(value*100) AS BIGINT)) FROM events GROUP BY 1 ORDER BY 1"

@@ -1,27 +1,9 @@
 """Batch-73: BWT compressibility, histogram convolution, top-k overlap."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["events", "lineitem", "documents"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_bwt_roundtrip_and_runs(ray_session, con):
@@ -58,7 +40,7 @@ def test_convolution_oracle_and_mass(ray_session, con):
     )
 
     mine = value_sum_convolution(SF)
-    _cmp(mine, con, value_sum_convolution_sql())
+    compare_twin(mine, con, value_sum_convolution_sql())
     nc, np_ = con.execute(
         "SELECT SUM(CASE WHEN event_type='click' THEN 1 ELSE 0 END), "
         "SUM(CASE WHEN event_type='purchase' THEN 1 ELSE 0 END) FROM events"
@@ -70,7 +52,7 @@ def test_topk_overlap_oracle_and_monotone(ray_session, con):
     from pdfrust_ray.pipelines.relational import topk_overlap_profile, topk_overlap_profile_sql
 
     mine = topk_overlap_profile(SF)
-    _cmp(mine, con, topk_overlap_profile_sql())
+    compare_twin(mine, con, topk_overlap_profile_sql())
     ov = mine["overlap"].to_numpy()
     assert (np.diff(ov) >= 0).all()  # top-d sets are nested
     assert (ov <= mine["depth"].to_numpy()).all()

@@ -1,29 +1,17 @@
 """Batch-74: onion layers, Gale-Shapley stable matching."""
 
-import duckdb
 import numpy as np
 import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ["lineitem", "supplier", "part"]:
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
 
 
 def test_onion_oracle_and_serial_peel(ray_session, con):
     from pdfrust_ray.pipelines.relational import part_onion_layers, part_onion_layers_sql
 
     mine = part_onion_layers(SF)
-    odf = con.execute(part_onion_layers_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, part_onion_layers_sql())
     # serial O(n^2) peel
     pts = con.execute(
         "SELECT l_partkey, SUM(CAST(ROUND(l_extendedprice*100) AS BIGINT)), "

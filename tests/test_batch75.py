@@ -1,33 +1,16 @@
 """Batch-75: Kadane max burst, fairness-capped leaderboard."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_max_burst_oracle_and_brute(ray_session, con):
     from pdfrust_ray.pipelines.relational import user_max_burst, user_max_burst_sql
 
     mine = user_max_burst(SF)
-    _cmp(mine, con, user_max_burst_sql())
+    compare_twin(mine, con, user_max_burst_sql())
     # O(n^2) brute force over every user: max non-empty segment sum
     rows = con.execute(
         "SELECT user_id, CASE WHEN event_type='purchase' THEN 1 ELSE -1 END "
@@ -48,7 +31,7 @@ def test_capped_top_oracle_and_quota(ray_session, con):
     from pdfrust_ray.pipelines.relational import capped_top_events, capped_top_events_sql
 
     mine = capped_top_events(SF)
-    _cmp(mine, con, capped_top_events_sql())
+    compare_twin(mine, con, capped_top_events_sql())
     # quota respected; ranking sorted; no event appears twice
     assert mine.groupby("user_id").size().max() <= 3
     assert (mine["cents"].diff().dropna() <= 0).all()

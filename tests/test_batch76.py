@@ -2,33 +2,16 @@
 
 import hashlib
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_ring_oracle_and_consistency_guarantee(ray_session, con):
     from pdfrust_ray.pipelines.datasetops import consistent_hash_ring, consistent_hash_ring_sql
 
     mine = consistent_hash_ring(SF)
-    _cmp(mine, con, consistent_hash_ring_sql())
+    compare_twin(mine, con, consistent_hash_ring_sql())
     n_users = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
     assert int(mine["n_users_before"].sum()) == n_users
     assert int(mine["n_users_after"].sum()) == n_users
@@ -46,7 +29,7 @@ def test_varint_oracle_and_real_encoding(ray_session, con):
     )
 
     mine = varint_delta_size_audit(SF)
-    _cmp(mine, con, varint_delta_size_audit_sql())
+    compare_twin(mine, con, varint_delta_size_audit_sql())
 
     def varint_len(x: int) -> int:
         n = 1
@@ -72,7 +55,7 @@ def test_merkle_oracle_and_sensitivity(ray_session, con):
     from pdfrust_ray.pipelines.relational import daily_merkle_root, daily_merkle_root_sql
 
     mine = daily_merkle_root(SF)
-    _cmp(mine, con, daily_merkle_root_sql())
+    compare_twin(mine, con, daily_merkle_root_sql())
     # recompute serially and flip one leaf — the root must change
     daily = con.execute(
         "SELECT epoch_us(ts)//86400000000, SUM(CAST(ROUND(value*100) AS BIGINT)) "

@@ -1,33 +1,16 @@
 """Batch-77: Haar coefficients, exclusion funnel, interval stabbing."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_haar_oracle_and_reconstruction(ray_session, con):
     from pdfrust_ray.pipelines.relational import daily_haar_coeffs, daily_haar_coeffs_sql
 
     mine = daily_haar_coeffs(SF)
-    _cmp(mine, con, daily_haar_coeffs_sql())
+    compare_twin(mine, con, daily_haar_coeffs_sql())
     assert len(mine) == 32  # 16+8+4+2+1 details + 1 approx
     # invert the transform and recover the original zero-padded series
     daily = con.execute(
@@ -56,7 +39,7 @@ def test_clean_funnel_oracle_and_brute(ray_session, con):
     )
 
     mine = signup_to_purchase_clean(SF)
-    _cmp(mine, con, signup_to_purchase_clean_sql())
+    compare_twin(mine, con, signup_to_purchase_clean_sql())
     rows = con.execute(
         "SELECT user_id, epoch_us(ts), event_type FROM events ORDER BY user_id, ts"
     ).fetchall()
@@ -89,7 +72,7 @@ def test_stabbing_oracle_and_optimality(ray_session, con):
     from pdfrust_ray.pipelines.relational import min_audit_points, min_audit_points_sql
 
     mine = min_audit_points(SF)
-    _cmp(mine, con, min_audit_points_sql())
+    compare_twin(mine, con, min_audit_points_sql())
     starts = sorted(
         r[0]
         for r in con.execute(

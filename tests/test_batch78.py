@@ -1,34 +1,16 @@
 """Batch-78: queue replay, Cohen's kappa stats, Shannon-Fano-Elias lengths."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_queue_sim_oracle_and_explicit_replay(ray_session, con):
     from pdfrust_ray.pipelines.relational import queue_sim_wait_times, queue_sim_wait_times_sql
 
     mine = queue_sim_wait_times(SF)
-    _cmp(mine, con, queue_sim_wait_times_sql())
+    compare_twin(mine, con, queue_sim_wait_times_sql())
     # explicit D_i = max(A_i, D_{i-1}) + S recurrence must agree with
     # the closed-form cummax the engine uses
     a = np.sort(
@@ -56,7 +38,7 @@ def test_kappa_oracle_and_brute(ray_session, con):
     )
 
     mine = label_agreement_kappa(SF)
-    _cmp(mine, con, label_agreement_kappa_sql())
+    compare_twin(mine, con, label_agreement_kappa_sql())
     df = con.execute("SELECT n_chars, lang FROM documents").fetchdf()
     n = len(df)
     med = int(np.sort(df["n_chars"].to_numpy())[(n + 1) // 2 - 1])
@@ -80,7 +62,7 @@ def test_sfe_oracle_kraft_and_formula(ray_session, con):
     from pdfrust_ray.pipelines.relational import sfe_code_lengths, sfe_code_lengths_sql
 
     mine = sfe_code_lengths(SF)
-    _cmp(mine, con, sfe_code_lengths_sql())
+    compare_twin(mine, con, sfe_code_lengths_sql())
     n = int(mine["cnt"].sum())
     lmax = int(mine["code_len"].max())
     # len = ceil(log2(n/c)) + 1, checked by integer bounds

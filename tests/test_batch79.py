@@ -1,26 +1,9 @@
 """Batch-79: Mann-Whitney U, D'Hondt apportionment, parametric service search."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_mannwhitney_oracle_and_pairwise_brute(ray_session, con):
@@ -30,7 +13,7 @@ def test_mannwhitney_oracle_and_pairwise_brute(ray_session, con):
     )
 
     mine = events_mannwhitney_u(SF)
-    _cmp(mine, con, events_mannwhitney_u_sql())
+    compare_twin(mine, con, events_mannwhitney_u_sql())
     df = con.execute(
         "SELECT CAST(ROUND(value*100) AS BIGINT) AS v,"
         " (epoch_us(ts)//86400000000 + 3) % 7 >= 5 AS w FROM events"
@@ -56,7 +39,7 @@ def test_dhondt_oracle_and_sequential_brute(ray_session, con):
     from pdfrust_ray.pipelines.relational import dhondt_allocation, dhondt_allocation_sql
 
     mine = dhondt_allocation(SF)
-    _cmp(mine, con, dhondt_allocation_sql())
+    compare_twin(mine, con, dhondt_allocation_sql())
     assert int(mine["seats"].sum()) == 100
     # independent algorithm: sequential highest-quotient awarding
     counts = dict(zip(mine["event_type"], mine["cnt"].astype(int)))
@@ -82,7 +65,7 @@ def test_min_service_rate_oracle_pairs_and_tightness(ray_session, con):
     from pdfrust_ray.pipelines.relational import min_service_rate, min_service_rate_sql
 
     mine = min_service_rate(SF)
-    _cmp(mine, con, min_service_rate_sql())
+    compare_twin(mine, con, min_service_rate_sql())
     a = np.sort(
         con.execute(
             "SELECT epoch_us(ts)//1000000 AS s FROM events WHERE event_type='purchase'"

@@ -1,30 +1,12 @@
 """Batch-8 ops: gaps-and-islands coverage, FK profiling, frequent
 itemsets."""
 
-import duckdb
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "orders", "lineitem"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
-        )
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_active_time_matches_oracle(ray_session, con):
@@ -33,7 +15,7 @@ def test_active_time_matches_oracle(ray_session, con):
     mine = user_active_time(SF)
     assert len(mine) > 0
     assert (mine["n_islands"] >= 1).all()
-    _assert_oracle(con, mine, user_active_time_sql())
+    compare_twin(mine, con, user_active_time_sql())
 
 
 def test_active_time_hand_corpus(ray_session, tmp_path):
@@ -67,7 +49,7 @@ def test_fk_profile_matches_oracle(ray_session, con):
 
     mine = orders_fk_profile(SF)
     assert int(mine["n_matched_keys"].iloc[0]) > 0
-    _assert_oracle(con, mine, orders_fk_profile_sql())
+    compare_twin(mine, con, orders_fk_profile_sql())
 
 
 def test_fk_profile_planted_orphans(ray_session, tmp_path):
@@ -95,7 +77,7 @@ def test_itemsets_match_oracle(ray_session, con):
 
     mine = user_type_itemsets(SF)
     assert len(mine) > 0
-    _assert_oracle(con, mine, user_type_itemsets_sql())
+    compare_twin(mine, con, user_type_itemsets_sql())
 
 
 def test_itemsets_hand_corpus(ray_session, tmp_path):
@@ -169,19 +151,15 @@ def test_mmr_is_more_diverse_than_plain_topk(ray_session):
     assert avg_pairwise(mmr) < avg_pairwise(topk)
 
 
-def test_golden_records_match_oracle(ray_session):
-    import duckdb
-
+def test_golden_records_match_oracle(ray_session, con):
     from pdfrust_ray.pipelines.quality import (
         part_golden_records,
         part_golden_records_sql,
     )
 
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW part AS SELECT * FROM read_parquet('{SF}/part.parquet')")
     mine = part_golden_records(SF)
     assert (mine["n_members"] > 1).any()  # non-vacuous clustering
-    _assert_oracle(c, mine, part_golden_records_sql())
+    compare_twin(mine, con, part_golden_records_sql())
 
 
 def test_golden_records_survivorship_rule(ray_session, tmp_path):
@@ -205,7 +183,7 @@ def test_streaming_sessionize_matches_oracle(ray_session, con):
     from pdfrust_ray.stages.streaming import streaming_sessionize
 
     mine = streaming_sessionize(SF)
-    _assert_oracle(con, mine, sessionize_sql())
+    compare_twin(mine, con, sessionize_sql())
 
 
 def test_streaming_sessionize_emits_incrementally(ray_session):

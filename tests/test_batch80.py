@@ -1,27 +1,9 @@
 """Batch-80: Simpson's paradox audit, OHLC Donchian, KMP smallest period."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "orders", "customer", "nation"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_simpson_oracle_and_bigint_brute(ray_session, con):
@@ -31,7 +13,7 @@ def test_simpson_oracle_and_bigint_brute(ray_session, con):
     )
 
     mine = simpson_paradox_audit(SF)
-    _cmp(mine, con, simpson_paradox_audit_sql())
+    compare_twin(mine, con, simpson_paradox_audit_sql())
     df = con.execute(
         "SELECT n.n_name, CAST(ROUND(o.o_totalprice*100) AS BIGINT) AS x,"
         " CAST(ROUND(c.c_acctbal*100) AS BIGINT) AS y"
@@ -59,7 +41,7 @@ def test_ohlc_donchian_oracle_and_brute(ray_session, con):
     from pdfrust_ray.pipelines.relational import daily_ohlc_donchian, daily_ohlc_donchian_sql
 
     mine = daily_ohlc_donchian(SF)
-    _cmp(mine, con, daily_ohlc_donchian_sql())
+    compare_twin(mine, con, daily_ohlc_donchian_sql())
     df = con.execute(
         "SELECT epoch_us(ts)//86400000000 AS day, epoch_us(ts) AS us, event_id,"
         " CAST(ROUND(value*100) AS BIGINT) AS c FROM events"
@@ -83,7 +65,7 @@ def test_user_period_oracle_and_naive(ray_session, con):
     from pdfrust_ray.pipelines.relational import user_type_period, user_type_period_sql
 
     mine = user_type_period(SF)
-    _cmp(mine, con, user_type_period_sql())
+    compare_twin(mine, con, user_type_period_sql())
     df = con.execute(
         "SELECT user_id, event_type FROM events ORDER BY user_id, ts, event_id"
     ).fetchdf()

@@ -2,28 +2,10 @@
 
 import itertools
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "lineitem"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_assignment_oracle_and_itertools_brute(ray_session, con):
@@ -33,7 +15,7 @@ def test_assignment_oracle_and_itertools_brute(ray_session, con):
     )
 
     mine = min_cost_assignment(SF)
-    _cmp(mine, con, min_cost_assignment_sql())
+    compare_twin(mine, con, min_cost_assignment_sql())
     df = con.execute(
         "SELECT l_suppkey s, l_partkey p, CAST(ROUND(l_quantity) AS BIGINT) q FROM lineitem"
     ).fetchdf()
@@ -71,7 +53,7 @@ def test_min_rotation_oracle_and_naive(ray_session, con):
     )
 
     mine = user_type_min_rotation(SF)
-    _cmp(mine, con, user_type_min_rotation_sql())
+    compare_twin(mine, con, user_type_min_rotation_sql())
     df = con.execute(
         "SELECT user_id, event_type FROM events ORDER BY user_id, ts, event_id"
     ).fetchdf()
@@ -91,7 +73,7 @@ def test_inventory_oracle_and_explicit_replay(ray_session, con):
     )
 
     mine = inventory_policy_replay(SF)
-    _cmp(mine, con, inventory_policy_replay_sql())
+    compare_twin(mine, con, inventory_policy_replay_sql())
     dem = con.execute(
         "SELECT epoch_us(ts)//86400000000 d, COUNT(*) c FROM events"
         " WHERE event_type='purchase' GROUP BY 1 ORDER BY 1"

@@ -1,27 +1,9 @@
 """Batch-82: closest embedding pair, isqrt SD, suffix-automaton windows."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "embeddings"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_closest_pair_oracle_brute_and_margin(ray_session, con):
@@ -31,7 +13,7 @@ def test_closest_pair_oracle_brute_and_margin(ray_session, con):
     )
 
     mine = embedding_closest_pair(SF)
-    _cmp(mine, con, embedding_closest_pair_sql())
+    compare_twin(mine, con, embedding_closest_pair_sql())
     t = con.execute("SELECT vec_id, embedding FROM embeddings ORDER BY vec_id").fetchdf()
     ids = t["vec_id"].to_numpy(np.int64)
     m = np.array(t["embedding"].tolist(), dtype=np.float64)
@@ -51,7 +33,7 @@ def test_sd_floor_oracle_and_bigint_brute(ray_session, con):
     from pdfrust_ray.pipelines.relational import type_value_sd_floor, type_value_sd_floor_sql
 
     mine = type_value_sd_floor(SF)
-    _cmp(mine, con, type_value_sd_floor_sql())
+    compare_twin(mine, con, type_value_sd_floor_sql())
     df = con.execute(
         "SELECT event_type, CAST(ROUND(value*100) AS BIGINT) x FROM events"
     ).fetchdf()
@@ -72,7 +54,7 @@ def test_subseq_count_oracle_and_set_brute(ray_session, con):
     )
 
     mine = user_distinct_subseq_count(SF)
-    _cmp(mine, con, user_distinct_subseq_count_sql())
+    compare_twin(mine, con, user_distinct_subseq_count_sql())
     df = con.execute(
         "SELECT user_id, event_type FROM events ORDER BY user_id, ts, event_id"
     ).fetchdf()

@@ -1,33 +1,16 @@
 """Batch-83: LCS top-2 users, convex hull of daily sums, inversions."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_lcs_oracle_and_classic_dp(ray_session, con):
     from pdfrust_ray.pipelines.relational import events_lcs_top2, events_lcs_top2_sql
 
     mine = events_lcs_top2(SF)
-    _cmp(mine, con, events_lcs_top2_sql())
+    compare_twin(mine, con, events_lcs_top2_sql())
     df = con.execute(
         "SELECT user_id, event_type FROM events ORDER BY user_id, ts, event_id"
     ).fetchdf()
@@ -58,7 +41,7 @@ def test_hull_oracle_geometry_properties(ray_session, con):
     )
 
     mine = daily_value_convex_hull(SF)
-    _cmp(mine, con, daily_value_convex_hull_sql())
+    compare_twin(mine, con, daily_value_convex_hull_sql())
     pts = con.execute(
         "SELECT epoch_us(ts)//86400000000 x, SUM(CAST(ROUND(value*100) AS BIGINT)) y"
         " FROM events GROUP BY 1 ORDER BY 1"
@@ -104,7 +87,7 @@ def test_inversions_oracle_and_mergesort_brute(ray_session, con):
     )
 
     mine = user_value_inversions(SF)
-    _cmp(mine, con, user_value_inversions_sql())
+    compare_twin(mine, con, user_value_inversions_sql())
 
     def merge_count(arr):
         if len(arr) <= 1:

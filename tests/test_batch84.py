@@ -1,26 +1,9 @@
 """Batch-84: Huffman optimum, integer Viterbi, largest histogram rectangle."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_huffman_oracle_and_entropy_bounds(ray_session, con):
@@ -29,7 +12,7 @@ def test_huffman_oracle_and_entropy_bounds(ray_session, con):
     from pdfrust_ray.pipelines.relational import huffman_total_bits, huffman_total_bits_sql
 
     mine = huffman_total_bits(SF)
-    _cmp(mine, con, huffman_total_bits_sql())
+    compare_twin(mine, con, huffman_total_bits_sql())
     counts = [
         int(c)
         for (c,) in con.execute(
@@ -62,7 +45,7 @@ def test_viterbi_oracle_and_path_enumeration(ray_session, con):
     )
 
     mine = user_viterbi_score(SF)
-    _cmp(mine, con, user_viterbi_score_sql())
+    compare_twin(mine, con, user_viterbi_score_sql())
     # exhaustive path enumeration on the shortest sequences (2^n paths)
     df = con.execute(
         "SELECT user_id, event_type FROM events ORDER BY user_id, ts, event_id"
@@ -102,7 +85,7 @@ def test_max_rectangle_oracle_and_brute(ray_session, con):
     )
 
     mine = daily_hist_max_rectangle(SF)
-    _cmp(mine, con, daily_hist_max_rectangle_sql())
+    compare_twin(mine, con, daily_hist_max_rectangle_sql())
     daily = dict(
         con.execute(
             "SELECT epoch_us(ts)//86400000000, COUNT(*) FROM events GROUP BY 1"

@@ -2,28 +2,10 @@
 
 import itertools
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "orders"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_rational_rate_oracle_and_fraction_brute(ray_session, con):
@@ -32,7 +14,7 @@ def test_rational_rate_oracle_and_fraction_brute(ray_session, con):
     from pdfrust_ray.pipelines.relational import best_rational_rate, best_rational_rate_sql
 
     mine = best_rational_rate(SF)
-    _cmp(mine, con, best_rational_rate_sql())
+    compare_twin(mine, con, best_rational_rate_sql())
     P = int(mine["p_num"].iloc[0])
     N = int(mine["n_total"].iloc[0])
     target = Fraction(P, N)
@@ -60,7 +42,7 @@ def test_balanced_partition_oracle_and_full_enumeration(ray_session, con):
     )
 
     mine = orders_balanced_partition(SF)
-    _cmp(mine, con, orders_balanced_partition_sql())
+    compare_twin(mine, con, orders_balanced_partition_sql())
     df = con.execute(
         "SELECT CAST(ROUND(o_totalprice*100) AS BIGINT) c, o_orderkey k FROM orders"
         " ORDER BY c DESC, k LIMIT 16"
@@ -82,7 +64,7 @@ def test_trailing_distinct_oracle_and_naive(ray_session, con):
     )
 
     mine = user_trailing_distinct_types(SF)
-    _cmp(mine, con, user_trailing_distinct_types_sql())
+    compare_twin(mine, con, user_trailing_distinct_types_sql())
     df = con.execute(
         "SELECT event_id, user_id, epoch_us(ts) us, event_type FROM events"
     ).fetchdf()

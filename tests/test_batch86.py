@@ -1,26 +1,8 @@
 """Batch-86: IRV winner, FFD compaction plan, prefix-trie size."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "part"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_irv_oracle_and_condorcet_sanity(ray_session, con):
@@ -29,7 +11,7 @@ def test_irv_oracle_and_condorcet_sanity(ray_session, con):
     from pdfrust_ray.pipelines.relational import type_irv_winner, type_irv_winner_sql
 
     mine = type_irv_winner(SF)
-    _cmp(mine, con, type_irv_winner_sql())
+    compare_twin(mine, con, type_irv_winner_sql())
     # replay rounds independently and track tallies
     df = con.execute(
         "SELECT user_id, event_type, COUNT(*) c FROM events GROUP BY 1,2"
@@ -63,7 +45,7 @@ def test_ffd_oracle_and_packing_invariants(ray_session, con):
     from pdfrust_ray.pipelines.relational import compaction_ffd_plan, compaction_ffd_plan_sql
 
     mine = compaction_ffd_plan(SF)
-    _cmp(mine, con, compaction_ffd_plan_sql())
+    compare_twin(mine, con, compaction_ffd_plan_sql())
     sizes = [
         int(r[0]) * 100
         for r in con.execute(
@@ -89,7 +71,7 @@ def test_trie_oracle_and_explicit_trie(ray_session, con):
     )
 
     mine = part_prefix_trie_stats(SF)
-    _cmp(mine, con, part_prefix_trie_stats_sql())
+    compare_twin(mine, con, part_prefix_trie_stats_sql())
     names = [r[0] for r in con.execute("SELECT DISTINCT p_name FROM part").fetchall()]
     # build the trie for real
     prefixes = {n[: k + 1] for n in names for k in range(len(n))}

@@ -2,36 +2,18 @@
 
 import math
 
-import duckdb
 import numpy as np
-import pandas as pd
 import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')"
-    )
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_pr_curve_oracle_and_confusion_identities(ray_session, con):
     from pdfrust_ray.pipelines.relational import events_pr_curve, events_pr_curve_sql
 
     mine = events_pr_curve(SF)
-    _cmp(mine, con, events_pr_curve_sql())
+    compare_twin(mine, con, events_pr_curve_sql())
     n_pos = con.execute(
         "SELECT COUNT(*) FROM events WHERE event_type = 'purchase'"
     ).fetchone()[0]
@@ -63,7 +45,7 @@ def test_wilson_oracle_bit_identical_and_bounds(ray_session, con):
     odf = con.execute(type_wilson_bounds_sql()).fetchdf()
     # doubles must be bit-identical, not just close
     assert list(mine["wilson_lb"]) == list(odf["wilson_lb"])
-    _cmp(mine, con, type_wilson_bounds_sql())
+    compare_twin(mine, con, type_wilson_bounds_sql())
     # the bound is a true lower bound on p-hat and lives in [0, 1)
     p = mine["s"] / mine["n"]
     assert (mine["wilson_lb"] <= p + 1e-15).all()
@@ -90,7 +72,7 @@ def test_welch_oracle_and_scipy_free_reference(ray_session, con):
     odf = con.execute(events_welch_ttest_sql()).fetchdf()
     assert float(mine["t_stat"].iloc[0]) == float(odf["t_stat"].iloc[0])
     assert float(mine["welch_df"].iloc[0]) == float(odf["welch_df"].iloc[0])
-    _cmp(mine, con, events_welch_ttest_sql())
+    compare_twin(mine, con, events_welch_ttest_sql())
     # textbook recompute from the raw cent values
     av = con.execute(
         "SELECT ROUND(value*100) AS c FROM events WHERE event_type='purchase'"

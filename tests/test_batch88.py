@@ -1,35 +1,17 @@
 """Batch-88: KM risk table, Brier calibration audit, chi-square stats."""
 
-import duckdb
 import numpy as np
-import pandas as pd
 import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')"
-    )
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_km_oracle_and_survival_invariants(ray_session, con):
     from pdfrust_ray.pipelines.relational import purchase_km_table, purchase_km_table_sql
 
     mine = purchase_km_table(SF)
-    _cmp(mine, con, purchase_km_table_sql())
+    compare_twin(mine, con, purchase_km_table_sql())
     n_subj = con.execute(
         "SELECT COUNT(DISTINCT user_id) FROM events WHERE event_type='purchase'"
     ).fetchone()[0]
@@ -55,7 +37,7 @@ def test_brier_oracle_and_global_score(ray_session, con):
     )
 
     mine = score_brier_calibration(SF)
-    _cmp(mine, con, score_brier_calibration_sql())
+    compare_twin(mine, con, score_brier_calibration_sql())
     n = con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     assert int(mine["n"].sum()) == n
     # recompute the global Brier score from raw rows
@@ -79,7 +61,7 @@ def test_chisq_oracle_and_scipy_free_statistic(ray_session, con):
     )
 
     mine = events_type_dow_independence(SF)
-    _cmp(mine, con, events_type_dow_independence_sql())
+    compare_twin(mine, con, events_type_dow_independence_sql())
     n = int(mine["o"].sum())
     # chi2 from the sufficient stats equals the textbook sum((o-e)^2/e)
     chi2_mine = float((mine["dev_num"] / (mine["den"] * n)).sum())

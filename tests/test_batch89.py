@@ -3,27 +3,9 @@
 import random
 import string
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("part", "customer", "events", "orders", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_dl_implementation_matches_duckdb_builtin(con):
@@ -48,7 +30,7 @@ def test_canonical_match_oracle_and_pruning_safety(ray_session, con):
     )
 
     mine = part_word_canonical_match(SF)
-    _cmp(mine, con, part_word_canonical_match_sql())
+    compare_twin(mine, con, part_word_canonical_match_sql())
     # every p_name word is present exactly once; n_uses sums to total words
     n_words = con.execute(
         "SELECT COUNT(*) FROM (SELECT UNNEST(string_split(p_name,' ')) FROM part)"
@@ -66,7 +48,7 @@ def test_luhn_oracle_and_reference_implementation(ray_session, con):
     from pdfrust_ray.pipelines.relational import custkey_luhn_audit, custkey_luhn_audit_sql
 
     mine = custkey_luhn_audit(SF)
-    _cmp(mine, con, custkey_luhn_audit_sql())
+    compare_twin(mine, con, custkey_luhn_audit_sql())
     assert int(mine["n"].sum()) == con.execute("SELECT COUNT(*) FROM customer").fetchone()[0]
 
     def luhn_valid(s: str) -> bool:
@@ -112,7 +94,7 @@ def test_dictionary_audit_oracle_and_byte_identities(ray_session, con):
     )
 
     mine = string_dictionary_audit(SF)
-    _cmp(mine, con, string_dictionary_audit_sql())
+    compare_twin(mine, con, string_dictionary_audit_sql())
     # dict_bytes <= raw_bytes always; equality iff every row is distinct
     assert (mine["dict_bytes"] <= mine["raw_bytes"]).all()
     ev = mine[(mine["table_name"] == "events") & (mine["column_name"] == "event_type")].iloc[0]

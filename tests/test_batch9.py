@@ -7,32 +7,15 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from tools.contract_check import compare_twin, connect
 
 SF = "/root/testdata/sf0.001"
 SF01 = "/root/testdata/sf0.01"
 
 
 @pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("region", "nation", "customer", "supplier", "orders", "lineitem", "events"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-@pytest.fixture(scope="module")
 def con01():
-    c = duckdb.connect()
-    for t in ("region", "nation", "customer", "supplier", "orders", "lineitem", "events"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF01}/{t}.parquet')")
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    return connect(SF01)
 
 
 def test_local_supplier_revenue_oracle(ray_session, con01):
@@ -45,7 +28,7 @@ def test_local_supplier_revenue_oracle(ray_session, con01):
 
     mine = local_supplier_revenue(SF01)
     assert len(mine) == 5
-    _assert_oracle(con01, mine, local_supplier_revenue_sql())
+    compare_twin(mine, con01, local_supplier_revenue_sql())
 
 
 def test_local_supplier_revenue_small(ray_session, con):
@@ -54,7 +37,7 @@ def test_local_supplier_revenue_small(ray_session, con):
         local_supplier_revenue_sql,
     )
 
-    _assert_oracle(con, local_supplier_revenue(SF), local_supplier_revenue_sql())
+    compare_twin(local_supplier_revenue(SF), con, local_supplier_revenue_sql())
 
 
 def test_rolling_peak_oracle(ray_session, con):
@@ -62,7 +45,7 @@ def test_rolling_peak_oracle(ray_session, con):
 
     mine = events_rolling_peak(SF)
     assert len(mine) == 1000
-    _assert_oracle(con, mine, events_rolling_peak_sql())
+    compare_twin(mine, con, events_rolling_peak_sql())
 
 
 def test_rolling_peak_hand_corpus(ray_session, tmp_path):
@@ -94,7 +77,7 @@ def test_concurrent_sessions_oracle(ray_session, con):
     mine = concurrent_sessions_daily_peak(SF)
     assert len(mine) > 0
     assert (mine["peak_concurrency"] >= 1).all()
-    _assert_oracle(con, mine, concurrent_sessions_daily_peak_sql())
+    compare_twin(mine, con, concurrent_sessions_daily_peak_sql())
 
 
 def test_concurrent_sessions_tied_timestamps(ray_session, tmp_path):
@@ -121,10 +104,7 @@ def test_concurrent_sessions_tied_timestamps(ray_session, tmp_path):
     c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{tmp_path}/events.parquet')")
     from pdfrust_ray.pipelines.relational import concurrent_sessions_daily_peak_sql
 
-    odf = c.execute(concurrent_sessions_daily_peak_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, c, concurrent_sessions_daily_peak_sql())
 
 
 def test_user_triangles_oracle(ray_session, con):
@@ -132,7 +112,7 @@ def test_user_triangles_oracle(ray_session, con):
 
     mine = user_triangles(SF)
     assert mine["n_triangles"].iloc[0] >= 1  # fixture is non-vacuous
-    _assert_oracle(con, mine, user_triangles_sql())
+    compare_twin(mine, con, user_triangles_sql())
 
 
 def test_user_triangles_hand_corpus(ray_session, tmp_path):
@@ -170,7 +150,7 @@ def test_zorder_layout_oracle(ray_session, con):
 
     mine = zorder_layout(SF)
     assert len(mine) > 1
-    _assert_oracle(con, mine, zorder_layout_sql())
+    compare_twin(mine, con, zorder_layout_sql())
 
 
 def test_zorder_pruned_count_oracle(ray_session, con):
@@ -183,7 +163,7 @@ def test_zorder_pruned_count_oracle(ray_session, con):
     # pruning must be real: strictly fewer buckets scanned than exist
     assert 0 < mine["n_buckets_scanned"].iloc[0] < mine["n_buckets_total"].iloc[0]
     assert mine["n_rows"].iloc[0] > 0
-    _assert_oracle(con, mine, zorder_pruned_count_sql())
+    compare_twin(mine, con, zorder_pruned_count_sql())
 
 
 def test_zorder_morton_bit_properties(ray_session):
@@ -204,7 +184,7 @@ def test_type_daily_uniques_oracle(ray_session, con):
 
     mine = events_type_daily_uniques(SF)
     assert len(mine) > 0
-    _assert_oracle(con, mine, events_type_daily_uniques_sql())
+    compare_twin(mine, con, events_type_daily_uniques_sql())
 
 
 def test_equidepth_oracle(ray_session, con):
@@ -216,7 +196,7 @@ def test_equidepth_oracle(ray_session, con):
     mine = events_value_equidepth(SF)
     assert len(mine) == 9
     assert mine["boundary"].is_monotonic_increasing
-    _assert_oracle(con, mine, events_value_equidepth_sql())
+    compare_twin(mine, con, events_value_equidepth_sql())
 
 
 def test_equidepth_hand_corpus(ray_session, tmp_path):
@@ -247,7 +227,7 @@ def test_events_hourly_csv_matches_parquet(ray_session, con):
     pd.testing.assert_frame_equal(
         via_csv.reset_index(drop=True), via_parquet.reset_index(drop=True)
     )
-    _assert_oracle(con, via_csv, events_hourly_sql())
+    compare_twin(via_csv, con, events_hourly_sql())
 
 
 def test_table_checksum_oracle_and_merge(ray_session, con):
@@ -258,7 +238,7 @@ def test_table_checksum_oracle_and_merge(ray_session, con):
 
     mine = events_table_checksum(SF)
     assert mine["n_rows"].iloc[0] == 1000
-    _assert_oracle(con, mine, events_table_checksum_sql())
+    compare_twin(mine, con, events_table_checksum_sql())
 
 
 def test_table_checksum_detects_change(ray_session, tmp_path):
@@ -283,7 +263,7 @@ def test_rolling_wau_oracle(ray_session, con):
     mine = rolling_wau(SF)
     assert len(mine) > 0
     # WAU >= DAU invariant: day-7 WAU must be >= any single day's uniques
-    _assert_oracle(con, mine, rolling_wau_sql())
+    compare_twin(mine, con, rolling_wau_sql())
 
 
 def test_rolling_wau_hand_corpus(ray_session, tmp_path):
@@ -312,7 +292,7 @@ def test_funnel_three_step_oracle(ray_session, con):
     f = mine.iloc[0]
     assert f["n_signup_users"] >= f["n_reached_view"] >= f["n_reached_purchase"]
     assert f["n_reached_view"] > 0
-    _assert_oracle(con, mine, funnel_three_step_sql())
+    compare_twin(mine, con, funnel_three_step_sql())
 
 
 def test_funnel_three_step_non_greedy(ray_session, tmp_path):
@@ -352,7 +332,7 @@ def test_top_value_events_oracle(ray_session, con):
     mine = top_value_events(SF)
     assert len(mine) == 20
     assert mine["value"].is_monotonic_decreasing
-    _assert_oracle(con, mine, top_value_events_sql())
+    compare_twin(mine, con, top_value_events_sql())
 
 
 def test_user_gap_stats_oracle(ray_session, con):
@@ -363,22 +343,18 @@ def test_user_gap_stats_oracle(ray_session, con):
     # Cauchy-Schwarz sanity: n * sum_sq >= sum^2 for every user
     ok = mine["n_gaps"] * mine["sum_gap_sq_s"] >= mine["sum_gap_s"] ** 2
     assert ok[mine["n_gaps"] > 0].all()
-    _assert_oracle(con, mine, user_gap_stats_sql())
+    compare_twin(mine, con, user_gap_stats_sql())
 
 
 def test_source_quality_rollup_oracle(ray_session, con):
-    import duckdb as _d
-
     from pdfrust_ray.pipelines.relational import (
         source_quality_rollup,
         source_quality_rollup_sql,
     )
 
-    c = _d.connect()
-    c.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')")
     mine = source_quality_rollup(SF)
     assert mine["n_docs"].sum() == 500
-    _assert_oracle(c, mine, source_quality_rollup_sql())
+    compare_twin(mine, con, source_quality_rollup_sql())
 
 
 def test_shard_helpers_roundtrip(ray_session):
@@ -411,24 +387,19 @@ def test_customer_ltv_cohorts_oracle(ray_session, con):
     assert len(mine) > 1
     # every cohort has an age-0 cell (the first order defines the cohort)
     assert set(mine.loc[mine["age"] == 0, "cohort_year"]) == set(mine["cohort_year"])
-    _assert_oracle(con, mine, customer_ltv_cohorts_sql())
+    compare_twin(mine, con, customer_ltv_cohorts_sql())
 
 
 def test_nation_revenue_share_oracle(ray_session, con):
-    import duckdb as _d
-
     from pdfrust_ray.pipelines.relational import (
         nation_revenue_share,
         nation_revenue_share_sql,
     )
 
-    c = _d.connect()
-    for tb in ("lineitem", "supplier", "nation"):
-        c.execute(f"CREATE VIEW {tb} AS SELECT * FROM read_parquet('{SF}/{tb}.parquet')")
     mine = nation_revenue_share(SF)
     # shares are ppm of the total (floor division -> sum <= 1e6)
     assert 0 < mine["share_ppm"].sum() <= 1_000_000
-    _assert_oracle(c, mine, nation_revenue_share_sql())
+    compare_twin(mine, con, nation_revenue_share_sql())
 
 
 def test_session_bounce_rate_oracle(ray_session, con):
@@ -437,7 +408,7 @@ def test_session_bounce_rate_oracle(ray_session, con):
     mine = session_bounce_rate(SF)
     assert (mine["n_bounce"] <= mine["n_sessions"]).all()
     assert (mine["bounce_ppm"] <= 1_000_000).all()
-    _assert_oracle(con, mine, session_bounce_rate_sql())
+    compare_twin(mine, con, session_bounce_rate_sql())
 
 
 def test_event_type_transitions_oracle(ray_session, con):
@@ -450,7 +421,7 @@ def test_event_type_transitions_oracle(ray_session, con):
     # each from-row's probabilities sum to ~1e6 (floor division slack < n_types)
     sums = mine.groupby("from_type")["p_ppm"].sum()
     assert ((sums > 999_990) & (sums <= 1_000_000)).all()
-    _assert_oracle(con, mine, event_type_transitions_sql())
+    compare_twin(mine, con, event_type_transitions_sql())
 
 
 def test_events_daily_percentiles_oracle(ray_session, con):
@@ -461,7 +432,7 @@ def test_events_daily_percentiles_oracle(ray_session, con):
 
     mine = events_daily_percentiles(SF)
     assert (mine["p50"] <= mine["p90"]).all()
-    _assert_oracle(con, mine, events_daily_percentiles_sql())
+    compare_twin(mine, con, events_daily_percentiles_sql())
 
 
 def test_user_journey_counts_oracle(ray_session, con):
@@ -470,7 +441,7 @@ def test_user_journey_counts_oracle(ray_session, con):
     mine = user_journey_counts(SF)
     assert len(mine) > 0
     assert mine["n_users"].is_monotonic_decreasing
-    _assert_oracle(con, mine, user_journey_counts_sql())
+    compare_twin(mine, con, user_journey_counts_sql())
 
 
 def test_user_type_entropy_oracle(ray_session, con):
@@ -480,7 +451,7 @@ def test_user_type_entropy_oracle(ray_session, con):
     # entropy of a <=5-type distribution is in [0, ln(5)] nats
     assert (mine["entropy_nano"] >= 0).all()
     assert (mine["entropy_nano"] <= 1_609_437_913).all()
-    _assert_oracle(con, mine, user_type_entropy_sql())
+    compare_twin(mine, con, user_type_entropy_sql())
 
 
 def test_days_to_first_purchase_oracle(ray_session, con):
@@ -491,7 +462,7 @@ def test_days_to_first_purchase_oracle(ray_session, con):
 
     mine = days_to_first_purchase(SF)
     assert mine["n_users"].sum() == 15  # sf0.001 has 15 users
-    _assert_oracle(con, mine, days_to_first_purchase_sql())
+    compare_twin(mine, con, days_to_first_purchase_sql())
 
 
 def test_revenue_concentration_oracle(ray_session, con):
@@ -505,7 +476,7 @@ def test_revenue_concentration_oracle(ray_session, con):
     # the top decile must hold at least its proportional share
     assert f["share_ppm"] >= 100_000 // 2
     assert f["top_decile_cents"] <= f["total_cents"]
-    _assert_oracle(con, mine, customer_revenue_concentration_sql())
+    compare_twin(mine, con, customer_revenue_concentration_sql())
 
 
 def test_revenue_concentration_tie_slice(ray_session, tmp_path):
@@ -533,16 +504,12 @@ def test_fulfillment_latency_oracle(ray_session, con):
     mine = fulfillment_latency(SF)
     assert len(mine) == 5
     assert (mine["max_days"] * mine["n_items"] >= mine["sum_days"]).all()
-    _assert_oracle(con, mine, fulfillment_latency_sql())
+    compare_twin(mine, con, fulfillment_latency_sql())
 
 
-def test_scd2_history_oracle(ray_session):
-    import duckdb as _d
-
+def test_scd2_history_oracle(ray_session, con):
     from pdfrust_ray.pipelines.datasetops import scd2_history, scd2_history_sql
 
-    c = _d.connect()
-    c.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')")
     mine = scd2_history(SF)
     # structural invariants: exactly one current row per live doc_id;
     # closed rows end at D1
@@ -550,7 +517,7 @@ def test_scd2_history_oracle(ray_session):
     assert cur["doc_id"].is_unique
     closed = mine[~mine["is_current"]]
     assert (closed["valid_to"] == pd.Timestamp("2024-01-02")).all()
-    _assert_oracle(c, mine, scd2_history_sql())
+    compare_twin(mine, con, scd2_history_sql())
 
 
 def test_scd2_history_classes(ray_session):

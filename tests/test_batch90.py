@@ -2,26 +2,9 @@
 
 import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_prefix_forks_oracle_and_planted_families(ray_session):
@@ -30,12 +13,7 @@ def test_prefix_forks_oracle_and_planted_families(ray_session):
 
     base = ensure_forks_fixture()
     mine = conv_prefix_forks(base)
-    odf = duckdb.connect().execute(
-        conv_prefix_forks_sql(f"{base}/shards/*.parquet")
-    ).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, duckdb.connect(), conv_prefix_forks_sql(f"{base}/shards/*.parquet"))
     # non-vacuous: planted families must surface, solo convs must not
     assert len(mine) >= 10
     assert (mine["n_convs"] >= 2).all()
@@ -66,7 +44,7 @@ def test_ngram_novelty_oracle_and_brute_force(ray_session, con):
     )
 
     mine = doc_ngram_novelty(SF)
-    _cmp(mine, con, doc_ngram_novelty_sql())
+    compare_twin(mine, con, doc_ngram_novelty_sql())
     # brute-force novelty in doc_id order over the raw text
     docs = con.execute("SELECT doc_id, text FROM documents ORDER BY doc_id").fetchdf()
     seen: set = set()
@@ -89,7 +67,7 @@ def test_late_event_audit_oracle_and_serial_replay(ray_session, con):
 
     L = 3_600_000_000
     mine = late_event_audit(SF, lateness_us=L)
-    _cmp(mine, con, late_event_audit_sql(lateness_us=L))
+    compare_twin(mine, con, late_event_audit_sql(lateness_us=L))
     # serial single-process replay of the watermark semantics
     raw = con.execute(
         "SELECT event_id, event_type, epoch_us(ts) AS us FROM events ORDER BY event_id"

@@ -3,27 +3,9 @@
 import hashlib
 import zlib
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("lineitem", "documents", "orders"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_matching_equals_kuhn_and_konig_certificate(ray_session, con):
@@ -67,7 +49,7 @@ def test_adler_oracle_and_zlib_crosscheck(ray_session, con):
     from pdfrust_ray.pipelines.textops import doc_adler32_audit, doc_adler32_audit_sql
 
     mine = doc_adler32_audit(SF)
-    _cmp(mine, con, doc_adler32_audit_sql())
+    compare_twin(mine, con, doc_adler32_audit_sql())
     docs = con.execute("SELECT doc_id, text FROM documents ORDER BY doc_id").fetchdf()
     assert len(mine) == len(docs)
     # for pure-ASCII docs the codepoint stream IS the byte stream, so

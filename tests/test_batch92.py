@@ -2,29 +2,12 @@
 
 import math
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW events AS SELECT * FROM read_parquet('{SF}/events.parquet')"
-    )
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_poisson_bootstrap_oracle_and_distribution(ray_session, con):
@@ -35,7 +18,7 @@ def test_poisson_bootstrap_oracle_and_distribution(ray_session, con):
     )
 
     mine = poisson_bootstrap_stats(SF, n_reps=8)
-    _cmp(mine, con, poisson_bootstrap_stats_sql(n_reps=8))
+    compare_twin(mine, con, poisson_bootstrap_stats_sql(n_reps=8))
     # the CDF ladder is the true Poisson(1) CDF
     for k, c in enumerate(_POISSON1_CDF):
         ref = math.exp(-1) * sum(1 / math.factorial(j) for j in range(k + 1))
@@ -55,7 +38,7 @@ def test_bitmap_audit_oracle_and_roaring_rules(ray_session, con):
     from pdfrust_ray.pipelines.datasetops import bitmap_index_audit, bitmap_index_audit_sql
 
     mine = bitmap_index_audit(SF)
-    _cmp(mine, con, bitmap_index_audit_sql())
+    compare_twin(mine, con, bitmap_index_audit_sql())
     assert int(mine["n_rows"].sum()) == con.execute("SELECT COUNT(*) FROM events").fetchone()[0]
     # rebuild one type's containers from raw rows
     ty = mine["event_type"].iloc[0]

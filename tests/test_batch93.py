@@ -1,27 +1,9 @@
 """Batch-93: Holt linear smoothing, blocking audit, int8 quant audit."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "part", "embeddings"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_holt_oracle_bit_identical_and_textbook_recursion(ray_session, con):
@@ -31,7 +13,7 @@ def test_holt_oracle_bit_identical_and_textbook_recursion(ray_session, con):
     odf = con.execute(daily_holt_linear_sql()).fetchdf()
     assert mine["level"].tolist() == odf["level"].tolist()
     assert mine["trend"].tolist() == odf["trend"].tolist()
-    _cmp(mine, con, daily_holt_linear_sql())
+    compare_twin(mine, con, daily_holt_linear_sql())
     # serial textbook replay
     x = mine["x"].to_numpy(dtype=float)
     lv, tr = x[0], 0.0
@@ -56,7 +38,7 @@ def test_blocking_audit_oracle_and_combinatorics(ray_session, con):
     from pdfrust_ray.pipelines.relational import blocking_plan_audit, blocking_plan_audit_sql
 
     mine = blocking_plan_audit(SF)
-    _cmp(mine, con, blocking_plan_audit_sql())
+    compare_twin(mine, con, blocking_plan_audit_sql())
     # finer blocking never increases candidates or coverage
     by = mine.set_index("strategy")
     assert int(by.loc["first_word+size", "candidate_pairs"]) <= int(
@@ -87,7 +69,7 @@ def test_quant_audit_oracle_and_reconstruction_bounds(ray_session, con):
     mine = embedding_int8_quant_audit(SF)
     odf = con.execute(embedding_int8_quant_audit_sql()).fetchdf()
     assert mine["err"].tolist() == odf["err"].tolist()
-    _cmp(mine, con, embedding_int8_quant_audit_sql())
+    compare_twin(mine, con, embedding_int8_quant_audit_sql())
     # codes live in the int8 range; error bounded by half a step
     assert mine["q"].abs().max() <= 127
     # per-vec scale A: |err| <= A/254 + tiny fp slack

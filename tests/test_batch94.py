@@ -3,28 +3,12 @@
 import json
 import math
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "part"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_props_audit_oracle_and_python_json(ray_session, con):
@@ -34,7 +18,7 @@ def test_props_audit_oracle_and_python_json(ray_session, con):
     )
 
     mine = event_props_json_audit(SF)
-    _cmp(mine, con, event_props_json_audit_sql())
+    compare_twin(mine, con, event_props_json_audit_sql())
     # recompute from raw rows with the stdlib parser
     raw = con.execute("SELECT event_type, props FROM events").fetchdf()
     ref: dict = {}
@@ -62,7 +46,7 @@ def test_quantile_normalize_oracle_and_distribution_transfer(ray_session, con):
     )
 
     mine = price_quantile_normalize(SF)
-    _cmp(mine, con, price_quantile_normalize_sql())
+    compare_twin(mine, con, price_quantile_normalize_sql())
     prices = np.sort(
         con.execute("SELECT p_retailprice FROM part").fetchnumpy()["p_retailprice"]
     )
@@ -85,7 +69,7 @@ def test_periodogram_oracle_and_numpy_fft_agreement(ray_session, con):
     from pdfrust_ray.pipelines.relational import daily_periodogram, daily_periodogram_sql
 
     mine = daily_periodogram(SF)
-    _cmp(mine, con, daily_periodogram_sql())
+    compare_twin(mine, con, daily_periodogram_sql())
     daily = con.execute(
         "SELECT CAST(epoch_us(ts)//86400000000 AS BIGINT) AS day, COUNT(*) AS x "
         "FROM events GROUP BY 1 ORDER BY day"

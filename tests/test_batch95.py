@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from pdfrust_ray.fixtures.corpus import ensure_corpus
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
 
@@ -14,15 +15,6 @@ SF = "/root/testdata/sf0.001"
 def corpus(ray_session):
     d = ensure_corpus("t1")
     return d, f"{d}/shards/*.parquet"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW customer AS SELECT * FROM read_parquet('{SF}/customer.parquet')"
-    )
-    return c
 
 
 def _compare(mine: pd.DataFrame, sql: str):
@@ -87,10 +79,7 @@ def test_winsorize_oracle_and_bounds(ray_session, con):
     from pdfrust_ray.pipelines.relational import acctbal_winsorize, acctbal_winsorize_sql
 
     mine = acctbal_winsorize(SF)
-    odf = con.execute(acctbal_winsorize_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    odf = compare_twin(mine, con, acctbal_winsorize_sql())
     assert mine["wins_bal"].tolist() == odf["wins_bal"].tolist()
     vals = np.sort(con.execute("SELECT c_acctbal FROM customer").fetchnumpy()["c_acctbal"])
     n = len(vals)

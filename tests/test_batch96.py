@@ -2,28 +2,10 @@
 
 import hashlib
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "embeddings", "documents"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_running_median_oracle_and_serial_replay(ray_session, con):
@@ -32,7 +14,7 @@ def test_running_median_oracle_and_serial_replay(ray_session, con):
     mine = user_running_median(SF)
     odf = con.execute(user_running_median_sql()).fetchdf()
     assert mine["running_median"].tolist() == odf["running_median"].tolist()
-    _cmp(mine, con, user_running_median_sql())
+    compare_twin(mine, con, user_running_median_sql())
     # serial replay for the busiest user
     uid = int(
         con.execute(
@@ -62,7 +44,7 @@ def test_jl_audit_oracle_and_distortion_bound(ray_session, con):
     from pdfrust_ray.stages.similarity import jl_projection_audit, jl_projection_audit_sql
 
     mine = jl_projection_audit(SF)
-    _cmp(mine, con, jl_projection_audit_sql())
+    compare_twin(mine, con, jl_projection_audit_sql())
     assert len(mine) == 16 * 15 // 2
     # JL with d_out=16 preserves distances within a loose factor after
     # the 1/d_out scale: E[d2_proj] = d_out * d2_orig for ±1 signs
@@ -80,7 +62,7 @@ def test_minimizer_oracle_and_containment_property(ray_session, con):
     )
 
     mine = doc_minimizer_sketch(SF)
-    _cmp(mine, con, doc_minimizer_sketch_sql())
+    compare_twin(mine, con, doc_minimizer_sketch_sql())
     # brute-force one document
     txt = con.execute("SELECT text FROM documents WHERE doc_id = 0").fetchone()[0]
     grams = _word_ngrams(txt, 3)

@@ -1,26 +1,9 @@
 """Batch-97: chain stitching, script census, articulation points."""
 
 import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("documents", "lineitem"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_chain_stitch_oracle_and_planted_chains(ray_session):
@@ -29,12 +12,7 @@ def test_chain_stitch_oracle_and_planted_chains(ray_session):
 
     base = ensure_chains_fixture()
     mine = conv_chain_stitch(base)
-    odf = duckdb.connect().execute(
-        conv_chain_stitch_sql(f"{base}/shards/*.parquet")
-    ).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, duckdb.connect(), conv_chain_stitch_sql(f"{base}/shards/*.parquet"))
     # every planted link must appear; chains of n links -> n-1 edges
     planted = mine[
         mine["pred_conv"].str.startswith("chain-")
@@ -56,7 +34,7 @@ def test_script_census_oracle_and_lang_signal(ray_session, con):
     from pdfrust_ray.pipelines.textops import doc_script_census, doc_script_census_sql
 
     mine = doc_script_census(SF)
-    _cmp(mine, con, doc_script_census_sql())
+    compare_twin(mine, con, doc_script_census_sql())
     by = mine.set_index("lang")
     # class totals partition the text exactly
     parts = mine[["ascii_letters", "digits", "cjk", "whitespace", "other"]].sum(axis=1)

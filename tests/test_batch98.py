@@ -2,26 +2,9 @@
 
 import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("documents",):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_nfc_audit_oracle_and_drift_signal(ray_session):
@@ -30,12 +13,7 @@ def test_nfc_audit_oracle_and_drift_signal(ray_session):
 
     base = ensure_unicode_fixture()
     mine = turn_nfc_audit(base)
-    odf = duckdb.connect().execute(
-        turn_nfc_audit_sql(f"{base}/shards/*.parquet")
-    ).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, duckdb.connect(), turn_nfc_audit_sql(f"{base}/shards/*.parquet"))
     # the fixture plants decomposed prose that drifts under NFC in
     # every role, and NFKC-only forms that must NOT drift
     assert (mine["n_nfc_drift_turns"] > 0).all()
@@ -63,7 +41,7 @@ def test_rendezvous_oracle_and_hrw_guarantee(ray_session, con):
     )
 
     mine = rendezvous_hash_audit(SF)
-    _cmp(mine, con, rendezvous_hash_audit_sql())
+    compare_twin(mine, con, rendezvous_hash_audit_sql())
     n_docs = con.execute("SELECT COUNT(*) FROM documents").fetchone()[0]
     assert int(mine["n_docs"].sum()) == n_docs
     assert len(mine) == 8
@@ -99,7 +77,7 @@ def test_knapsack_oracle_and_dp_properties(ray_session, con):
     from pdfrust_ray.pipelines.llmdata import doc_knapsack_curve, doc_knapsack_curve_sql
 
     mine = doc_knapsack_curve(SF)
-    _cmp(mine, con, doc_knapsack_curve_sql())
+    compare_twin(mine, con, doc_knapsack_curve_sql())
     # curve is monotone and starts at 0
     assert int(mine.loc[0, "best_quality"]) == 0
     assert (mine["best_quality"].diff().fillna(0) >= 0).all()

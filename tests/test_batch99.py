@@ -2,26 +2,9 @@
 
 import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "orders", "part"):
-        c.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
-    return odf
 
 
 def test_interval_union_oracle_and_bounds(ray_session, con):
@@ -31,7 +14,7 @@ def test_interval_union_oracle_and_bounds(ray_session, con):
     )
 
     mine = user_interval_union(SF)
-    _cmp(mine, con, user_interval_union_sql())
+    compare_twin(mine, con, user_interval_union_sql())
     # covered time is at most the sum of interval lengths and at least
     # the longest single interval; islands <= intervals
     assert (mine["n_islands"] <= mine["n_intervals"]).all()
@@ -75,7 +58,7 @@ def test_edf_oracle_and_jackson_optimality(ray_session, con):
     from pdfrust_ray.pipelines.relational import cust_edf_lateness, cust_edf_lateness_sql
 
     mine = cust_edf_lateness(SF)
-    _cmp(mine, con, cust_edf_lateness_sql())
+    compare_twin(mine, con, cust_edf_lateness_sql())
     assert (mine["n_late"] <= mine["n_jobs"]).all()
     assert (mine["max_lateness_s"] >= 0).all()
     # Jackson's rule: EDF max lateness <= any other order's, checked by
@@ -114,7 +97,7 @@ def test_trigram_oracle_and_df_semantics(ray_session, con):
     )
 
     mine = part_trigram_selectivity(SF)
-    _cmp(mine, con, part_trigram_selectivity_sql())
+    compare_twin(mine, con, part_trigram_selectivity_sql())
     assert len(mine) == 25
     # df counts each part once even when the trigram repeats in a name
     n_parts = con.execute("SELECT COUNT(*) FROM part").fetchone()[0]

@@ -1,26 +1,8 @@
 """Threshold-calibration sweeps: exact twins + curve monotonicity."""
 
-import duckdb
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
-    return c
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_quality_sweep_twin_and_monotone(ray_session, con):
@@ -30,7 +12,7 @@ def test_quality_sweep_twin_and_monotone(ray_session, con):
     )
 
     mine = quality_threshold_sweep(SF)
-    _cmp(mine, con, quality_threshold_sweep_sql())
+    compare_twin(mine, con, quality_threshold_sweep_sql())
     # retention can only fall as the cutoff rises; t=0 keeps everything
     assert (mine["n_docs_kept"].diff().dropna() <= 0).all()
     assert (mine["n_chars_kept"].diff().dropna() <= 0).all()
@@ -46,7 +28,7 @@ def test_jaccard_sweep_twin_and_consistency(ray_session, con):
     from pdfrust_ray.stages.dedup import ngram_jaccard_dedup
 
     mine = jaccard_threshold_sweep(SF)
-    _cmp(mine, con, jaccard_threshold_sweep_sql())
+    compare_twin(mine, con, jaccard_threshold_sweep_sql())
     assert (mine["n_pairs"].diff().dropna() <= 0).all()
     # the t=0.80 grid point must agree with running the dedup at 0.80
     at80 = ngram_jaccard_dedup(SF, threshold=0.8)

@@ -4,6 +4,7 @@ its chained golden-anchored twin and pipeline invariants."""
 import duckdb
 import pandas as pd
 import pytest
+from tools.contract_check import compare_twin
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +25,7 @@ def test_chained_twin_exact(built):
 
     d, mine = built
     con = duckdb.connect()
-    odf = con.execute(
-        transcript_corpus_build_sql(f"{d}/golden.parquet")
-    ).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, transcript_corpus_build_sql(f"{d}/golden.parquet"))
     assert len(mine) > 0
 
 
@@ -244,10 +240,7 @@ def test_conv_context_pack(ray_session):
     d = ensure_corpus("t2")
     mine = conv_context_pack(d)
     con = duckdb.connect()
-    odf = con.execute(conv_context_pack_sql(f"{d}/shards/*.parquet")).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, conv_context_pack_sql(f"{d}/shards/*.parquet"))
     # one row per conversation (never split)
     assert mine["conv_id"].is_unique
     for (_, _), g in mine.groupby(["bucket", "pack_id"]):

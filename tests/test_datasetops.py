@@ -1,27 +1,9 @@
 """Dataset-construction ops: split / chunk / index / PMI / bloom dedup."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +59,7 @@ def test_incremental_dedup_matches_oracle(ray_session, con):
 
     mine = incremental_dedup(SF)
     assert len(mine) > 0  # non-vacuous at the fixture
-    _assert_oracle(con, mine, incremental_dedup_sql())
+    compare_twin(mine, con, incremental_dedup_sql())
 
 
 def test_incremental_dedup_new_only_even_ids(ray_session):
@@ -96,7 +78,7 @@ def test_dataset_split_oracle_and_partition(ray_session, con):
     from pdfrust_ray.pipelines.datasetops import dataset_split, dataset_split_sql
 
     mine = dataset_split(SF)
-    _assert_oracle(con, mine, dataset_split_sql())
+    compare_twin(mine, con, dataset_split_sql())
     # disjoint cover: every doc assigned exactly once
     n_docs = con.execute("SELECT COUNT(*) FROM documents").fetchone()[0]
     assert len(mine) == n_docs
@@ -127,7 +109,7 @@ def test_doc_chunks_matches_oracle(ray_session, con):
     from pdfrust_ray.pipelines.datasetops import doc_chunks, doc_chunks_sql
 
     mine = doc_chunks(SF)
-    _assert_oracle(con, mine, doc_chunks_sql())
+    compare_twin(mine, con, doc_chunks_sql())
 
 
 def test_doc_chunks_cover_and_overlap(ray_session):
@@ -165,7 +147,7 @@ def test_inverted_index_matches_oracle(ray_session, con):
 
     mine = inverted_index_topk(SF)
     assert len(mine) > 0
-    _assert_oracle(con, mine, inverted_index_topk_sql())
+    compare_twin(mine, con, inverted_index_topk_sql())
 
 
 def test_inverted_index_postings_content(ray_session):
@@ -195,7 +177,7 @@ def test_pmi_matches_oracle(ray_session, con):
 
     mine = pmi_collocations(SF)
     assert len(mine) > 0
-    _assert_oracle(con, mine, pmi_collocations_sql())
+    compare_twin(mine, con, pmi_collocations_sql())
 
 
 def test_pmi_hand_recount(ray_session):

@@ -7,10 +7,10 @@ inner joins dropping token-less rows, DuckDB array_to_string([]) being
 NULL, likelihood grids missing token-less candidate sources). A token
 of 56 bytes or more once crashed the md5 lanes of the DoReMi kernel."""
 
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from tools.contract_check import compare_twin, connect
 
 SRC = "/root/testdata/sf0.001"
 
@@ -54,16 +54,7 @@ def edge_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def con(edge_dir):
-    from tools.contract_check import connect
-
     return connect(edge_dir)
-
-
-def _cmp(mine, con, sql):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 @pytest.mark.parametrize(
@@ -86,7 +77,7 @@ def test_edge_twin_exact(ray_session, edge_dir, con, mod_path, name):
     mod = importlib.import_module(mod_path)
     fn = getattr(mod, name)
     sqlfn = getattr(mod, f"{name}_sql")
-    _cmp(fn(edge_dir), con, sqlfn())
+    compare_twin(fn(edge_dir), con, sqlfn())
 
 
 def test_edge_doremi_twin_exact(ray_session, edge_dir, con):
@@ -96,7 +87,7 @@ def test_edge_doremi_twin_exact(ray_session, edge_dir, con):
     refuses this corpus by that assertion."""
     from pdfrust_ray.pipelines.mixing import doremi_fixedpoint, doremi_fixedpoint_sql
 
-    _cmp(doremi_fixedpoint(edge_dir, eta=100), con, doremi_fixedpoint_sql(eta=100))
+    compare_twin(doremi_fixedpoint(edge_dir, eta=100), con, doremi_fixedpoint_sql(eta=100))
 
 
 def test_edge_specific_values(ray_session, edge_dir):

@@ -1,29 +1,10 @@
 """Event-stream + quality ops: weighted sample, band join, MAD
 outliers, windowed dedup, JSON props, token entropy."""
 
-import duckdb
 import numpy as np
-import pandas as pd
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "documents"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
-        )
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_weighted_sample_matches_oracle(ray_session, con):
@@ -31,7 +12,7 @@ def test_weighted_sample_matches_oracle(ray_session, con):
 
     mine = weighted_sample(SF)
     assert len(mine) == 20
-    _assert_oracle(con, mine, weighted_sample_sql())
+    compare_twin(mine, con, weighted_sample_sql())
 
 
 def test_weighted_sample_favors_heavy_rows(ray_session, con):
@@ -49,7 +30,7 @@ def test_band_join_matches_oracle(ray_session, con):
 
     mine = events_band_join(SF)
     assert len(mine) > 0  # non-vacuous at the fixture
-    _assert_oracle(con, mine, events_band_join_sql())
+    compare_twin(mine, con, events_band_join_sql())
     assert (mine["gap_us"] >= 0).all() and (mine["gap_us"] <= 60_000_000).all()
 
 
@@ -98,7 +79,7 @@ def test_outliers_match_oracle(ray_session, con):
 
     mine = events_value_outliers(SF)
     assert len(mine) > 0
-    _assert_oracle(con, mine, events_value_outliers_sql())
+    compare_twin(mine, con, events_value_outliers_sql())
 
 
 def test_windowed_dedup_matches_oracle(ray_session, con):
@@ -109,7 +90,7 @@ def test_windowed_dedup_matches_oracle(ray_session, con):
 
     mine = windowed_event_dedup(SF)
     assert 0 < len(mine)
-    _assert_oracle(con, mine, windowed_event_dedup_sql())
+    compare_twin(mine, con, windowed_event_dedup_sql())
 
 
 def test_windowed_dedup_gap_invariant(ray_session):
@@ -129,7 +110,7 @@ def test_props_k_stats_matches_oracle(ray_session, con):
 
     mine = props_k_stats(SF)
     assert len(mine) > 0
-    _assert_oracle(con, mine, props_k_stats_sql())
+    compare_twin(mine, con, props_k_stats_sql())
 
 
 def test_token_entropy_matches_oracle(ray_session, con):
@@ -137,7 +118,7 @@ def test_token_entropy_matches_oracle(ray_session, con):
 
     mine = token_entropy(SF)
     assert len(mine) > 0
-    _assert_oracle(con, mine, token_entropy_sql())
+    compare_twin(mine, con, token_entropy_sql())
 
 
 def test_token_entropy_hand_values(ray_session):
@@ -169,7 +150,7 @@ def test_regression_matches_oracle(ray_session, con):
 
     mine = events_value_regression(SF)
     assert len(mine) > 0
-    _assert_oracle(con, mine, events_value_regression_sql())
+    compare_twin(mine, con, events_value_regression_sql())
 
 
 def test_regression_recovers_planted_line(ray_session, tmp_path):
@@ -202,7 +183,7 @@ def test_global_median_matches_oracle(ray_session, con):
     )
 
     mine = global_exact_median(SF)
-    _assert_oracle(con, mine, global_exact_median_sql())
+    compare_twin(mine, con, global_exact_median_sql())
 
 
 def test_global_median_narrow_buckets(ray_session, con):
@@ -214,7 +195,7 @@ def test_global_median_narrow_buckets(ray_session, con):
     )
 
     mine = global_exact_median(SF, n_buckets=16)
-    _assert_oracle(con, mine, global_exact_median_sql())
+    compare_twin(mine, con, global_exact_median_sql())
 
 
 def test_gini_matches_oracle(ray_session, con):
@@ -224,7 +205,7 @@ def test_gini_matches_oracle(ray_session, con):
     )
 
     mine = user_activity_gini(SF)
-    _assert_oracle(con, mine, user_activity_gini_sql())
+    compare_twin(mine, con, user_activity_gini_sql())
     # a count distribution has some inequality but is far from maximal
     g = int(mine["gini_nano"].iloc[0])
     assert 0 < g < 500_000_000

@@ -1,31 +1,13 @@
 """Graph analytics + batch-4 relational ops: integer PageRank, the
 timed conversion funnel, and the column-profile pass."""
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    for t in ("events", "orders", "lineitem"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
-        )
-    return c
-
-
-def _assert_oracle(con, mine: pd.DataFrame, sql: str):
-    odf = con.execute(sql).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
 
 
 def test_pagerank_matches_oracle(ray_session, con):
@@ -33,7 +15,7 @@ def test_pagerank_matches_oracle(ray_session, con):
 
     mine = bipartite_pagerank(SF)
     assert len(mine) == 20
-    _assert_oracle(con, mine, bipartite_pagerank_sql())
+    compare_twin(mine, con, bipartite_pagerank_sql())
 
 
 def test_pagerank_serial_recount(ray_session):
@@ -85,7 +67,7 @@ def test_funnel_matches_oracle(ray_session, con):
 
     mine = funnel_within_hour(SF)
     assert len(mine) > 0
-    _assert_oracle(con, mine, funnel_within_hour_sql())
+    compare_twin(mine, con, funnel_within_hour_sql())
 
 
 def test_funnel_boundary_semantics(ray_session, tmp_path):
@@ -132,7 +114,7 @@ def test_table_profile_matches_oracle(ray_session, con):
 
     mine = events_table_profile(SF)
     assert list(mine["col"]) == ["user_id", "value_cents"]
-    _assert_oracle(con, mine, events_table_profile_sql())
+    compare_twin(mine, con, events_table_profile_sql())
 
 
 def test_table_profile_invariants(ray_session):
@@ -144,22 +126,12 @@ def test_table_profile_invariants(ray_session):
     assert (mine["nulls"] == 0).all()  # fixture has no nulls
 
 
-@pytest.fixture(scope="module")
-def con_emb():
-    c = duckdb.connect()
-    for t in ("events", "orders", "lineitem", "embeddings"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
-        )
-    return c
-
-
 def test_cohort_retention_matches_oracle(ray_session, con):
     from pdfrust_ray.pipelines.relational import cohort_retention, cohort_retention_sql
 
     mine = cohort_retention(SF)
     assert len(mine) > 1  # non-vacuous: multiple cells
-    _assert_oracle(con, mine, cohort_retention_sql())
+    compare_twin(mine, con, cohort_retention_sql())
 
 
 def test_cohort_retention_hand_corpus(ray_session, tmp_path):
@@ -196,7 +168,7 @@ def test_butterflies_match_oracle(ray_session, con):
 
     mine = supplier_butterflies(SF)
     assert int(mine["n_butterflies"].iloc[0]) > 0  # non-vacuous
-    _assert_oracle(con, mine, supplier_butterflies_sql())
+    compare_twin(mine, con, supplier_butterflies_sql())
 
 
 def test_butterflies_side_invariance(ray_session):
@@ -222,22 +194,22 @@ def test_butterflies_side_invariance(ray_session):
     assert count(0) == count(1) == 3
 
 
-def test_contrastive_pairs_match_oracle(ray_session, con_emb):
+def test_contrastive_pairs_match_oracle(ray_session, con):
     from pdfrust_ray.stages.similarity import contrastive_pairs, contrastive_pairs_sql
 
     mine = contrastive_pairs(SF)
     assert set(mine["kind"]) == {"pos", "neg"}  # both classes non-vacuous
-    _assert_oracle(con_emb, mine, contrastive_pairs_sql())
+    compare_twin(mine, con, contrastive_pairs_sql())
 
 
-def test_contrastive_pairs_label_discipline(ray_session, con_emb):
+def test_contrastive_pairs_label_discipline(ray_session, con):
     # every 'pos' pair shares the query's label, every 'neg' differs,
     # and no self-pairs — checked against the raw label column
     from pdfrust_ray.stages.similarity import contrastive_pairs
 
     mine = contrastive_pairs(SF)
     labels = dict(
-        con_emb.execute("SELECT vec_id, label FROM embeddings").fetchall()
+        con.execute("SELECT vec_id, label FROM embeddings").fetchall()
     )
     assert (mine["query_id"] != mine["other_id"]).all()
     for _, r in mine.iterrows():

@@ -97,11 +97,6 @@ _TEXT = st.text(
 )
 
 
-@pytest.fixture(scope="module")
-def con():
-    return duckdb.connect()
-
-
 @settings(max_examples=150, deadline=None)
 @given(text=_TEXT)
 def test_pii_pattern_parity_python_vs_re2(text):
@@ -136,7 +131,7 @@ def test_normalize_parity_python_vs_duckdb(text):
     assert py == sql
 
 
-def test_clean_pack_pipeline_matches_composed_sql(ray_session):
+def test_clean_pack_pipeline_matches_composed_sql(ray_session, con):
     import os
 
     SF = "/root/testdata/sf0.001"
@@ -146,18 +141,12 @@ def test_clean_pack_pipeline_matches_composed_sql(ray_session):
     dedup -> rebalance -> pack) must match the chained-CTE SQL oracle
     row for row, and its survivor set must be consistent with the
     individual stage queries."""
-    import duckdb
-
     from pdfrust_ray.pipelines.llmdata import (
         clean_pack_pipeline,
         clean_pack_pipeline_sql,
     )
     from pdfrust_ray.pipelines.quality import gopher_repetition
 
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
     mine = clean_pack_pipeline(SF)
     assert len(mine) > 0
     oracle = con.execute(clean_pack_pipeline_sql()).df()

@@ -2,31 +2,18 @@
 planted two-domain corpus, eta=0 degeneracy."""
 
 import duckdb
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
+from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-
-
-@pytest.fixture(scope="module")
-def con():
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
-    return c
 
 
 def test_doremi_twin_exact(ray_session, con):
     from pdfrust_ray.pipelines.mixing import doremi_fixedpoint, doremi_fixedpoint_sql
 
     mine = doremi_fixedpoint(SF)
-    odf = con.execute(doremi_fixedpoint_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, doremi_fixedpoint_sql())
     # ppm weights sum to ~1e6 (truncation loses < n_sources ppm)
     assert 0 <= 1_000_000 - int(mine["weight_ppm"].sum()) < len(mine)
 
@@ -74,10 +61,7 @@ def test_doremi_dro_dynamics_planted(ray_session, tmp_path, con):
     c2.execute(
         f"CREATE VIEW documents AS SELECT * FROM read_parquet('{d}/documents.parquet')"
     )
-    odf = c2.execute(doremi_fixedpoint_sql(rounds=30, eta=200)).fetchdf()
-    pd.testing.assert_frame_equal(
-        out.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(out, c2, doremi_fixedpoint_sql(rounds=30, eta=200))
 
 
 def test_doremi_mix_plan_twin_and_invariants(ray_session, con):
@@ -85,10 +69,7 @@ def test_doremi_mix_plan_twin_and_invariants(ray_session, con):
 
     for kw in ({}, {"budget": 100_000, "epochs": 1}):
         mine = doremi_mix_plan(SF, **kw)
-        odf = con.execute(doremi_mix_plan_sql(**kw)).fetchdf()
-        pd.testing.assert_frame_equal(
-            mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-        )
+        compare_twin(mine, con, doremi_mix_plan_sql(**kw))
         budget = kw.get("budget", 20_000)
         # allocation exhausts the budget or the capacity, never exceeds caps
         assert (mine["alloc_tokens"] <= mine["cap_tokens"]).all()
@@ -124,10 +105,7 @@ def test_length_bucketed_batch_plan(ray_session, con):
     )
 
     mine = length_bucketed_batch_plan(SF)
-    odf = con.execute(length_bucketed_batch_plan_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(mine, con, length_bucketed_batch_plan_sql())
     for (_, _), g in mine.groupby(["bucket", "batch_id"]):
         g = g.sort_values("batch_pos")
         assert list(g["batch_pos"]) == list(range(len(g)))
@@ -145,10 +123,7 @@ def test_pad_efficiency_report(ray_session, con):
     )
 
     rep = pad_efficiency_report(SF)
-    odf = con.execute(pad_efficiency_report_sql()).fetchdf()
-    pd.testing.assert_frame_equal(
-        rep.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
-    )
+    compare_twin(rep, con, pad_efficiency_report_sql())
     plan = length_bucketed_batch_plan(SF)
     for _, r in rep.iterrows():
         g = plan[plan["bucket"] == int(r["bucket"])]

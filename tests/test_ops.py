@@ -17,13 +17,6 @@ SF = "/root/testdata/sf0.001"
 needs_testdata = pytest.mark.skipif(not os.path.isdir(SF), reason="testdata not available")
 
 
-@pytest.fixture(scope="module")
-def duck():
-    from tools.contract_check import connect
-
-    return connect(SF)
-
-
 def _compare(mine: pd.DataFrame, oracle: pd.DataFrame):
     cols = sorted(mine.columns)
     assert cols == sorted(oracle.columns)
@@ -35,40 +28,40 @@ def _compare(mine: pd.DataFrame, oracle: pd.DataFrame):
 
 
 @needs_testdata
-def test_exact_dedup_matches_sql(ray_session, duck):
+def test_exact_dedup_matches_sql(ray_session, con):
     from pdfrust_ray.stages.dedup import exact_dedup
 
     mine = exact_dedup(SF).to_pandas()
-    oracle = duck.execute(
+    oracle = con.execute(
         "SELECT md5(text) AS text_hash, MIN(doc_id) AS doc_id, COUNT(*) AS dup_count FROM documents GROUP BY md5(text)"
     ).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_token_counts_match_sql(ray_session, duck):
+def test_token_counts_match_sql(ray_session, con):
     from pdfrust_ray.pipelines.textops import token_counts, token_counts_sql
 
     mine = token_counts(SF)
-    oracle = duck.execute(token_counts_sql()).df()
+    oracle = con.execute(token_counts_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_fingerprints_match_sql(ray_session, duck):
+def test_fingerprints_match_sql(ray_session, con):
     from pdfrust_ray.pipelines.textops import fingerprints, fingerprints_sql
 
     mine = fingerprints(SF)
-    oracle = duck.execute(fingerprints_sql()).df()
+    oracle = con.execute(fingerprints_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_ann_topk_matches_sql(ray_session, duck):
+def test_ann_topk_matches_sql(ray_session, con):
     from pdfrust_ray.stages.similarity import brute_force_topk
 
     mine = brute_force_topk(SF)
-    oracle = duck.execute(
+    oracle = con.execute(
         """
         WITH q AS (SELECT vec_id AS query_id, embedding AS qe FROM embeddings WHERE vec_id IN (0,1,2,3,4)),
         s AS (SELECT q.query_id, e.vec_id, list_cosine_similarity(e.embedding, q.qe) AS cosine
@@ -251,20 +244,20 @@ def test_multimodal_codecs_roundtrip():
 
 
 @needs_testdata
-def test_sessionize_matches_sql(ray_session, duck):
+def test_sessionize_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import sessionize, sessionize_sql
 
     mine = sessionize(SF)
-    oracle = duck.execute(sessionize_sql()).df()
+    oracle = con.execute(sessionize_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_running_totals_match_sql(ray_session, duck):
+def test_running_totals_match_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import running_user_totals, running_user_totals_sql
 
     mine = running_user_totals(SF)
-    oracle = duck.execute(running_user_totals_sql()).df()
+    oracle = con.execute(running_user_totals_sql()).df()
     _compare(mine, oracle)
 
 
@@ -299,49 +292,49 @@ def test_dedup_clusters_planted(ray_session, tmp_path):
 
 
 @needs_testdata
-def test_asof_join_matches_sql(ray_session, duck):
+def test_asof_join_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         asof_click_before_purchase,
         asof_click_before_purchase_sql,
     )
 
     mine = asof_click_before_purchase(SF)
-    oracle = duck.execute(asof_click_before_purchase_sql()).df()
+    oracle = con.execute(asof_click_before_purchase_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_top_orders_per_segment_matches_sql(ray_session, duck):
+def test_top_orders_per_segment_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         top_orders_per_segment,
         top_orders_per_segment_sql,
     )
 
     mine = top_orders_per_segment(SF)
-    oracle = duck.execute(top_orders_per_segment_sql()).df()
+    oracle = con.execute(top_orders_per_segment_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_user_next_event_matches_sql(ray_session, duck):
+def test_user_next_event_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import user_next_event, user_next_event_sql
 
     mine = user_next_event(SF)
-    oracle = duck.execute(user_next_event_sql()).df()
+    oracle = con.execute(user_next_event_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_user_funnel_sets_matches_sql(ray_session, duck):
+def test_user_funnel_sets_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import user_funnel_sets, user_funnel_sets_sql
 
     mine = user_funnel_sets(SF)
-    oracle = duck.execute(user_funnel_sets_sql()).df()
+    oracle = con.execute(user_funnel_sets_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_events_value_percentiles_match_sql_bitexact(ray_session, duck):
+def test_events_value_percentiles_match_sql_bitexact(ray_session, con):
     """quantile_cont doubles must be bit-identical (lo*(1-frac)+hi*frac
     — DuckDB's interpolation op order)."""
     from pdfrust_ray.pipelines.relational import (
@@ -350,28 +343,28 @@ def test_events_value_percentiles_match_sql_bitexact(ray_session, duck):
     )
 
     mine = events_value_percentiles(SF)
-    oracle = duck.execute(events_value_percentiles_sql()).df()
+    oracle = con.execute(events_value_percentiles_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_events_daily_pivot_matches_sql(ray_session, duck):
+def test_events_daily_pivot_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import events_daily_pivot, events_daily_pivot_sql
 
     mine = events_daily_pivot(SF)
-    oracle = duck.execute(events_daily_pivot_sql()).df()
+    oracle = con.execute(events_daily_pivot_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_region_revenue_matches_sql(ray_session, duck):
+def test_region_revenue_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import region_revenue, region_revenue_sql
 
-    _compare(region_revenue(SF), duck.execute(region_revenue_sql()).df())
+    _compare(region_revenue(SF), con.execute(region_revenue_sql()).df())
 
 
 @needs_testdata
-def test_first_last_order_matches_sql(ray_session, duck):
+def test_first_last_order_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         first_last_order_per_customer,
         first_last_order_per_customer_sql,
@@ -379,12 +372,12 @@ def test_first_last_order_matches_sql(ray_session, duck):
 
     _compare(
         first_last_order_per_customer(SF),
-        duck.execute(first_last_order_per_customer_sql()).df(),
+        con.execute(first_last_order_per_customer_sql()).df(),
     )
 
 
 @needs_testdata
-def test_orders_above_customer_avg_matches_sql(ray_session, duck):
+def test_orders_above_customer_avg_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         orders_above_customer_avg,
         orders_above_customer_avg_sql,
@@ -392,29 +385,29 @@ def test_orders_above_customer_avg_matches_sql(ray_session, duck):
 
     _compare(
         orders_above_customer_avg(SF),
-        duck.execute(orders_above_customer_avg_sql()).df(),
+        con.execute(orders_above_customer_avg_sql()).df(),
     )
 
 
 @needs_testdata
-def test_user_top_event_type_matches_sql(ray_session, duck):
+def test_user_top_event_type_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import user_top_event_type, user_top_event_type_sql
 
-    _compare(user_top_event_type(SF), duck.execute(user_top_event_type_sql()).df())
+    _compare(user_top_event_type(SF), con.execute(user_top_event_type_sql()).df())
 
 
 @needs_testdata
-def test_events_value_histogram_matches_sql(ray_session, duck):
+def test_events_value_histogram_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         events_value_histogram,
         events_value_histogram_sql,
     )
 
-    _compare(events_value_histogram(SF), duck.execute(events_value_histogram_sql()).df())
+    _compare(events_value_histogram(SF), con.execute(events_value_histogram_sql()).df())
 
 
 @needs_testdata
-def test_user_value_percent_rank_matches_sql_bitexact(ray_session, duck):
+def test_user_value_percent_rank_matches_sql_bitexact(ray_session, con):
     """PERCENT_RANK/CUME_DIST doubles must be bit-identical
     ((rank-1)/(n-1) and cume/n, ranks from searchsorted)."""
     from pdfrust_ray.pipelines.relational import (
@@ -422,11 +415,11 @@ def test_user_value_percent_rank_matches_sql_bitexact(ray_session, duck):
         user_value_percent_rank_sql,
     )
 
-    _compare(user_value_percent_rank(SF), duck.execute(user_value_percent_rank_sql()).df())
+    _compare(user_value_percent_rank(SF), con.execute(user_value_percent_rank_sql()).df())
 
 
 @needs_testdata
-def test_benchmark_contamination_matches_sql(ray_session, duck):
+def test_benchmark_contamination_matches_sql(ray_session, con):
     """13-gram decontamination: engine count of distinct shared grams
     must equal the SQL unnest-join oracle (incl. the planted near-dup
     of a benchmark doc)."""
@@ -436,7 +429,7 @@ def test_benchmark_contamination_matches_sql(ray_session, duck):
     )
 
     mine = benchmark_contamination(SF)
-    oracle = duck.execute(benchmark_contamination_sql()).df()
+    oracle = con.execute(benchmark_contamination_sql()).df()
     _compare(mine, oracle)
     # non-vacuous: benchmark members self-hit, short docs drop out
     assert len(mine) > 0
@@ -460,30 +453,30 @@ def test_pii_redact_matches_sql(ray_session):
 
 
 @needs_testdata
-def test_customers_with_big_orders_matches_sql(ray_session, duck):
+def test_customers_with_big_orders_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         customers_with_big_orders,
         customers_with_big_orders_sql,
     )
 
     _compare(
-        customers_with_big_orders(SF), duck.execute(customers_with_big_orders_sql()).df()
+        customers_with_big_orders(SF), con.execute(customers_with_big_orders_sql()).df()
     )
 
 
 @needs_testdata
-def test_events_dow_grid_matches_sql(ray_session, duck):
+def test_events_dow_grid_matches_sql(ray_session, con):
     """Grid fill must include zero cells and use DuckDB's Sunday=0
     day-of-week numbering."""
     from pdfrust_ray.pipelines.relational import events_dow_grid, events_dow_grid_sql
 
     mine = events_dow_grid(SF)
-    _compare(mine, duck.execute(events_dow_grid_sql()).df())
+    _compare(mine, con.execute(events_dow_grid_sql()).df())
     assert len(mine) % 7 == 0  # dense grid
 
 
 @needs_testdata
-def test_lineitem_discounted_revenue_matches_sql(ray_session, duck):
+def test_lineitem_discounted_revenue_matches_sql(ray_session, con):
     """Discount product hits genuine .5 cases: DuckDB ROUND is
     half-away-from-zero, so the engine must not use Arrow's default
     half-to-even."""
@@ -494,7 +487,7 @@ def test_lineitem_discounted_revenue_matches_sql(ray_session, duck):
 
     _compare(
         lineitem_discounted_revenue(SF),
-        duck.execute(lineitem_discounted_revenue_sql()).df(),
+        con.execute(lineitem_discounted_revenue_sql()).df(),
     )
 
 
@@ -543,14 +536,14 @@ def test_pq_rerank_equals_exact(ray_session):
 
 
 @needs_testdata
-def test_pack_sequences_matches_recursive_cte(ray_session, duck):
+def test_pack_sequences_matches_recursive_cte(ray_session, con):
     """Greedy packing is a linear recurrence: the engine's per-bucket
     first-fit must equal the recursive-CTE oracle row for row, and
     every pack must respect the budget (oversized docs excepted)."""
     from pdfrust_ray.pipelines.llmdata import pack_sequences, pack_sequences_sql
 
     mine = pack_sequences(SF)
-    oracle = duck.execute(pack_sequences_sql()).df()
+    oracle = con.execute(pack_sequences_sql()).df()
     _compare(mine, oracle)
     sums = mine.groupby(["bucket", "pack_id"]).agg(
         tok=("n_tokens", "sum"), n=("doc_id", "size")
@@ -618,7 +611,7 @@ def test_bpe_merge_loop_sennrich_example():
 
 
 @needs_testdata
-def test_lang_rebalanced_sample_matches_sql(ray_session, duck):
+def test_lang_rebalanced_sample_matches_sql(ray_session, con):
     """Data mixing: the per-lang keep thresholds and the hash predicate
     must agree with the SQL twin bit-for-bit, and the resulting mix
     must be near-uniform across languages."""
@@ -628,21 +621,21 @@ def test_lang_rebalanced_sample_matches_sql(ray_session, duck):
     )
 
     mine = lang_rebalanced_sample(SF)
-    oracle = duck.execute(lang_rebalanced_sample_sql()).df()
+    oracle = con.execute(lang_rebalanced_sample_sql()).df()
     _compare(mine, oracle)
     mix = mine.groupby("lang").size()
     assert mix.max() <= 1.35 * mix.min()
 
 
 @needs_testdata
-def test_substring_dedup_matches_sql(ray_session, duck):
+def test_substring_dedup_matches_sql(ray_session, con):
     """ExactSubstr window dedup: the shared-window pair counts must
     equal the SQL window-join oracle exactly (includes the planted
     near-dups, which share long verbatim spans)."""
     from pdfrust_ray.stages.dedup import substring_dedup, substring_dedup_sql
 
     mine = substring_dedup(SF)
-    oracle = duck.execute(substring_dedup_sql()).df()
+    oracle = con.execute(substring_dedup_sql()).df()
     _compare(mine, oracle)
     assert len(mine) > 0
 
@@ -717,36 +710,36 @@ def test_simhash_mega_duplicate_group_no_blowup(ray_session, tmp_path):
 
 
 @needs_testdata
-def test_embedding_dedup_matches_sql(ray_session, duck):
+def test_embedding_dedup_matches_sql(ray_session, con):
     from pdfrust_ray.stages.dedup import embedding_dedup, embedding_dedup_sql
 
     mine = embedding_dedup(SF)
-    oracle = duck.execute(embedding_dedup_sql()).df()
+    oracle = con.execute(embedding_dedup_sql()).df()
     assert len(mine) > 0  # threshold chosen so the check is non-vacuous
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_segment_revenue_matches_sql(ray_session, duck):
+def test_segment_revenue_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import segment_revenue, segment_revenue_sql
 
-    _compare(segment_revenue(SF), duck.execute(segment_revenue_sql()).df())
+    _compare(segment_revenue(SF), con.execute(segment_revenue_sql()).df())
 
 
 @needs_testdata
-def test_supplier_nation_agg_matches_sql(ray_session, duck):
+def test_supplier_nation_agg_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import supplier_nation_agg, supplier_nation_agg_sql
 
-    _compare(supplier_nation_agg(SF), duck.execute(supplier_nation_agg_sql()).df())
+    _compare(supplier_nation_agg(SF), con.execute(supplier_nation_agg_sql()).df())
 
 
 @needs_testdata
-def test_ann_topk_matches_sql_after_zero_copy(ray_session, duck):
+def test_ann_topk_matches_sql_after_zero_copy(ray_session, con):
     # pins the FixedSizeList/list zero-copy embedding load path
     from pdfrust_ray.stages.similarity import brute_force_topk
 
     mine = brute_force_topk(SF)
-    oracle = duck.execute(
+    oracle = con.execute(
         """
         WITH q AS (
             SELECT vec_id AS query_id, embedding AS qe
@@ -804,7 +797,7 @@ def test_kmeans_monotone_deterministic_and_recovers_labels(ray_session):
 
 
 @needs_testdata
-def test_ivf_exact_modes_match_exact_variants(ray_session, duck):
+def test_ivf_exact_modes_match_exact_variants(ray_session, con):
     # IVF with every bucket probed / a single centroid is exhaustive:
     # the bucketed machinery must reproduce the exact variants verbatim
     from pdfrust_ray.stages.dedup import embedding_dedup, embedding_dedup_ivf
@@ -815,79 +808,79 @@ def test_ivf_exact_modes_match_exact_variants(ray_session, duck):
 
 
 @needs_testdata
-def test_top_terms_per_doc_matches_sql(ray_session, duck):
+def test_top_terms_per_doc_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.textops import top_terms_per_doc, top_terms_per_doc_sql
 
     mine = top_terms_per_doc(SF)
-    oracle = duck.execute(top_terms_per_doc_sql()).df()
+    oracle = con.execute(top_terms_per_doc_sql()).df()
     # ranking is (tf desc, df asc, term asc) — integer-exact, no float
     # score whose ULPs could flip near-ties
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_stratified_sample_matches_sql(ray_session, duck):
+def test_stratified_sample_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         customer_stratified_sample,
         customer_stratified_sample_sql,
     )
 
     mine = customer_stratified_sample(SF)
-    oracle = duck.execute(customer_stratified_sample_sql()).df()
+    oracle = con.execute(customer_stratified_sample_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_events_value_quartiles_match_sql(ray_session, duck):
+def test_events_value_quartiles_match_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         events_value_quartiles,
         events_value_quartiles_sql,
     )
 
     mine = events_value_quartiles(SF)
-    oracle = duck.execute(events_value_quartiles_sql()).df()
+    oracle = con.execute(events_value_quartiles_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_events_hopping_matches_sql(ray_session, duck):
+def test_events_hopping_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import events_hopping_15m, events_hopping_15m_sql
 
     mine = events_hopping_15m(SF)
     mine["win_start"] = mine["win_start"].astype("datetime64[us]")
-    oracle = duck.execute(events_hopping_15m_sql()).df()
+    oracle = con.execute(events_hopping_15m_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_order_priority_revenue_matches_sql(ray_session, duck):
+def test_order_priority_revenue_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         order_priority_revenue,
         order_priority_revenue_sql,
     )
 
     mine = order_priority_revenue(SF)
-    oracle = duck.execute(order_priority_revenue_sql()).df()
+    oracle = con.execute(order_priority_revenue_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_quality_scores_match_sql(ray_session, duck):
+def test_quality_scores_match_sql(ray_session, con):
     from pdfrust_ray.pipelines.textops import quality_scores, quality_scores_sql
 
     mine = quality_scores(SF)
-    oracle = duck.execute(quality_scores_sql()).df()
+    oracle = con.execute(quality_scores_sql()).df()
     # each ratio is parenthesized in the SQL exactly as Python evaluates
     # it, so the rounded doubles are bit-identical
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_top_bigrams_match_sql(ray_session, duck):
+def test_top_bigrams_match_sql(ray_session, con):
     from pdfrust_ray.pipelines.textops import top_bigrams, top_bigrams_sql
 
     mine = top_bigrams(SF)
-    oracle = duck.execute(top_bigrams_sql()).df()
+    oracle = con.execute(top_bigrams_sql()).df()
     # ORDER BY (count desc, bigram) is a total order, so the top-k set
     # and its ordering are deterministic on both sides
     assert mine["bigram"].tolist() == oracle["bigram"].tolist()
@@ -895,51 +888,51 @@ def test_top_bigrams_match_sql(ray_session, duck):
 
 
 @needs_testdata
-def test_simhash_dedup_matches_sql(ray_session, duck):
+def test_simhash_dedup_matches_sql(ray_session, con):
     from pdfrust_ray.stages.dedup import simhash_dedup, simhash_dedup_sql
 
     mine = simhash_dedup(SF)
-    oracle = duck.execute(simhash_dedup_sql()).df()
+    oracle = con.execute(simhash_dedup_sql()).df()
     # banding is pigeonhole-complete for hamming <= 3 and the verify is
     # exact, so the engine output IS the exact pair set
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_dedup_clusters_matches_sql(ray_session, duck):
+def test_dedup_clusters_matches_sql(ray_session, con):
     from pdfrust_ray.stages.dedup import dedup_clusters, dedup_clusters_sql
 
     mine = dedup_clusters(SF)
-    oracle = duck.execute(dedup_clusters_sql()).df()
+    oracle = con.execute(dedup_clusters_sql()).df()
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_charset_best_match_matches_sql(ray_session, duck):
+def test_charset_best_match_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.textops import charset_best_match, charset_best_match_sql
 
     mine = charset_best_match(SF)
-    oracle = duck.execute(charset_best_match_sql()).df()
+    oracle = con.execute(charset_best_match_sql()).df()
     # float sims are exact int/int divisions — bit-identical both sides
     _compare(mine, oracle)
 
 
 @needs_testdata
-def test_orders_rollup_matches_sql(ray_session, duck):
+def test_orders_rollup_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import orders_rollup, orders_rollup_sql
 
-    _compare(orders_rollup(SF), duck.execute(orders_rollup_sql()).df())
+    _compare(orders_rollup(SF), con.execute(orders_rollup_sql()).df())
 
 
 @needs_testdata
-def test_lineitem_quantiles_matches_sql(ray_session, duck):
+def test_lineitem_quantiles_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import lineitem_quantiles, lineitem_quantiles_sql
 
-    _compare(lineitem_quantiles(SF), duck.execute(lineitem_quantiles_sql()).df())
+    _compare(lineitem_quantiles(SF), con.execute(lineitem_quantiles_sql()).df())
 
 
 @needs_testdata
-def test_customers_without_orders_matches_sql(ray_session, duck):
+def test_customers_without_orders_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         customers_without_orders,
         customers_without_orders_sql,
@@ -947,16 +940,16 @@ def test_customers_without_orders_matches_sql(ray_session, duck):
 
     mine = customers_without_orders(SF)
     assert len(mine) > 0  # threshold chosen so the anti-join is non-vacuous
-    _compare(mine, duck.execute(customers_without_orders_sql()).df())
+    _compare(mine, con.execute(customers_without_orders_sql()).df())
 
 
 @needs_testdata
-def test_orders_sample_matches_sql(ray_session, duck):
+def test_orders_sample_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import orders_sample, orders_sample_sql
 
     mine = orders_sample(SF)
     assert len(mine) > 0
-    _compare(mine, duck.execute(orders_sample_sql()).df())
+    _compare(mine, con.execute(orders_sample_sql()).df())
 
 
 def test_embedding_dedup_ivf_finds_planted(ray_session, tmp_path):
@@ -977,27 +970,27 @@ def test_embedding_dedup_ivf_finds_planted(ray_session, tmp_path):
 
 
 @needs_testdata
-def test_bpe_token_counts_match_sql(ray_session, duck):
+def test_bpe_token_counts_match_sql(ray_session, con):
     from pdfrust_ray.pipelines.textops import bpe_token_counts, bpe_token_counts_sql
 
-    _compare(bpe_token_counts(SF), duck.execute(bpe_token_counts_sql()).df())
+    _compare(bpe_token_counts(SF), con.execute(bpe_token_counts_sql()).df())
 
 
 @needs_testdata
-def test_events_sliding_hour_matches_sql(ray_session, duck):
+def test_events_sliding_hour_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import events_sliding_hour, events_sliding_hour_sql
 
-    _compare(events_sliding_hour(SF), duck.execute(events_sliding_hour_sql()).df())
+    _compare(events_sliding_hour(SF), con.execute(events_sliding_hour_sql()).df())
 
 
 @needs_testdata
-def test_nation_supplier_names_matches_sql(ray_session, duck):
+def test_nation_supplier_names_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         nation_supplier_names,
         nation_supplier_names_sql,
     )
 
-    _compare(nation_supplier_names(SF), duck.execute(nation_supplier_names_sql()).df())
+    _compare(nation_supplier_names(SF), con.execute(nation_supplier_names_sql()).df())
 
 
 def test_sliding_hour_counts_tied_peers(ray_session, tmp_path):
@@ -1060,7 +1053,7 @@ def test_flate_exact_rejects_truncated_stream():
 
 
 @needs_testdata
-def test_minhash_pairs_equal_exact_jaccard(ray_session, duck):
+def test_minhash_pairs_equal_exact_jaccard(ray_session, con):
     # The LSH pipeline must reproduce the EXACT jaccard >= 0.8 pair set —
     # banding (candidate recall), distributed verify, and exact-dup
     # expansion all pinned at once; values are raw int/int divisions so
@@ -1070,7 +1063,7 @@ def test_minhash_pairs_equal_exact_jaccard(ray_session, duck):
 
     mine = minhash_lsh_dedup(SF)
     assert len(mine) > 0
-    _compare(mine, duck.execute(minhash_lsh_dedup_sql()).df())
+    _compare(mine, con.execute(minhash_lsh_dedup_sql()).df())
 
 
 @needs_testdata
@@ -1122,7 +1115,7 @@ def test_charset_lsh_agrees_with_exact(ray_session):
 
 
 @needs_testdata
-def test_ngram_pairs_equal_exact_jaccard(ray_session, duck):
+def test_ngram_pairs_equal_exact_jaccard(ray_session, con):
     # The prefix-filtered inverted-index path must ALSO reproduce the
     # exact pair set — here that is a deterministic guarantee (the
     # prefix lemma gives candidate-complete recall), not LSH probability.
@@ -1130,7 +1123,7 @@ def test_ngram_pairs_equal_exact_jaccard(ray_session, duck):
 
     mine = ngram_jaccard_dedup(SF)
     assert len(mine) > 0
-    _compare(mine, duck.execute(minhash_lsh_dedup_sql()).df())
+    _compare(mine, con.execute(minhash_lsh_dedup_sql()).df())
 
 
 def test_ngram_candidate_completeness_planted(ray_session, tmp_path):
@@ -1226,7 +1219,7 @@ def test_semantic_dedup_k1_is_exact_and_k10_subset(ray_session):
 
 
 @needs_testdata
-def test_temperature_mix_sample_matches_sql(ray_session, duck):
+def test_temperature_mix_sample_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.llmdata import (
         temperature_mix_sample,
         temperature_mix_sample_sql,
@@ -1234,7 +1227,7 @@ def test_temperature_mix_sample_matches_sql(ray_session, duck):
 
     mine = temperature_mix_sample(SF)
     assert len(mine) > 0
-    _compare(mine, duck.execute(temperature_mix_sample_sql()).df())
+    _compare(mine, con.execute(temperature_mix_sample_sql()).df())
     # alpha=0.5 flattens the mix: the sampled lang shares must sit
     # between uniform and the natural distribution
     import pyarrow.parquet as _pq
@@ -1247,17 +1240,17 @@ def test_temperature_mix_sample_matches_sql(ray_session, duck):
 
 
 @needs_testdata
-def test_running_global_total_matches_sql(ray_session, duck):
+def test_running_global_total_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         running_global_total,
         running_global_total_sql,
     )
 
     mine = running_global_total(SF)
-    _compare(mine, duck.execute(running_global_total_sql()).df())
+    _compare(mine, con.execute(running_global_total_sql()).df())
     # the scan must be globally monotone and end at the corpus total
     assert mine["cum_cents"].is_monotonic_increasing
-    total = duck.execute(
+    total = con.execute(
         "SELECT SUM(CAST(FLOOR(value*100.0+0.5) AS BIGINT)) FROM events"
     ).fetchone()[0]
     assert mine["cum_cents"].iloc[-1] == total
@@ -1282,12 +1275,12 @@ def test_running_global_total_bucket_boundaries(ray_session, tmp_path):
 
 
 @needs_testdata
-def test_bottom_k_sample_matches_sql(ray_session, duck):
+def test_bottom_k_sample_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import bottom_k_sample, bottom_k_sample_sql
 
     mine = bottom_k_sample(SF)
     assert len(mine) == 100
-    _compare(mine, duck.execute(bottom_k_sample_sql()).df())
+    _compare(mine, con.execute(bottom_k_sample_sql()).df())
 
 
 def test_bottom_k_sample_merge_property(ray_session, tmp_path):
@@ -1310,7 +1303,7 @@ def test_bottom_k_sample_merge_property(ray_session, tmp_path):
 
 
 @needs_testdata
-def test_heavy_user_full_outer_matches_sql(ray_session, duck):
+def test_heavy_user_full_outer_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         heavy_user_full_outer,
         heavy_user_full_outer_sql,
@@ -1319,11 +1312,11 @@ def test_heavy_user_full_outer_matches_sql(ray_session, duck):
     mine = heavy_user_full_outer(SF)
     # both outer sides must be exercised at the fixture
     assert {"click_only", "purchase_only", "both"} <= set(mine["membership"])
-    _compare(mine, duck.execute(heavy_user_full_outer_sql()).df())
+    _compare(mine, con.execute(heavy_user_full_outer_sql()).df())
 
 
 @needs_testdata
-def test_events_daily_unpivot_matches_sql(ray_session, duck):
+def test_events_daily_unpivot_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         events_daily_pivot,
         events_daily_unpivot,
@@ -1331,7 +1324,7 @@ def test_events_daily_unpivot_matches_sql(ray_session, duck):
     )
 
     mine = events_daily_unpivot(SF)
-    _compare(mine, duck.execute(events_daily_unpivot_sql()).df())
+    _compare(mine, con.execute(events_daily_unpivot_sql()).df())
     # unpivot(pivot) involution: wide totals reappear as long sums
     wide = events_daily_pivot(SF)
     assert mine["n"].sum() == sum(wide[f"n_{et}"].sum() for et in
@@ -1339,11 +1332,11 @@ def test_events_daily_unpivot_matches_sql(ray_session, duck):
 
 
 @needs_testdata
-def test_orders_cube_matches_sql(ray_session, duck):
+def test_orders_cube_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import orders_cube, orders_cube_sql
 
     mine = orders_cube(SF)
-    _compare(mine, duck.execute(orders_cube_sql()).df())
+    _compare(mine, con.execute(orders_cube_sql()).df())
     # lattice consistency: every level sums to the grand total
     g = mine[(mine["o_orderstatus"] == "ALL") & (mine["o_orderpriority"] == "ALL")]
     base = mine[(mine["o_orderstatus"] != "ALL") & (mine["o_orderpriority"] != "ALL")]
@@ -1351,7 +1344,7 @@ def test_orders_cube_matches_sql(ray_session, duck):
 
 
 @needs_testdata
-def test_late_events_by_day_matches_sql(ray_session, duck):
+def test_late_events_by_day_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         late_events_by_day,
         late_events_by_day_sql,
@@ -1359,7 +1352,7 @@ def test_late_events_by_day_matches_sql(ray_session, duck):
 
     mine = late_events_by_day(SF)
     assert mine["n_late"].sum() > 0 and mine["n_on_time"].sum() > 0
-    _compare(mine, duck.execute(late_events_by_day_sql()).df())
+    _compare(mine, con.execute(late_events_by_day_sql()).df())
 
 
 def test_late_events_watermark_semantics(ray_session, tmp_path):
@@ -1402,14 +1395,14 @@ def test_late_events_watermark_semantics(ray_session, tmp_path):
 
 
 @needs_testdata
-def test_embedding_second_moment_matches_sql(ray_session, duck):
+def test_embedding_second_moment_matches_sql(ray_session, con):
     from pdfrust_ray.stages.similarity import (
         embedding_second_moment,
         embedding_second_moment_sql,
     )
 
     mine = embedding_second_moment(SF)
-    _compare(mine, duck.execute(embedding_second_moment_sql()).df())
+    _compare(mine, con.execute(embedding_second_moment_sql()).df())
     # diagonal entries are sums of squares: strictly positive
     diag = mine[mine["i"] == mine["j"]]
     assert (diag["m_q"] > 0).all()
@@ -1434,12 +1427,12 @@ def test_embedding_pca_spectrum_properties(ray_session):
 
 
 @needs_testdata
-def test_orders_skyline_matches_sql(ray_session, duck):
+def test_orders_skyline_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import orders_skyline, orders_skyline_sql
 
     mine = orders_skyline(SF)
     assert 0 < len(mine) < 50  # a front, not the table
-    _compare(mine, duck.execute(orders_skyline_sql()).df())
+    _compare(mine, con.execute(orders_skyline_sql()).df())
 
 
 def test_skyline_local_front_preserves_global(ray_session, tmp_path):
@@ -1483,7 +1476,7 @@ def test_skyline_local_front_preserves_global(ray_session, tmp_path):
 
 
 @needs_testdata
-def test_events_per_user_sample_matches_sql(ray_session, duck):
+def test_events_per_user_sample_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import (
         events_per_user_sample,
         events_per_user_sample_sql,
@@ -1491,4 +1484,4 @@ def test_events_per_user_sample_matches_sql(ray_session, duck):
 
     mine = events_per_user_sample(SF)
     assert (mine.groupby("user_id").size() == 3).all()
-    _compare(mine, duck.execute(events_per_user_sample_sql()).df())
+    _compare(mine, con.execute(events_per_user_sample_sql()).df())

@@ -4,7 +4,6 @@ plus property checks independent of the SQL twin."""
 import os
 from collections import Counter
 
-import duckdb
 import pyarrow as pa
 import pytest
 
@@ -15,19 +14,10 @@ SF = "/root/testdata/sf0.001"
 needs_testdata = pytest.mark.skipif(not os.path.isdir(SF), reason="testdata not available")
 
 
-@pytest.fixture(scope="module")
-def duck():
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{SF}/documents.parquet')"
-    )
-    return con
-
-
 @needs_testdata
-def test_gopher_repetition_oracle(ray_session, duck):
+def test_gopher_repetition_oracle(ray_session, con):
     eng = q.gopher_repetition(SF)
-    ora = duck.execute(q.gopher_repetition_sql()).df()
+    ora = con.execute(q.gopher_repetition_sql()).df()
     assert eng["doc_id"].tolist() == ora["doc_id"].tolist()
     assert eng["n_words"].tolist() == ora["n_words"].tolist()
     assert eng["n_distinct"].tolist() == ora["n_distinct"].tolist()
@@ -40,10 +30,10 @@ def test_gopher_repetition_oracle(ray_session, duck):
 
 
 @needs_testdata
-def test_gopher_repetition_spot_check(ray_session, duck):
+def test_gopher_repetition_spot_check(ray_session, con):
     """Recompute one doc by hand, independent of both implementations."""
     eng = q.gopher_repetition(SF)
-    txt = duck.execute("SELECT text FROM documents ORDER BY doc_id LIMIT 1").fetchone()[0]
+    txt = con.execute("SELECT text FROM documents ORDER BY doc_id LIMIT 1").fetchone()[0]
     ws = txt.lower().split()
     row = eng.iloc[0]
     assert row.n_words == len(ws)
@@ -53,9 +43,9 @@ def test_gopher_repetition_spot_check(ray_session, duck):
 
 
 @needs_testdata
-def test_bm25_oracle(ray_session, duck):
+def test_bm25_oracle(ray_session, con):
     eng = q.bm25_topk(SF)
-    ora = duck.execute(q.bm25_topk_sql()).df()
+    ora = con.execute(q.bm25_topk_sql()).df()
     assert eng["doc_id"].tolist() == ora["doc_id"].tolist()
     assert eng["score_q"].tolist() == ora["score_q"].tolist()
     # ranking must be non-degenerate: strictly positive and not all tied
@@ -107,9 +97,9 @@ def test_quantize_round_half_away():
 
 
 @needs_testdata
-def test_bigram_lm_scores_oracle(ray_session, duck):
+def test_bigram_lm_scores_oracle(ray_session, con):
     eng = q.bigram_lm_scores(SF)
-    ora = duck.execute(q.bigram_lm_scores_sql()).df()
+    ora = con.execute(q.bigram_lm_scores_sql()).df()
     assert eng["doc_id"].tolist() == ora["doc_id"].tolist()
     assert eng["n_bigrams"].tolist() == ora["n_bigrams"].tolist()
     assert eng["surprisal_q"].tolist() == ora["surprisal_q"].tolist()
@@ -117,7 +107,7 @@ def test_bigram_lm_scores_oracle(ray_session, duck):
 
 
 @needs_testdata
-def test_bigram_lm_hand_check_one_bigram(ray_session, duck):
+def test_bigram_lm_hand_check_one_bigram(ray_session, con):
     """Recompute one bigram's micro-nat cost independently and confirm
     it divides the engine's doc scores correctly on a 2-word doc model:
     a doc's score must equal the sum of its bigram costs computed from
@@ -151,17 +141,10 @@ def test_bigram_lm_hand_check_one_bigram(ray_session, duck):
     assert int(eng.loc[did, "surprisal_q"]) == expect
 
 
-@pytest.fixture(scope="module")
-def duck_part():
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW part AS SELECT * FROM read_parquet('{SF}/part.parquet')")
-    return con
-
-
 @needs_testdata
-def test_name_similarity_join_oracle(ray_session, duck_part):
+def test_name_similarity_join_oracle(ray_session, con):
     eng = q.name_similarity_join(SF)
-    ora = duck_part.execute(q.name_similarity_join_sql()).df()
+    ora = con.execute(q.name_similarity_join_sql()).df()
     assert len(eng) > 0  # the fixture names produce real pairs
     for c in ["name_a", "name_b", "n_inter", "n_union", "jaccard"]:
         assert eng[c].tolist() == ora[c].tolist(), c
@@ -229,9 +212,9 @@ def test_compression_ratio_orders_repetitive_below_random(ray_session, tmp_path)
 
 
 @needs_testdata
-def test_name_editdist_join_oracle(ray_session, duck_part):
+def test_name_editdist_join_oracle(ray_session, con):
     eng = q.name_editdist_join(SF)
-    ora = duck_part.execute(q.name_editdist_join_sql()).df()
+    ora = con.execute(q.name_editdist_join_sql()).df()
     assert len(eng) > 0  # 'cold X' / 'old X' pairs exist in the fixture
     assert eng["name_a"].tolist() == ora["name_a"].tolist()
     assert eng["name_b"].tolist() == ora["name_b"].tolist()

@@ -7,25 +7,28 @@ path that no longer exists all fail here in seconds instead of at
 driver-gate time.
 """
 
+import ast
 import inspect
+import os
 import re
 import sys
 
 import pytest
 
-SF = "/root/testdata/sf0.001"
+TESTS = os.path.dirname(os.path.abspath(__file__))
+# test_batch107's compare sorts the columns of both frames first
+OWN_COMPARE = {"test_batch107.py"}
+COPIED_COMPARE = re.compile(
+    r"pd\.testing\.assert_frame_equal\(\w+\.reset_index\(drop=True\), "
+    r"\w+\.reset_index\(drop=True\), check_dtype=False\)"
+)
 
 
 @pytest.fixture(scope="module")
 def entry(ray_session):
-    import importlib.util
+    import __ray_entry__
 
-    spec = importlib.util.spec_from_file_location(
-        "e_registry", "/root/repo/__ray_entry__.py"
-    )
-    m = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(m)
-    return m
+    return __ray_entry__
 
 
 def test_no_orphan_oracles(entry):
@@ -41,13 +44,10 @@ def test_query_names_are_snake_case(entry):
     assert not bad, bad
 
 
-def test_every_oracle_parses_and_binds(entry):
+def test_every_oracle_parses_and_binds(entry, con):
     # queries() eagerly materializes the fixture corpora, so every
     # read_parquet path referenced by an oracle exists afterwards
-    from tools.contract_check import connect
-
     entry.queries()
-    con = connect(SF)
     failures = {}
     for name, sql in entry.oracle_sql().items():
         try:
@@ -113,3 +113,62 @@ def test_bench_tier_is_a_registry_subset():
     assert len(names) == len(set(names))
     assert set(names) <= set(e.queries()), sorted(set(names) - set(e.queries()))
     assert bench.BENCH_ONE_SHOT <= set(names)
+
+
+def _sf0001_names(tree) -> set[str]:
+    names = {"SF"}
+    for st in tree.body:
+        if (
+            isinstance(st, ast.Assign)
+            and isinstance(st.value, ast.Constant)
+            and str(st.value.value).endswith("/sf0.001")
+        ):
+            names |= {t.id for t in st.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def copied_test_plumbing(tests_dir: str = TESTS) -> list[str]:
+    """`file:line reason` for every test-file copy of what
+    tests/conftest.py (`con`) and tools/contract_check.py
+    (`compare_twin`) provide: a `_cmp`/`_assert_oracle` helper or an
+    inline copy of its body, a view over an sf0.001 table, or a
+    connect() to the sf0.001 dir."""
+    out = []
+    for f in sorted(os.listdir(tests_dir)):
+        if not (f.startswith("test_") and f.endswith(".py")):
+            continue
+        with open(os.path.join(tests_dir, f)) as fh:
+            tree = ast.parse(fh.read())
+        sf = _sf0001_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_cmp", "_assert_oracle"):
+                if f not in OWN_COMPARE:
+                    out.append(f"{f}:{node.lineno} defines {node.name}")
+            elif isinstance(node, ast.JoinedStr):
+                text = "".join(
+                    v.value for v in node.values if isinstance(v, ast.Constant)
+                )
+                fields = {
+                    v.value.id
+                    for v in node.values
+                    if isinstance(v, ast.FormattedValue) and isinstance(v.value, ast.Name)
+                }
+                if "CREATE VIEW" in text and fields & sf:
+                    out.append(f"{f}:{node.lineno} creates a view over the sf0.001 dir")
+            elif isinstance(node, ast.Call):
+                func = ast.unparse(node.func).split(".")[-1]
+                if func == "assert_frame_equal" and COPIED_COMPARE.fullmatch(ast.unparse(node)):
+                    out.append(f"{f}:{node.lineno} inlines compare_twin")
+                elif (
+                    func == "connect"
+                    and node.args
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in sf
+                ):
+                    out.append(f"{f}:{node.lineno} connects to the sf0.001 dir")
+    return out
+
+
+def test_no_copied_duckdb_fixture_or_twin_compare():
+    bad = copied_test_plumbing()
+    assert not bad, "\n".join(bad)

@@ -3,7 +3,6 @@ heavy hitters with exact recount."""
 
 import os
 
-import duckdb
 import numpy as np
 import pytest
 
@@ -12,14 +11,6 @@ from pdfrust_ray.stages import sketches as sk
 SF = "/root/testdata/sf0.001"
 
 needs_testdata = pytest.mark.skipif(not os.path.isdir(SF), reason="testdata not available")
-
-
-@pytest.fixture(scope="module")
-def duck():
-    con = duckdb.connect()
-    for t in ("events", "documents"):
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
-    return con
 
 
 def test_hll_estimator_accuracy_known_cardinalities():
@@ -47,14 +38,14 @@ def test_hll_partials_merge_to_union():
 
 
 @needs_testdata
-def test_hll_distinct_users_matches_exact_within_bound(ray_session, duck):
+def test_hll_distinct_users_matches_exact_within_bound(ray_session, con):
     out = sk.hll_distinct_users(SF)
     exact = dict(
-        duck.execute(
+        con.execute(
             "SELECT event_type, COUNT(DISTINCT user_id) FROM events GROUP BY event_type"
         ).fetchall()
     )
-    exact["__all__"] = duck.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
+    exact["__all__"] = con.execute("SELECT COUNT(DISTINCT user_id) FROM events").fetchone()[0]
     assert set(out.event_type) == set(exact)
     for _, r in out.iterrows():
         e = exact[r.event_type]
@@ -62,9 +53,9 @@ def test_hll_distinct_users_matches_exact_within_bound(ray_session, duck):
 
 
 @needs_testdata
-def test_heavy_tokens_equals_exact_topk(ray_session, duck):
+def test_heavy_tokens_equals_exact_topk(ray_session, con):
     mine = sk.heavy_tokens(SF)
-    oracle = duck.execute(sk.heavy_tokens_sql()).fetchdf().astype({"cnt": "int64"})
+    oracle = con.execute(sk.heavy_tokens_sql()).fetchdf().astype({"cnt": "int64"})
     assert mine[["token", "cnt"]].values.tolist() == oracle[["token", "cnt"]].values.tolist()
 
 
@@ -89,7 +80,7 @@ def test_mg_candidate_guarantee_planted(ray_session, tmp_path):
     assert out.iloc[0].token == "needle" and out.iloc[0].cnt == 50
 
 
-def test_cms_bounds_and_oracle(ray_session, duck):
+def test_cms_bounds_and_oracle(ray_session, con):
     """Count-Min guarantees: never underestimates; overestimate bounded
     by eps*N (eps = e/w). At the fixture vocabulary (~40 tokens vs
     w=2048) every probe is collision-free, so the estimates equal the
@@ -97,7 +88,7 @@ def test_cms_bounds_and_oracle(ray_session, duck):
     import math
 
     est = sk.cms_token_freqs(SF)
-    true = duck.execute(
+    true = con.execute(
         r"""
         WITH toks AS (SELECT unnest(list_filter(string_split_regex(lower(text), '\s+'),
                                                 w -> w <> '')) AS token FROM documents)
@@ -110,7 +101,7 @@ def test_cms_bounds_and_oracle(ray_session, duck):
         t = true.get(tok, 0)
         assert e >= t
         assert e <= t + 2 * eps * n_total
-    oracle = duck.execute(sk.cms_token_freqs_sql()).df()
+    oracle = con.execute(sk.cms_token_freqs_sql()).df()
     assert est["token"].tolist() == oracle["token"].tolist()
     assert est["est_count"].tolist() == oracle["est_count"].tolist()
 
@@ -158,11 +149,11 @@ def test_quantile_sketch_merge_and_error_bound():
 
 
 @needs_testdata
-def test_quantile_sketch_events(ray_session, duck):
+def test_quantile_sketch_events(ray_session, con):
     out = sk.quantile_sketch(SF)
     assert out["q"].tolist() == [0.25, 0.5, 0.75, 0.9]
     true = {
-        q: duck.execute(f"SELECT quantile_disc(value, {q}) FROM events").fetchone()[0]
+        q: con.execute(f"SELECT quantile_disc(value, {q}) FROM events").fetchone()[0]
         for q in (0.25, 0.5, 0.75, 0.9)
     }
     import pyarrow.parquet as _pq
@@ -174,42 +165,35 @@ def test_quantile_sketch_events(ray_session, duck):
         assert abs(true_rank - q) <= 0.02, (q, est, true[q])
 
 
-def test_hll_sql_twin_bit_exact(ray_session, duck):
+def test_hll_sql_twin_bit_exact(ray_session, con):
     """The DuckDB twin (splitmix64 in HUGEINT limbs + integer S51)
     reproduces the engine's HLL estimates value-for-value."""
     mine = sk.hll_distinct_users(SF).reset_index(drop=True)
-    ora = duck.execute(sk.hll_distinct_users_sql()).fetchdf()
+    ora = con.execute(sk.hll_distinct_users_sql()).fetchdf()
     assert list(mine["event_type"]) == list(ora["event_type"])
     assert list(mine["est_distinct_users"]) == [
         int(v) for v in ora["est_distinct_users"]
     ]
 
 
-def test_kmv_joinability_sql_twin_bit_exact(ray_session):
-    import duckdb
-
+def test_kmv_joinability_sql_twin_bit_exact(ray_session, con):
     from pdfrust_ray.pipelines import relational as rel
 
     mine = rel.kmv_joinability_estimate(SF).reset_index(drop=True)
-    con = duckdb.connect()
-    for t in ("customer", "orders", "events"):
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
-        )
     ora = con.execute(rel.kmv_joinability_estimate_sql()).fetchdf()
     cols = ["col_a", "col_b", "est_jaccard_ppm", "exact_jaccard_ppm", "abs_err_ppm"]
     assert mine[cols].astype(str).values.tolist() == ora[cols].astype(str).values.tolist()
 
 
 @needs_testdata
-def test_quantile_sketch_det_sql_twin_exact(ray_session, duck):
+def test_quantile_sketch_det_sql_twin_exact(ray_session, con):
     """The deterministic-partition sibling's full compaction schedule
     (per-pid cascade + merge cascade + weighted-rank walk) is replayed
     bit-for-bit by the recursive-CTE twin."""
     import pandas as pd
 
     mine = sk.quantile_sketch_det(SF)
-    ora = duck.execute(sk.quantile_sketch_det_sql()).fetchdf()
+    ora = con.execute(sk.quantile_sketch_det_sql()).fetchdf()
     pd.testing.assert_frame_equal(mine.reset_index(drop=True), ora)
 
 

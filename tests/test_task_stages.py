@@ -71,7 +71,7 @@ def test_no_class_mounted_stage_or_fixed_concurrency():
 
 
 @pytest.mark.skipif(not os.path.isdir(SF), reason="testdata not available")
-def test_former_pool_stages_start_no_actor(ray_session):
+def test_former_pool_stages_start_no_actor(ray_session, con):
     """One former actor-pool stage per module runs with the cyclic
     garbage collector off: no Ray actor starts, and each result equals
     its SQL twin (media_features: its decode expectations)."""
@@ -79,7 +79,7 @@ def test_former_pool_stages_start_no_actor(ray_session):
     from ray._private import state
 
     import __ray_entry__ as entry
-    from tools.contract_check import _canon, connect
+    from tools.contract_check import _canon
     from pdfrust_ray.pipelines import graph, llmdata, quality, relational, textops
     from pdfrust_ray.stages import dedup, multimodal, similarity
 
@@ -107,7 +107,6 @@ def test_former_pool_stages_start_no_actor(ray_session):
         gc.enable()
     assert not started, [state.actors()[a]["ActorClassName"] for a in started]
 
-    con = connect(SF)
     sql = entry.oracle_sql()
     for name, mine in got.items():
         want = con.execute(sql[name]).df()

@@ -64,6 +64,19 @@ def connect(sf_dir: str):
     return con
 
 
+def compare_twin(mine, con, sql):
+    """Asserts that the engine frame `mine` equals the twin `sql` run on
+    con, row for row after dropping both indexes and ignoring dtypes;
+    returns the twin's frame."""
+    import pandas as pd
+
+    odf = con.execute(sql).fetchdf()
+    pd.testing.assert_frame_equal(
+        mine.reset_index(drop=True), odf.reset_index(drop=True), check_dtype=False
+    )
+    return odf
+
+
 def _to_pandas(res):
     import pandas as pd
     import pyarrow as pa

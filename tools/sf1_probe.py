@@ -20,6 +20,19 @@ sys.path.insert(0, REPO)
 SF1 = "/tmp/sf1"
 STRESS = "/tmp/pdfrust_ray_fixtures/stress"
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# queries() names of the ten most expensive bench cells
+SF1_CELLS = (
+    "facility_location_selection",
+    "clean_pack_pipeline",
+    "order_priority_revenue",
+    "supplier_butterflies",
+    "order_price_reconciliation",
+    "containment_dedup",
+    "semantic_dedup",
+    "events_value_rank_normalize",
+    "events_band_join",
+    "minhash_dedup",
+)
 
 
 def main() -> dict:
@@ -55,29 +68,14 @@ def main() -> dict:
         print(json.dumps(out["flagship"]), flush=True)
 
     if "--flagship-only" not in args:
-        from pdfrust_ray.pipelines import graph
-        from pdfrust_ray.pipelines import llmdata as llm
-        from pdfrust_ray.pipelines import relational as rel
-        from pdfrust_ray.pipelines import textops
-        from pdfrust_ray.stages import dedup, similarity
+        import __ray_entry__ as entry
 
-        cells = {
-            "facility_location_selection": lambda: similarity.facility_location_selection(SF1),
-            "clean_pack_pipeline": lambda: llm.clean_pack_pipeline(SF1),
-            "order_priority_revenue": lambda: rel.order_priority_revenue(SF1),
-            "supplier_butterflies": lambda: graph.supplier_butterflies(SF1),
-            "order_price_reconciliation": lambda: rel.order_price_reconciliation(SF1),
-            "containment_dedup": lambda: dedup.containment_dedup(SF1),
-            "semantic_dedup": lambda: dedup.semantic_dedup(SF1),
-            "rank_normalize": lambda: rel.events_value_rank_normalize(SF1),
-            "events_band_join": lambda: rel.events_band_join(SF1),
-            "minhash_dedup": lambda: dedup.minhash_lsh_dedup(SF1),
-        }
+        queries = entry.queries()
         ops = {}
-        for name, fn in cells.items():
+        for name in SF1_CELLS:
             t0 = time.perf_counter()
             try:
-                r = fn()
+                r = queries[name](SF1)
                 ops[name] = {
                     "sec": round(time.perf_counter() - t0, 2),
                     "rows": int(len(r)),
