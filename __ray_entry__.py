@@ -30,6 +30,8 @@ import sys
 from collections.abc import Callable
 from typing import Any
 
+from pdfrust_ray.functions.payload import OUTPUT_SCHEMA
+
 _FIXTURE_BASE = "/tmp/pdfrust_ray_fixtures"
 _T2_GOLDEN = f"{_FIXTURE_BASE}/t2/golden.parquet"
 _T2_SHARDS = f"{_FIXTURE_BASE}/t2/shards/*.parquet"
@@ -40,16 +42,7 @@ _XOBJ_GOLDEN = f"{_FIXTURE_BASE}/xobj/golden.parquet"
 _FILTERS_GOLDEN = f"{_FIXTURE_BASE}/filters/golden.parquet"
 _ENC_GOLDEN = f"{_FIXTURE_BASE}/encrypted/golden.parquet"
 
-_EXTRACT_COLS = [
-    "conv_id",
-    "turn_idx",
-    "payload_kind",
-    "extracted_text",
-    "parse_status",
-    "n_pages",
-    "bytes_decoded",
-    "error",
-]
+_EXTRACT_COLS = OUTPUT_SCHEMA.names
 
 
 def _ensure_fixture_files() -> None:
@@ -1815,6 +1808,11 @@ def _sql_twin(fn: Callable[[str], Any]) -> Callable[[], str] | None:
     return twin
 
 
+def _golden_sql(path: str) -> str:
+    """The extraction rows of a frozen golden, in output-row order."""
+    return f"SELECT {', '.join(_EXTRACT_COLS)} FROM read_parquet('{path}') ORDER BY conv_id, turn_idx"
+
+
 def oracle_sql() -> dict[str, str]:
     """A query whose callable is a module function `f` takes `f_sql()`
     (`_sql_twin`). The entries below are the ones that rule cannot find:
@@ -1838,12 +1836,7 @@ def oracle_sql() -> dict[str, str]:
     twins = {name: _sql_twin(fn) for name, fn in queries().items()}
     return {
         **{name: twin() for name, twin in twins.items() if twin is not None},
-        "extract_text": f"""
-            SELECT conv_id, turn_idx, payload_kind, extracted_text,
-                   parse_status, n_pages, bytes_decoded, error
-            FROM read_parquet('{_T2_GOLDEN}')
-            ORDER BY conv_id, turn_idx
-        """,
+        "extract_text": _golden_sql(_T2_GOLDEN),
         "extract_error_locality": f"""
             WITH e AS (
                 SELECT conv_id, turn_idx,
@@ -1925,30 +1918,10 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY conv_id, turn_idx
         """,
         "content_op_census": textops.content_op_census_sql(_MODES_GOLDEN),
-        "extract_text_spec15": f"""
-            SELECT conv_id, turn_idx, payload_kind, extracted_text,
-                   parse_status, n_pages, bytes_decoded, error
-            FROM read_parquet('{_SPEC15_GOLDEN}')
-            ORDER BY conv_id, turn_idx
-        """,
-        "extract_text_xobj": f"""
-            SELECT conv_id, turn_idx, payload_kind, extracted_text,
-                   parse_status, n_pages, bytes_decoded, error
-            FROM read_parquet('{_XOBJ_GOLDEN}')
-            ORDER BY conv_id, turn_idx
-        """,
-        "extract_text_filters": f"""
-            SELECT conv_id, turn_idx, payload_kind, extracted_text,
-                   parse_status, n_pages, bytes_decoded, error
-            FROM read_parquet('{_FILTERS_GOLDEN}')
-            ORDER BY conv_id, turn_idx
-        """,
-        "extract_text_encrypted": f"""
-            SELECT conv_id, turn_idx, payload_kind, extracted_text,
-                   parse_status, n_pages, bytes_decoded, error
-            FROM read_parquet('{_ENC_GOLDEN}')
-            ORDER BY conv_id, turn_idx
-        """,
+        "extract_text_spec15": _golden_sql(_SPEC15_GOLDEN),
+        "extract_text_xobj": _golden_sql(_XOBJ_GOLDEN),
+        "extract_text_filters": _golden_sql(_FILTERS_GOLDEN),
+        "extract_text_encrypted": _golden_sql(_ENC_GOLDEN),
         "exact_dedup": """
             SELECT md5(text) AS text_hash,
                    MIN(doc_id) AS doc_id,

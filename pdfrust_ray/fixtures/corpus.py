@@ -25,9 +25,17 @@ import struct
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..functions.payload import encode_pdf_payload, extract_row
+from ..functions.payload import OUTPUT_SCHEMA, encode_pdf_payload, extract_row
+from ..stages.extractors import InfoTurns
 from .htmlgen import HTML_CONSTRUCTS
-from .pdfgen import PDF_CONSTRUCTS, pdf_stress
+from .pdfgen import (
+    ENC_CONSTRUCTS,
+    FILTER_CONSTRUCTS,
+    PDF_CONSTRUCTS,
+    SPEC15_CONSTRUCTS,
+    XOBJ_CONSTRUCTS,
+    pdf_stress,
+)
 
 SEED = 42
 # bump when any construct generator changes, so stale /tmp caches regenerate
@@ -44,18 +52,8 @@ TRANSCRIPTS_SCHEMA = pa.schema(
     ]
 )
 
-GOLDEN_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("turn_idx", pa.int32()),
-        ("payload_kind", pa.string()),
-        ("extracted_text", pa.large_string()),
-        ("parse_status", pa.string()),
-        ("n_pages", pa.int32()),
-        ("bytes_decoded", pa.int64()),
-        ("error", pa.string()),
-    ]
-)
+# a golden row is the row the extraction pipeline writes
+GOLDEN_SCHEMA = OUTPUT_SCHEMA
 
 # scale -> (n_convs, turns_per_conv, n_shards, stress_every)
 SCALES = {
@@ -75,9 +73,31 @@ _PLAIN_TEMPLATES = [
     "{uid} short",
 ]
 
+_ROLES = ("user", "assistant", "tool")
+_EPOCH_US = 1735689600_000000  # 2025-01-01T00:00:00Z
+
 
 def _h(s: str) -> int:
     return struct.unpack("<Q", hashlib.md5(f"{SEED}:{s}".encode()).digest()[:8])[0]
+
+
+def _turn(conv_id: str, turn: int, text: str, minute: int, role: str, tool: str = "") -> dict:
+    """One transcript row, stamped `minute` minutes after the epoch."""
+    return {
+        "conv_id": conv_id,
+        "turn_idx": turn,
+        "role": role,
+        "text": text,
+        "tool": tool,
+        "ts": _EPOCH_US + minute * 60_000_000,
+    }
+
+
+def _append_conv(rows: list, conv_id: str, texts) -> None:
+    """Append one plain conversation, roles cycling user/assistant/tool,
+    each turn a minute after the row before it."""
+    for t, text in enumerate(texts):
+        rows.append(_turn(conv_id, t, text, len(rows), _ROLES[t % 3]))
 
 
 def _row(conv: int, turn: int) -> dict:
@@ -102,17 +122,8 @@ def _row(conv: int, turn: int) -> dict:
         cid = _PDF_IDS[_h(f"pdf:{uid}") % len(_PDF_IDS)]
         text = encode_pdf_payload(PDF_CONSTRUCTS[cid](uid))
         tool = "pdf_render"
-    role = ("user", "assistant", "tool")[turn % 3 if tool else turn % 2]
-    # deterministic timestamp: 2025-01-01 epoch + spacing
-    ts_us = 1735689600_000000 + (conv * 3600 + turn * 60) * 1_000_000
-    return {
-        "conv_id": conv_id,
-        "turn_idx": turn,
-        "role": role,
-        "text": text,
-        "tool": tool,
-        "ts": ts_us,
-    }
+    role = _ROLES[turn % 3 if tool else turn % 2]
+    return _turn(conv_id, turn, text, conv * 60 + turn, role, tool)
 
 
 def generate_rows(scale: str):
@@ -133,11 +144,9 @@ def generate_rows(scale: str):
                 yield _row(conv, turn)
 
 
-def _marker_current(marker: str) -> bool:
-    if not os.path.exists(marker):
-        return False
+def _marker_current(base: str) -> bool:
     try:
-        with open(marker) as f:
+        with open(os.path.join(base, "_COMPLETE.json")) as f:
             return json.load(f).get("generator_version") == GENERATOR_VERSION
     except (json.JSONDecodeError, OSError):
         return False
@@ -145,6 +154,51 @@ def _marker_current(marker: str) -> bool:
 
 def default_dir(scale: str) -> str:
     return f"/tmp/pdfrust_ray_fixtures/{scale}"
+
+
+def _by_turn(rows: list) -> list:
+    return sorted(rows, key=lambda r: (r["conv_id"], r["turn_idx"]))
+
+
+def _golden(rows: list, mode: str = "text", spec_mode: bool = False) -> pa.Table:
+    """The serial extraction of `rows`, in (conv_id, turn_idx) order."""
+    return pa.Table.from_pylist(
+        [
+            {"conv_id": r["conv_id"], "turn_idx": r["turn_idx"],
+             **extract_row(r["text"], mode=mode, spec_mode=spec_mode)}
+            for r in _by_turn(rows)
+        ],
+        schema=GOLDEN_SCHEMA,
+    )
+
+
+def _write_family(base: str, rows: list, n_shards: int, goldens: dict | None = None,
+                  marker: dict | None = None) -> None:
+    """Write one fixture family under `base`: `rows` dealt round-robin
+    into `n_shards` transcript shards, each {file name: table} of
+    `goldens` beside them, and last the `_COMPLETE.json` marker
+    (`marker`, default {"rows": n}, plus GENERATOR_VERSION)."""
+    shard_dir = os.path.join(base, "shards")
+    os.makedirs(shard_dir, exist_ok=True)
+    for s in range(n_shards):
+        pq.write_table(
+            pa.Table.from_pylist(rows[s::n_shards], schema=TRANSCRIPTS_SCHEMA),
+            os.path.join(shard_dir, f"part-{s:04d}.parquet"),
+        )
+    for name, table in (goldens or {}).items():
+        pq.write_table(table, os.path.join(base, name))
+    with open(os.path.join(base, "_COMPLETE.json"), "w") as f:
+        json.dump({**(marker or {"rows": len(rows)}), "generator_version": GENERATOR_VERSION}, f)
+
+
+def _family(base_dir: str | None, name: str, build) -> str:
+    """Idempotently write the family `name` under `base_dir` (default
+    default_dir(name)): `build()` returns _write_family's arguments after
+    `base`, and runs only when the family's marker is not current."""
+    base = base_dir or default_dir(name)
+    if not _marker_current(base):
+        _write_family(base, *build())
+    return base
 
 
 MODES_CONSTRUCTS = ("pdf-hello", "pdf-cmap1", "pdf-tree", "pdf-info")
@@ -155,140 +209,66 @@ def ensure_modes_fixture(base_dir: str | None = None) -> str:
     """Small fixture pinning the chars/font/raw-content display formats
     (FIXTURES.md §3 last paragraph): 3 constructs x 3 convs, goldens for
     all four extract modes in golden_modes.parquet (keyed by `mode`)."""
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/modes"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
+    return _family(base_dir, "modes", _modes_family)
+
+
+def _modes_family():
     rows = []
-    for c, conv in enumerate(range(3)):
+    for conv in range(3):
         conv_id = f"conv-{conv:06d}"
         for t, cid in enumerate(MODES_CONSTRUCTS):
-            uid = f"{conv_id}/{t}"
-            rows.append(
-                {
-                    "conv_id": conv_id,
-                    "turn_idx": t,
-                    "role": "tool",
-                    "text": encode_pdf_payload(PDF_CONSTRUCTS[cid](uid)),
-                    "tool": "pdf_render",
-                    "ts": 1735689600_000000 + (conv * 3600 + t * 60) * 1_000_000,
-                }
-            )
-    table = pa.Table.from_pylist(rows, schema=TRANSCRIPTS_SCHEMA)
-    pq.write_table(table, os.path.join(shard_dir, "part-0000.parquet"))
-
-    golden_rows = []
-    for mode in MODES:
-        for r in sorted(rows, key=lambda r: (r["conv_id"], r["turn_idx"])):
-            g = extract_row(r["text"], mode=mode)
-            golden_rows.append(
-                {
-                    "mode": mode,
-                    "conv_id": r["conv_id"],
-                    "turn_idx": r["turn_idx"],
-                    "extracted_text": g["extracted_text"],
-                    "parse_status": g["parse_status"],
-                }
-            )
-    gschema = pa.schema(
-        [
-            ("mode", pa.string()),
-            ("conv_id", pa.string()),
-            ("turn_idx", pa.int32()),
-            ("extracted_text", pa.large_string()),
-            ("parse_status", pa.string()),
-        ]
+            text = encode_pdf_payload(PDF_CONSTRUCTS[cid](f"{conv_id}/{t}"))
+            rows.append(_turn(conv_id, t, text, conv * 60 + t, "tool", "pdf_render"))
+    cols = ["conv_id", "turn_idx", "extracted_text", "parse_status"]
+    modes = pa.concat_tables(
+        _golden(rows, mode).select(cols).add_column(0, "mode", pa.array([mode] * len(rows)))
+        for mode in MODES
     )
-    pq.write_table(pa.Table.from_pylist(golden_rows, schema=gschema), os.path.join(base, "golden_modes.parquet"))
-
     # info golden (P7): trailer metadata per pdf turn
-    from ..functions.payload import payload_bytes
-    from ..pdfref.errors import ParseError
-    from ..pdfref.extract import extract_info
-
-    info_rows = []
-    for r in sorted(rows, key=lambda r: (r["conv_id"], r["turn_idx"])):
-        try:
-            info = extract_info(payload_bytes(r["text"]))
-            status = "ok"
-        except ParseError as exc:
-            info = {k: None for k in ("title", "author", "creator", "producer", "creation_date", "mod_date")}
-            status = f"error:{exc.kind}"
-        info_rows.append(
-            {
-                "conv_id": r["conv_id"],
-                "turn_idx": r["turn_idx"],
-                **info,
-                "parse_status": status,
-            }
-        )
-    ischema = pa.schema(
-        [
-            ("conv_id", pa.string()),
-            ("turn_idx", pa.int32()),
-            ("title", pa.string()),
-            ("author", pa.string()),
-            ("creator", pa.string()),
-            ("producer", pa.string()),
-            ("creation_date", pa.string()),
-            ("mod_date", pa.string()),
-            ("parse_status", pa.string()),
-        ]
-    )
-    pq.write_table(pa.Table.from_pylist(info_rows, schema=ischema), os.path.join(base, "golden_info.parquet"))
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "modes": list(MODES), "seed": SEED,
-                   "generator_version": GENERATOR_VERSION}, f)
-    return base
+    info = InfoTurns()(pa.Table.from_pylist(_by_turn(rows), schema=TRANSCRIPTS_SCHEMA))
+    goldens = {"golden_modes.parquet": modes, "golden_info.parquet": info}
+    return rows, 1, goldens, {"rows": len(rows), "modes": list(MODES), "seed": SEED}
 
 
 def ensure_corpus(scale: str, base_dir: str | None = None, golden: bool = True) -> str:
     """Idempotently generate shards (+ golden) for `scale`; returns dir."""
-    base = base_dir or default_dir(scale)
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    n_convs, n_turns, n_shards, _ = SCALES[scale]
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
 
-    rows = list(generate_rows(scale))
-    # scatter turns across shards deterministically (NOT grouped by conv)
-    order = sorted(range(len(rows)), key=lambda i: _h(f"shard:{rows[i]['conv_id']}:{rows[i]['turn_idx']}"))
-    shards: list[list[dict]] = [[] for _ in range(n_shards)]
-    for pos, idx in enumerate(order):
-        shards[pos % n_shards].append(rows[idx])
+    def build():
+        n_shards = SCALES[scale][2]
+        rows = list(generate_rows(scale))
+        # scatter turns across shards deterministically (NOT grouped by conv)
+        scattered = sorted(rows, key=lambda r: _h(f"shard:{r['conv_id']}:{r['turn_idx']}"))
+        goldens = {"golden.parquet": _golden(rows)} if golden else None
+        marker = {"scale": scale, "rows": len(rows), "shards": n_shards, "seed": SEED}
+        return scattered, n_shards, goldens, marker
 
-    for s, shard_rows in enumerate(shards):
-        table = pa.Table.from_pylist(
-            [
-                {**r, "ts": r["ts"]}
-                for r in shard_rows
-            ],
-            schema=TRANSCRIPTS_SCHEMA,
-        )
-        pq.write_table(table, os.path.join(shard_dir, f"part-{s:04d}.parquet"))
+    return _family(base_dir, scale, build)
 
-    if golden:
-        out = []
-        for r in sorted(rows, key=lambda r: (r["conv_id"], r["turn_idx"])):
-            g = extract_row(r["text"])
-            out.append(
-                {
-                    "conv_id": r["conv_id"],
-                    "turn_idx": r["turn_idx"],
-                    **g,
-                }
-            )
-        gt = pa.Table.from_pylist(out, schema=GOLDEN_SCHEMA)
-        pq.write_table(gt, os.path.join(base, "golden.parquet"))
 
-    with open(marker, "w") as f:
-        json.dump({"scale": scale, "rows": len(rows), "shards": n_shards, "seed": SEED,
-                   "generator_version": GENERATOR_VERSION}, f)
-    return base
+def _spec_family(conv_prefix: str, salt: str, note: str, constructs: dict, layout: str):
+    """Eight conversations `<conv_prefix>-NNNN`, one turn per letter of
+    `layout`: c = the family's construct (cycling with conv + turn),
+    p = a classic PDF, h = an HTML page, n = a plain note. Golden
+    computed serially with extract_row(spec_mode=True)."""
+    ids = sorted(constructs)
+    rows = []
+    for conv in range(8):
+        conv_id = f"{conv_prefix}-{conv:04d}"
+        for t, kind in enumerate(layout):
+            uid = f"{conv_id}/{t}"
+            if kind == "c":
+                text, tool = encode_pdf_payload(constructs[ids[(conv + t) % len(ids)]](uid)), "pdf_render"
+            elif kind == "p":
+                cid = _PDF_IDS[_h(f"{salt}pdf:{uid}") % len(_PDF_IDS)]
+                text, tool = encode_pdf_payload(PDF_CONSTRUCTS[cid](uid)), "pdf_render"
+            elif kind == "h":
+                cid = _HTML_IDS[_h(f"{salt}html:{uid}") % len(_HTML_IDS)]
+                text, tool = HTML_CONSTRUCTS[cid](uid), "browser"
+            else:
+                text, tool = f"plain {note} note {uid}", ""
+            rows.append(_turn(conv_id, t, text, conv * 60 + t, "tool" if tool else "user", tool))
+    # scatter turns across shards so the ordering shuffle is exercised
+    return rows, 4, {"golden.parquet": _golden(rows, spec_mode=True)}
 
 
 def ensure_xobj_fixture(base_dir: str | None = None) -> str:
@@ -298,62 +278,9 @@ def ensure_xobj_fixture(base_dir: str | None = None) -> str:
     classic / HTML / plain turns. Golden computed serially with
     extract_row(spec_mode=True) — parity mode ignores Do (pinned
     against the reference binary in tests/test_content.py)."""
-    from .htmlgen import HTML_CONSTRUCTS
-    from .pdfgen import XOBJ_CONSTRUCTS
-
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/xobj"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
-    xo_ids = sorted(XOBJ_CONSTRUCTS)
-    rows = []
-    for conv in range(8):
-        conv_id = f"xobj-{conv:04d}"
-        for t in range(8):
-            uid = f"{conv_id}/{t}"
-            if t < 5:
-                text = encode_pdf_payload(XOBJ_CONSTRUCTS[xo_ids[(conv + t) % len(xo_ids)]](uid))
-                tool = "pdf_render"
-            elif t == 5:
-                cid = _PDF_IDS[_h(f"xobjpdf:{uid}") % len(_PDF_IDS)]
-                text = encode_pdf_payload(PDF_CONSTRUCTS[cid](uid))
-                tool = "pdf_render"
-            elif t == 6:
-                cid = _HTML_IDS[_h(f"xobjhtml:{uid}") % len(_HTML_IDS)]
-                text = HTML_CONSTRUCTS[cid](uid)
-                tool = "browser"
-            else:
-                text = f"plain xobj note {uid}"
-                tool = ""
-            rows.append(
-                {
-                    "conv_id": conv_id,
-                    "turn_idx": t,
-                    "role": "tool" if tool else "user",
-                    "text": text,
-                    "tool": tool,
-                    "ts": 1735689600_000000 + (conv * 3600 + t * 60) * 1_000_000,
-                }
-            )
-    for shard in range(4):
-        part = [r for i, r in enumerate(rows) if i % 4 == shard]
-        pq.write_table(
-            pa.Table.from_pylist(part, schema=TRANSCRIPTS_SCHEMA),
-            os.path.join(shard_dir, f"part-{shard:04d}.parquet"),
-        )
-    golden_rows = []
-    for r in sorted(rows, key=lambda r: (r["conv_id"], r["turn_idx"])):
-        g = extract_row(r["text"], mode="text", spec_mode=True)
-        golden_rows.append({"conv_id": r["conv_id"], "turn_idx": r["turn_idx"], **g})
-    pq.write_table(
-        pa.Table.from_pylist(golden_rows, schema=GOLDEN_SCHEMA),
-        os.path.join(base, "golden.parquet"),
+    return _family(
+        base_dir, "xobj", lambda: _spec_family("xobj", "xobj", "xobj", XOBJ_CONSTRUCTS, "cccccphn")
     )
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "generator_version": GENERATOR_VERSION}, f)
-    return base
 
 
 def ensure_spec15_fixture(base_dir: str | None = None) -> str:
@@ -362,63 +289,9 @@ def ensure_spec15_fixture(base_dir: str | None = None) -> str:
     reference cannot read these; spec_mode=True required), mixed with
     classic-PDF / HTML / plain turns to pin payload routing. Golden
     computed serially with extract_row(spec_mode=True)."""
-    from .htmlgen import HTML_CONSTRUCTS
-    from .pdfgen import SPEC15_CONSTRUCTS
-
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/spec15"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
-    spec_ids = sorted(SPEC15_CONSTRUCTS)
-    rows = []
-    for conv in range(8):
-        conv_id = f"spec-{conv:04d}"
-        for t in range(8):
-            uid = f"{conv_id}/{t}"
-            if t < 5:
-                text = encode_pdf_payload(SPEC15_CONSTRUCTS[spec_ids[(conv + t) % 5]](uid))
-                tool = "pdf_render"
-            elif t == 5:
-                cid = _PDF_IDS[_h(f"spec15pdf:{uid}") % len(_PDF_IDS)]
-                text = encode_pdf_payload(PDF_CONSTRUCTS[cid](uid))
-                tool = "pdf_render"
-            elif t == 6:
-                cid = _HTML_IDS[_h(f"spec15html:{uid}") % len(_HTML_IDS)]
-                text = HTML_CONSTRUCTS[cid](uid)
-                tool = "browser"
-            else:
-                text = f"plain spec15 note {uid}"
-                tool = ""
-            rows.append(
-                {
-                    "conv_id": conv_id,
-                    "turn_idx": t,
-                    "role": "tool" if tool else "user",
-                    "text": text,
-                    "tool": tool,
-                    "ts": 1735689600_000000 + (conv * 3600 + t * 60) * 1_000_000,
-                }
-            )
-    # scatter turns across shards so the ordering shuffle is exercised
-    for shard in range(4):
-        part = [r for i, r in enumerate(rows) if i % 4 == shard]
-        pq.write_table(
-            pa.Table.from_pylist(part, schema=TRANSCRIPTS_SCHEMA),
-            os.path.join(shard_dir, f"part-{shard:04d}.parquet"),
-        )
-    golden_rows = []
-    for r in sorted(rows, key=lambda r: (r["conv_id"], r["turn_idx"])):
-        g = extract_row(r["text"], mode="text", spec_mode=True)
-        golden_rows.append({"conv_id": r["conv_id"], "turn_idx": r["turn_idx"], **g})
-    pq.write_table(
-        pa.Table.from_pylist(golden_rows, schema=GOLDEN_SCHEMA),
-        os.path.join(base, "golden.parquet"),
+    return _family(
+        base_dir, "spec15", lambda: _spec_family("spec", "spec15", "spec15", SPEC15_CONSTRUCTS, "cccccphn")
     )
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "generator_version": GENERATOR_VERSION}, f)
-    return base
 
 
 def ensure_filters_fixture(base_dir: str | None = None) -> str:
@@ -429,60 +302,9 @@ def ensure_filters_fixture(base_dir: str | None = None) -> str:
     PDF / HTML / plain turns. The reference rejects every non-Flate
     /Filter name (body.rs:47-54); golden computed serially with
     extract_row(spec_mode=True)."""
-    from .htmlgen import HTML_CONSTRUCTS
-    from .pdfgen import FILTER_CONSTRUCTS
-
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/filters"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
-    flt_ids = sorted(FILTER_CONSTRUCTS)
-    rows = []
-    for conv in range(8):
-        conv_id = f"flt-{conv:04d}"
-        for t in range(8):
-            uid = f"{conv_id}/{t}"
-            if t < 6:
-                text = encode_pdf_payload(
-                    FILTER_CONSTRUCTS[flt_ids[(conv + t) % len(flt_ids)]](uid)
-                )
-                tool = "pdf_render"
-            elif t == 6:
-                cid = _HTML_IDS[_h(f"flthtml:{uid}") % len(_HTML_IDS)]
-                text = HTML_CONSTRUCTS[cid](uid)
-                tool = "browser"
-            else:
-                text = f"plain filters note {uid}"
-                tool = ""
-            rows.append(
-                {
-                    "conv_id": conv_id,
-                    "turn_idx": t,
-                    "role": "tool" if tool else "user",
-                    "text": text,
-                    "tool": tool,
-                    "ts": 1735689600_000000 + (conv * 3600 + t * 60) * 1_000_000,
-                }
-            )
-    for shard in range(4):
-        part = [r for i, r in enumerate(rows) if i % 4 == shard]
-        pq.write_table(
-            pa.Table.from_pylist(part, schema=TRANSCRIPTS_SCHEMA),
-            os.path.join(shard_dir, f"part-{shard:04d}.parquet"),
-        )
-    golden_rows = []
-    for r in sorted(rows, key=lambda r: (r["conv_id"], r["turn_idx"])):
-        g = extract_row(r["text"], mode="text", spec_mode=True)
-        golden_rows.append({"conv_id": r["conv_id"], "turn_idx": r["turn_idx"], **g})
-    pq.write_table(
-        pa.Table.from_pylist(golden_rows, schema=GOLDEN_SCHEMA),
-        os.path.join(base, "golden.parquet"),
+    return _family(
+        base_dir, "filters", lambda: _spec_family("flt", "flt", "filters", FILTER_CONSTRUCTS, "cccccchn")
     )
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "generator_version": GENERATOR_VERSION}, f)
-    return base
 
 
 def ensure_encrypted_fixture(base_dir: str | None = None) -> str:
@@ -496,60 +318,9 @@ def ensure_encrypted_fixture(base_dir: str | None = None) -> str:
     error:Encrypted rows; spec mode decrypts with the empty user
     password (pdfref/crypt.py). Golden computed serially with
     extract_row(spec_mode=True)."""
-    from .htmlgen import HTML_CONSTRUCTS
-    from .pdfgen import ENC_CONSTRUCTS
-
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/encrypted"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
-    enc_ids = sorted(ENC_CONSTRUCTS)
-    rows = []
-    for conv in range(8):
-        conv_id = f"enc-{conv:04d}"
-        for t in range(9):
-            uid = f"{conv_id}/{t}"
-            if t < 7:
-                text = encode_pdf_payload(
-                    ENC_CONSTRUCTS[enc_ids[(conv + t) % len(enc_ids)]](uid)
-                )
-                tool = "pdf_render"
-            elif t == 7:
-                cid = _HTML_IDS[_h(f"enchtml:{uid}") % len(_HTML_IDS)]
-                text = HTML_CONSTRUCTS[cid](uid)
-                tool = "browser"
-            else:
-                text = f"plain encrypted-family note {uid}"
-                tool = ""
-            rows.append(
-                {
-                    "conv_id": conv_id,
-                    "turn_idx": t,
-                    "role": "tool" if tool else "user",
-                    "text": text,
-                    "tool": tool,
-                    "ts": 1735689600_000000 + (conv * 3600 + t * 60) * 1_000_000,
-                }
-            )
-    for shard in range(4):
-        part = [r for i, r in enumerate(rows) if i % 4 == shard]
-        pq.write_table(
-            pa.Table.from_pylist(part, schema=TRANSCRIPTS_SCHEMA),
-            os.path.join(shard_dir, f"part-{shard:04d}.parquet"),
-        )
-    golden_rows = []
-    for r in sorted(rows, key=lambda r: (r["conv_id"], r["turn_idx"])):
-        g = extract_row(r["text"], mode="text", spec_mode=True)
-        golden_rows.append({"conv_id": r["conv_id"], "turn_idx": r["turn_idx"], **g})
-    pq.write_table(
-        pa.Table.from_pylist(golden_rows, schema=GOLDEN_SCHEMA),
-        os.path.join(base, "golden.parquet"),
+    return _family(
+        base_dir, "encrypted", lambda: _spec_family("enc", "enc", "encrypted-family", ENC_CONSTRUCTS, "ccccccchn")
     )
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "generator_version": GENERATOR_VERSION}, f)
-    return base
 
 
 _PII_NAMES = ["ada", "grace", "alan", "edsger", "barbara", "donald"]
@@ -563,12 +334,10 @@ def ensure_pii_fixture(base_dir: str | None = None) -> str:
     and PII embedded mid-sentence / at line starts). The redaction
     oracle recomputes from these RAW shards with the identical RE2
     patterns, so the check is independent of the engine."""
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/pii"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
+    return _family(base_dir, "pii", _pii_family)
+
+
+def _pii_family():
     rows = []
     for conv in range(12):
         conv_id = f"pii-{conv:04d}"
@@ -592,25 +361,8 @@ def ensure_pii_fixture(base_dir: str | None = None) -> str:
                 text = f"plain turn {uid} with no contact info at all."
             else:
                 text = f"{name} at {dom} said {uid} (not an address); digits 12-34 stay."
-            rows.append(
-                {
-                    "conv_id": conv_id,
-                    "turn_idx": t,
-                    "role": "user" if t % 2 == 0 else "assistant",
-                    "text": text,
-                    "tool": "",
-                    "ts": 1735689600_000000 + (conv * 3600 + t * 60) * 1_000_000,
-                }
-            )
-    for shard in range(3):
-        part = [r for i, r in enumerate(rows) if i % 3 == shard]
-        pq.write_table(
-            pa.Table.from_pylist(part, schema=TRANSCRIPTS_SCHEMA),
-            os.path.join(shard_dir, f"part-{shard:04d}.parquet"),
-        )
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "generator_version": GENERATOR_VERSION}, f)
-    return base
+            rows.append(_turn(conv_id, t, text, conv * 60 + t, _ROLES[t % 2]))
+    return rows, 3
 
 
 def ensure_htmlld_fixture(base_dir: str | None = None) -> str:
@@ -622,85 +374,61 @@ def ensure_htmlld_fixture(base_dir: str | None = None) -> str:
     The golden is computed SERIALLY with html.extract_main_text_ld at
     generation time, so the Ray pipeline's distributed output has an
     engine-independent frozen target."""
+    return _family(base_dir, "htmlld", _htmlld_family)
+
+
+def _htmlld_doc(uid: str) -> str:
+    h = _h(f"htmlld:{uid}")
+    para = " ".join(f"word{(h >> (2 * i)) % 97}w{i}" for i in range(30 + h % 40))
+    links = " ".join(
+        f'<a href="/l{i}">long anchor text item number {i} {uid}</a>'
+        for i in range(5 + h % 6)
+    )
+    nav = "".join(f'<a href="/n{i}">nav{i}</a> | ' for i in range(8))
+    kind = h % 5
+    if kind == 0:  # article vs link-farm sidebar
+        return (
+            f"<html><body><nav>{nav}</nav>"
+            f"<div id=sidebar>{links}</div>"
+            f"<article><h1>Title {uid}</h1><p>{para}</p><p>{para[::-1]}</p></article>"
+            f"<footer>&copy; 2026 corp</footer></body></html>"
+        )
+    if kind == 1:  # link-heavy but prose-rich main vs short boilerplate
+        return (
+            f"<html><body><div class=menu>{nav}</div>"
+            f"<main><p>{para} see <a href='/x'>reference {uid}</a> and "
+            f"<a href='/y'>appendix</a>.</p><p>{para}</p></main></body></html>"
+        )
+    if kind == 2:  # table layout, unclosed tags
+        return (
+            f"<html><body><table><tr><td>{links}<td><p>{para}"
+            f"<p>{para} &amp; more &lt;data&gt;</table></body></html>"
+        )
+    if kind == 3:  # nested divs of equal-ish text, entities
+        return (
+            f"<html><body><div><div>{para}</div>"
+            f"<div><p>{para}</p><p>extra {uid} &quot;quoted&quot;</p></div></div>"
+            f"<aside>{links}</aside></body></html>"
+        )
+    return (  # no candidate beats body; script/style must vanish
+        f"<html><head><style>p {{color: red}}</style></head><body>"
+        f"<script>var x = '{uid}';</script>{para}<br>{para}</body></html>"
+    )
+
+
+def _htmlld_family():
     from ..html.extract import extract_main_text_ld
 
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/htmlld"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
-
-    def doc(uid: str) -> str:
-        h = _h(f"htmlld:{uid}")
-        para = " ".join(f"word{(h >> (2 * i)) % 97}w{i}" for i in range(30 + h % 40))
-        links = " ".join(
-            f'<a href="/l{i}">long anchor text item number {i} {uid}</a>'
-            for i in range(5 + h % 6)
-        )
-        nav = "".join(f'<a href="/n{i}">nav{i}</a> | ' for i in range(8))
-        kind = h % 5
-        if kind == 0:  # article vs link-farm sidebar
-            return (
-                f"<html><body><nav>{nav}</nav>"
-                f"<div id=sidebar>{links}</div>"
-                f"<article><h1>Title {uid}</h1><p>{para}</p><p>{para[::-1]}</p></article>"
-                f"<footer>&copy; 2026 corp</footer></body></html>"
-            )
-        if kind == 1:  # link-heavy but prose-rich main vs short boilerplate
-            return (
-                f"<html><body><div class=menu>{nav}</div>"
-                f"<main><p>{para} see <a href='/x'>reference {uid}</a> and "
-                f"<a href='/y'>appendix</a>.</p><p>{para}</p></main></body></html>"
-            )
-        if kind == 2:  # table layout, unclosed tags
-            return (
-                f"<html><body><table><tr><td>{links}<td><p>{para}"
-                f"<p>{para} &amp; more &lt;data&gt;</table></body></html>"
-            )
-        if kind == 3:  # nested divs of equal-ish text, entities
-            return (
-                f"<html><body><div><div>{para}</div>"
-                f"<div><p>{para}</p><p>extra {uid} &quot;quoted&quot;</p></div></div>"
-                f"<aside>{links}</aside></body></html>"
-            )
-        return (  # no candidate beats body; script/style must vanish
-            f"<html><head><style>p {{color: red}}</style></head><body>"
-            f"<script>var x = '{uid}';</script>{para}<br>{para}</body></html>"
-        )
-
-    rows, gold = [], []
+    rows = []
     for conv in range(10):
         conv_id = f"htmlld-{conv:04d}"
         for t in range(8):
-            uid = f"{conv_id}/{t}"
-            text = doc(uid)
-            rows.append(
-                {
-                    "conv_id": conv_id,
-                    "turn_idx": t,
-                    "role": "user" if t % 2 == 0 else "assistant",
-                    "text": text,
-                    "tool": "",
-                    "ts": 1735689600_000000 + (conv * 3600 + t * 60) * 1_000_000,
-                }
-            )
-            gold.append(
-                {"conv_id": conv_id, "turn_idx": t, "main_text": extract_main_text_ld(text)}
-            )
-    for shard in range(3):
-        part = [r for i, r in enumerate(rows) if i % 3 == shard]
-        pq.write_table(
-            pa.Table.from_pylist(part, schema=TRANSCRIPTS_SCHEMA),
-            os.path.join(shard_dir, f"part-{shard:04d}.parquet"),
-        )
-    pq.write_table(
-        pa.Table.from_pylist(gold).sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")]),
-        os.path.join(base, "golden.parquet"),
+            rows.append(_turn(conv_id, t, _htmlld_doc(f"{conv_id}/{t}"), conv * 60 + t, _ROLES[t % 2]))
+    gold = pa.Table.from_pylist(
+        [{"conv_id": r["conv_id"], "turn_idx": r["turn_idx"], "main_text": extract_main_text_ld(r["text"])}
+         for r in rows]
     )
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "generator_version": GENERATOR_VERSION}, f)
-    return base
+    return rows, 3, {"golden.parquet": gold.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")])}
 
 
 def ensure_forks_fixture(base_dir: str | None = None) -> str:
@@ -711,25 +439,14 @@ def ensure_forks_fixture(base_dir: str | None = None) -> str:
     members), some members ending at exactly 3 turns (no continuation
     at all).  Singleton conversations are mixed in and must NOT appear
     in the output."""
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/forks"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
+    return _family(base_dir, "forks", _forks_family)
+
+
+def _forks_family():
     rows = []
 
     def add_turn(conv_id: str, t: int, text: str) -> None:
-        rows.append(
-            {
-                "conv_id": conv_id,
-                "turn_idx": t,
-                "role": "user" if t % 2 == 0 else "assistant",
-                "text": text,
-                "tool": "",
-                "ts": 1735689600_000000 + (len(rows)) * 60_000_000,
-            }
-        )
+        rows.append(_turn(conv_id, t, text, len(rows), _ROLES[t % 2]))
 
     for fam in range(18):
         h = _h(f"forks:{fam}")
@@ -757,15 +474,7 @@ def ensure_forks_fixture(base_dir: str | None = None) -> str:
         conv_id = f"solo-{s:03d}"
         for t in range(3 + h % 4):
             add_turn(conv_id, t, f"solo {s} turn {t} text {(h >> t) % 991}")
-    for shard in range(4):
-        part = [r for i, r in enumerate(rows) if i % 4 == shard]
-        pq.write_table(
-            pa.Table.from_pylist(part, schema=TRANSCRIPTS_SCHEMA),
-            os.path.join(shard_dir, f"part-{shard:04d}.parquet"),
-        )
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "generator_version": GENERATOR_VERSION}, f)
-    return base
+    return rows, 4
 
 
 def ensure_chains_fixture(base_dir: str | None = None) -> str:
@@ -776,25 +485,14 @@ def ensure_chains_fixture(base_dir: str | None = None) -> str:
     length 2-4 are planted alongside standalone conversations and one
     deliberate red herring (two convs that merely share a middle
     turn, which must NOT stitch)."""
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/chains"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
+    return _family(base_dir, "chains", _chains_family)
+
+
+def _chains_family():
     rows = []
 
     def add_turn(conv_id: str, t: int, text: str) -> None:
-        rows.append(
-            {
-                "conv_id": conv_id,
-                "turn_idx": t,
-                "role": "user" if t % 2 == 0 else "assistant",
-                "text": text,
-                "tool": "",
-                "ts": 1735689600_000000 + len(rows) * 60_000_000,
-            }
-        )
+        rows.append(_turn(conv_id, t, text, len(rows), _ROLES[t % 2]))
 
     for ch in range(10):
         h = _h(f"chains:{ch}")
@@ -825,15 +523,7 @@ def ensure_chains_fixture(base_dir: str | None = None) -> str:
     add_turn("herring-b", 0, "herring b opening")
     add_turn("herring-b", 1, "shared middle line")
     add_turn("herring-b", 2, "herring b closing")
-    for shard in range(3):
-        part = [r for i, r in enumerate(rows) if i % 3 == shard]
-        pq.write_table(
-            pa.Table.from_pylist(part, schema=TRANSCRIPTS_SCHEMA),
-            os.path.join(shard_dir, f"part-{shard:04d}.parquet"),
-        )
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "generator_version": GENERATOR_VERSION}, f)
-    return base
+    return rows, 3
 
 
 def ensure_unicode_fixture(base_dir: str | None = None) -> str:
@@ -843,12 +533,10 @@ def ensure_unicode_fixture(base_dir: str | None = None) -> str:
     (combining marks, Hangul jamo), compatibility forms that NFC leaves
     alone (fullwidth, ligatures — the NFKC-only cases), and plain
     ASCII."""
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/unicode"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
+    return _family(base_dir, "unicode", _unicode_family)
+
+
+def _unicode_family():
     rows = []
 
     decomposed = [
@@ -861,37 +549,15 @@ def ensure_unicode_fixture(base_dir: str | None = None) -> str:
     nfkc_only = ["ﬁnal ﬂight", "ＦＵＬＬ　ＷＩＤＴＨ text", "x² + y²"]
     ascii_only = ["plain ascii line", "another plain line"]
 
-    def add(conv_id: str, texts: list[str]) -> None:
-        for t, text in enumerate(texts):
-            rows.append(
-                {
-                    "conv_id": conv_id,
-                    "turn_idx": t,
-                    "role": ["user", "assistant", "tool"][t % 3],
-                    "text": text,
-                    "tool": "",
-                    "ts": 1735689600_000000 + len(rows) * 60_000_000,
-                }
-            )
-
     for i in range(12):
         h = _h(f"unicode:{i}")
         mix = []
         for j in range(5):
             pool = [decomposed, composed, nfkc_only, ascii_only][(h >> (2 * j)) % 4]
             mix.append(pool[(h >> (10 + j)) % len(pool)])
-        add(f"uni-{i:03d}", mix)
-    add("uni-plain", ascii_only * 2)
-
-    for shard in range(2):
-        part = [r for i, r in enumerate(rows) if i % 2 == shard]
-        pq.write_table(
-            pa.Table.from_pylist(part, schema=TRANSCRIPTS_SCHEMA),
-            os.path.join(shard_dir, f"part-{shard:04d}.parquet"),
-        )
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "generator_version": GENERATOR_VERSION}, f)
-    return base
+        _append_conv(rows, f"uni-{i:03d}", mix)
+    _append_conv(rows, "uni-plain", ascii_only * 2)
+    return rows, 2
 
 
 def ensure_homoglyph_fixture(base_dir: str | None = None) -> str:
@@ -900,12 +566,10 @@ def ensure_homoglyph_fixture(base_dir: str | None = None) -> str:
     lookalikes (the spoofing / bad-OCR signal a text cleaner flags),
     alongside pure-Latin, pure-Cyrillic and pure-Greek tokens that must
     NOT be flagged."""
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/homoglyph"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
+    return _family(base_dir, "homoglyph", _homoglyph_family)
+
+
+def _homoglyph_family():
     rows = []
 
     # mixed tokens: Latin letters with a Cyrillic or Greek lookalike
@@ -923,19 +587,6 @@ def ensure_homoglyph_fixture(base_dir: str | None = None) -> str:
         "mixed-case-ASCII", "42numbers42",
     ]
 
-    def add(conv_id: str, texts: list[str]) -> None:
-        for t, text in enumerate(texts):
-            rows.append(
-                {
-                    "conv_id": conv_id,
-                    "turn_idx": t,
-                    "role": ["user", "assistant", "tool"][t % 3],
-                    "text": text,
-                    "tool": "",
-                    "ts": 1735689600_000000 + len(rows) * 60_000_000,
-                }
-            )
-
     for i in range(10):
         h = _h(f"homoglyph:{i}")
         texts = []
@@ -948,18 +599,9 @@ def ensure_homoglyph_fixture(base_dir: str | None = None) -> str:
                 else:
                     words.append(pure[hh % len(pure)])
             texts.append(" ".join(words))
-        add(f"hg-{i:03d}", texts)
-    add("hg-clean", ["entirely clean ascii prose", "привет clean separate scripts"])
-
-    for shard in range(2):
-        part = [r for i, r in enumerate(rows) if i % 2 == shard]
-        pq.write_table(
-            pa.Table.from_pylist(part, schema=TRANSCRIPTS_SCHEMA),
-            os.path.join(shard_dir, f"part-{shard:04d}.parquet"),
-        )
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "generator_version": GENERATOR_VERSION}, f)
-    return base
+        _append_conv(rows, f"hg-{i:03d}", texts)
+    _append_conv(rows, "hg-clean", ["entirely clean ascii prose", "привет clean separate scripts"])
+    return rows, 2
 
 
 def ensure_invisible_fixture(base_dir: str | None = None) -> str:
@@ -967,12 +609,10 @@ def ensure_invisible_fixture(base_dir: str | None = None) -> str:
     prose turns salted with zero-width spaces/joiners, soft hyphens,
     BOMs and NBSPs (the invisible codepoints that poison exact dedup
     and tokenizers), next to clean twins of the same visible text."""
-    base = base_dir or "/tmp/pdfrust_ray_fixtures/invisible"
-    marker = os.path.join(base, "_COMPLETE.json")
-    if _marker_current(marker):
-        return base
-    shard_dir = os.path.join(base, "shards")
-    os.makedirs(shard_dir, exist_ok=True)
+    return _family(base_dir, "invisible", _invisible_family)
+
+
+def _invisible_family():
     rows = []
 
     zwsp, zwnj, zwj, shy, bom, nbsp = (
@@ -994,33 +634,11 @@ def ensure_invisible_fixture(base_dir: str | None = None) -> str:
         "entirely boring ascii",
     ]
 
-    def add(conv_id: str, texts: list[str]) -> None:
-        for t, text in enumerate(texts):
-            rows.append(
-                {
-                    "conv_id": conv_id,
-                    "turn_idx": t,
-                    "role": ["user", "assistant", "tool"][t % 3],
-                    "text": text,
-                    "tool": "",
-                    "ts": 1735689600_000000 + len(rows) * 60_000_000,
-                }
-            )
-
     for i in range(9):
         h = _h(f"invisible:{i}")
         texts = []
         for t in range(4):
             pool = salted if (h >> t) % 3 == 0 else clean
             texts.append(pool[(h >> (4 + t)) % len(pool)])
-        add(f"inv-{i:03d}", texts)
-
-    for shard in range(2):
-        part = [r for i, r in enumerate(rows) if i % 2 == shard]
-        pq.write_table(
-            pa.Table.from_pylist(part, schema=TRANSCRIPTS_SCHEMA),
-            os.path.join(shard_dir, f"part-{shard:04d}.parquet"),
-        )
-    with open(marker, "w") as f:
-        json.dump({"rows": len(rows), "generator_version": GENERATOR_VERSION}, f)
-    return base
+        _append_conv(rows, f"inv-{i:03d}", texts)
+    return rows, 2

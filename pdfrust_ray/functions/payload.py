@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import base64
 
+import pyarrow as pa
+
 from ..html import extract_main_text
 from ..pdfref import ParseError, extract
 
@@ -29,6 +31,21 @@ PDF_PREFIX = "%PDF-"
 KIND_PDF = "pdf"
 KIND_HTML = "html"
 KIND_PLAIN = "plain"
+
+# the extraction output row: the turn key, then what extract_row returns
+OUTPUT_SCHEMA = pa.schema(
+    [
+        ("conv_id", pa.string()),
+        ("turn_idx", pa.int32()),
+        ("payload_kind", pa.string()),
+        ("extracted_text", pa.large_string()),
+        ("parse_status", pa.string()),
+        ("n_pages", pa.int32()),
+        ("bytes_decoded", pa.int64()),
+        ("error", pa.string()),
+    ]
+)
+RESULT_FIELDS = tuple(OUTPUT_SCHEMA.names[2:])
 
 
 def detect_kind(text: str) -> str:
@@ -55,8 +72,14 @@ def encode_pdf_payload(data: bytes) -> str:
     return B85_PREFIX + base64.a85encode(data).decode("ascii")
 
 
+def _result(kind: str, status: str = "ok", text: str = "", n_pages: int = 0,
+            n_bytes: int = 0, error: str = "") -> dict:
+    """One output row without its (conv_id, turn_idx) key."""
+    return dict(zip(RESULT_FIELDS, (kind, text, status, n_pages, n_bytes, error)))
+
+
 def extract_row(text: str, mode: str = "text", cmap_cache=None, spec_mode: bool = False) -> dict:
-    """Extract one turn. Returns the output-row columns.
+    """Extract one turn. Returns the output-row columns after the key.
 
     spec_mode=True switches PDF xref resolution to the ISO 32000-1
     layer (PDF 1.5+ xref streams / ObjStm / predictors) instead of the
@@ -66,72 +89,23 @@ def extract_row(text: str, mode: str = "text", cmap_cache=None, spec_mode: bool 
         try:
             data = payload_bytes(text)
         except ValueError as exc:
-            return {
-                "payload_kind": kind,
-                "extracted_text": "",
-                "parse_status": "error:B85",
-                "n_pages": 0,
-                "bytes_decoded": 0,
-                "error": str(exc)[:200],
-            }
+            return _result(kind, "error:B85", error=str(exc)[:200])
         try:
             r = extract(data, mode, cmap_cache=cmap_cache, spec_mode=spec_mode)
-            return {
-                "payload_kind": kind,
-                "extracted_text": r.text,
-                "parse_status": "ok",
-                "n_pages": r.n_pages,
-                "bytes_decoded": len(data),
-                "error": "",
-            }
+            return _result(kind, "ok", r.text, r.n_pages, len(data))
         except ParseError as exc:
-            return {
-                "payload_kind": kind,
-                "extracted_text": "",
-                "parse_status": f"error:{exc.kind}",
-                "n_pages": 0,
-                "bytes_decoded": len(data),
-                "error": exc.message[:200],
-            }
-        except RecursionError:
-            raise  # let pathological nesting surface, not masquerade as data
+            return _result(kind, f"error:{exc.kind}", n_bytes=len(data), error=exc.message[:200])
         except Exception as exc:  # noqa: BLE001 — total function by design
-            # any unclassified parser exception on adversarial bytes maps
-            # to an error ROW (UDFs must be total: Ray task retries are
-            # reserved for infra faults, SURVEY §4)
-            return {
-                "payload_kind": kind,
-                "extracted_text": "",
-                "parse_status": f"error:Internal:{type(exc).__name__}",
-                "n_pages": 0,
-                "bytes_decoded": len(data),
-                "error": str(exc)[:200],
-            }
+            # any unclassified parser exception on adversarial bytes
+            # (RecursionError included) maps to an error ROW (UDFs must
+            # be total: Ray task retries are reserved for infra faults,
+            # SURVEY §4)
+            status = f"error:Internal:{type(exc).__name__}"
+            return _result(kind, status, n_bytes=len(data), error=str(exc)[:200])
+    n_bytes = len(text.encode("utf-8"))
     if kind == KIND_HTML:
         try:
-            out = extract_main_text(text)
-            return {
-                "payload_kind": kind,
-                "extracted_text": out,
-                "parse_status": "ok",
-                "n_pages": 0,
-                "bytes_decoded": len(text.encode("utf-8")),
-                "error": "",
-            }
+            return _result(kind, "ok", extract_main_text(text), n_bytes=n_bytes)
         except Exception as exc:  # html.parser is tolerant; belt-and-braces
-            return {
-                "payload_kind": kind,
-                "extracted_text": "",
-                "parse_status": "error:Html",
-                "n_pages": 0,
-                "bytes_decoded": len(text.encode("utf-8")),
-                "error": str(exc)[:200],
-            }
-    return {
-        "payload_kind": KIND_PLAIN,
-        "extracted_text": text,
-        "parse_status": "ok",
-        "n_pages": 0,
-        "bytes_decoded": len(text.encode("utf-8")),
-        "error": "",
-    }
+            return _result(kind, "error:Html", n_bytes=n_bytes, error=str(exc)[:200])
+    return _result(KIND_PLAIN, "ok", text, n_bytes=n_bytes)

@@ -144,12 +144,14 @@ class DocCtx:
     unchanged).
     """
 
-    __slots__ = ("data", "xref", "cmap_cache")
+    __slots__ = ("data", "xref", "cmap_cache", "pages_path")
 
     def __init__(self, data: bytes, xref, cmap_cache=None):
         self.data = data
         self.xref = xref
         self.cmap_cache = cmap_cache
+        # offsets of the Pages nodes being built (PageTreeNode)
+        self.pages_path = set()
 
     def resolve(self, ref: Ref):
         addr = self.xref.get_and_fix(ref.key(), self.data)
@@ -566,7 +568,13 @@ class PageTreeNode:
             if not isinstance(t, Name):
                 raise ParseError("PageTree", f"Type should be a name, found {t!r}")
             if t == "Pages":
+                # only the nodes on the current path: a node reached twice
+                # through a DAG is extracted twice, as by the reference
+                if addr in ctx.pages_path:
+                    raise ParseError("PageTree", "Pages node is its own ancestor")
+                ctx.pages_path.add(addr)
                 self.kids.append(PageTreeNode(obj, ctx, parent=self))
+                ctx.pages_path.discard(addr)
             elif t == "Page":
                 self.kids.append(Page(obj, ctx, parent=self))
             else:

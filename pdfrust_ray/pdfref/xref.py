@@ -58,7 +58,7 @@ class XRefTable:
         self.table = {}
 
     @classmethod
-    def parse(cls, tok: Tokenizer) -> "XRefTable":
+    def _parse(cls, tok: Tokenizer, seen: frozenset) -> "XRefTable":
         t = tok.next()
         if t is None:
             raise ParseError("XRef", "End of file unexpected")
@@ -93,7 +93,7 @@ class XRefTable:
         if prev is not None:
             if not (isinstance(prev, Number) and prev.is_int):
                 raise ParseError("XRef", "Prev should be a numeric")
-            self.prev = parse_xref(tok.bytes, prev.val)
+            self.prev = _parse_xref(tok.bytes, prev.val, seen)
         root = trailer.get("Root")
         if not isinstance(root, Ref):
             raise ParseError("XRef", "Root should be a Catalog object")
@@ -242,12 +242,21 @@ class XRefStream:
 
 def parse_xref(data: bytes, offset: int):
     """XRef::from(Tokenizer) dispatch (xref.rs:44-58)."""
+    return _parse_xref(data, offset, frozenset())
+
+
+def _parse_xref(data: bytes, offset: int, seen: frozenset):
+    """parse_xref on a trailer /Prev walk that has visited `seen`. A
+    revisited offset raises ParseError; the reference recurses until its
+    stack overflows."""
+    if offset in seen:
+        raise ParseError("XRef", f"Prev chain revisits offset {offset}")
     tok = Tokenizer(data, offset)
     peek = tok.clone().next()
     if peek is None:
         raise ParseError("XRef", "End of stream")
     if peek[0] == STR:
-        return XRefTable.parse(tok)
+        return XRefTable._parse(tok, seen | {offset})
     if peek[0] == NUM:
         obj = parse_object(Lemmatizer(data, offset, _EMPTY))
         if isinstance(obj, StreamObj):

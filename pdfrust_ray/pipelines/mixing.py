@@ -59,8 +59,9 @@ def doremi_fixedpoint(
       w'[d]    = w_t[d] * (1e9 + eta * (lam_d - m_t)) // 1e9
       w_t+1[d] = w'[d] * (D * 1e6) // sum_d w'[d]      (renormalize)
     Every division has a positive numerator and denominator, so
-    DuckDB's truncating // and Python's floor // agree; the update
-    factor is asserted positive (|eta * excess| < 1e9). Token-less
+    DuckDB's truncating // and Python's floor // agree; an eta that
+    would make the update factor non-positive (eta * excess >= 1e9)
+    is refused with a ValueError naming the largest one. Token-less
     sources have no loss and are excluded on BOTH sides (the
     tokenizer_fertility LEFT-JOIN lesson, applied by construction).
 
@@ -160,9 +161,12 @@ def doremi_fixedpoint(
     loss = {d: per_src[d][0] for d in sources}
     m0 = min(loss.values())
     lam = {d: loss[d] - m0 for d in sources}
-    assert all(eta * lam[d] < _F_SCALE for d in sources), (
-        "update factor would go non-positive; lower eta"
-    )
+    top = max(lam.values())
+    if eta * top >= _F_SCALE:
+        raise ValueError(
+            f"eta={eta} makes the update factor non-positive: the largest excess loss "
+            f"is {top} micro-nats, so eta must be at most {(_F_SCALE - 1) // top}"
+        )
 
     d_count = len(sources)
     w = {d: _W_SCALE for d in sources}  # python ints: overflow-free

@@ -21,21 +21,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.payload import extract_row
+from ..functions.payload import OUTPUT_SCHEMA, RESULT_FIELDS, extract_row
 from ..pdfref.extract import LruCache
-
-OUTPUT_SCHEMA = pa.schema(
-    [
-        ("conv_id", pa.string()),
-        ("turn_idx", pa.int32()),
-        ("payload_kind", pa.string()),
-        ("extracted_text", pa.large_string()),
-        ("parse_status", pa.string()),
-        ("n_pages", pa.int32()),
-        ("bytes_decoded", pa.int64()),
-        ("error", pa.string()),
-    ]
-)
 
 
 def add_payload_len(batch: pa.Table) -> pa.Table:
@@ -126,44 +113,23 @@ class ExtractTurns:
         convs = batch["conv_id"].to_pylist()
         turns = batch["turn_idx"].to_pylist()
         texts = batch["text"].to_pylist()
-        n = len(texts)
-        kinds = [""] * n
-        outs = [""] * n
-        statuses = [""] * n
-        pages = [0] * n
-        bdec = [0] * n
-        errs = [""] * n
+        results = [None] * len(texts)
         mode = self.mode
         cache = self.cmap_cache
         spec = self.spec_mode
         rcache = self.result_cache
-        for i in range(n):
-            k = hashlib.md5(texts[i].encode("utf-8", "surrogatepass")).digest()
+        for i, text in enumerate(texts):
+            k = hashlib.md5(text.encode("utf-8", "surrogatepass")).digest()
             r = rcache.get(k)
             if r is None:
                 self.result_cache_misses += 1
-                r = extract_row(texts[i], mode, cmap_cache=cache, spec_mode=spec)
-                rcache.put(k, len(texts[i]) + len(r["extracted_text"]) + 96, r)
+                r = extract_row(text, mode, cmap_cache=cache, spec_mode=spec)
+                rcache.put(k, len(text) + len(r["extracted_text"]) + 96, r)
             else:
                 self.result_cache_hits += 1
-            kinds[i] = r["payload_kind"]
-            outs[i] = r["extracted_text"]
-            statuses[i] = r["parse_status"]
-            pages[i] = r["n_pages"]
-            bdec[i] = r["bytes_decoded"]
-            errs[i] = r["error"]
-        return pa.table(
-            {
-                "conv_id": pa.array(convs, pa.string()),
-                "turn_idx": pa.array(turns, pa.int32()),
-                "payload_kind": pa.array(kinds, pa.string()),
-                "extracted_text": pa.array(outs, pa.large_string()),
-                "parse_status": pa.array(statuses, pa.string()),
-                "n_pages": pa.array(pages, pa.int32()),
-                "bytes_decoded": pa.array(bdec, pa.int64()),
-                "error": pa.array(errs, pa.string()),
-            }
-        )
+            results[i] = r
+        cols = [[r[f] for r in results] for f in RESULT_FIELDS]
+        return pa.Table.from_arrays([convs, turns, *cols], schema=OUTPUT_SCHEMA)
 
 
 # this process's task-stage memo: (token, instance) of the last
@@ -182,6 +148,12 @@ def stage_instance(token: str, mode: str, spec_mode: bool) -> ExtractTurns:
 
 
 INFO_FIELDS = ("title", "author", "creator", "producer", "creation_date", "mod_date")
+# the info row: the turn key, one string per INFO_FIELDS entry, the status
+INFO_SCHEMA = pa.schema(
+    [OUTPUT_SCHEMA.field("conv_id"), OUTPUT_SCHEMA.field("turn_idx")]
+    + [(f, pa.string()) for f in INFO_FIELDS]
+    + [OUTPUT_SCHEMA.field("parse_status")]
+)
 
 
 class InfoTurns:
@@ -218,11 +190,6 @@ class InfoTurns:
                     cols[f].append(None)
                 kind_name = exc.kind if isinstance(exc, ParseError) else "B85"
                 statuses.append(f"error:{kind_name}")
-        out = {
-            "conv_id": pa.array(convs, pa.string()),
-            "turn_idx": pa.array(turns, pa.int32()),
-        }
-        for f in INFO_FIELDS:
-            out[f] = pa.array(cols[f], pa.string())
-        out["parse_status"] = pa.array(statuses, pa.string())
-        return pa.table(out)
+        return pa.Table.from_arrays(
+            [convs, turns, *(cols[f] for f in INFO_FIELDS), statuses], schema=INFO_SCHEMA
+        )

@@ -3,7 +3,6 @@
 import collections
 
 import duckdb
-import numpy as np
 import pandas as pd
 from tools.contract_check import compare_twin
 

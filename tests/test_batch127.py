@@ -1,6 +1,5 @@
 """Batch-127: exact-integer MIPS top-k, line-number contiguity audit."""
 
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

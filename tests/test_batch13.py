@@ -1,7 +1,6 @@
 """Batch-13 ops: feature hashing, class weights, negative sampling,
 leave-last-out split, calendar rollup, deletion-vector reads."""
 
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

@@ -1,8 +1,5 @@
 """Batch-135: Hill tail-index estimator with quantized log terms."""
 
-import math
-
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

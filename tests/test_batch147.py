@@ -1,6 +1,5 @@
 """Batch-147: priority-inversion census + returns p-chart audit."""
 
-import numpy as np
 
 SF = "/root/testdata/sf0.001"
 

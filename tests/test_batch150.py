@@ -1,6 +1,5 @@
 """Batch-150: Zipf slope fit + streaming SpaceSaving heavy hitters."""
 
-import numpy as np
 
 SF = "/root/testdata/sf0.001"
 

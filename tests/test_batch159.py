@@ -1,6 +1,5 @@
 """Batch-159: session bookend matrix + type sojourn times."""
 
-import numpy as np
 
 SF = "/root/testdata/sf0.001"
 

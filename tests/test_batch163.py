@@ -3,7 +3,6 @@ lexicon substring census."""
 
 import duckdb
 import hashlib
-import numpy as np
 import pandas as pd
 
 SF = "/root/testdata/sf0.001"

@@ -11,7 +11,6 @@ the exact SQL oracle."""
 import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
-import pytest
 
 SF = "/root/testdata/sf0.001"
 

@@ -1,7 +1,6 @@
 """Batch-32 ops: CDC apply, MAD outliers, inactivity churn, CUSUM
 curve, token-lang chi-square."""
 
-import numpy as np
 import pytest
 from tools.contract_check import compare_twin
 

@@ -1,6 +1,5 @@
 """Batch-35 ops: Markov backtest, per-user p95 histogram, Bloom audit."""
 
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

@@ -1,7 +1,6 @@
 """Batch-39 ops: mutual kNN degree histogram, purged/embargoed time
 split, event-behaviour set algebra, ALL-quantifier big spenders."""
 
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

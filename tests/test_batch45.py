@@ -1,8 +1,5 @@
 """Batch-45: video scene-cut detection over real PPM/GIF codecs."""
 
-import pandas as pd
-import pytest
-
 
 def test_scene_cut_exact_recovery(ray_session):
     """The detector must recover EVERY planted cut index exactly, on

@@ -1,6 +1,5 @@
 """Batch-55: length-vs-quality Pearson sufficient statistics."""
 
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

@@ -1,7 +1,6 @@
 """Batch-56: assistant response-length drift, vocabulary nucleus."""
 
 import duckdb
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pandas as pd
-import pytest
 
 SF = "/root/testdata/sf0.001"
 

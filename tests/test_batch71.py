@@ -1,6 +1,5 @@
 """Batch-71: CDF L1 gap, seasonal-naive backtest, alternation rate."""
 
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

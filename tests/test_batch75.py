@@ -1,6 +1,5 @@
 """Batch-75: Kadane max burst, fairness-capped leaderboard."""
 
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

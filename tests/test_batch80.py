@@ -1,6 +1,5 @@
 """Batch-80: Simpson's paradox audit, OHLC Donchian, KMP smallest period."""
 
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

@@ -1,6 +1,5 @@
 """Batch-84: Huffman optimum, integer Viterbi, largest histogram rectangle."""
 
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

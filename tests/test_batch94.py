@@ -1,7 +1,6 @@
 """Batch-94: JSON props audit, quantile normalization, DFT periodogram."""
 
 import json
-import math
 
 import numpy as np
 import pandas as pd

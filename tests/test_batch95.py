@@ -2,11 +2,10 @@
 
 import duckdb
 import numpy as np
-import pandas as pd
 import pytest
 
 from pdfrust_ray.fixtures.corpus import ensure_corpus
-from tools.contract_check import compare_twin
+from tools.contract_check import compare_rows, compare_twin
 
 SF = "/root/testdata/sf0.001"
 
@@ -17,17 +16,6 @@ def corpus(ray_session):
     return d, f"{d}/shards/*.parquet"
 
 
-def _compare(mine: pd.DataFrame, sql: str):
-    oracle = duckdb.connect().execute(sql).fetchdf()
-    cols = sorted(mine.columns)
-    assert cols == sorted(oracle.columns)
-    a = mine[cols].sort_values(cols).reset_index(drop=True)
-    b = oracle[cols].sort_values(cols).reset_index(drop=True)
-    assert len(a) == len(b) and len(a) > 0
-    for c in cols:
-        assert a[c].tolist() == b[c].tolist(), f"column {c} differs"
-
-
 def test_encoding_audit_oracle_and_python_recount(corpus):
     from pdfrust_ray.pipelines.conversation import (
         turn_encoding_audit,
@@ -36,7 +24,7 @@ def test_encoding_audit_oracle_and_python_recount(corpus):
 
     d, g = corpus
     mine = turn_encoding_audit(d)
-    _compare(mine, turn_encoding_audit_sql(g))
+    assert compare_rows(mine, duckdb.connect().execute(turn_encoding_audit_sql(g)).df())
     # python recount for one conversation
     raw = duckdb.connect().execute(
         f"SELECT conv_id, text FROM read_parquet('{g}')"
@@ -64,7 +52,7 @@ def test_payload_sniff_oracle_and_kind_sanity(corpus):
 
     d, g = corpus
     mine = payload_sniff_stats(d)
-    _compare(mine, payload_sniff_stats_sql(g))
+    assert compare_rows(mine, duckdb.connect().execute(payload_sniff_stats_sql(g)).df())
     total = duckdb.connect().execute(
         f"SELECT COUNT(*) FROM read_parquet('{g}')"
     ).fetchone()[0]

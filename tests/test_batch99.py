@@ -1,7 +1,6 @@
 """Batch-99: interval union coverage, EDF lateness, trigram selectivity."""
 
 import duckdb
-import numpy as np
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"

@@ -11,6 +11,7 @@ import pytest
 
 from pdfrust_ray.fixtures.corpus import ensure_corpus
 from pdfrust_ray.pipelines import conversation as cv
+from tools.contract_check import compare_rows
 
 
 @pytest.fixture(scope="module")
@@ -19,26 +20,15 @@ def corpus(ray_session):
     return d, f"{d}/shards/*.parquet"
 
 
-def _compare(mine: pd.DataFrame, sql: str):
-    oracle = duckdb.connect().execute(sql).fetchdf()
-    cols = sorted(mine.columns)
-    assert cols == sorted(oracle.columns)
-    a = mine[cols].sort_values(cols).reset_index(drop=True)
-    b = oracle[cols].sort_values(cols).reset_index(drop=True)
-    assert len(a) == len(b) and len(a) > 0
-    for c in cols:
-        assert a[c].tolist() == b[c].tolist(), f"column {c} differs"
-
-
 def test_conv_stats(corpus):
     d, g = corpus
-    _compare(cv.conv_stats(d), cv.conv_stats_sql(g))
+    assert compare_rows(cv.conv_stats(d), duckdb.connect().execute(cv.conv_stats_sql(g)).df())
 
 
 def test_turn_latency(corpus):
     d, g = corpus
     out = cv.turn_latency(d)
-    _compare(out, cv.turn_latency_sql(g))
+    assert compare_rows(out, duckdb.connect().execute(cv.turn_latency_sql(g)).df())
     # opening turn of every conversation carries the -1 sentinel
     first = out[out.turn_idx == 0]
     assert (first.gap_us == -1).all()
@@ -48,14 +38,14 @@ def test_turn_latency(corpus):
 def test_tool_usage(corpus):
     d, g = corpus
     out = cv.tool_usage(d)
-    _compare(out, cv.tool_usage_sql(g))
+    assert compare_rows(out, duckdb.connect().execute(cv.tool_usage_sql(g)).df())
     assert "" not in set(out.tool)
 
 
 def test_role_transitions(corpus):
     d, g = corpus
     out = cv.role_transitions(d)
-    _compare(out, cv.role_transitions_sql(g))
+    assert compare_rows(out, duckdb.connect().execute(cv.role_transitions_sql(g)).df())
     # transitions count: (turns - 1) per conversation, summed
     stats = cv.conv_stats(d)
     assert out.n_transitions.sum() == (stats.n_turns - 1).sum()
@@ -64,7 +54,7 @@ def test_role_transitions(corpus):
 def test_conv_fingerprints(corpus):
     d, g = corpus
     out = cv.conv_fingerprints(d)
-    _compare(out, cv.conv_fingerprints_sql(g))
+    assert compare_rows(out, duckdb.connect().execute(cv.conv_fingerprints_sql(g)).df())
     # every conversation accounted for exactly once
     stats = cv.conv_stats(d)
     assert out.n_convs.sum() == len(stats)
@@ -131,4 +121,4 @@ def test_tool_latency_oracle(corpus):
     got = cv.tool_latency(d)
     assert len(got) >= 1
     assert (got["max_latency_us"] <= got["sum_latency_us"]).all()
-    _compare(got, cv.tool_latency_sql(g))
+    assert compare_rows(got, duckdb.connect().execute(cv.tool_latency_sql(g)).df())

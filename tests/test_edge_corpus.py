@@ -84,10 +84,27 @@ def test_edge_doremi_twin_exact(ray_session, edge_dir, con):
     """DoReMi hashes every word with the md5 lanes, the 90-byte one too.
     eta=100 keeps the one-word source edge1 (excess ~6.8 nats) inside
     the kernel's stated bound eta * excess < 1e9; the default eta=200
-    refuses this corpus by that assertion."""
+    refuses this corpus (test_edge_doremi_default_eta_refused)."""
     from pdfrust_ray.pipelines.mixing import doremi_fixedpoint, doremi_fixedpoint_sql
 
     compare_twin(doremi_fixedpoint(edge_dir, eta=100), con, doremi_fixedpoint_sql(eta=100))
+
+
+def test_edge_doremi_default_eta_refused(ray_session, edge_dir):
+    """At the default eta=200, edge1's excess breaks eta * excess < 1e9:
+    a ValueError (not an assert, which python -O strips) names the
+    largest eta that works, and that eta does work."""
+    import re
+
+    from pdfrust_ray.pipelines.mixing import doremi_fixedpoint
+
+    with pytest.raises(ValueError, match=r"eta must be at most \d+") as exc:
+        doremi_fixedpoint(edge_dir)
+    top_eta = int(re.search(r"at most (\d+)", str(exc.value)).group(1))
+    assert 100 <= top_eta < 200
+    assert len(doremi_fixedpoint(edge_dir, eta=top_eta)) > 0
+    with pytest.raises(ValueError):
+        doremi_fixedpoint(edge_dir, eta=top_eta + 1)
 
 
 def test_edge_specific_values(ray_session, edge_dir):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 settings.register_profile("ci", derandomize=True)
 settings.load_profile("ci")
 
-from pdfrust_ray.fixtures.pdfgen import PDF_CONSTRUCTS, PdfBuilder
+from pdfrust_ray.fixtures.pdfgen import PDF_CONSTRUCTS, PdfBuilder, pdf_hello
 from pdfrust_ray.functions.payload import encode_pdf_payload, extract_row
 from pdfrust_ray.pdfref import ParseError, extract
 
@@ -97,6 +97,68 @@ def test_nesting_gives_error_rows():
     for depth in (1, 100, 990):
         r = extract_row(encode_pdf_payload(_nested_catalog_pdf(depth, b"<< /A ", b" >>", b"1")))
         assert r["parse_status"] == "ok" and "Hello nest!" in r["extracted_text"], depth
+
+
+def _self_referencing_pdfs() -> dict[str, bytes]:
+    """pdf_hello with one edit that the reference recurses on until its
+    stack overflows, keyed by the error row it must become: a trailer
+    /Prev naming its own xref section, and a /Pages node (object 4)
+    that lists itself in /Kids."""
+    hello = pdf_hello("loop")
+    startxref = hello.rsplit(b"startxref", 1)[1].split()[0]
+    docs = {
+        "error:XRef": hello.replace(b"/Root 5 0 R >>", b"/Root 5 0 R /Prev " + startxref + b" >>"),
+        "error:PageTree": hello.replace(b"/Kids [ 3 0 R ]", b"/Kids [ 4 0 R ]"),
+    }
+    assert all(d != hello for d in docs.values())
+    return docs
+
+
+def test_self_referencing_documents_give_error_rows():
+    for status, doc in _self_referencing_pdfs().items():
+        r = extract_row(encode_pdf_payload(doc))
+        assert (r["payload_kind"], r["parse_status"]) == ("pdf", status), r
+
+
+def test_self_referencing_documents_do_not_fail_a_run(ray_session, tmp_path):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from pdfrust_ray.fixtures.corpus import TRANSCRIPTS_SCHEMA
+    from pdfrust_ray.pipelines.extract_pipeline import build_extraction
+    from pdfrust_ray.sources.transcripts import read_transcripts
+
+    texts = [encode_pdf_payload(d) for d in _self_referencing_pdfs().values()]
+    texts += ["plain turn", encode_pdf_payload(pdf_hello("ok"))]
+    rows = [
+        {"conv_id": "loop", "turn_idx": i, "role": "tool", "text": t, "tool": "pdf_render", "ts": 0}
+        for i, t in enumerate(texts)
+    ]
+    (tmp_path / "shards").mkdir()
+    for s in range(2):
+        pq.write_table(
+            pa.Table.from_pylist(rows[s::2], schema=TRANSCRIPTS_SCHEMA),
+            str(tmp_path / "shards" / f"part-{s:04d}.parquet"),
+        )
+    out = build_extraction(read_transcripts(str(tmp_path / "shards")), batch_size=1).to_pandas()
+    assert list(out["parse_status"]) == ["error:XRef", "error:PageTree", "ok", "ok"]
+    assert list(out["extracted_text"])[2:] == ["plain turn", "Hello ok!"]
+
+
+def test_page_reached_twice_through_a_dag_extracts_twice():
+    # the ancestor check follows the current path only: two /Kids
+    # entries naming the same /Pages node are not a cycle
+    b = PdfBuilder()
+    content = b.add_stream("", b"BT\n70 50 TD\n/F1 12 Tf\n(Hello dag!) Tj\nET")
+    font = b.add(b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>")
+    page = b.add(
+        f"<< /Type /Page /Parent 0 0 R /Resources << /Font << /F1 {font} 0 R >> >> "
+        f"/Contents {content} 0 R >>".encode()
+    )
+    inner = b.add(f"<< /Type /Pages /Kids [ {page} 0 R ] /Count 1 >>".encode())
+    pages = b.add(f"<< /Type /Pages /Kids [ {inner} 0 R {inner} 0 R ] /Count 2 >>".encode())
+    r = extract_row(encode_pdf_payload(b.build(b.add(f"<< /Type /Catalog /Pages {pages} 0 R >>".encode()))))
+    assert (r["parse_status"], r["n_pages"], r["extracted_text"]) == ("ok", 2, "Hello dag!\nHello dag!")
 
 
 def test_flate_bomb_is_bounded():

@@ -11,20 +11,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from tools.contract_check import compare_rows
 
 SF = "/root/testdata/sf0.001"
 
 needs_testdata = pytest.mark.skipif(not os.path.isdir(SF), reason="testdata not available")
-
-
-def _compare(mine: pd.DataFrame, oracle: pd.DataFrame):
-    cols = sorted(mine.columns)
-    assert cols == sorted(oracle.columns)
-    a = mine[cols].sort_values(cols).reset_index(drop=True)
-    b = oracle[cols].sort_values(cols).reset_index(drop=True)
-    assert len(a) == len(b)
-    for c in cols:
-        assert a[c].tolist() == b[c].tolist(), f"column {c} differs"
 
 
 @needs_testdata
@@ -35,7 +26,7 @@ def test_exact_dedup_matches_sql(ray_session, con):
     oracle = con.execute(
         "SELECT md5(text) AS text_hash, MIN(doc_id) AS doc_id, COUNT(*) AS dup_count FROM documents GROUP BY md5(text)"
     ).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -44,7 +35,7 @@ def test_token_counts_match_sql(ray_session, con):
 
     mine = token_counts(SF)
     oracle = con.execute(token_counts_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -53,7 +44,7 @@ def test_fingerprints_match_sql(ray_session, con):
 
     mine = fingerprints(SF)
     oracle = con.execute(fingerprints_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -73,7 +64,7 @@ def test_ann_topk_matches_sql(ray_session, con):
     ).df()
     mine["rank"] = mine["rank"].astype("int64")
     oracle["rank"] = oracle["rank"].astype("int64")
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -249,7 +240,7 @@ def test_sessionize_matches_sql(ray_session, con):
 
     mine = sessionize(SF)
     oracle = con.execute(sessionize_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -258,7 +249,7 @@ def test_running_totals_match_sql(ray_session, con):
 
     mine = running_user_totals(SF)
     oracle = con.execute(running_user_totals_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 def test_dedup_clusters_planted(ray_session, tmp_path):
@@ -300,7 +291,7 @@ def test_asof_join_matches_sql(ray_session, con):
 
     mine = asof_click_before_purchase(SF)
     oracle = con.execute(asof_click_before_purchase_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -312,7 +303,7 @@ def test_top_orders_per_segment_matches_sql(ray_session, con):
 
     mine = top_orders_per_segment(SF)
     oracle = con.execute(top_orders_per_segment_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -321,7 +312,7 @@ def test_user_next_event_matches_sql(ray_session, con):
 
     mine = user_next_event(SF)
     oracle = con.execute(user_next_event_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -330,7 +321,7 @@ def test_user_funnel_sets_matches_sql(ray_session, con):
 
     mine = user_funnel_sets(SF)
     oracle = con.execute(user_funnel_sets_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -344,7 +335,7 @@ def test_events_value_percentiles_match_sql_bitexact(ray_session, con):
 
     mine = events_value_percentiles(SF)
     oracle = con.execute(events_value_percentiles_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -353,14 +344,14 @@ def test_events_daily_pivot_matches_sql(ray_session, con):
 
     mine = events_daily_pivot(SF)
     oracle = con.execute(events_daily_pivot_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
 def test_region_revenue_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import region_revenue, region_revenue_sql
 
-    _compare(region_revenue(SF), con.execute(region_revenue_sql()).df())
+    compare_rows(region_revenue(SF), con.execute(region_revenue_sql()).df())
 
 
 @needs_testdata
@@ -370,7 +361,7 @@ def test_first_last_order_matches_sql(ray_session, con):
         first_last_order_per_customer_sql,
     )
 
-    _compare(
+    compare_rows(
         first_last_order_per_customer(SF),
         con.execute(first_last_order_per_customer_sql()).df(),
     )
@@ -383,7 +374,7 @@ def test_orders_above_customer_avg_matches_sql(ray_session, con):
         orders_above_customer_avg_sql,
     )
 
-    _compare(
+    compare_rows(
         orders_above_customer_avg(SF),
         con.execute(orders_above_customer_avg_sql()).df(),
     )
@@ -393,7 +384,7 @@ def test_orders_above_customer_avg_matches_sql(ray_session, con):
 def test_user_top_event_type_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import user_top_event_type, user_top_event_type_sql
 
-    _compare(user_top_event_type(SF), con.execute(user_top_event_type_sql()).df())
+    compare_rows(user_top_event_type(SF), con.execute(user_top_event_type_sql()).df())
 
 
 @needs_testdata
@@ -403,7 +394,7 @@ def test_events_value_histogram_matches_sql(ray_session, con):
         events_value_histogram_sql,
     )
 
-    _compare(events_value_histogram(SF), con.execute(events_value_histogram_sql()).df())
+    compare_rows(events_value_histogram(SF), con.execute(events_value_histogram_sql()).df())
 
 
 @needs_testdata
@@ -415,7 +406,7 @@ def test_user_value_percent_rank_matches_sql_bitexact(ray_session, con):
         user_value_percent_rank_sql,
     )
 
-    _compare(user_value_percent_rank(SF), con.execute(user_value_percent_rank_sql()).df())
+    compare_rows(user_value_percent_rank(SF), con.execute(user_value_percent_rank_sql()).df())
 
 
 @needs_testdata
@@ -430,7 +421,7 @@ def test_benchmark_contamination_matches_sql(ray_session, con):
 
     mine = benchmark_contamination(SF)
     oracle = con.execute(benchmark_contamination_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
     # non-vacuous: benchmark members self-hit, short docs drop out
     assert len(mine) > 0
 
@@ -447,7 +438,7 @@ def test_pii_redact_matches_sql(ray_session):
     mine = pii_redact(d)
     con = duckdb.connect()
     oracle = con.execute(pii_redact_sql(f"{d}/shards/*.parquet")).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
     assert mine["n_emails"].sum() > 0 and mine["n_phones"].sum() > 0
     assert not mine["clean_text"].str.contains("@").any()
 
@@ -459,7 +450,7 @@ def test_customers_with_big_orders_matches_sql(ray_session, con):
         customers_with_big_orders_sql,
     )
 
-    _compare(
+    compare_rows(
         customers_with_big_orders(SF), con.execute(customers_with_big_orders_sql()).df()
     )
 
@@ -471,7 +462,7 @@ def test_events_dow_grid_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import events_dow_grid, events_dow_grid_sql
 
     mine = events_dow_grid(SF)
-    _compare(mine, con.execute(events_dow_grid_sql()).df())
+    compare_rows(mine, con.execute(events_dow_grid_sql()).df())
     assert len(mine) % 7 == 0  # dense grid
 
 
@@ -485,7 +476,7 @@ def test_lineitem_discounted_revenue_matches_sql(ray_session, con):
         lineitem_discounted_revenue_sql,
     )
 
-    _compare(
+    compare_rows(
         lineitem_discounted_revenue(SF),
         con.execute(lineitem_discounted_revenue_sql()).df(),
     )
@@ -501,7 +492,7 @@ def test_turn_normalize_matches_sql(ray_session):
     mine = turn_normalize(d)
     con = duckdb.connect()
     oracle = con.execute(turn_normalize_sql(f"{d}/shards/*.parquet")).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
     assert (mine["norm_text"].str.lower() == mine["norm_text"]).all()
     assert not mine["norm_text"].str.contains("\n").any()
 
@@ -544,7 +535,7 @@ def test_pack_sequences_matches_recursive_cte(ray_session, con):
 
     mine = pack_sequences(SF)
     oracle = con.execute(pack_sequences_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
     sums = mine.groupby(["bucket", "pack_id"]).agg(
         tok=("n_tokens", "sum"), n=("doc_id", "size")
     )
@@ -622,7 +613,7 @@ def test_lang_rebalanced_sample_matches_sql(ray_session, con):
 
     mine = lang_rebalanced_sample(SF)
     oracle = con.execute(lang_rebalanced_sample_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
     mix = mine.groupby("lang").size()
     assert mix.max() <= 1.35 * mix.min()
 
@@ -636,7 +627,7 @@ def test_substring_dedup_matches_sql(ray_session, con):
 
     mine = substring_dedup(SF)
     oracle = con.execute(substring_dedup_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
     assert len(mine) > 0
 
 
@@ -716,21 +707,21 @@ def test_embedding_dedup_matches_sql(ray_session, con):
     mine = embedding_dedup(SF)
     oracle = con.execute(embedding_dedup_sql()).df()
     assert len(mine) > 0  # threshold chosen so the check is non-vacuous
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
 def test_segment_revenue_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import segment_revenue, segment_revenue_sql
 
-    _compare(segment_revenue(SF), con.execute(segment_revenue_sql()).df())
+    compare_rows(segment_revenue(SF), con.execute(segment_revenue_sql()).df())
 
 
 @needs_testdata
 def test_supplier_nation_agg_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import supplier_nation_agg, supplier_nation_agg_sql
 
-    _compare(supplier_nation_agg(SF), con.execute(supplier_nation_agg_sql()).df())
+    compare_rows(supplier_nation_agg(SF), con.execute(supplier_nation_agg_sql()).df())
 
 
 @needs_testdata
@@ -758,7 +749,7 @@ def test_ann_topk_matches_sql_after_zero_copy(ray_session, con):
         FROM r WHERE rank <= 10 ORDER BY query_id, rank
         """
     ).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 def test_embedding_matrix_fixed_and_var_lists():
@@ -815,7 +806,7 @@ def test_top_terms_per_doc_matches_sql(ray_session, con):
     oracle = con.execute(top_terms_per_doc_sql()).df()
     # ranking is (tf desc, df asc, term asc) — integer-exact, no float
     # score whose ULPs could flip near-ties
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -827,7 +818,7 @@ def test_stratified_sample_matches_sql(ray_session, con):
 
     mine = customer_stratified_sample(SF)
     oracle = con.execute(customer_stratified_sample_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -839,7 +830,7 @@ def test_events_value_quartiles_match_sql(ray_session, con):
 
     mine = events_value_quartiles(SF)
     oracle = con.execute(events_value_quartiles_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -849,7 +840,7 @@ def test_events_hopping_matches_sql(ray_session, con):
     mine = events_hopping_15m(SF)
     mine["win_start"] = mine["win_start"].astype("datetime64[us]")
     oracle = con.execute(events_hopping_15m_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -861,7 +852,7 @@ def test_order_priority_revenue_matches_sql(ray_session, con):
 
     mine = order_priority_revenue(SF)
     oracle = con.execute(order_priority_revenue_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -872,7 +863,7 @@ def test_quality_scores_match_sql(ray_session, con):
     oracle = con.execute(quality_scores_sql()).df()
     # each ratio is parenthesized in the SQL exactly as Python evaluates
     # it, so the rounded doubles are bit-identical
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -895,7 +886,7 @@ def test_simhash_dedup_matches_sql(ray_session, con):
     oracle = con.execute(simhash_dedup_sql()).df()
     # banding is pigeonhole-complete for hamming <= 3 and the verify is
     # exact, so the engine output IS the exact pair set
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -904,7 +895,7 @@ def test_dedup_clusters_matches_sql(ray_session, con):
 
     mine = dedup_clusters(SF)
     oracle = con.execute(dedup_clusters_sql()).df()
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
@@ -914,21 +905,21 @@ def test_charset_best_match_matches_sql(ray_session, con):
     mine = charset_best_match(SF)
     oracle = con.execute(charset_best_match_sql()).df()
     # float sims are exact int/int divisions — bit-identical both sides
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 @needs_testdata
 def test_orders_rollup_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import orders_rollup, orders_rollup_sql
 
-    _compare(orders_rollup(SF), con.execute(orders_rollup_sql()).df())
+    compare_rows(orders_rollup(SF), con.execute(orders_rollup_sql()).df())
 
 
 @needs_testdata
 def test_lineitem_quantiles_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import lineitem_quantiles, lineitem_quantiles_sql
 
-    _compare(lineitem_quantiles(SF), con.execute(lineitem_quantiles_sql()).df())
+    compare_rows(lineitem_quantiles(SF), con.execute(lineitem_quantiles_sql()).df())
 
 
 @needs_testdata
@@ -940,7 +931,7 @@ def test_customers_without_orders_matches_sql(ray_session, con):
 
     mine = customers_without_orders(SF)
     assert len(mine) > 0  # threshold chosen so the anti-join is non-vacuous
-    _compare(mine, con.execute(customers_without_orders_sql()).df())
+    compare_rows(mine, con.execute(customers_without_orders_sql()).df())
 
 
 @needs_testdata
@@ -949,7 +940,7 @@ def test_orders_sample_matches_sql(ray_session, con):
 
     mine = orders_sample(SF)
     assert len(mine) > 0
-    _compare(mine, con.execute(orders_sample_sql()).df())
+    compare_rows(mine, con.execute(orders_sample_sql()).df())
 
 
 def test_embedding_dedup_ivf_finds_planted(ray_session, tmp_path):
@@ -973,14 +964,14 @@ def test_embedding_dedup_ivf_finds_planted(ray_session, tmp_path):
 def test_bpe_token_counts_match_sql(ray_session, con):
     from pdfrust_ray.pipelines.textops import bpe_token_counts, bpe_token_counts_sql
 
-    _compare(bpe_token_counts(SF), con.execute(bpe_token_counts_sql()).df())
+    compare_rows(bpe_token_counts(SF), con.execute(bpe_token_counts_sql()).df())
 
 
 @needs_testdata
 def test_events_sliding_hour_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import events_sliding_hour, events_sliding_hour_sql
 
-    _compare(events_sliding_hour(SF), con.execute(events_sliding_hour_sql()).df())
+    compare_rows(events_sliding_hour(SF), con.execute(events_sliding_hour_sql()).df())
 
 
 @needs_testdata
@@ -990,7 +981,7 @@ def test_nation_supplier_names_matches_sql(ray_session, con):
         nation_supplier_names_sql,
     )
 
-    _compare(nation_supplier_names(SF), con.execute(nation_supplier_names_sql()).df())
+    compare_rows(nation_supplier_names(SF), con.execute(nation_supplier_names_sql()).df())
 
 
 def test_sliding_hour_counts_tied_peers(ray_session, tmp_path):
@@ -1017,7 +1008,7 @@ def test_sliding_hour_counts_tied_peers(ray_session, tmp_path):
     con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{d}/events.parquet')")
     oracle = con.execute(events_sliding_hour_sql()).df()
     assert mine["n_last_hour"].tolist() == [2, 2, 3, 1, 1]
-    _compare(mine, oracle)
+    compare_rows(mine, oracle)
 
 
 def test_md5vec_matches_hashlib():
@@ -1063,7 +1054,7 @@ def test_minhash_pairs_equal_exact_jaccard(ray_session, con):
 
     mine = minhash_lsh_dedup(SF)
     assert len(mine) > 0
-    _compare(mine, con.execute(minhash_lsh_dedup_sql()).df())
+    compare_rows(mine, con.execute(minhash_lsh_dedup_sql()).df())
 
 
 @needs_testdata
@@ -1094,7 +1085,7 @@ def test_simhash_pairs_equal_exact_hamming(ray_session, tmp_path):
     """).df()
     mine = simhash_dedup(SF)
     assert len(mine) > 0
-    _compare(mine, exact)
+    compare_rows(mine, exact)
 
 
 @needs_testdata
@@ -1123,7 +1114,7 @@ def test_ngram_pairs_equal_exact_jaccard(ray_session, con):
 
     mine = ngram_jaccard_dedup(SF)
     assert len(mine) > 0
-    _compare(mine, con.execute(minhash_lsh_dedup_sql()).df())
+    compare_rows(mine, con.execute(minhash_lsh_dedup_sql()).df())
 
 
 def test_ngram_candidate_completeness_planted(ray_session, tmp_path):
@@ -1227,7 +1218,7 @@ def test_temperature_mix_sample_matches_sql(ray_session, con):
 
     mine = temperature_mix_sample(SF)
     assert len(mine) > 0
-    _compare(mine, con.execute(temperature_mix_sample_sql()).df())
+    compare_rows(mine, con.execute(temperature_mix_sample_sql()).df())
     # alpha=0.5 flattens the mix: the sampled lang shares must sit
     # between uniform and the natural distribution
     import pyarrow.parquet as _pq
@@ -1247,7 +1238,7 @@ def test_running_global_total_matches_sql(ray_session, con):
     )
 
     mine = running_global_total(SF)
-    _compare(mine, con.execute(running_global_total_sql()).df())
+    compare_rows(mine, con.execute(running_global_total_sql()).df())
     # the scan must be globally monotone and end at the corpus total
     assert mine["cum_cents"].is_monotonic_increasing
     total = con.execute(
@@ -1280,7 +1271,7 @@ def test_bottom_k_sample_matches_sql(ray_session, con):
 
     mine = bottom_k_sample(SF)
     assert len(mine) == 100
-    _compare(mine, con.execute(bottom_k_sample_sql()).df())
+    compare_rows(mine, con.execute(bottom_k_sample_sql()).df())
 
 
 def test_bottom_k_sample_merge_property(ray_session, tmp_path):
@@ -1312,7 +1303,7 @@ def test_heavy_user_full_outer_matches_sql(ray_session, con):
     mine = heavy_user_full_outer(SF)
     # both outer sides must be exercised at the fixture
     assert {"click_only", "purchase_only", "both"} <= set(mine["membership"])
-    _compare(mine, con.execute(heavy_user_full_outer_sql()).df())
+    compare_rows(mine, con.execute(heavy_user_full_outer_sql()).df())
 
 
 @needs_testdata
@@ -1324,7 +1315,7 @@ def test_events_daily_unpivot_matches_sql(ray_session, con):
     )
 
     mine = events_daily_unpivot(SF)
-    _compare(mine, con.execute(events_daily_unpivot_sql()).df())
+    compare_rows(mine, con.execute(events_daily_unpivot_sql()).df())
     # unpivot(pivot) involution: wide totals reappear as long sums
     wide = events_daily_pivot(SF)
     assert mine["n"].sum() == sum(wide[f"n_{et}"].sum() for et in
@@ -1336,7 +1327,7 @@ def test_orders_cube_matches_sql(ray_session, con):
     from pdfrust_ray.pipelines.relational import orders_cube, orders_cube_sql
 
     mine = orders_cube(SF)
-    _compare(mine, con.execute(orders_cube_sql()).df())
+    compare_rows(mine, con.execute(orders_cube_sql()).df())
     # lattice consistency: every level sums to the grand total
     g = mine[(mine["o_orderstatus"] == "ALL") & (mine["o_orderpriority"] == "ALL")]
     base = mine[(mine["o_orderstatus"] != "ALL") & (mine["o_orderpriority"] != "ALL")]
@@ -1352,7 +1343,7 @@ def test_late_events_by_day_matches_sql(ray_session, con):
 
     mine = late_events_by_day(SF)
     assert mine["n_late"].sum() > 0 and mine["n_on_time"].sum() > 0
-    _compare(mine, con.execute(late_events_by_day_sql()).df())
+    compare_rows(mine, con.execute(late_events_by_day_sql()).df())
 
 
 def test_late_events_watermark_semantics(ray_session, tmp_path):
@@ -1402,7 +1393,7 @@ def test_embedding_second_moment_matches_sql(ray_session, con):
     )
 
     mine = embedding_second_moment(SF)
-    _compare(mine, con.execute(embedding_second_moment_sql()).df())
+    compare_rows(mine, con.execute(embedding_second_moment_sql()).df())
     # diagonal entries are sums of squares: strictly positive
     diag = mine[mine["i"] == mine["j"]]
     assert (diag["m_q"] > 0).all()
@@ -1432,7 +1423,7 @@ def test_orders_skyline_matches_sql(ray_session, con):
 
     mine = orders_skyline(SF)
     assert 0 < len(mine) < 50  # a front, not the table
-    _compare(mine, con.execute(orders_skyline_sql()).df())
+    compare_rows(mine, con.execute(orders_skyline_sql()).df())
 
 
 def test_skyline_local_front_preserves_global(ray_session, tmp_path):
@@ -1484,4 +1475,4 @@ def test_events_per_user_sample_matches_sql(ray_session, con):
 
     mine = events_per_user_sample(SF)
     assert (mine.groupby("user_id").size() == 3).all()
-    _compare(mine, con.execute(events_per_user_sample_sql()).df())
+    compare_rows(mine, con.execute(events_per_user_sample_sql()).df())

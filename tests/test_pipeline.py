@@ -3,7 +3,6 @@ resume, and the ops pipelines. One shared Ray session (conftest)."""
 
 import glob
 import os
-import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq

@@ -130,9 +130,9 @@ def _sf0001_names(tree) -> set[str]:
 def copied_test_plumbing(tests_dir: str = TESTS) -> list[str]:
     """`file:line reason` for every test-file copy of what
     tests/conftest.py (`con`) and tools/contract_check.py
-    (`compare_twin`) provide: a `_cmp`/`_assert_oracle` helper or an
-    inline copy of its body, a view over an sf0.001 table, or a
-    connect() to the sf0.001 dir."""
+    (`compare_twin`, `compare_rows`) provide: a `_cmp`/`_assert_oracle`/
+    `_compare` helper or an inline copy of compare_twin's body, a view
+    over an sf0.001 table, or a connect() to the sf0.001 dir."""
     out = []
     for f in sorted(os.listdir(tests_dir)):
         if not (f.startswith("test_") and f.endswith(".py")):
@@ -141,7 +141,7 @@ def copied_test_plumbing(tests_dir: str = TESTS) -> list[str]:
             tree = ast.parse(fh.read())
         sf = _sf0001_names(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name in ("_cmp", "_assert_oracle"):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_cmp", "_assert_oracle", "_compare"):
                 if f not in OWN_COMPARE:
                     out.append(f"{f}:{node.lineno} defines {node.name}")
             elif isinstance(node, ast.JoinedStr):
@@ -172,3 +172,28 @@ def copied_test_plumbing(tests_dir: str = TESTS) -> list[str]:
 def test_no_copied_duckdb_fixture_or_twin_compare():
     bad = copied_test_plumbing()
     assert not bad, "\n".join(bad)
+
+
+def unused_test_imports(tests_dir: str = TESTS) -> list[str]:
+    """`file:line name` for every module-level import in a
+    tests/test_*.py file whose bound name the file never reads."""
+    out = []
+    for f in sorted(os.listdir(tests_dir)):
+        if not (f.startswith("test_") and f.endswith(".py")):
+            continue
+        with open(os.path.join(tests_dir, f)) as fh:
+            tree = ast.parse(fh.read())
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update({a.asname or a.name: node.lineno for a in node.names})
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        out += [f"{f}:{line} {name}" for name, line in bound.items() if name not in read]
+    return out
+
+
+def test_no_unused_imports_in_tests():
+    bad = unused_test_imports()
+    assert not bad, "unused imports:\n" + "\n".join(bad)

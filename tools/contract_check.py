@@ -77,6 +77,20 @@ def compare_twin(mine, con, sql):
     return odf
 
 
+def compare_rows(mine, oracle) -> int:
+    """Asserts that the frames `mine` and `oracle` hold the same rows in
+    any order: the same column names, and equal values per column once
+    both are sorted by every column. Returns the row count."""
+    cols = sorted(mine.columns)
+    assert cols == sorted(oracle.columns)
+    a = mine[cols].sort_values(cols).reset_index(drop=True)
+    b = oracle[cols].sort_values(cols).reset_index(drop=True)
+    assert len(a) == len(b)
+    for c in cols:
+        assert a[c].tolist() == b[c].tolist(), f"column {c} differs"
+    return len(a)
+
+
 def _to_pandas(res):
     import pandas as pd
     import pyarrow as pa
