@@ -25,8 +25,15 @@ import struct
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..functions.payload import OUTPUT_SCHEMA, encode_pdf_payload, extract_row
-from ..stages.extractors import InfoTurns
+from ..functions.payload import (
+    INFO_FIELDS,
+    INFO_SCHEMA,
+    OUTPUT_SCHEMA,
+    encode_pdf_payload,
+    extract_row,
+    payload_bytes,
+)
+from ..pdfref import ParseError, extract_info
 from .htmlgen import HTML_CONSTRUCTS
 from .pdfgen import (
     ENC_CONSTRUCTS,
@@ -224,8 +231,15 @@ def _modes_family():
         _golden(rows, mode).select(cols).add_column(0, "mode", pa.array([mode] * len(rows)))
         for mode in MODES
     )
-    # info golden (P7): trailer metadata per pdf turn
-    info = InfoTurns()(pa.Table.from_pylist(_by_turn(rows), schema=TRANSCRIPTS_SCHEMA))
+    # info golden (P7): trailer metadata per pdf turn, read serially
+    info_rows = []
+    for r in _by_turn(rows):
+        try:
+            info, status = extract_info(payload_bytes(r["text"])), "ok"
+        except ParseError as exc:
+            info, status = dict.fromkeys(INFO_FIELDS), f"error:{exc.kind}"
+        info_rows.append({"conv_id": r["conv_id"], "turn_idx": r["turn_idx"], **info, "parse_status": status})
+    info = pa.Table.from_pylist(info_rows, schema=INFO_SCHEMA)
     goldens = {"golden_modes.parquet": modes, "golden_info.parquet": info}
     return rows, 1, goldens, {"rows": len(rows), "modes": list(MODES), "seed": SEED}
 
@@ -242,7 +256,11 @@ def ensure_corpus(scale: str, base_dir: str | None = None, golden: bool = True) 
         marker = {"scale": scale, "rows": len(rows), "shards": n_shards, "seed": SEED}
         return scattered, n_shards, goldens, marker
 
-    return _family(base_dir, scale, build)
+    base = base_dir or default_dir(scale)
+    # a golden=False build leaves a current marker but no golden.parquet
+    if golden and not os.path.exists(os.path.join(base, "golden.parquet")):
+        _write_family(base, *build())
+    return _family(base, scale, build)
 
 
 def _spec_family(conv_prefix: str, salt: str, note: str, constructs: dict, layout: str):

@@ -47,6 +47,14 @@ OUTPUT_SCHEMA = pa.schema(
 )
 RESULT_FIELDS = tuple(OUTPUT_SCHEMA.names[2:])
 
+INFO_FIELDS = ("title", "author", "creator", "producer", "creation_date", "mod_date")
+# the info row: the turn key, one string per INFO_FIELDS entry, the status
+INFO_SCHEMA = pa.schema(
+    [OUTPUT_SCHEMA.field("conv_id"), OUTPUT_SCHEMA.field("turn_idx")]
+    + [(f, pa.string()) for f in INFO_FIELDS]
+    + [OUTPUT_SCHEMA.field("parse_status")]
+)
+
 
 def detect_kind(text: str) -> str:
     if text.startswith(B85_PREFIX) or text.startswith(PDF_PREFIX):
@@ -74,8 +82,16 @@ def encode_pdf_payload(data: bytes) -> str:
 
 def _result(kind: str, status: str = "ok", text: str = "", n_pages: int = 0,
             n_bytes: int = 0, error: str = "") -> dict:
-    """One output row without its (conv_id, turn_idx) key."""
-    return dict(zip(RESULT_FIELDS, (kind, text, status, n_pages, n_bytes, error)))
+    """One output row without its (conv_id, turn_idx) key, keyed by name
+    in RESULT_FIELDS order (tests/test_fuzz.py pins the keys)."""
+    return {
+        "payload_kind": kind,
+        "extracted_text": text,
+        "parse_status": status,
+        "n_pages": n_pages,
+        "bytes_decoded": n_bytes,
+        "error": error,
+    }
 
 
 def extract_row(text: str, mode: str = "text", cmap_cache=None, spec_mode: bool = False) -> dict:

@@ -144,14 +144,12 @@ class DocCtx:
     unchanged).
     """
 
-    __slots__ = ("data", "xref", "cmap_cache", "pages_path")
+    __slots__ = ("data", "xref", "cmap_cache")
 
     def __init__(self, data: bytes, xref, cmap_cache=None):
         self.data = data
         self.xref = xref
         self.cmap_cache = cmap_cache
-        # offsets of the Pages nodes being built (PageTreeNode)
-        self.pages_path = set()
 
     def resolve(self, ref: Ref):
         addr = self.xref.get_and_fix(ref.key(), self.data)
@@ -532,7 +530,8 @@ class Page:
 class PageTreeNode:
     __slots__ = ("parent", "kids", "resources")
 
-    def __init__(self, d: dict, ctx: DocCtx, parent=None):
+    def __init__(self, d: dict, ctx: DocCtx, parent=None, ancestors: frozenset = frozenset()):
+        """`ancestors`: the offsets of the Pages nodes above this one."""
         self.parent = parent
         res = d.get("Resources")
         if res is None:
@@ -570,11 +569,9 @@ class PageTreeNode:
             if t == "Pages":
                 # only the nodes on the current path: a node reached twice
                 # through a DAG is extracted twice, as by the reference
-                if addr in ctx.pages_path:
+                if addr in ancestors:
                     raise ParseError("PageTree", "Pages node is its own ancestor")
-                ctx.pages_path.add(addr)
-                self.kids.append(PageTreeNode(obj, ctx, parent=self))
-                ctx.pages_path.discard(addr)
+                self.kids.append(PageTreeNode(obj, ctx, parent=self, ancestors=ancestors | {addr}))
             elif t == "Page":
                 self.kids.append(Page(obj, ctx, parent=self))
             else:

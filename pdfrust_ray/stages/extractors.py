@@ -21,7 +21,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.payload import OUTPUT_SCHEMA, RESULT_FIELDS, extract_row
+from ..functions.payload import INFO_FIELDS, INFO_SCHEMA, OUTPUT_SCHEMA, RESULT_FIELDS, extract_row
 from ..pdfref.extract import LruCache
 
 
@@ -145,15 +145,6 @@ def stage_instance(token: str, mode: str, spec_mode: bool) -> ExtractTurns:
     if _stage is None or _stage[0] != token:
         _stage = (token, ExtractTurns(mode=mode, spec_mode=spec_mode, token=token))
     return _stage[1]
-
-
-INFO_FIELDS = ("title", "author", "creator", "producer", "creation_date", "mod_date")
-# the info row: the turn key, one string per INFO_FIELDS entry, the status
-INFO_SCHEMA = pa.schema(
-    [OUTPUT_SCHEMA.field("conv_id"), OUTPUT_SCHEMA.field("turn_idx")]
-    + [(f, pa.string()) for f in INFO_FIELDS]
-    + [OUTPUT_SCHEMA.field("parse_status")]
-)
 
 
 class InfoTurns:

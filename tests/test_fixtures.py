@@ -94,3 +94,13 @@ def test_pdf_version():
     assert pdf_version(b"%PDF-1.7") == "1.7"
     with pytest.raises(ParseError):
         pdf_version(b"%PDF-2.0")
+
+
+def test_shards_only_build_does_not_hide_the_golden(tmp_path):
+    import os
+
+    from pdfrust_ray.fixtures.corpus import ensure_corpus
+
+    base = ensure_corpus("t1", base_dir=str(tmp_path / "t1"), golden=False)
+    assert not os.path.exists(os.path.join(base, "golden.parquet"))
+    assert os.path.exists(os.path.join(ensure_corpus("t1", base_dir=base), "golden.parquet"))

@@ -15,7 +15,7 @@ settings.register_profile("ci", derandomize=True)
 settings.load_profile("ci")
 
 from pdfrust_ray.fixtures.pdfgen import PDF_CONSTRUCTS, PdfBuilder, pdf_hello
-from pdfrust_ray.functions.payload import encode_pdf_payload, extract_row
+from pdfrust_ray.functions.payload import RESULT_FIELDS, encode_pdf_payload, extract_row
 from pdfrust_ray.pdfref import ParseError, extract
 
 OUT_KEYS = {"payload_kind", "extracted_text", "parse_status", "n_pages", "bytes_decoded", "error"}
@@ -112,6 +112,12 @@ def _self_referencing_pdfs() -> dict[str, bytes]:
     }
     assert all(d != hello for d in docs.values())
     return docs
+
+
+def test_every_row_kind_has_the_schema_fields_in_order():
+    # _result names its keys; they must stay the OUTPUT_SCHEMA columns
+    for text in ("plain", "<html><p>x</p></html>", "%PDF-B85:\x00", encode_pdf_payload(pdf_hello("k")), "%PDF-junk"):
+        assert tuple(extract_row(text)) == RESULT_FIELDS, text
 
 
 def test_self_referencing_documents_give_error_rows():
