@@ -10,11 +10,13 @@ indirect Widths, broken xref offsets (repair scan), /Prev chains,
 parsed-and-ignored operator noise, and the error cases (missing CMap
 code, Tj before Tf, truncated file).
 
-Pure functions of (construct id, seed text) — no wall-clock, no RNG.
+Pure functions of (construct id, seed text) — no wall-clock, no RNG;
+the fuzz documents at the end draw from a seeded random.Random.
 """
 
 from __future__ import annotations
 
+import random
 import zlib
 
 
@@ -952,3 +954,147 @@ ENC_CONSTRUCTS = {
     # error:Encrypted row even in spec mode (never emit ciphertext)
     "enc-badpass": lambda uid: pdf_encrypted(uid, r=3, v=2, nbits=128, user_pw=b"hunter2"),
 }
+
+
+# --- seeded fuzz documents ----------------------------------------------
+# Random-but-seeded documents for the differential suite against the
+# reference binary and for the committed parity lock
+# (tools/parity_lock.py): both build document `seed` with the same
+# generator, so a digest names the same bytes the binary was checked on.
+
+
+def _random_content(rng: random.Random) -> str:
+    """A random-but-valid-ish content stream from the reference's
+    operator vocabulary."""
+    ops = ["BT", "/F1 10 Tf"]
+    words = ["alpha", "be(t)a", "ga\\mma", "d e l t a", "x" * rng.randint(1, 30)]
+    big = "34" + "0" * 37  # ~3.4e38: f32 overflow territory for products
+    for _ in range(rng.randint(3, 25)):
+        choice = rng.randrange(10)
+        if choice < 3:
+            if rng.random() < 0.08:
+                ops.append(f"{big} {rng.randint(-500, 500)} Td")
+            else:
+                ops.append(f"{rng.randint(-500, 500)} {rng.randint(-500, 500)} Td")
+        elif choice == 3:
+            ops.append(f"{rng.randint(-50, 50)} {rng.randint(-50, 50)} TD")
+        elif choice == 4:
+            ops.append("T*")
+        elif choice == 5:
+            a = rng.choice([1, 2])
+            ops.append(f"{a} 0 0 {a} {rng.randint(0, 500)} {rng.randint(0, 500)} Tm")
+        elif choice == 6:
+            ops.append(f"{_lit(rng.choice(words))} Tj")
+        elif choice == 7:
+            items = []
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 0.5:
+                    items.append(_lit(rng.choice(words)))
+                else:
+                    items.append(str(rng.randint(-900, 900)))
+            ops.append("[" + " ".join(items) + "] TJ")
+        elif choice == 8:
+            hexstr = "".join(rng.choice("0123456789ABCDEF") for _ in range(rng.randint(1, 9)))
+            ops.append(f"[<{hexstr}> {rng.randint(-200, 200)}] TJ")
+        else:
+            ops.append(
+                rng.choice(
+                    [
+                        "q",
+                        "0.5 g",
+                        "1 0 0 RG",
+                        "5 5 50 50 re",
+                        "f",
+                        "BMC",
+                        "EMC",
+                        # stray ')' runs the literal-string loop (escape
+                        # handling included) until parens balance
+                        ") \\( (n)) (m) Tj",
+                        ") x) (s) Tj",
+                    ]
+                )
+            )
+    # balance q/Q roughly: close nothing (Q on empty stack would error both sides)
+    ops.append("ET")
+    return "\n".join(ops)
+
+
+def _build_pdf(rng: random.Random) -> bytes:
+    b = PdfBuilder()
+    content = _random_content(rng).encode("latin-1")
+    c = b.add_stream("", content, compress=rng.random() < 0.5)
+    if rng.random() < 0.4:
+        widths = " ".join(str(rng.randint(200, 900)) for _ in range(95))
+        f = b.add(
+            (
+                "<< /Type /Font /Subtype /Type1 /BaseFont /FZ "
+                f"/FirstChar 32 /LastChar 126 /Widths [ {widths} ] >>"
+            ).encode()
+        )
+    else:
+        f = _simple_font(b)
+    root = _page_setup(b, c, f)
+    return b.build(root, offset_skew=3 if rng.random() < 0.2 else 0)
+
+
+def _build_cmap_pdf(rng: random.Random) -> bytes:
+    """Randomized CMap-coded document: 1- or 2-byte ToUnicode, random
+    alphabet/widths, hexstring TJ runs with kerning, occasional
+    missing-code references (panic in the reference -> error row here),
+    interleaved Tj literals (which bypass the CMap, content.rs:752-765).
+    """
+    b = PdfBuilder()
+    two_byte = rng.random() < 0.5
+    letters = rng.sample("abcdefghijklmnopqrstuvwxyz .-", rng.randint(4, 12))
+    base = 0x0100 if two_byte else 1
+    code_of = {ch: base + i for i, ch in enumerate(letters)}
+    cm = cmap_source({c: ch for ch, c in code_of.items()}, two_byte=two_byte)
+    cm_obj = b.add_stream("", cm.encode("latin-1"), compress=rng.random() < 0.5)
+    width_part = ""
+    if not two_byte and rng.random() < 0.5:
+        widths = " ".join(str(rng.randint(200, 900)) for _ in range(len(letters)))
+        width_part = f" /FirstChar {base} /LastChar {base + len(letters) - 1} /Widths [ {widths} ]"
+    font = b.add(
+        (
+            f"<< /Type /Font /Subtype /Type0 /BaseFont /FZZ{width_part} "
+            f"/ToUnicode {cm_obj} 0 R >>"
+        ).encode()
+    )
+    w = 4 if two_byte else 2
+    ops = ["BT", "/F1 10 Tf"]
+    for _ in range(rng.randint(2, 12)):
+        choice = rng.randrange(6)
+        if choice < 3:
+            items = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.6:
+                    run = "".join(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+                    hexes = "".join(f"{code_of[ch]:0{w}X}" for ch in run)
+                    # rare invalid code: panics in the reference (content.rs:800-803)
+                    if rng.random() < 0.06:
+                        hexes += f"{0xEEEE if two_byte else 0xEE:0{w}X}"
+                    items.append(f"<{hexes}>")
+                else:
+                    items.append(str(rng.randint(-900, 900)))
+            ops.append("[" + " ".join(items) + "] TJ")
+        elif choice == 3:
+            ops.append(f"{_lit(''.join(rng.choice(letters) for _ in range(rng.randint(1, 6))))} Tj")
+        elif choice == 4:
+            ops.append(f"{rng.randint(-300, 300)} {rng.randint(-300, 300)} Td")
+        else:
+            ops.append("T*")
+    ops.append("ET")
+    c = b.add_stream("", "\n".join(ops).encode("latin-1"), compress=rng.random() < 0.5)
+    root = _page_setup(b, c, font)
+    return b.build(root)
+
+
+def fuzz_pdf(seed: int) -> bytes:
+    """Random content-stream document number `seed`: operator noise,
+    literal/hex strings, escapes, kerned TJ arrays, skewed offsets."""
+    return _build_pdf(random.Random(seed * 7919 + 13))
+
+
+def fuzz_cmap_pdf(seed: int) -> bytes:
+    """Random CMap-coded document number `seed`."""
+    return _build_cmap_pdf(random.Random(seed * 104729 + 7))
