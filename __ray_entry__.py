@@ -1928,59 +1928,10 @@ def oracle_sql() -> dict[str, str]:
                    COUNT(*) AS dup_count
             FROM documents GROUP BY md5(text) ORDER BY text_hash
         """,
-        "ann_topk": """
-            WITH q AS (
-                SELECT vec_id AS query_id, embedding AS qe
-                FROM embeddings WHERE vec_id IN (0,1,2,3,4)
-            ), s AS (
-                SELECT q.query_id, e.vec_id,
-                       list_cosine_similarity(e.embedding, q.qe) AS cosine
-                FROM embeddings e CROSS JOIN q
-            ), r AS (
-                SELECT query_id, vec_id, cosine,
-                       row_number() OVER (PARTITION BY query_id
-                                          ORDER BY cosine DESC, vec_id) AS rank
-                FROM s
-            )
-            SELECT query_id, rank, vec_id
-            FROM r WHERE rank <= 10 ORDER BY query_id, rank
-        """,
-        "ann_ivf_full_probe": """
-            WITH q AS (
-                SELECT vec_id AS query_id, embedding AS qe
-                FROM embeddings WHERE vec_id IN (0,1,2,3,4)
-            ), s AS (
-                SELECT q.query_id, e.vec_id,
-                       list_cosine_similarity(e.embedding, q.qe) AS cosine
-                FROM embeddings e CROSS JOIN q
-            ), r AS (
-                SELECT query_id, vec_id, cosine,
-                       row_number() OVER (PARTITION BY query_id
-                                          ORDER BY cosine DESC, vec_id) AS rank
-                FROM s
-            )
-            SELECT query_id, rank, vec_id
-            FROM r WHERE rank <= 10 ORDER BY query_id, rank
-        """,
+        "ann_ivf_full_probe": similarity.brute_force_topk_sql(),
         # PQ shortlist + exact re-rank: deterministic, measured recall
         # 1.0 at the fixture -> same exact oracle as ann_topk
-        "ann_pq_rerank_topk": """
-            WITH q AS (
-                SELECT vec_id AS query_id, embedding AS qe
-                FROM embeddings WHERE vec_id IN (0,1,2,3,4)
-            ), s AS (
-                SELECT q.query_id, e.vec_id,
-                       list_cosine_similarity(e.embedding, q.qe) AS cosine
-                FROM embeddings e CROSS JOIN q
-            ), r AS (
-                SELECT query_id, vec_id, cosine,
-                       row_number() OVER (PARTITION BY query_id
-                                          ORDER BY cosine DESC, vec_id) AS rank
-                FROM s
-            )
-            SELECT query_id, rank, vec_id
-            FROM r WHERE rank <= 10 ORDER BY query_id, rank
-        """,
+        "ann_pq_rerank_topk": similarity.brute_force_topk_sql(),
         "embedding_dedup_ivf_exact": dedup.embedding_dedup_sql(),
         # same exact pair-set oracle: the prefix-filter path must
         # reproduce it deterministically (LSH matches it probabilistically)

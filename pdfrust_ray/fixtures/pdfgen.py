@@ -1019,7 +1019,10 @@ def _random_content(rng: random.Random) -> str:
     return "\n".join(ops)
 
 
-def _build_pdf(rng: random.Random) -> bytes:
+def fuzz_pdf(seed: int) -> bytes:
+    """Random content-stream document number `seed`: operator noise,
+    literal/hex strings, escapes, kerned TJ arrays, skewed offsets."""
+    rng = random.Random(seed * 7919 + 13)
     b = PdfBuilder()
     content = _random_content(rng).encode("latin-1")
     c = b.add_stream("", content, compress=rng.random() < 0.5)
@@ -1037,12 +1040,13 @@ def _build_pdf(rng: random.Random) -> bytes:
     return b.build(root, offset_skew=3 if rng.random() < 0.2 else 0)
 
 
-def _build_cmap_pdf(rng: random.Random) -> bytes:
-    """Randomized CMap-coded document: 1- or 2-byte ToUnicode, random
-    alphabet/widths, hexstring TJ runs with kerning, occasional
+def fuzz_cmap_pdf(seed: int) -> bytes:
+    """Random CMap-coded document number `seed`: 1- or 2-byte ToUnicode,
+    random alphabet/widths, hexstring TJ runs with kerning, occasional
     missing-code references (panic in the reference -> error row here),
     interleaved Tj literals (which bypass the CMap, content.rs:752-765).
     """
+    rng = random.Random(seed * 104729 + 7)
     b = PdfBuilder()
     two_byte = rng.random() < 0.5
     letters = rng.sample("abcdefghijklmnopqrstuvwxyz .-", rng.randint(4, 12))
@@ -1087,14 +1091,3 @@ def _build_cmap_pdf(rng: random.Random) -> bytes:
     c = b.add_stream("", "\n".join(ops).encode("latin-1"), compress=rng.random() < 0.5)
     root = _page_setup(b, c, font)
     return b.build(root)
-
-
-def fuzz_pdf(seed: int) -> bytes:
-    """Random content-stream document number `seed`: operator noise,
-    literal/hex strings, escapes, kerned TJ arrays, skewed offsets."""
-    return _build_pdf(random.Random(seed * 7919 + 13))
-
-
-def fuzz_cmap_pdf(seed: int) -> bytes:
-    """Random CMap-coded document number `seed`."""
-    return _build_cmap_pdf(random.Random(seed * 104729 + 7))

@@ -21,13 +21,6 @@ def char_shingles(text: str, k: int = 5) -> set[bytes]:
     return {data[i : i + k] for i in range(len(data) - k + 1)}
 
 
-def word_shingles(text: str, k: int = 3) -> set[bytes]:
-    words = text.lower().split()
-    if len(words) <= k:
-        return {" ".join(words).encode()} if words else set()
-    return {" ".join(words[i : i + k]).encode() for i in range(len(words) - k + 1)}
-
-
 def _shingle_hashes(shingles: set[bytes]) -> np.ndarray:
     """Stable 64-bit hashes of the shingle set."""
     out = np.empty(len(shingles), dtype=np.uint64)

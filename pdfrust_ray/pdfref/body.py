@@ -9,9 +9,12 @@ Pins /root/reference/src/body.rs:
     FirstChar/LastChar optional numerics; Widths inline array or
     indirect ref; ToUnicode must be an indirect ref to a stream whose
     data is lossy-UTF-8 decoded then CMap-parsed (body.rs:215-298).
-  - Font::get_width: range check against FirstChar only when FirstChar
-    is an Integer; widths present but FirstChar absent panics
-    (body.rs:186-203 unwrap); widths divided by 1000.
+  - Font::get_width (here `Font.width_f32`): range check against
+    FirstChar only when FirstChar is an Integer; widths present but
+    FirstChar absent panics (body.rs:186-203 unwrap); widths divided by
+    1000. `estimate_space_width`/`average_width` (body.rs:163-183) are
+    not ported: the space heuristic that would call them is commented
+    out (content.rs:929-942).
   - FontMap: every value must be an indirect ref (body.rs:316-335).
   - Resources: Font via ref (unresolvable ref -> None, body.rs:355-362)
     or inline dict; other types panic (body.rs:351-369).
@@ -80,10 +83,9 @@ class Stream:
         if isinstance(length, Number):
             self.length = length
         elif isinstance(length, Ref):
-            addr = ctx.xref.get_and_fix(length.key(), ctx.data)
-            if addr is None:
+            obj = ctx.resolve(length.key())
+            if obj is None:
                 raise ParseError("Stream", "Length should be an indirect object")
-            obj = object_at(ctx.data, addr, ctx.xref)
             if not isinstance(obj, Number):
                 raise ParseError("Stream", "Length should be a numeric")
             self.length = obj
@@ -151,8 +153,10 @@ class DocCtx:
         self.xref = xref
         self.cmap_cache = cmap_cache
 
-    def resolve(self, ref: Ref):
-        addr = self.xref.get_and_fix(ref.key(), self.data)
+    def resolve(self, key: tuple[int, int]):
+        """The object at xref key (num, gen), through the repair scan
+        (`get_and_fix`); None when the key has no address."""
+        addr = self.xref.get_and_fix(key, self.data)
         if addr is None:
             return None
         return object_at(self.data, addr, self.xref)
@@ -190,7 +194,7 @@ class Font:
         if widths is None:
             self.widths = None
         elif isinstance(widths, Ref):
-            obj = ctx.resolve(widths)
+            obj = ctx.resolve(widths.key())
             if obj is None:
                 raise ParseError("Font", "Widths object not found in xref table")
             if not isinstance(obj, list):
@@ -204,10 +208,9 @@ class Font:
         if tu is None:
             self.to_unicode = None
         elif isinstance(tu, Ref):
-            addr = ctx.xref.get_and_fix(tu.key(), ctx.data)
-            if addr is None:
+            obj = ctx.resolve(tu.key())
+            if obj is None:
                 raise ParseError("Font", "ToUnicode stream object not found in xref table")
-            obj = object_at(ctx.data, addr, ctx.xref)
             if not isinstance(obj, StreamObj):
                 raise ParseError("Font", f"ToUnicode should be a stream object, found {obj!r}")
             self.to_unicode = _cmap_from_stream(obj, ctx)
@@ -234,45 +237,10 @@ class Font:
             out.append(o)
         return out
 
-    def estimate_space_width(self) -> Number:
-        """body.rs:163-171 (unused by the reference extract path; the
-        space heuristic that would consume it is commented out)."""
-        w = self.get_width(0x20)
-        if w is not None:
-            return w
-        avg = self._average_width()
-        if avg is not None:
-            return avg
-        return Number.int(200)
-
-    def _average_width(self) -> Number | None:
-        """body.rs:173-183: mean(widths)/1000 as Real."""
-        if self.widths is None:
-            return None
-        total = Number.real(0.0)
-        for n in self.widths:
-            total = total + n
-        return total / Number.int(len(self.widths)) / Number.real(1000.0)
-
-    def get_width(self, c: int) -> Number | None:
-        """body.rs:186-203; None is the Err case (caller treats as 0)."""
-        fc = self.first_char
-        if fc is not None and fc.is_int and c < fc.val:
-            return None
-        if self.widths is None:
-            return None
-        if fc is None:
-            # reference unwrap panic (body.rs:195)
-            raise ParseError("Font", "widths present but FirstChar missing")
-        c_offset = c - fc.as_usize()
-        if 0 <= c_offset < len(self.widths):
-            return self.widths[c_offset] / Number.real(1000.0)
-        return None
-
     def width_f32(self, c: int) -> float:
-        """Fast-path f32 width (glyph-advance hot loop): identical math
-        to get_width (w/1000 f32-rounded), Err cases -> 0.0 (the caller
-        substitutes Real(0.0), content.rs:818-821)."""
+        """Font::get_width (body.rs:186-203) as an f32: w/1000
+        f32-rounded; the Err cases give 0.0 (the caller substitutes
+        Real(0.0), content.rs:818-821)."""
         cache = getattr(self, "_w1000", None)
         if cache is None:
             from .numbers import f32 as _f32
@@ -285,7 +253,7 @@ class Font:
         fc = self.first_char
         if fc is not None and fc.is_int and c < fc.val:
             return 0.0
-        # mirror get_width's order (body.rs:192-201): only widths==None is
+        # the reference's order (body.rs:192-201): only widths==None is
         # the silent Err case; widths PRESENT (even empty) with FirstChar
         # missing hits the reference's unwrap panic (body.rs:195)
         if self.widths is None:
@@ -369,7 +337,7 @@ class FontMap:
         for key, value in d.items():
             if not isinstance(value, Ref):
                 raise ParseError("Font", "Font should be an indirect object")
-            obj = ctx.resolve(value)
+            obj = ctx.resolve(value.key())
             if obj is None:
                 raise ParseError("Font", f"Font dictionnary object associated to {key!r} was not found")
             if not isinstance(obj, dict):
@@ -403,13 +371,12 @@ class Resources:
         if f is None:
             self.font = None
         elif isinstance(f, Ref):
-            addr = ctx.xref.get_and_fix(f.key(), ctx.data)
-            if addr is None:
+            obj = ctx.resolve(f.key())
+            if obj is None:
                 self.font = None  # .map() on None (body.rs:356)
+            elif not isinstance(obj, dict):
+                raise ParseError("Resources", "Font should be a dictionary")
             else:
-                obj = object_at(ctx.data, addr, ctx.xref)
-                if not isinstance(obj, dict):
-                    raise ParseError("Resources", "Font should be a dictionary")
                 self.font = FontMap(obj, ctx)
         elif isinstance(f, dict):
             self.font = FontMap(f, ctx)
@@ -427,12 +394,12 @@ class Resources:
         if xo is None or ctx is None:
             return None
         if isinstance(xo, Ref):
-            xo = ctx.resolve(xo)
+            xo = ctx.resolve(xo.key())
         if not isinstance(xo, dict):
             return None
         entry = xo.get(name)
         if isinstance(entry, Ref):
-            entry = ctx.resolve(entry)
+            entry = ctx.resolve(entry.key())
         if not isinstance(entry, StreamObj):
             return None
         sub = entry.header.get("Subtype")
@@ -441,7 +408,7 @@ class Resources:
         data = Stream(entry.header, entry.data, ctx).get_data()
         res_obj = entry.header.get("Resources")
         if isinstance(res_obj, Ref):
-            res_obj = ctx.resolve(res_obj)
+            res_obj = ctx.resolve(res_obj.key())
         res = Resources(res_obj, ctx) if isinstance(res_obj, dict) else None
         return data.decode("utf-8", errors="replace").encode("utf-8"), res
 
@@ -458,10 +425,9 @@ class Page:
         if isinstance(res, dict):
             self.resources = Resources(res, ctx)
         elif isinstance(res, Ref):
-            addr = ctx.xref.get_and_fix(res.key(), ctx.data)
-            if addr is None:
+            obj = ctx.resolve(res.key())
+            if obj is None:
                 raise ParseError("Page", "Resource dictionnary address not found in xref keys")
-            obj = object_at(ctx.data, addr, ctx.xref)
             if not isinstance(obj, dict):
                 raise ParseError("Page", "Resources should be a dictionary")
             self.resources = Resources(obj, ctx)
@@ -471,10 +437,9 @@ class Page:
         if contents is None:
             self.contents = None
         elif isinstance(contents, Ref):
-            addr = ctx.xref.get_and_fix(contents.key(), ctx.data)
-            if addr is None:
+            obj = ctx.resolve(contents.key())
+            if obj is None:
                 raise ParseError("Page", "Contents address not found in xref keys")
-            obj = object_at(ctx.data, addr, ctx.xref)
             if not isinstance(obj, StreamObj):
                 raise ParseError("Page", "Contents should be a stream")
             self.contents = Stream(obj.header, obj.data, ctx)
@@ -537,10 +502,9 @@ class PageTreeNode:
         if res is None:
             self.resources = None
         elif isinstance(res, Ref):
-            addr = ctx.xref.get_and_fix(res.key(), ctx.data)
-            if addr is None:
+            obj = ctx.resolve(res.key())
+            if obj is None:
                 raise ParseError("PageTree", "Kid not found in xref table")
-            obj = object_at(ctx.data, addr, ctx.xref)
             if not isinstance(obj, dict):
                 raise ParseError("PageTree", "Resources should be a dictionary")
             self.resources = Resources(obj, ctx)
@@ -590,13 +554,12 @@ class Catalog:
             raise ParseError("Catalog", "Catalog has no Pages key")
         if not isinstance(pages, Ref):
             raise ParseError("Catalog", "Pages should be an indirect object")
-        addr = ctx.xref.get_and_fix(pages.key(), ctx.data)
-        if addr is None:
+        obj = ctx.resolve(pages.key())
+        if obj is None:
             self.pages = None
+        elif not isinstance(obj, dict):
+            raise ParseError("Catalog", "Pages root should be a dictionary")
         else:
-            obj = object_at(ctx.data, addr, ctx.xref)
-            if not isinstance(obj, dict):
-                raise ParseError("Catalog", "Pages root should be a dictionary")
             self.pages = PageTreeNode(obj, ctx)
 
     def extract(self, mode: str) -> str:

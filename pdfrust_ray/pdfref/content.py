@@ -104,6 +104,108 @@ class GraphicsState:
         return g
 
 
+class _Advances:
+    """Tm steps for one text state (font, tfs, tc, tw, th, Tm.a, Tm.b):
+    the one statement of the glyph advance (content.rs:818-855). For a
+    code byte c, tx = ((w(c)*tfs + tc [+ tw if c == b' ']) * th), each
+    step f32-rounded, and Tm = translate(tx, 0) * Tm moves only e and
+    f, by f32(tx*a) and f32(tx*b). A kerning number v gives
+    tx = -v/1000*tfs*th and inserts NO space (content.rs:916-943).
+
+    Tables are kept across instructions (`TextContent._advances`) and
+    an entry is only added when its width succeeds, so a width error
+    re-raises on every encounter."""
+
+    __slots__ = ("width", "tfs", "tc", "tw", "th", "a", "b", "e", "f", "done", "kerns")
+
+    def __init__(self, width, tfs, tc, tw, th, a, b):
+        self.width = width
+        self.tfs, self.tc, self.tw, self.th, self.a, self.b = tfs, tc, tw, th, a, b
+        self.e = _np.empty(256, dtype=_np.float32)
+        self.f = _np.empty(256, dtype=_np.float32)
+        self.done = _np.zeros(256, dtype=bool)
+        self.kerns: dict = {}
+
+    def fill(self, codes) -> None:
+        """Add the entries `codes` lacks; raises the Font width error
+        (Widths without FirstChar, body.rs:195) of `Font.width_f32`."""
+        for c in _np.unique(codes[~self.done[codes]]).tolist():
+            tx = f32(self.width(c) * self.tfs)
+            tx = f32(tx + self.tc)
+            if c == _SPACE:
+                tx = f32(tx + self.tw)
+            tx = f32(tx * self.th)
+            self.e[c] = f32(tx * self.a)
+            self.f[c] = f32(tx * self.b)
+            self.done[c] = True
+
+    def kern(self, v: float):
+        """(e delta, f delta) of kerning number v, as 1-element arrays."""
+        d = self.kerns.get(v)
+        if d is None:
+            tx = f32(f32(f32((-v) / 1000.0) * self.tfs) * self.th)
+            d = self.kerns[v] = (
+                _np.array([f32(tx * self.a)], dtype=_np.float32),
+                _np.array([f32(tx * self.b)], dtype=_np.float32),
+            )
+        return d
+
+
+def _decode(val: bytes, cmap, adv: _Advances):
+    """Code bytes and glyph characters of one TJ text item
+    (content.rs:783-820), checked in the reference's per-glyph order:
+    the CMap lookup (CMapMiss), then the width (the Font error); after
+    the last whole pair, an odd trailing byte of a two-byte CMap. A
+    two-byte code advances by the width of its HIGH byte
+    (content.rs:818); without a CMap the bytes are the characters.
+
+    Returns (codes, chars, err): `codes` (int array) are the code bytes
+    whose advances `adv` holds, `chars` the glyphs a per-glyph walk
+    emits before failing (one more than `codes` when the width failed),
+    `err` the ParseError that ends the item, or None.
+
+    The width error does not depend on the code (`Font.width_f32`
+    raises for every code when Widths is present and FirstChar is
+    not), so it is met on the first glyph, after that glyph's CMap
+    lookup: filling the table once per item keeps the order."""
+    if cmap is None:
+        codes = _np.frombuffer(val, dtype=_np.uint8).astype(_np.intp)
+        chars, err = val.decode("latin-1"), None
+    else:
+        if cmap.is_two_bytes:
+            idxs = _np.frombuffer(val[: len(val) & ~1], dtype=">u2").astype(_np.intp)
+            codes = idxs >> 8
+        else:
+            codes = idxs = _np.frombuffer(val, dtype=_np.uint8).astype(_np.intp)
+        chars = list(map(cmap.cmap.get, idxs.tolist()))
+        err = None
+        if None in chars:
+            k = chars.index(None)
+            err = ParseError("CMapMiss", f"CMap does not contain a char with idx {int(idxs[k])}")
+            chars, codes = chars[:k], codes[:k]
+        elif len(val) % 2 and cmap.is_two_bytes:
+            # the lone high byte fails next(it) (content.rs:792-799)
+            err = ParseError("Content", "odd bytes for two-byte CMap")
+    try:
+        adv.fill(codes)
+    except ParseError as width_err:
+        return codes[:0], chars, width_err
+    return codes, chars, err
+
+
+def _fold(start: float, deltas: list):
+    """float32 partial sums start, start+d1, ... over the concatenated
+    `deltas`: np.add.accumulate rounds every partial sum to binary32,
+    bit-identical to the per-glyph e = f32(d + e) (inf/NaN propagate as
+    in IEEE)."""
+    arr = _np.empty(1 + sum(len(d) for d in deltas), dtype=_np.float32)
+    arr[0] = start
+    if len(arr) > 1:
+        arr[1:] = _np.concatenate(deltas)
+    _np.add.accumulate(arr, out=arr)
+    return arr
+
+
 class TextContent:
     """Interpreter state + the get_text() reduction."""
 
@@ -325,36 +427,75 @@ class TextContent:
             raise ParseError("Content", "Font size should be set before painting a glyph")
         return tfs
 
-    def _advance(self, font, code_byte: int):
-        """Glyph advance (content.rs:818-855 / 874-910).
-
-        Hot loop: identical f32-rounded math to the Number/Matrix path
-        (w0*tfs+tc [+tw] then *th; translate(tx,0)*Tm touches only e,f:
-        e' = f32(f32(tx*a)+e), f' = f32(f32(tx*b)+f)), but on raw floats
-        — corpus chars-mode parity pins the equivalence.
-        """
-        w0 = font.width_f32(code_byte)
-        ts = self.gs.text_state
-        tfs = self._tfs()
-        tx = f32(w0 * tfs.as_f32())
-        tx = f32(tx + ts.tc.as_f32())
-        if code_byte == _SPACE:
-            tx = f32(tx + ts.tw.as_f32())
-        tx = f32(tx * ts.th.as_f32())
-        tm = self.tm
-        new = tm.copy()
-        new.e = f32(f32(tx * tm.a) + tm.e)
-        new.f = f32(f32(tx * tm.b) + tm.f)
-        self.tm = new
-
     def _char_line(self, ch: str, font) -> str:
         return (
             f"{rust_char_debug(ch)}, {rust_str_debug(font.subtype)}, "
             f"{rust_str_debug(font.base_font)}, {self.tm.rust_display()}\n"
         )
 
+    def _show_tj(self, items, font, display_char: bool, out: list) -> None:
+        """TJ (content.rs:783-943). Each text item is decoded once into
+        its code bytes and glyph characters (`_decode`); text mode then
+        appends the characters, chars mode one `_char_line` per glyph.
+        Both step Tm by the same `_Advances` table: every delta of the
+        instruction (glyphs and kerning numbers, in order) is folded
+        once, and a chars-mode glyph sits at the partial sum of the
+        deltas before it. On an error, the glyphs a per-glyph walk
+        emits before failing are emitted and Tm is left at the last of
+        them: spec mode keeps both when it abandons a Form XObject."""
+        if not items:
+            return
+        ts = self.gs.text_state
+        tm = self.tm
+        tfs = self._tfs().as_f32()  # raises like content.rs:823-826
+        key = (id(font), tfs, ts.tc.as_f32(), ts.tw.as_f32(), ts.th.as_f32(), tm.a, tm.b)
+        adv = self._advances.get(key)
+        if adv is None:
+            adv = self._advances[key] = _Advances(font.width_f32, *key[1:])
+        cmap = font.to_unicode
+        # text mode skips f when b == 0 (f32(±0 + f) == f for every
+        # comparison the engine makes)
+        with_f = display_char or tm.b != 0.0
+        des, dfs = [], []  # the instruction's Tm deltas, in order
+        glyphs = []  # chars mode: (char, number of deltas before it)
+        n = 0
+        err = None
+        for item_kind, val in items:
+            if item_kind == "text":
+                codes, chars, err = _decode(val, cmap, adv)
+                if display_char:
+                    glyphs += [(ch, n + i) for i, ch in enumerate(chars[: len(codes) + 1])]
+                elif err is None or cmap is None:
+                    out.append(chars if cmap is None else "".join(chars))
+                des.append(adv.e[codes])
+                if with_f:
+                    dfs.append(adv.f[codes])
+                n += len(codes)
+                if err is not None:
+                    break
+            else:  # kerning number (content.rs:916-943)
+                de, df = adv.kern(val.as_f32())
+                des.append(de)
+                if with_f:
+                    dfs.append(df)
+                n += 1
+        es = _fold(tm.e, des)
+        fs = _fold(tm.f, dfs) if with_f else None
+        if glyphs:
+            es_l, fs_l = es.tolist(), fs.tolist()
+            for ch, k in glyphs:
+                self.tm = Matrix(tm.a, tm.b, tm.c, tm.d, es_l[k], fs_l[k])
+                out.append(self._char_line(ch, font))
+        if err is not None:
+            raise err
+        new = tm.copy()
+        new.e = float(es[-1])
+        if with_f:
+            new.f = float(fs[-1])
+        self.tm = new
+
     def get_text(self, display_char: bool) -> str:
-        self._adv_cache: dict = {}
+        self._advances: dict = {}
         out = []
         tm_prev_ty = self.tm.get_ty()
         while True:
@@ -379,218 +520,7 @@ class TextContent:
                     if self.tm.get_ty() != tm_prev_ty:
                         out.append("\n")
                     tm_prev_ty = self.tm.get_ty()
-                    cmap = font.to_unicode
-                    # --- hoisted invariants (glyph hot loop) ---
-                    # within one TJ instruction only glyph advances and kerning
-                    # run, and both touch only Tm.e/Tm.f — tfs/tc/tw/th and
-                    # Tm.a/Tm.b are constant for the whole instruction. The
-                    # f32-rounded op sequence is bit-identical to _advance().
-                    ts = self.gs.text_state
-                    if ts.tfs is None and ins[1]:
-                        self._tfs()  # raises like content.rs:823-826
-                    tfs_f = ts.tfs.as_f32() if ts.tfs is not None else 0.0
-                    tc_f = ts.tc.as_f32()
-                    tw_f = ts.tw.as_f32()
-                    th_f = ts.th.as_f32()
-                    tm = self.tm
-                    a, b = tm.a, tm.b
-                    e, f = tm.e, tm.f
-                    # with the state constant, the advance tx is a pure
-                    # function of the code byte (and of the kern value);
-                    # skip the f update when b == 0 in text mode
-                    # (f32(±0 + f) == f for every comparison the engine
-                    # makes). The LUTs are cached ACROSS instructions:
-                    # the delta depends only on (font, tfs, tc, tw, th,
-                    # Tm.a, Tm.b), typically constant for many TJs —
-                    # rebuilding 256-entry LUTs per instruction dominated
-                    # the interpreter profile. Entries are only ADDED on
-                    # successful width computation, so error-raising
-                    # codes re-raise identically on every encounter.
-                    b_zero = b == 0.0 and not display_char
-                    skey = (id(font), tfs_f, tc_f, tw_f, th_f, a, b)
-                    cached_state = self._adv_cache.get(skey)
-                    if cached_state is None:
-                        cached_state = (
-                            _np.empty(256, dtype=_np.float32),
-                            _np.empty(256, dtype=_np.float32),
-                            _np.zeros(256, dtype=bool),
-                            {},
-                            {},
-                        )
-                        self._adv_cache[skey] = cached_state
-                    lut_e, lut_f, lut_done, tx_of, kern_of = cached_state
-                    cm_get = cmap.cmap.get if cmap is not None else None
-                    two = cmap.is_two_bytes if cmap is not None else False
-                    wcache = font.width_f32
-                    # deltas collected across ALL items (text runs AND kerning
-                    # numbers) of this TJ, folded by ONE accumulate at the end
-                    delta_es: list = []
-                    delta_fs: list = []
-
-                    def fill_width(c):
-                        """Compute the per-code advance LUT entry; raises the
-                        reference's width-config error (Font: widths present
-                        but FirstChar missing) exactly where the scalar walk
-                        would."""
-                        tx = f32(wcache(c) * tfs_f)
-                        tx = f32(tx + tc_f)
-                        if c == _SPACE:
-                            tx = f32(tx + tw_f)
-                        tx = f32(tx * th_f)
-                        lut_e[c] = f32(tx * a)
-                        lut_f[c] = f32(tx * b)
-                        lut_done[c] = True
-
-                    def advance_deltas(codes):
-                        """(e_deltas, f_deltas) float32 arrays for a run of
-                        code bytes — same f32-rounded math as the scalar
-                        path, memoized in the per-instruction LUTs.
-
-                        The width error is code-independent (width_f32 raises
-                        for EVERY code when Widths is present and FirstChar
-                        missing), so filling from np.unique's sorted order
-                        here is emission-order-equivalent — the in-order
-                        interleave that matters (CMapMiss vs Font) happens in
-                        the caller's glyph loop via fill_width."""
-                        missing = _np.unique(codes[~lut_done[codes]])
-                        for c in missing.tolist():
-                            fill_width(c)
-                        return lut_e[codes], (None if b_zero else lut_f[codes])
-
-                    def chain(start, deltas):
-                        """Sequential f32 adds: s_i = f32(s_{i-1} + d_i) —
-                        np.add.accumulate on a float32 array rounds every
-                        partial sum to binary32, bit-identical to the
-                        scalar loop (inf/NaN propagate IEEE-identically)."""
-                        arr = _np.empty(len(deltas) + 1, dtype=_np.float32)
-                        arr[0] = start
-                        arr[1:] = deltas
-                        _np.add.accumulate(arr, out=arr)
-                        return float(arr[-1])
-
-                    for item_kind, val in ins[1]:
-                        if item_kind == "text":
-                            if cmap is not None:
-                                if not display_char:
-                                    if two:
-                                        whole = val[: len(val) & ~1]
-                                        idxs = _np.frombuffer(whole, dtype=">u2").astype(_np.int64)
-                                        code_bytes = (idxs >> 8).astype(_np.int64)
-                                    else:
-                                        code_bytes = _np.frombuffer(val, dtype=_np.uint8).astype(_np.int64)
-                                        idxs = code_bytes
-                                    chars = []
-                                    # in-order per-glyph checks: cmap lookup THEN
-                                    # width-LUT fill, interleaved like the scalar
-                                    # walk (content.rs:800-820) — so a width-config
-                                    # error on an early glyph wins over a later
-                                    # CMapMiss, and a CMapMiss on an earlier
-                                    # complete pair wins over the odd-trailing-byte
-                                    # error
-                                    for pos, char_idx in enumerate(idxs.tolist()):
-                                        ch = cm_get(char_idx)
-                                        if ch is None:
-                                            raise ParseError(
-                                                "CMapMiss",
-                                                f"CMap does not contain a char with idx {char_idx}",
-                                            )
-                                        cb = int(code_bytes[pos])
-                                        if not lut_done[cb]:
-                                            fill_width(cb)
-                                        chars.append(ch)
-                                    if two and len(val) % 2 == 1:
-                                        # the lone high byte fails next(it)
-                                        # (content.rs:792-799)
-                                        raise ParseError("Content", "odd bytes for two-byte CMap")
-                                    out.append("".join(chars))
-                                    de, df = advance_deltas(code_bytes)
-                                    delta_es.append(de)
-                                    if df is not None:
-                                        delta_fs.append(df)
-                                    continue
-                                it = iter(val)
-                                for c in it:
-                                    if two:
-                                        try:
-                                            lo = next(it)
-                                        except StopIteration:
-                                            raise ParseError("Content", "odd bytes for two-byte CMap")
-                                        char_idx = c * 256 + lo
-                                    else:
-                                        char_idx = c
-                                    ch = cm_get(char_idx)
-                                    if ch is None:
-                                        raise ParseError(
-                                            "CMapMiss",
-                                            f"CMap does not contain a char with idx {char_idx}",
-                                        )
-                                    self.tm = Matrix(a, b, tm.c, tm.d, e, f)
-                                    out.append(self._char_line(ch, font))
-                                    cached = tx_of.get(c)
-                                    if cached is None:
-                                        tx = f32(wcache(c) * tfs_f)
-                                        tx = f32(tx + tc_f)
-                                        if c == _SPACE:
-                                            tx = f32(tx + tw_f)
-                                        tx = f32(tx * th_f)
-                                        cached = (f32(tx * a), f32(tx * b))
-                                        tx_of[c] = cached
-                                    e = f32(cached[0] + e)
-                                    if not b_zero:
-                                        f = f32(cached[1] + f)
-                            else:
-                                if not display_char:
-                                    out.append(val.decode("latin-1"))
-                                    codes = _np.frombuffer(val, dtype=_np.uint8).astype(_np.int64)
-                                    de, df = advance_deltas(codes)
-                                    delta_es.append(de)
-                                    if df is not None:
-                                        delta_fs.append(df)
-                                    continue
-                                for c in val:
-                                    self.tm = Matrix(a, b, tm.c, tm.d, e, f)
-                                    out.append(self._char_line(chr(c), font))
-                                    cached = tx_of.get(c)
-                                    if cached is None:
-                                        tx = f32(wcache(c) * tfs_f)
-                                        tx = f32(tx + tc_f)
-                                        if c == _SPACE:
-                                            tx = f32(tx + tw_f)
-                                        tx = f32(tx * th_f)
-                                        cached = (f32(tx * a), f32(tx * b))
-                                        tx_of[c] = cached
-                                    e = f32(cached[0] + e)
-                                    if not b_zero:
-                                        f = f32(cached[1] + f)
-                        else:  # kerning number (content.rs:916-943)
-                            if ts.tfs is None:
-                                self._tfs()  # raise exactly like the reference
-                            vf = val.as_f32()
-                            cached = kern_of.get(vf)
-                            if cached is None:
-                                tx = f32((-vf) / 1000.0)
-                                tx = f32(tx * tfs_f)
-                                tx = f32(tx * th_f)
-                                cached = (f32(tx * a), f32(tx * b))
-                                kern_of[vf] = cached
-                            if display_char:
-                                e = f32(cached[0] + e)
-                                if not b_zero:
-                                    f = f32(cached[1] + f)
-                            else:
-                                delta_es.append(_np.asarray([cached[0]], dtype=_np.float32))
-                                if not b_zero:
-                                    delta_fs.append(_np.asarray([cached[1]], dtype=_np.float32))
-                    # one f32-rounded fold over the whole instruction's deltas
-                    # (text-run and kerning items alike, in emission order)
-                    if delta_es:
-                        e = chain(e, _np.concatenate(delta_es))
-                    if delta_fs:
-                        f = chain(f, _np.concatenate(delta_fs))
-                    new = tm.copy()
-                    new.e = e
-                    new.f = f
-                    self.tm = new
+                    self._show_tj(ins[1], font, display_char, out)
                 # all other instructions contribute no text (content.rs:947)
             except ParseError:
                 # spec-mode Form XObject error containment: a form whose

@@ -50,26 +50,36 @@ class Extracted:
 
 
 class LruCache:
-    """Tiny LRU for cross-payload CMap reuse (one per ExtractTurns)."""
+    """LRU bounded by the total cost of its entries. At cost 1 (the
+    default) it is an entry-count LRU, as the cross-payload CMap cache
+    uses it; the whole-result cache passes each entry's bytes, since
+    one huge payload is worth thousands of small ones. An entry
+    costlier than the cap is not cached."""
 
-    __slots__ = ("cap", "d")
+    __slots__ = ("cap", "size", "d")
 
     def __init__(self, cap: int = 256):
         self.cap = cap
-        self.d = {}
+        self.size = 0
+        self.d: dict = {}  # key -> (cost, value), oldest first
 
     def get(self, key):
-        v = self.d.pop(key, None)
-        if v is not None:
-            self.d[key] = v
-        return v
+        e = self.d.pop(key, None)
+        if e is None:
+            return None
+        self.d[key] = e
+        return e[1]
 
-    def put(self, key, value):
-        if key in self.d:
-            self.d.pop(key)
-        elif len(self.d) >= self.cap:
-            self.d.pop(next(iter(self.d)))
-        self.d[key] = value
+    def put(self, key, value, cost: int = 1) -> None:
+        if cost > self.cap:
+            return
+        old = self.d.pop(key, None)
+        if old is not None:
+            self.size -= old[0]
+        while self.size + cost > self.cap and self.d:
+            self.size -= self.d.pop(next(iter(self.d)))[0]
+        self.d[key] = (cost, value)
+        self.size += cost
 
 
 def _load(data: bytes, cmap_cache=None, spec_mode: bool = False) -> tuple[DocCtx, object]:
@@ -87,6 +97,7 @@ def _load(data: bytes, cmap_cache=None, spec_mode: bool = False) -> tuple[DocCtx
         xref = parse_xref(trimmed, sx)
     # object parsing uses the original bytes (lib.rs:70); offsets refer to
     # the trimmed buffer, so any leading whitespace triggers the repair scan
+    ctx = DocCtx(data, xref, cmap_cache)
     #
     # Encrypted-document signalling: the reference only type-checks the
     # trailer Encrypt entry (xref.rs:136-139) and then fails later with
@@ -101,10 +112,9 @@ def _load(data: bytes, cmap_cache=None, spec_mode: bool = False) -> tuple[DocCtx
         if spec_mode:
             from .crypt import build_decryptor
 
-            addr = xref.get_and_fix(xref.encrypt, data)
-            if addr is None:
+            enc = ctx.resolve(xref.encrypt)
+            if enc is None:
                 raise ParseError("Encrypted", "/Encrypt object not found")
-            enc = object_at(data, addr, xref)
             if not isinstance(enc, dict):
                 raise ParseError("Encrypted", "/Encrypt is not a dictionary")
             xref.decryptor = build_decryptor(enc, xref.id0)
@@ -113,7 +123,6 @@ def _load(data: bytes, cmap_cache=None, spec_mode: bool = False) -> tuple[DocCtx
                 "Encrypted",
                 "document uses encryption (trailer /Encrypt present); decryption unsupported",
             )
-    ctx = DocCtx(data, xref, cmap_cache)
     return ctx, xref
 
 
@@ -150,10 +159,9 @@ def extract_info(data: bytes, spec_mode: bool = False) -> dict:
     info_key = getattr(xref, "info", None)
     if info_key is None:
         raise ParseError("Info", "trailer has no Info")
-    addr = xref.get_and_fix(info_key, ctx.data)
-    if addr is None:
+    d = ctx.resolve(info_key)
+    if d is None:
         raise ParseError("Info", "Info object not found")
-    d = object_at(ctx.data, addr, xref)
     if not isinstance(d, dict):
         raise ParseError("Info", "Trailer should be a dictionary")
     out = {}

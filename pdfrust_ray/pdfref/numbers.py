@@ -102,9 +102,6 @@ class Number:
     def as_f32(self) -> float:
         return f32(float(self.val)) if self.is_int else self.val
 
-    def as_i32(self) -> int:
-        return self.val if self.is_int else int(self.val)  # trunc toward 0
-
     def as_usize(self) -> int:
         return self.val if self.is_int else int(self.val)
 

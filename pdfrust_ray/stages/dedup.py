@@ -95,25 +95,6 @@ def _empty_pairs(value_col: str, dtype: str) -> pd.DataFrame:
     )
 
 
-def exact_member_rows(sf_dir: str) -> "rd.Dataset":
-    """(rep_id, doc_id) membership rows for exact-duplicate groups with
-    >= 2 members (rep_id = min doc_id of the group). Shuffle moves only
-    (text_hash, doc_id); singleton groups (the vast majority) emit
-    nothing."""
-    ds = _docs(sf_dir).map_batches(add_md5, batch_format="pyarrow")
-    ds = ds.select_columns(["text_hash", "doc_id"])
-
-    def members(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return pd.DataFrame(
-                {"rep_id": pd.Series([], dtype="int64"), "doc_id": pd.Series([], dtype="int64")}
-            )
-        rep = int(g["doc_id"].min())
-        return pd.DataFrame({"rep_id": rep, "doc_id": g["doc_id"].astype("int64")})
-
-    return ds.groupby("text_hash").map_groups(members, batch_format="pandas")
-
-
 def _expand_rep_pairs(
     rep_pairs: pd.DataFrame, members: pd.DataFrame, value_col: str, within_value
 ) -> pd.DataFrame:

@@ -35,40 +35,7 @@ def add_payload_len(batch: pa.Table) -> pa.Table:
     )
 
 
-class BytesLruCache:
-    """LRU bounded by total cached BYTES, not entry count — the right
-    bound for whole-result caching where one tracemonkey-sized payload
-    is worth thousands of small ones. An item costlier than the cap is
-    simply not cached."""
-
-    __slots__ = ("cap", "size", "d")
-
-    def __init__(self, cap_bytes: int):
-        self.cap = cap_bytes
-        self.size = 0
-        self.d: dict = {}
-
-    def get(self, key):
-        e = self.d.pop(key, None)
-        if e is None:
-            return None
-        self.d[key] = e
-        return e[1]
-
-    def put(self, key, cost: int, value) -> None:
-        if cost > self.cap:
-            return
-        old = self.d.pop(key, None)
-        if old is not None:
-            self.size -= old[0]
-        while self.size + cost > self.cap and self.d:
-            k0 = next(iter(self.d))
-            self.size -= self.d.pop(k0)[0]
-        self.d[key] = (cost, value)
-        self.size += cost
-
-
-# per-instance cache bounds: CMap entries, and whole-result bytes
+# per-instance cache bounds: CMap entries (cost 1 each), whole-result bytes
 CMAP_CACHE_SIZE = 512
 RESULT_CACHE_BYTES = 64 << 20
 
@@ -100,7 +67,7 @@ class ExtractTurns:
         self.spec_mode = spec_mode
         self.token = token
         self.cmap_cache = LruCache(CMAP_CACHE_SIZE)
-        self.result_cache = BytesLruCache(RESULT_CACHE_BYTES)
+        self.result_cache = LruCache(RESULT_CACHE_BYTES)
         self.result_cache_hits = 0
         self.result_cache_misses = 0
 
@@ -124,7 +91,7 @@ class ExtractTurns:
             if r is None:
                 self.result_cache_misses += 1
                 r = extract_row(text, mode, cmap_cache=cache, spec_mode=spec)
-                rcache.put(k, len(text) + len(r["extracted_text"]) + 96, r)
+                rcache.put(k, r, len(text) + len(r["extracted_text"]) + 96)
             else:
                 self.result_cache_hits += 1
             results[i] = r

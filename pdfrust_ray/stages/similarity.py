@@ -112,6 +112,29 @@ def brute_force_topk(sf_dir: str, query_ids=(0, 1, 2, 3, 4), k: int = 10) -> pd.
     return pd.DataFrame(rows, columns=["query_id", "rank", "vec_id"])
 
 
+def brute_force_topk_sql(query_ids=(0, 1, 2, 3, 4), k: int = 10) -> str:
+    """EXACT DuckDB twin of brute_force_topk: cosine over every
+    embedding, ties by vec_id ascending."""
+    ids = ",".join(str(int(q)) for q in query_ids)
+    return f"""
+        WITH q AS (
+            SELECT vec_id AS query_id, embedding AS qe
+            FROM embeddings WHERE vec_id IN ({ids})
+        ), s AS (
+            SELECT q.query_id, e.vec_id,
+                   list_cosine_similarity(e.embedding, q.qe) AS cosine
+            FROM embeddings e CROSS JOIN q
+        ), r AS (
+            SELECT query_id, vec_id, cosine,
+                   row_number() OVER (PARTITION BY query_id
+                                      ORDER BY cosine DESC, vec_id) AS rank
+            FROM s
+        )
+        SELECT query_id, rank, vec_id
+        FROM r WHERE rank <= {int(k)} ORDER BY query_id, rank
+    """
+
+
 def ivf_topk(sf_dir: str, query_ids=(0, 1, 2, 3, 4), k: int = 10, n_centroids: int = 16, n_probe: int = 4) -> pd.DataFrame:
     """IVF-bucketed approximate top-k (deterministic centroids).
 
@@ -2312,8 +2335,6 @@ def facility_location_selection(
     argmax — O(blocks x N) rows per round, vectors never re-shuffle.
     SQL twin: facility_location_selection_sql (recursive
     curmax-from-selected)."""
-    from ray.data.aggregate import Sum as _Sum
-
     pool_t = pq.read_table(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     ).sort_by("vec_id")
@@ -2321,14 +2342,26 @@ def facility_location_selection(
     pool = np.round(
         embedding_matrix(pool_t["embedding"]).astype(np.float64) * scale
     ).astype(np.int64)
-    pref = ray.put((pool_ids, pool))
-
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    return _greedy_facility_location(ds, pool_ids, pool, k, scale)
+
+
+def _greedy_facility_location(ds, cand_ids, cand, k: int, scale: int) -> pd.DataFrame:
+    """The greedy loop shared by both facility-location variants: pick
+    up to k of the candidates `cand` (int64 rows keyed by `cand_ids`)
+    by marginal gain summed over every vector of `ds`. Per round the
+    candidates and the selected rows broadcast once; each batch emits
+    its partial per-candidate gains sum(max(0, sims - curmax)), a
+    candidate-keyed Sum folds them and the driver takes the argmax
+    (ties: smaller id). Stops early when no positive gain remains."""
+    from ray.data.aggregate import Sum as _Sum
+
+    pref = ray.put((cand_ids, cand))
     sel_ids: list[int] = []
     sel_vecs: list[np.ndarray] = []
     rows = []
     for rank in range(1, k + 1):
-        sref = ray.put(np.stack(sel_vecs) if sel_vecs else np.zeros((0, pool.shape[1]), np.int64))
+        sref = ray.put(np.stack(sel_vecs) if sel_vecs else np.zeros((0, cand.shape[1]), np.int64))
 
         def partial_gains(t: pa.Table) -> pa.Table:
             cids, cpool = ray.get(pref)
@@ -2362,7 +2395,7 @@ def facility_location_selection(
         c = int(gains["c"].iloc[0])
         rows.append((rank, c, int(gains["gain"].iloc[0])))
         sel_ids.append(c)
-        sel_vecs.append(pool[np.flatnonzero(pool_ids == c)[0]])
+        sel_vecs.append(cand[np.flatnonzero(cand_ids == c)[0]])
     return pd.DataFrame(rows, columns=["rank", "vec_id", "marginal_gain"]).astype(
         "int64"
     )
@@ -2733,8 +2766,6 @@ def facility_location_selection_ivf(
     and the run reproduces the exact variant bit-for-bit through the
     same machinery (the facility_location_selection_ivf_exact driver
     query)."""
-    from ray.data.aggregate import Sum as _Sum
-
     assigned = _assigned_embeddings(
         sf_dir, n_centroids, ["vec_id", "embedding"]
     ).materialize()
@@ -2757,56 +2788,7 @@ def facility_location_selection_ivf(
     cand = np.round(
         np.asarray(list(reps["embedding"]), dtype=np.float64) * scale
     ).astype(np.int64)
-    pref = ray.put((cand_ids, cand))
-
-    sel_ids: list[int] = []
-    sel_vecs: list[np.ndarray] = []
-    rows = []
-    for rank in range(1, k + 1):
-        sref = ray.put(
-            np.stack(sel_vecs) if sel_vecs else np.zeros((0, cand.shape[1]), np.int64)
-        )
-
-        def partial_gains(t: pa.Table) -> pa.Table:
-            cids, cpool = ray.get(pref)
-            smat = ray.get(sref)
-            v = np.round(
-                embedding_matrix(t["embedding"]).astype(np.float64) * scale
-            ).astype(np.int64)
-            sims = np.maximum(v @ cpool.T, 0)  # [B, C]
-            if len(smat):
-                curmax = np.maximum(v @ smat.T, 0).max(axis=1)
-            else:
-                curmax = np.zeros(len(v), dtype=np.int64)
-            g = np.maximum(sims - curmax[:, None], 0).sum(axis=0)
-            return pa.table(
-                {
-                    "c": pa.array(cids, pa.int64()),
-                    "g": pa.array(g.astype(np.int64), pa.int64()),
-                }
-            )
-
-        gains = (
-            assigned.map_batches(
-                partial_gains, batch_format="pyarrow", batch_size=4096
-            )
-            .groupby("c")
-            .aggregate(_Sum("g", alias_name="gain"))
-            .to_pandas()
-        )
-        gains = gains[~gains["c"].isin(sel_ids)]
-        gains = gains.sort_values(
-            ["gain", "c"], ascending=[False, True], kind="mergesort"
-        )
-        if not len(gains) or int(gains["gain"].iloc[0]) <= 0:
-            break
-        c = int(gains["c"].iloc[0])
-        rows.append((rank, c, int(gains["gain"].iloc[0])))
-        sel_ids.append(c)
-        sel_vecs.append(cand[np.flatnonzero(cand_ids == c)[0]])
-    return pd.DataFrame(rows, columns=["rank", "vec_id", "marginal_gain"]).astype(
-        "int64"
-    )
+    return _greedy_facility_location(assigned, cand_ids, cand, k, scale)
 
 
 def _list_matrix(col: "pa.ChunkedArray | pa.Array") -> "np.ndarray":

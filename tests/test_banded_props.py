@@ -9,7 +9,7 @@ import pyarrow.parquet as pq
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdfrust_ray.stages.extractors import BytesLruCache
+from pdfrust_ray.pdfref.extract import LruCache
 
 _WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 
@@ -97,10 +97,10 @@ def test_band_census_mass_identity(ray_session, tmp_path):
 def test_bytes_lru_invariants(ops, cap):
     """size always equals the sum of live costs and never exceeds the
     cap; a get() returns the last value put for the key (if alive)."""
-    c = BytesLruCache(cap)
+    c = LruCache(cap)
     last = {}
     for i, (k, cost) in enumerate(ops):
-        c.put(k, cost, i)
+        c.put(k, i, cost)
         if cost <= cap:
             last[k] = i
         assert c.size == sum(e[0] for e in c.d.values())

@@ -210,3 +210,28 @@ def test_cmap_miss_on_pair_wins_over_odd_trailing_byte():
     with pytest.raises(ParseError) as e:
         tc.get_text(False)
     assert e.value.kind == "CMapMiss"
+
+
+def test_chars_mode_positions_follow_a_per_glyph_walk():
+    # chars mode places glyph i at the f32 partial sum of the Tm deltas
+    # before it; the reference is the per-glyph walk of content.rs:818-943
+    from pdfrust_ray.pdfref.numbers import Matrix, f32
+
+    widths = [250 + 37 * i for i in range(95)]
+    res = _resources({"F1": _font(first_char=32, widths=widths)})
+    raw = b"BT /F1 9.5 Tf 0.5 Tc 2 0.25 0 1 10 20 Tm [(a b) -120 (cd) 7.25 ( e)] TJ ET"
+    lines = TextContent(raw, res).get_text(True).splitlines()
+
+    a, b, e, f = 2.0, 0.25, 10.0, 20.0
+    want = []
+    for item in (b"a b", -120, b"cd", 7.25, b" e"):
+        if isinstance(item, bytes):
+            for c in item:
+                want.append(Matrix(a, b, 0, 1, e, f).rust_display())
+                tx = f32(f32(f32(widths[c - 32] / 1000.0) * 9.5) + 0.5)
+                e, f = f32(f32(tx * a) + e), f32(f32(tx * b) + f)
+        else:
+            tx = f32(f32((-item) / 1000.0) * 9.5)
+            e, f = f32(f32(tx * a) + e), f32(f32(tx * b) + f)
+    assert len(lines) == 7
+    assert [line.split(", ", 3)[3] for line in lines] == want

@@ -87,10 +87,12 @@ def test_rectangle_and_space_width():
     f.widths = [Number.int(250), Number.int(500)]
     f.to_unicode = None
     f.encoding = None
-    # space (0x20) is first_char -> width 250/1000
-    assert abs(f.estimate_space_width().as_f32() - 0.25) < 1e-6
+    # space (0x20) is first_char -> width 250/1000; below FirstChar and
+    # without Widths the width is 0 (body.rs:186-203)
+    assert f.width_f32(0x20) == f32(0.25)
+    assert f.width_f32(0x1F) == 0.0
     f.widths = None
-    assert f.estimate_space_width() == Number.int(200)
+    assert f.width_f32(0x20) == 0.0
 
 
 def test_f32_saturates_to_inf_like_rust():

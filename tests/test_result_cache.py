@@ -5,7 +5,8 @@ import pyarrow as pa
 
 from pdfrust_ray.fixtures.pdfgen import pdf_hello
 from pdfrust_ray.functions.payload import extract_row
-from pdfrust_ray.stages.extractors import BytesLruCache, ExtractTurns
+from pdfrust_ray.pdfref.extract import LruCache
+from pdfrust_ray.stages.extractors import ExtractTurns
 
 
 def _batch(texts):
@@ -44,16 +45,16 @@ def test_cache_is_per_mode_instance():
 
 
 def test_bytes_lru_evicts_by_cost():
-    c = BytesLruCache(100)
-    c.put("a", 40, 1)
-    c.put("b", 40, 2)
+    c = LruCache(100)
+    c.put("a", 1, 40)
+    c.put("b", 2, 40)
     assert c.get("a") == 1  # refresh a
-    c.put("d", 40, 4)  # evicts b (LRU), not a
+    c.put("d", 4, 40)  # evicts b (LRU), not a
     assert c.get("b") is None and c.get("a") == 1 and c.get("d") == 4
     assert c.size == 80
-    c.put("huge", 1000, 9)  # over cap: not cached, nothing evicted
+    c.put("huge", 9, 1000)  # over cap: not cached, nothing evicted
     assert c.get("huge") is None and c.size == 80
-    c.put("a", 40, 11)  # re-put replaces cost+value
+    c.put("a", 11, 40)  # re-put replaces cost+value
     assert c.get("a") == 11 and c.size == 80
 
 

@@ -29,8 +29,8 @@ import hashlib
 import sys
 from pathlib import Path
 
-if __package__ in (None, ""):
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO))
 
 from pdfrust_ray.fixtures.pdfgen import (
     FILTER_CONSTRUCTS,
@@ -42,7 +42,7 @@ from pdfrust_ray.fixtures.pdfgen import (
 )
 from pdfrust_ray.pdfref import ParseError, extract
 
-DIGESTS = Path(__file__).resolve().parent.parent / "tests" / "parity_digests.tsv"
+DIGESTS = REPO / "tests" / "parity_digests.tsv"
 N_FUZZ = 1500
 N_CMAP = 500
 UIDS = ("u0", "u1", "t7", "z9")
