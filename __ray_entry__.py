@@ -46,43 +46,35 @@ _EXTRACT_COLS = OUTPUT_SCHEMA.names
 
 
 def _ensure_fixture_files() -> None:
-    """Generate the deterministic fixture corpora + goldens (idempotent,
-    cached). Called at import so oracle_sql's read_parquet targets exist
-    regardless of the order the driver evaluates queries vs oracles."""
-    try:
-        from pdfrust_ray.fixtures.corpus import (
-            ensure_chains_fixture,
-            ensure_corpus,
-            ensure_homoglyph_fixture,
-            ensure_invisible_fixture,
-            ensure_unicode_fixture,
-            ensure_encrypted_fixture,
-            ensure_forks_fixture,
-            ensure_htmlld_fixture,
-            ensure_modes_fixture,
-            ensure_pii_fixture,
-            ensure_spec15_fixture,
-            ensure_xobj_fixture,
-        )
+    """Generate every fixture family the queries and their oracle_sql
+    read_parquet targets use: corpora + goldens (idempotent, cached)."""
+    from pdfrust_ray.fixtures import corpus as c
 
-        ensure_corpus("t1")
-        ensure_corpus("t2")
-        ensure_modes_fixture()
-        ensure_spec15_fixture()
-        ensure_xobj_fixture()
-        ensure_encrypted_fixture()
-        ensure_pii_fixture()
-        ensure_htmlld_fixture()
-        ensure_forks_fixture()
-        ensure_chains_fixture()
-        ensure_unicode_fixture()
-        ensure_homoglyph_fixture()
-        ensure_invisible_fixture()
-    except Exception:  # never break module import on fixture IO issues
-        pass
+    c.ensure_corpus("t1")
+    c.ensure_corpus("t2")
+    for build in (
+        c.ensure_modes_fixture,
+        c.ensure_spec15_fixture,
+        c.ensure_xobj_fixture,
+        c.ensure_filters_fixture,
+        c.ensure_encrypted_fixture,
+        c.ensure_pii_fixture,
+        c.ensure_htmlld_fixture,
+        c.ensure_forks_fixture,
+        c.ensure_chains_fixture,
+        c.ensure_unicode_fixture,
+        c.ensure_homoglyph_fixture,
+        c.ensure_invisible_fixture,
+    ):
+        build()
 
 
-_ensure_fixture_files()
+# at import too, so oracle_sql's read_parquet targets exist regardless of
+# the order the driver evaluates queries vs oracles
+try:
+    _ensure_fixture_files()
+except Exception:  # never break module import on fixture IO issues
+    pass
 
 
 def _scale_for(sf_dir: str) -> str:
@@ -501,23 +493,14 @@ def _q_pii_redact(sf_dir: str):
 
 def queries() -> dict[str, Callable[[str], Any]]:
     # generate fixtures eagerly so oracle_sql's read_parquet targets exist
+    _ensure_fixture_files()
     from pdfrust_ray.fixtures.corpus import (
         ensure_corpus,
         ensure_encrypted_fixture,
         ensure_filters_fixture,
-        ensure_modes_fixture,
-        ensure_pii_fixture,
         ensure_spec15_fixture,
         ensure_xobj_fixture,
     )
-
-    ensure_corpus("t2")
-    ensure_modes_fixture()
-    ensure_spec15_fixture()
-    ensure_xobj_fixture()
-    ensure_filters_fixture()
-    ensure_encrypted_fixture()
-    ensure_pii_fixture()
 
     from pdfrust_ray.pipelines import conversation as cv
     from pdfrust_ray.pipelines import datasetops as dso

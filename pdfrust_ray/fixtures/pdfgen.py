@@ -595,15 +595,17 @@ class Pdf15Builder:
     Writes documents the reference cannot read (its xref-stream path is
     broken, xref.rs:331-376): cross-reference streams with configurable
     W widths, optional PNG Up predictor (/DecodeParms /Predictor 12),
-    optional multi-pair /Index, and /ObjStm object streams holding the
-    objects added with compressed=True (streams themselves always stay
-    at file level, per spec).
+    optional multi-pair /Index, an unfiltered xref stream with
+    flate_xref=False, and /ObjStm object streams holding the objects
+    added with compressed=True (streams themselves always stay at file
+    level, per spec).
     """
 
     def __init__(self, version: str = "1.5", predictor: bool = False,
-                 w=(1, 4, 2), index_split: bool = False):
+                 w=(1, 4, 2), index_split: bool = False, flate_xref: bool = True):
         self.version = version
         self.predictor = predictor
+        self.flate_xref = flate_xref
         self.w = tuple(w)
         self.index_split = index_split
         self.objects: list[tuple[bytes, bool]] = []  # (body, in_objstm)
@@ -692,10 +694,10 @@ class Pdf15Builder:
                 prev = row
             data = bytes(enc)
             parms = f" /DecodeParms << /Predictor 12 /Columns {esz} >>"
-        payload = zlib.compress(data, 6)
+        payload, filt = (zlib.compress(data, 6), " /Filter /FlateDecode") if self.flate_xref else (data, "")
         xstm = (
             f"<< /Type /XRef /Size {size} /W [ {w1} {w2} {w3} ]{index_part} "
-            f"/Root {root} 0 R /Length {len(payload)} /Filter /FlateDecode{parms} >>"
+            f"/Root {root} 0 R /Length {len(payload)}{filt}{parms} >>"
         ).encode() + b"\nstream\n" + payload + b"\nendstream"
         out += f"{xref_num} 0 obj\n".encode() + xstm + b"\nendobj\n"
         out += f"startxref\n{xref_off}\n%%EOF".encode()
@@ -756,37 +758,59 @@ XOBJ_CONSTRUCTS = {
 }
 
 
-def pdf_filtered(uid: str, filt: str, early_change: int | None = None) -> bytes:
-    """Content stream encoded with one of the spec-mode stream filters
-    (ISO 32000-1 7.4): ASCIIHexDecode, ASCII85Decode, RunLengthDecode,
-    LZWDecode. The reference rejects every non-Flate filter name
-    (body.rs:47-54), so parity mode raises; spec mode decodes."""
+def pdf_filtered(uid: str, filt: str | list[str], early_change: int | None = None,
+                 columns: int | None = None) -> bytes:
+    """Content stream encoded with the spec-mode stream filters (ISO
+    32000-1 7.4): FlateDecode, ASCIIHexDecode, ASCII85Decode,
+    RunLengthDecode, LZWDecode. `filt` is one name, or a list written
+    as a /Filter array and decoded first to last. `columns` PNG-predicts
+    the content before a single FlateDecode or LZWDecode filter (Up
+    rows, /Predictor 12). The reference rejects every non-Flate filter
+    name and every array (body.rs:47-54), so parity mode raises; spec
+    mode decodes."""
     import base64
 
     from ..pdfref.filters import lzw_encode_pdf
 
-    text = f"filter {filt} {uid}"
-    raw = f"BT /F1 10 Tf 50 700 Td {_lit(text)} Tj ET".encode("latin-1")
-    extra = f" /Filter /{filt}"
-    if filt == "ASCIIHexDecode":
-        data = raw.hex().upper().encode() + b">"
-    elif filt == "ASCII85Decode":
-        data = base64.a85encode(raw) + b"~>"
-    elif filt == "RunLengthDecode":
-        # literal runs of <=128 bytes, EOD marker
-        out = bytearray()
-        for i in range(0, len(raw), 128):
-            chunk = raw[i : i + 128]
-            out += bytes([len(chunk) - 1]) + chunk
-        out.append(128)
-        data = bytes(out)
-    elif filt == "LZWDecode":
-        ec = 1 if early_change is None else early_change
-        data = lzw_encode_pdf(raw, early_change=ec)
-        if early_change is not None:
-            extra += f" /DecodeParms << /EarlyChange {early_change} >>"
+    names = [filt] if isinstance(filt, str) else filt
+    text = f"filter {' '.join(names)} {uid}"
+    data = f"BT /F1 10 Tf 50 700 Td {_lit(text)} Tj ET".encode("latin-1")
+    parms = []
+    if columns is not None:
+        data += b" " * (-len(data) % columns)
+        data = b"".join(
+            b"\x02" + bytes((data[i + j] - (data[i + j - columns] if i else 0)) & 0xFF
+                            for j in range(columns))
+            for i in range(0, len(data), columns)
+        )
+        parms.append(f"/Predictor 12 /Columns {columns}")
+    for name in reversed(names):
+        if name == "FlateDecode":
+            data = zlib.compress(data, 6)
+        elif name == "ASCIIHexDecode":
+            data = data.hex().upper().encode() + b">"
+        elif name == "ASCII85Decode":
+            data = base64.a85encode(data) + b"~>"
+        elif name == "RunLengthDecode":
+            # literal runs of <=128 bytes, EOD marker
+            out = bytearray()
+            for i in range(0, len(data), 128):
+                chunk = data[i : i + 128]
+                out += bytes([len(chunk) - 1]) + chunk
+            out.append(128)
+            data = bytes(out)
+        elif name == "LZWDecode":
+            data = lzw_encode_pdf(data, early_change=1 if early_change is None else early_change)
+            if early_change is not None:
+                parms.append(f"/EarlyChange {early_change}")
+        else:
+            raise ValueError(name)
+    if isinstance(filt, str):
+        extra = f" /Filter /{filt}"
     else:
-        raise ValueError(filt)
+        extra = " /Filter [ " + " ".join(f"/{n}" for n in names) + " ]"
+    if parms:
+        extra += f" /DecodeParms << {' '.join(parms)} >>"
     b = PdfBuilder()
     c = b.add_stream(extra, data)
     f = _simple_font(b)

@@ -150,27 +150,42 @@ def _walk_preorder(node: _Node):
             yield from _walk_preorder(ch)
 
 
-def extract_main_text(html_text: str) -> str:
-    """Return the main-content plain text of an HTML document."""
+def _main_text(html_text: str, score) -> str:
+    """Parse, score each candidate container with
+    score(text_len, link_text_len, direct <p> children) and render the
+    best one: strict '>' keeps the earliest/outermost winner, and a
+    document with no candidate container renders whole."""
     tb = _TreeBuilder()
     tb.feed(html_text)
     tb.close()
-    root = tb.root
-
-    best = None
+    best = tb.root
     best_score = float("-inf")
-    for node in _walk_preorder(root):
+    for node in _walk_preorder(tb.root):
         if node.tag not in _CANDIDATE:
             continue
         total, link = _text_stats(node)
-        p_bonus = 50 * sum(1 for ch in node.children if not isinstance(ch, str) and ch.tag == "p")
-        score = total - 1.5 * link + p_bonus
-        if score > best_score:  # strict '>' keeps the earliest/outermost winner
-            best_score = score
+        n_p = sum(1 for ch in node.children if not isinstance(ch, str) and ch.tag == "p")
+        s = score(total, link, n_p)
+        if s > best_score:
+            best_score = s
             best = node
-    if best is None:
-        best = root  # no candidate containers: use whole document text
     return _node_text(best)
+
+
+def _absolute_score(total: int, link: int, n_p: int) -> float:
+    return total - 1.5 * link + 50 * n_p
+
+
+def _link_density_score(total: int, link: int, n_p: int) -> float:
+    density = (link / total) if total else 1.0
+    return total * (1.0 - density) + 30 * n_p
+
+
+def extract_main_text(html_text: str) -> str:
+    """Return the main-content plain text of an HTML document:
+    candidates score text_len - 1.5 * link_text_len + 50 per direct
+    <p> child."""
+    return _main_text(html_text, _absolute_score)
 
 
 def extract_main_text_ld(html_text: str) -> str:
@@ -183,25 +198,4 @@ def extract_main_text_ld(html_text: str) -> str:
     Readability/Arc90 heuristic. Same parse, drop set, render, and
     strict '>' earliest-winner tie rule. Deterministic: the score is a
     pure float expression of exact integer counts."""
-    tb = _TreeBuilder()
-    tb.feed(html_text)
-    tb.close()
-    root = tb.root
-
-    best = None
-    best_score = float("-inf")
-    for node in _walk_preorder(root):
-        if node.tag not in _CANDIDATE:
-            continue
-        total, link = _text_stats(node)
-        density = (link / total) if total else 1.0
-        p_bonus = 30 * sum(
-            1 for ch in node.children if not isinstance(ch, str) and ch.tag == "p"
-        )
-        score = total * (1.0 - density) + p_bonus
-        if score > best_score:
-            best_score = score
-            best = node
-    if best is None:
-        best = root
-    return _node_text(best)
+    return _main_text(html_text, _link_density_score)

@@ -4,7 +4,9 @@ Pins /root/reference/src/body.rs:
   - StreamDictionary: Length required (possibly via indirect ref with
     repair, body.rs:65-77); Filter only FlateDecode, any other name
     panics (body.rs:47-54); stream data decode applies the 10x-buffer
-    flate quirk (body.rs:103-110 via filters.rs).
+    flate quirk (body.rs:103-110 via filters.rs). In spec mode every
+    stream decodes through the one filter chain of filters.py
+    (spec_chain/spec_decode), as xref and object streams do.
   - Font: Type must be "Font"; Subtype/BaseFont required names;
     FirstChar/LastChar optional numerics; Widths inline array or
     indirect ref; ToUnicode must be an indirect ref to a stream whose
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from .cmap import ToUnicodeCMap, parse_tounicode
 from .errors import ParseError
-from .filters import flate_decode
+from .filters import flate_decode, spec_chain, spec_decode
 from .numbers import Number
 from .objects import Name, Ref, StreamObj, object_at
 
@@ -58,13 +60,6 @@ class Rectangle:
         self.values = tuple(vals)
 
 
-# Filter names the spec_mode=True path decodes beyond FlateDecode
-# (ISO 32000-1 7.4); the parity path keeps the reference's
-# FlateDecode-only behavior (body.rs:47-54).
-_SPEC_FILTERS = frozenset(
-    {"ASCIIHexDecode", "ASCII85Decode", "RunLengthDecode", "LZWDecode"}
-)
-
 MODE_TEXT = "text"
 MODE_CHARS = "chars"
 MODE_FONT = "font"
@@ -72,9 +67,10 @@ MODE_RAW = "raw-content"
 
 
 class Stream:
-    """body.rs:56-116 StreamDictionary + content."""
+    """body.rs:56-116 StreamDictionary + content. `filter` is None or
+    "FlateDecode" on the parity path, a filters.spec_chain in spec mode."""
 
-    __slots__ = ("length", "filter", "data", "exact", "decode_parms")
+    __slots__ = ("length", "filter", "data")
 
     def __init__(self, header: dict, data: bytes, ctx: "DocCtx"):
         length = header.get("Length")
@@ -91,50 +87,28 @@ class Stream:
             self.length = obj
         else:
             raise ParseError("Stream", "Length should be a numeric")
-        # spec mode decodes exactly; the parity path keeps the
-        # reference's 10x-buffer pad/truncate quirk (filters.rs:4-14)
-        # and its FlateDecode-only filter support (body.rs:65-77)
-        self.exact = bool(getattr(ctx.xref, "spec_mode", False))
+        # the parity path keeps the reference's FlateDecode-only filter
+        # support (body.rs:65-77); spec mode takes any filter chain
         filt = header.get("Filter")
-        if filt is None:
+        if ctx.xref.spec_mode:
+            self.filter = spec_chain(header)
+        elif filt is None:
             self.filter = None
-        elif isinstance(filt, Name):
-            if filt == "FlateDecode":
-                self.filter = "FlateDecode"
-            elif self.exact and filt in _SPEC_FILTERS:
-                self.filter = str(filt)
-            else:
-                raise ParseError("Stream", f"Filter name {filt!r} is currently not supported")
-        else:
+        elif not isinstance(filt, Name):
             raise ParseError("Stream", "Filter should be a name")
+        elif filt != "FlateDecode":
+            raise ParseError("Stream", f"Filter name {filt!r} is currently not supported")
+        else:
+            self.filter = "FlateDecode"
         self.data = data
-        self.decode_parms = header.get("DecodeParms") if self.exact else None
 
     def get_data(self) -> bytes:
+        if self.filter is None:
+            return self.data
         if self.filter == "FlateDecode":
-            if self.exact:
-                from .filters import flate_decode_exact
-
-                return flate_decode_exact(self.data)
+            # the reference's 10x-buffer pad/truncate quirk (filters.rs:4-14)
             return flate_decode(self.data)
-        if self.filter is not None and self.exact:
-            from . import filters as _f
-
-            if self.filter == "ASCIIHexDecode":
-                return _f.asciihex_decode(self.data)
-            if self.filter == "ASCII85Decode":
-                return _f.ascii85_decode(self.data)
-            if self.filter == "RunLengthDecode":
-                return _f.runlength_decode(self.data)
-            if self.filter == "LZWDecode":
-                early = 1
-                p = self.decode_parms
-                if isinstance(p, dict):
-                    ec = p.get("EarlyChange")
-                    if isinstance(ec, Number) and ec.is_int:
-                        early = ec.val
-                return _f.lzw_decode_pdf(self.data, early_change=early)
-        return self.data
+        return spec_decode(self.data, self.filter)
 
 
 class DocCtx:
@@ -482,7 +456,7 @@ class Page:
         res = self.get_resources()
         # spec mode additionally recurses into Form XObjects on `Do`
         # (the reference parses-and-ignores Do, content.rs:615-620)
-        spec = res._ctx is not None and bool(getattr(res._ctx.xref, "spec_mode", False))
+        spec = res._ctx is not None and res._ctx.xref.spec_mode
         tc = TextContent(content_str.encode("utf-8"), res, enable_xobjects=spec)
         return tc.get_text(display_char)
 

@@ -83,6 +83,9 @@ class LruCache:
 
 
 def _load(data: bytes, cmap_cache=None, spec_mode: bool = False) -> tuple[DocCtx, object]:
+    """The document context and its xref. The dialect is chosen here,
+    once: every later layer reads it from the xref's `spec_mode`,
+    `decryptor`, `encrypt` and `info`."""
     trimmed = data.strip(_ASCII_WS)
     if len(trimmed) < 5 or trimmed[-5:] != b"%%EOF":
         raise ParseError("Eof", "PDF file is corrupted; not consistent trailing charaters")
@@ -108,8 +111,8 @@ def _load(data: bytes, cmap_cache=None, spec_mode: bool = False) -> tuple[DocCtx
     # standard-security-handler decryptor (empty user password, RC4 or
     # AES-128 — see crypt.py); password-protected or unsupported
     # handlers still become error rows.
-    if getattr(xref, "encrypt", None) is not None:
-        if spec_mode:
+    if xref.encrypt is not None:
+        if xref.spec_mode:
             from .crypt import build_decryptor
 
             enc = ctx.resolve(xref.encrypt)
@@ -156,10 +159,9 @@ def extract_info(data: bytes, spec_mode: bool = False) -> dict:
     so they survive the parser's UTF-8-strict literal strings, and the
     decryptor hands back their plaintext bytes as HexString."""
     ctx, xref = _load(data, spec_mode=spec_mode)
-    info_key = getattr(xref, "info", None)
-    if info_key is None:
+    if xref.info is None:
         raise ParseError("Info", "trailer has no Info")
-    d = ctx.resolve(info_key)
+    d = ctx.resolve(xref.info)
     if d is None:
         raise ParseError("Info", "Info object not found")
     if not isinstance(d, dict):
@@ -178,7 +180,7 @@ def extract_info(data: bytes, spec_mode: bool = False) -> dict:
             out[field] = None
         elif isinstance(v, PdfString):
             out[field] = str(v)
-        elif isinstance(v, HexString) and (spec_mode or key in ("Creator", "Producer")):
+        elif isinstance(v, HexString) and (xref.spec_mode or key in ("Creator", "Producer")):
             try:
                 out[field] = v.decode("utf-8")
             except UnicodeDecodeError:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import zlib
 
 from .errors import ParseError
+from .numbers import Number
+from .objects import Name
 
 
 def flate_decode(data: bytes) -> bytes:
@@ -31,8 +33,8 @@ def flate_decode(data: bytes) -> bytes:
 def flate_decode_exact(data: bytes) -> bytes:
     """Spec-mode FlateDecode: exact zlib inflate, no 10x pad/truncate.
 
-    Used only on the spec_mode=True path (PDF 1.5+ xref streams, object
-    streams, and content streams) — the parity path above keeps the
+    Used only on the spec_mode=True path, through spec_decode (every
+    stream of a spec-mode document) — the parity path above keeps the
     reference's buffer quirk. Tolerates trailing garbage after the
     zlib stream (common in real PDFs; d.unused_data), but rejects
     TRUNCATED streams: a cut deflate stream decompresses partially
@@ -54,7 +56,7 @@ def apply_png_predictor(data: bytes, columns: int, colors: int = 1, bpc: int = 8
 
     The reference panics on any DecodeParms (xref.rs:368-376); this is
     the spec-mode replacement. Per-byte Python is fine here: predictor
-    payloads are xref/object-stream indexes, kilobytes at most."""
+    payloads are mostly xref/object-stream indexes, kilobytes at most."""
     bpp = max(1, (colors * bpc) // 8)
     rowlen = (columns * colors * bpc + 7) // 8
     out = bytearray()
@@ -98,9 +100,11 @@ def apply_png_predictor(data: bytes, columns: int, colors: int = 1, bpc: int = 8
 
 # --- spec-mode filter family (ISO 32000-1 7.4) ---------------------------
 # The reference supports FlateDecode only (filters.rs:4-14; body.rs:65-77
-# rejects other names) — these exist on the spec_mode=True path, like the
-# xref-stream/ObjStm support, so real-world PDFs extract instead of
-# erroring. Each raises ParseError on malformed input (error rows).
+# rejects other names). On the spec_mode=True path every stream —
+# content, CMap and Form XObject streams as well as xref and object
+# streams — decodes through one chain: spec_chain reads /Filter and
+# /DecodeParms when the stream is built, spec_decode runs it. Each
+# decoder raises ParseError on malformed input (error rows).
 
 
 def asciihex_decode(data: bytes) -> bytes:
@@ -242,6 +246,66 @@ def lzw_decode_pdf(data: bytes, early_change: int = 1) -> bytes:
         prev = entry
         if len(table) + early_change >= (1 << width) + 1 and width < 12:
             width += 1
+
+
+def _int_parm(parms: dict | None, key: str, default: int) -> int:
+    v = parms.get(key) if parms is not None else None
+    return v.val if isinstance(v, Number) and v.is_int else default
+
+
+def _unpredict(data: bytes, parms: dict | None) -> bytes:
+    """Reverse the /Predictor of a FlateDecode or LZWDecode stage
+    (7.4.4.4): 1 (none), 10-15 (PNG); TIFF predictor 2 is an error."""
+    pred = _int_parm(parms, "Predictor", 1)
+    if pred == 2:
+        raise ParseError("Predictor", "TIFF predictor 2 not supported")
+    if pred < 10:
+        return data
+    return apply_png_predictor(
+        data,
+        columns=_int_parm(parms, "Columns", 1),
+        colors=_int_parm(parms, "Colors", 1),
+        bpc=_int_parm(parms, "BitsPerComponent", 8),
+    )
+
+
+# filter name -> decode(data, DecodeParms dict or None)
+_SPEC_DECODERS = {
+    "FlateDecode": lambda data, parms: _unpredict(flate_decode_exact(data), parms),
+    "LZWDecode": lambda data, parms: _unpredict(
+        lzw_decode_pdf(data, _int_parm(parms, "EarlyChange", 1)), parms
+    ),
+    "ASCIIHexDecode": lambda data, parms: asciihex_decode(data),
+    "ASCII85Decode": lambda data, parms: ascii85_decode(data),
+    "RunLengthDecode": lambda data, parms: runlength_decode(data),
+}
+
+
+def spec_chain(header: dict) -> tuple:
+    """The spec-mode filter chain of a stream dictionary: (name,
+    DecodeParms dict or None) pairs in decode order. /Filter is a name
+    or an array of names, /DecodeParms a dict or an array parallel to
+    it. A non-name or unsupported filter raises here, so a document
+    reports it when the stream is built, not when it is read."""
+    filt = header.get("Filter")
+    names = [] if filt is None else filt if isinstance(filt, list) else [filt]
+    parms = header.get("DecodeParms")
+    parms = list(parms) if isinstance(parms, list) else [parms]
+    parms += [None] * (len(names) - len(parms))
+    for name in names:
+        if not isinstance(name, Name):
+            raise ParseError("Stream", "Filter should be a name")
+        if name not in _SPEC_DECODERS:
+            raise ParseError("Stream", f"Filter name {name!r} is currently not supported")
+    return tuple((str(n), p if isinstance(p, dict) else None) for n, p in zip(names, parms))
+
+
+def spec_decode(data: bytes, chain: tuple) -> bytes:
+    """Run a spec_chain over a raw stream payload. Inflate is exact (no
+    10x buffer quirk); predictors apply after FlateDecode and LZWDecode."""
+    for name, parms in chain:
+        data = _SPEC_DECODERS[name](data, parms)
+    return data
 
 
 def lzw_encode_pdf(data: bytes, early_change: int = 1) -> bytes:

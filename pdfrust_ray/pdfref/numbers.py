@@ -259,30 +259,28 @@ def rust_f32_debug(x: float) -> str:
     return f"{neg}{mant}e{e - 1}"
 
 
+_DEBUG_ESCAPES = {"\n": "\\n", "\r": "\\r", "\t": "\\t", "\\": "\\\\", "\0": "\\0"}
+
+
+def _escape_debug(ch: str, quote: str) -> str:
+    """One char of Rust's escape_debug inside `quote`-delimited Debug
+    output: the quote itself is backslashed, the other one is not."""
+    if ch == quote:
+        return "\\" + ch
+    esc = _DEBUG_ESCAPES.get(ch)
+    if esc is not None:
+        return esc
+    o = ord(ch)
+    if 0x20 <= o < 0x7F:
+        return ch
+    if o < 0x20 or o == 0x7F or not _is_printable_unicode(ch):
+        return f"\\u{{{o:x}}}"
+    return ch
+
+
 def rust_char_debug(ch: str) -> str:
     """Rust `{:?}` of a char: '<escaped>' via char::escape_debug rules."""
-    o = ord(ch)
-    if ch == "\n":
-        body = "\\n"
-    elif ch == "\r":
-        body = "\\r"
-    elif ch == "\t":
-        body = "\\t"
-    elif ch == "\\":
-        body = "\\\\"
-    elif ch == "'":
-        body = "\\'"
-    elif ch == "\0":
-        body = "\\0"
-    elif 0x20 <= o < 0x7F:
-        body = ch
-    elif o < 0x20 or o == 0x7F:
-        body = f"\\u{{{o:x}}}"
-    elif _is_printable_unicode(ch):
-        body = ch
-    else:
-        body = f"\\u{{{o:x}}}"
-    return f"'{body}'"
+    return "'" + _escape_debug(ch, "'") + "'"
 
 
 def _is_printable_unicode(ch: str) -> bool:
@@ -320,27 +318,4 @@ _OTHER_GRAPHEME_EXTEND_MC = frozenset(
 
 def rust_str_debug(s: str) -> str:
     """Rust `{:?}` of a String: "<escaped>" via str::escape_debug rules."""
-    out = []
-    for ch in s:
-        o = ord(ch)
-        if ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\0":
-            out.append("\\0")
-        elif 0x20 <= o < 0x7F:
-            out.append(ch)
-        elif o < 0x20 or o == 0x7F:
-            out.append(f"\\u{{{o:x}}}")
-        elif _is_printable_unicode(ch):
-            out.append(ch)
-        else:
-            out.append(f"\\u{{{o:x}}}")
-    return '"' + "".join(out) + '"'
+    return '"' + "".join(_escape_debug(ch, '"') for ch in s) + '"'

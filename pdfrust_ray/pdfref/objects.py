@@ -234,7 +234,7 @@ def parse_object(lem: Lemmatizer, xref=None):
             # spec-mode decryption: the xref carries a decryptor once the
             # /Encrypt dict is resolved; arm per-object crypt state with
             # this object's (num, gen) for strings and the stream payload
-            dec = getattr(xref, "decryptor", None)
+            dec = xref.decryptor
             if dec is not None and val is not None:
                 lem.crypt = (dec, val)
             continue
@@ -246,7 +246,7 @@ def parse_object(lem: Lemmatizer, xref=None):
                 # spec mode: exact single-EOL stream positioning (binary
                 # payloads may START with whitespace-class bytes the
                 # parity next_n would eat)
-                if getattr(xref, "spec_mode", False):
+                if xref.spec_mode:
                     data = lem.next_n_spec(length)
                 else:
                     data = lem.next_n(length)

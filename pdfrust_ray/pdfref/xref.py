@@ -46,7 +46,28 @@ def startxref(data: bytes) -> int:
     return t[1].val
 
 
+def fix_offset(key, offset: int, data: bytes) -> int:
+    """The repair scan (xref.rs:245-268): `offset` when the bytes there
+    start with "{num} {gen} obj", else the position after the first
+    "\n{num} {gen} obj" (the \n prefix avoids matching "11 0 obj" when
+    looking for "1 0 obj")."""
+    pattern = f"{key[0]} {key[1]} obj".encode()
+    if data[offset : offset + len(pattern)] == pattern:
+        return offset
+    pos = data.find(b"\n" + pattern)
+    if pos < 0:
+        raise ParseError("XRef", f"object header {pattern!r} not found in byte stream")
+    return pos + 1
+
+
 class XRefTable:
+    """The xref interface every layer reads, shared with XRefStream and
+    xref_spec.SpecXRef: `spec_mode`, `decryptor`, `encrypt`, `info`,
+    `get_and_fix(key, data)` and `get_catalog_offset()`."""
+
+    spec_mode = False
+    decryptor = None
+
     __slots__ = ("size", "prev", "root", "encrypt", "info", "table")
 
     def __init__(self):
@@ -156,15 +177,7 @@ class XRefTable:
         offset = self.get(key)
         if offset is None:
             return None
-        pattern = f"{key[0]} {key[1]} obj".encode()
-        if data[offset : offset + len(pattern)] == pattern:
-            return offset
-        # repair scan (xref.rs:253-264); \n prefix avoids matching
-        # "11 0 obj" when looking for "1 0 obj"
-        pos = data.find(b"\n" + pattern)
-        if pos < 0:
-            raise ParseError("XRef", f"object header {pattern!r} not found in byte stream")
-        return pos + 1
+        return fix_offset(key, offset, data)
 
     def get_catalog_offset(self):
         if self.root is None:
@@ -179,6 +192,12 @@ _EMPTY = XRefTable()
 
 
 class XRefStream:
+    # the reference reads no Encrypt or Info from an xref stream
+    spec_mode = False
+    decryptor = None
+    encrypt = None
+    info = None
+
     __slots__ = ("size", "index", "prev", "w", "stream")
 
     @classmethod

@@ -15,20 +15,25 @@ defaults), type-2 entries resolved through /ObjStm object streams,
 classic-table sections with multiple subsections, /Prev chains mixing
 both forms, and hybrid-reference /XRefStm keys.
 
-Resolution interface matches XRefTable/XRefStream (`get_and_fix` +
-`object_at`): objects that live inside an object stream get a NEGATIVE
-address handle, which `objects.object_at` routes back to
-`SpecXRef.compressed_object` — call sites in body.py are unchanged.
+SpecXRef states the same interface as XRefTable/XRefStream
+(`spec_mode`, `decryptor`, `encrypt`, `info`, `get_and_fix`,
+`get_catalog_offset`), so the other layers read the dialect from the
+xref instead of working it out again. Objects that live inside an
+object stream get a NEGATIVE address handle, which `objects.object_at`
+routes back to `SpecXRef.compressed_object`. Xref and object streams
+decode through the same filter chain as every other spec-mode stream
+(filters.spec_chain/spec_decode), and offsets go through the same
+repair scan as the parity table (xref.fix_offset).
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .filters import apply_png_predictor, flate_decode_exact
+from .filters import spec_chain, spec_decode
 from .numbers import Number
 from .objects import Ref, StreamObj, parse_object
 from .tokenizer import NUM, STR, Lemmatizer, Tokenizer
-from .xref import _EMPTY, XRefTable
+from .xref import XRefTable, fix_offset
 
 
 def _as_int(v, what: str) -> int:
@@ -45,7 +50,7 @@ class SpecXRef:
     spec_mode = True
 
     __slots__ = (
-        "data", "entries", "root", "info", "encrypt", "size",
+        "data", "entries", "root", "info", "encrypt",
         "id0", "decryptor", "_handles", "_objstm",
     )
 
@@ -58,7 +63,6 @@ class SpecXRef:
         self.encrypt = None
         self.id0 = b""  # first /ID element (encryption key derivation)
         self.decryptor = None  # StdDecryptor once /Encrypt is resolved
-        self.size = 0
         self._handles: list[tuple[int, int]] = []  # negative-address table
         self._objstm: dict[int, tuple[bytes, list[tuple[int, int]]]] = {}
         self._parse_section(offset, set())
@@ -76,7 +80,10 @@ class SpecXRef:
         if peek[0] == STR:
             self._parse_classic(tok, seen)
         elif peek[0] == NUM:
-            obj = parse_object(Lemmatizer(self.data, offset, _EMPTY))
+            # parsed in the spec dialect: an unfiltered xref stream
+            # starts with the free-list head's NUL bytes, which the
+            # parity stream positioning would skip as whitespace
+            obj = parse_object(Lemmatizer(self.data, offset, self))
             if not isinstance(obj, StreamObj):
                 raise ParseError("XRef", f"Xref object cannot be of type {obj!r}")
             self._parse_stream_section(obj, seen)
@@ -104,7 +111,7 @@ class SpecXRef:
         t = tok.next()
         if t is None or t[0] != STR or t[1] != b"trailer":
             raise ParseError("XRef", f"expected 'trailer', found {t!r}")
-        trailer = parse_object(Lemmatizer(self.data, tok.pos, _EMPTY))
+        trailer = parse_object(Lemmatizer(self.data, tok.pos, self))
         if not isinstance(trailer, dict):
             raise ParseError("XRef", "Trailer should be a dictionary")
         # hybrid-reference: the /XRefStm stream's entries describe the
@@ -136,7 +143,7 @@ class SpecXRef:
             pairs = [
                 (index[i].as_usize(), index[i + 1].as_usize()) for i in range(0, len(index), 2)
             ]
-        raw = self.decoded_payload(s)
+        raw = spec_decode(s.data, spec_chain(h))
         esz = sum(w)
         pos = 0
         for start, count in pairs:
@@ -160,7 +167,6 @@ class SpecXRef:
                     self.entries.setdefault(num, ("f",))
                 else:
                     raise ParseError("XRef", f"xref stream entry type {f1} invalid")
-        self.size = max(self.size, size)
         self._take_trailer_fields(h)
         prev = h.get("Prev")
         if prev is not None:
@@ -179,81 +185,24 @@ class SpecXRef:
         fid = d.get("ID")
         if not self.id0 and isinstance(fid, list) and fid and isinstance(fid[0], bytes):
             self.id0 = bytes(fid[0])
-        size = d.get("Size")
-        if isinstance(size, Number) and size.is_int:
-            self.size = max(self.size, size.val)
-
-    # ---- stream payload decode ------------------------------------------
-
-    def decoded_payload(self, s: StreamObj) -> bytes:
-        """Filter chain + DecodeParms predictors, spec semantics (exact
-        inflate — no 10x buffer quirk)."""
-        filters = s.header.get("Filter")
-        if filters is None:
-            names = []
-        elif isinstance(filters, list):
-            names = [str(f) for f in filters]
-        else:
-            names = [str(filters)]
-        parms = s.header.get("DecodeParms")
-        if parms is None:
-            parms_list = [None] * len(names)
-        elif isinstance(parms, list):
-            parms_list = list(parms) + [None] * (len(names) - len(parms))
-        else:
-            parms_list = [parms] + [None] * (len(names) - 1)
-        data = s.data
-        for name, p in zip(names, parms_list):
-            if name == "FlateDecode":
-                data = flate_decode_exact(data)
-            else:
-                raise ParseError("Stream", f"Filter {name!r} is currently not supported")
-            if isinstance(p, dict):
-                pred = p.get("Predictor")
-                pred = pred.val if isinstance(pred, Number) else 1
-                if pred >= 10:
-                    cols = p.get("Columns")
-                    colors = p.get("Colors")
-                    bpc = p.get("BitsPerComponent")
-                    data = apply_png_predictor(
-                        data,
-                        columns=cols.val if isinstance(cols, Number) else 1,
-                        colors=colors.val if isinstance(colors, Number) else 1,
-                        bpc=bpc.val if isinstance(bpc, Number) else 8,
-                    )
-                elif pred == 2:
-                    raise ParseError("Predictor", "TIFF predictor 2 not supported")
-        return data
 
     # ---- object resolution ----------------------------------------------
 
-    def _fix_offset(self, key, offset: int, data: bytes) -> int:
-        pattern = f"{key[0]} {key[1]} obj".encode()
-        if data[offset : offset + len(pattern)] == pattern:
-            return offset
-        pos = data.find(b"\n" + pattern)
-        if pos < 0:
-            raise ParseError("XRef", f"object header {pattern!r} not found in byte stream")
-        return pos + 1
-
-    def get_and_fix(self, key, data: bytes = None):
+    def get_and_fix(self, key, data: bytes):
         loc = self.entries.get(key[0])
         if loc is None:
             return None
         if loc[0] == "f":
             raise ParseError("XRef", "XReftable object was freed")
         if loc[0] == "o":
-            return self._fix_offset(key, loc[1], data if data is not None else self.data)
+            return fix_offset(key, loc[1], data)
         self._handles.append((loc[1], loc[2]))
         return -len(self._handles)
-
-    def get(self, key):
-        return self.get_and_fix(key)
 
     def get_catalog_offset(self):
         if self.root is None:
             raise ParseError("XRef", "trailer has no Root")
-        return self.get_and_fix(self.root)
+        return self.get_and_fix(self.root, self.data)
 
     def _load_objstm(self, stm_num: int):
         cached = self._objstm.get(stm_num)
@@ -262,13 +211,13 @@ class SpecXRef:
         loc = self.entries.get(stm_num)
         if loc is None or loc[0] != "o":
             raise ParseError("XRef", f"object stream {stm_num} not found at a byte offset")
-        addr = self._fix_offset((stm_num, 0), loc[1], self.data)
+        addr = fix_offset((stm_num, 0), loc[1], self.data)
         obj = parse_object(Lemmatizer(self.data, addr, self), self)
         if not isinstance(obj, StreamObj):
             raise ParseError("XRef", f"object {stm_num} is not a stream")
         n = _as_int(obj.header.get("N"), "ObjStm N")
         first = _as_int(obj.header.get("First"), "ObjStm First")
-        content = self.decoded_payload(obj)
+        content = spec_decode(obj.data, spec_chain(obj.header))
         tok = Tokenizer(content, 0)
         offsets: list[tuple[int, int]] = []
         for _ in range(n):
@@ -289,9 +238,6 @@ class SpecXRef:
         if idx >= len(offsets):
             raise ParseError("XRef", f"ObjStm index {idx} out of range")
         return parse_object(Lemmatizer(content, offsets[idx][1], self), self)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 __all__ = ["SpecXRef"]

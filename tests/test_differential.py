@@ -4,8 +4,9 @@ Generates randomized-but-seeded PDFs (random content-stream operator
 sequences, literal/hex strings, escapes, kerned TJ arrays, CMap-coded
 text) and asserts the engine's output is byte-identical to the
 reference binary's (modulo the reference's unknown-operator stdout
-logging). Skipped when the locally-built reference binary is absent —
-see .claude/skills/verify/SKILL.md for the build recipe.
+logging). Those tests are skipped when the locally-built reference
+binary is absent — see .claude/skills/verify/SKILL.md for the build
+recipe; the spec-vs-parity invariant below needs no binary.
 """
 
 import os
@@ -57,12 +58,11 @@ def test_differential_random_pdfs(seed):
         os.unlink(path)
 
 
-@needs_binary
 @pytest.mark.parametrize("seed", range(0, 40, 4))
 def test_spec_mode_agrees_on_random_classic_docs(seed):
     """Invariant: on classic-xref documents, spec-mode extraction equals
     parity-mode extraction (which is byte-verified vs the binary) —
-    the ISO xref layer must resolve identical offsets."""
+    the ISO xref layer must resolve identical offsets. Needs no binary."""
     data = fuzz_pdf(seed)
     for mode in ("text", "chars"):
         try:

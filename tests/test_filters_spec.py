@@ -28,6 +28,14 @@ from pdfrust_ray.pdfref.filters import (
 
 FILTERS = ["ASCIIHexDecode", "ASCII85Decode", "RunLengthDecode", "LZWDecode"]
 
+# spec-mode streams beyond one filter name: /Filter arrays and PNG
+# predictors, decoded by the same filter chain as xref streams
+CHAINS = [
+    pytest.param(["FlateDecode"], {}, id="FlateDecode-array"),
+    pytest.param(["ASCIIHexDecode", "FlateDecode"], {}, id="ASCIIHexDecode-FlateDecode-array"),
+    pytest.param("FlateDecode", {"columns": 8}, id="FlateDecode-predictor12"),
+]
+
 
 class TestAsciiHex:
     def test_basic(self):
@@ -131,17 +139,24 @@ class TestLzw:
 class TestEndToEnd:
     """Through Stream.get_data on the extraction path."""
 
-    @pytest.mark.parametrize("filt", FILTERS)
-    def test_spec_mode_extracts(self, filt):
-        data = pdf_filtered("u9", filt)
-        assert extract(data, "text", spec_mode=True).text == f"filter {filt} u9"
+    @pytest.mark.parametrize("filt, kw", [pytest.param(f, {}, id=f) for f in FILTERS] + CHAINS)
+    def test_spec_mode_extracts(self, filt, kw):
+        data = pdf_filtered("u9", filt, **kw)
+        names = " ".join([filt] if isinstance(filt, str) else filt)
+        assert extract(data, "text", spec_mode=True).text == f"filter {names} u9"
 
-    @pytest.mark.parametrize("filt", FILTERS)
-    def test_parity_rejects_like_reference(self, filt):
-        # body.rs:47-54: any non-Flate name is an error in the reference
+    @pytest.mark.parametrize(
+        "filt, message",
+        [pytest.param(f, f"Filter name '{f}' is currently not supported", id=f) for f in FILTERS]
+        + [pytest.param(["FlateDecode"], "Filter should be a name", id="FlateDecode-array")],
+    )
+    def test_parity_rejects_like_reference(self, filt, message):
+        # body.rs:47-54: any non-Flate name, and any array, is an error
+        # in the reference
         data = pdf_filtered("u9", filt)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             extract(data, "text")
+        assert (err.value.kind, err.value.message) == ("Stream", message)
 
     @pytest.mark.parametrize("early", [0, 1])
     def test_lzw_decodeparms_early_change(self, early):

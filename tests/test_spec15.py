@@ -60,6 +60,17 @@ def test_spec_construct_matrix(pred, w, split, comp):
         extract(data, "text")
 
 
+def test_unfiltered_xref_stream_keeps_leading_nul_bytes():
+    # the payload starts with the free-list head's NUL bytes, which the
+    # parity stream positioning skips as whitespace
+    b = Pdf15Builder(flate_xref=False)
+    c = b.add_stream("", b"BT /F1 10 Tf (Raw xref) Tj ET", compress=True)
+    f = b.add(b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica >>", compressed=True)
+    data = b.build(_page_setup15(b, c, f))
+    assert b"stream\n\x00" in data
+    assert extract(data, "text", spec_mode=True).text == "Raw xref"
+
+
 def test_w0_zero_with_objstm_is_rejected_by_builder():
     with pytest.raises(ValueError):
         _build(w=(0, 2, 1), comp=True)
