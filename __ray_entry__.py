@@ -12,11 +12,14 @@ here (or in pdfrust_ray) calls ray.init()/ray.shutdown().
     the deterministic synthetic transcript fixtures (the graft input
     table has no driver-provided testdata); their oracles read the
     serially-computed golden parquet.
-  - oracle_sql(): DuckDB-SQL equivalents. A query whose callable is a
-    module function `f` takes the `f_sql()` defined beside it; only the
-    twins that rule cannot find are written out. The extraction oracles
-    use read_parquet on the frozen goldens under /tmp/pdfrust_ray_fixtures
-    (generated idempotently by queries()); relational/dedup/similarity
+  - oracle_sql(): DuckDB-SQL equivalents, bound where the query is.
+    A query over a fixture family is built by a constructor (`_q_conv`,
+    `_q_family`, `_q_extract_spec`, `_q_extract_mode`) that names the
+    family in `_FAMILIES` and attaches the twin over that family's files
+    as `run.sql`; a query whose callable is a module function `f` takes
+    the `f_sql()` defined beside it. Only the twins neither rule finds
+    are written out. The fixture families (corpora + frozen goldens) are
+    generated idempotently by queries(); relational/dedup/similarity
     oracles run on the pre-registered testdata views. Queries without a
     twin are listed, with the reason, in NO_ORACLE_JUSTIFICATIONS and are
     checked on rows only.
@@ -28,53 +31,39 @@ import inspect
 import os
 import sys
 from collections.abc import Callable
+from functools import partial
 from typing import Any
 
+from pdfrust_ray.fixtures import corpus
 from pdfrust_ray.functions.payload import OUTPUT_SCHEMA
-
-_FIXTURE_BASE = "/tmp/pdfrust_ray_fixtures"
-_T2_GOLDEN = f"{_FIXTURE_BASE}/t2/golden.parquet"
-_T2_SHARDS = f"{_FIXTURE_BASE}/t2/shards/*.parquet"
-_MODES_GOLDEN = f"{_FIXTURE_BASE}/modes/golden_modes.parquet"
-_INFO_GOLDEN = f"{_FIXTURE_BASE}/modes/golden_info.parquet"
-_SPEC15_GOLDEN = f"{_FIXTURE_BASE}/spec15/golden.parquet"
-_XOBJ_GOLDEN = f"{_FIXTURE_BASE}/xobj/golden.parquet"
-_FILTERS_GOLDEN = f"{_FIXTURE_BASE}/filters/golden.parquet"
-_ENC_GOLDEN = f"{_FIXTURE_BASE}/encrypted/golden.parquet"
 
 _EXTRACT_COLS = OUTPUT_SCHEMA.names
 
+# Every fixture family a query or its twin reads, by name: the query
+# constructors below look a family up here, and queries() builds them all.
+_FAMILIES: dict[str, Callable[[], str]] = {
+    "t1": partial(corpus.ensure_corpus, "t1"),
+    "t2": partial(corpus.ensure_corpus, "t2"),
+    "modes": corpus.ensure_modes_fixture,
+    "spec15": corpus.ensure_spec15_fixture,
+    "xobj": corpus.ensure_xobj_fixture,
+    "filters": corpus.ensure_filters_fixture,
+    "encrypted": corpus.ensure_encrypted_fixture,
+    "pii": corpus.ensure_pii_fixture,
+    "htmlld": corpus.ensure_htmlld_fixture,
+    "forks": corpus.ensure_forks_fixture,
+    "chains": corpus.ensure_chains_fixture,
+    "unicode": corpus.ensure_unicode_fixture,
+    "homoglyph": corpus.ensure_homoglyph_fixture,
+    "invisible": corpus.ensure_invisible_fixture,
+}
+
 
 def _ensure_fixture_files() -> None:
-    """Generate every fixture family the queries and their oracle_sql
-    read_parquet targets use: corpora + goldens (idempotent, cached)."""
-    from pdfrust_ray.fixtures import corpus as c
-
-    c.ensure_corpus("t1")
-    c.ensure_corpus("t2")
-    for build in (
-        c.ensure_modes_fixture,
-        c.ensure_spec15_fixture,
-        c.ensure_xobj_fixture,
-        c.ensure_filters_fixture,
-        c.ensure_encrypted_fixture,
-        c.ensure_pii_fixture,
-        c.ensure_htmlld_fixture,
-        c.ensure_forks_fixture,
-        c.ensure_chains_fixture,
-        c.ensure_unicode_fixture,
-        c.ensure_homoglyph_fixture,
-        c.ensure_invisible_fixture,
-    ):
+    """Generate every fixture family of `_FAMILIES`: corpora + goldens
+    (idempotent, cached)."""
+    for build in _FAMILIES.values():
         build()
-
-
-# at import too, so oracle_sql's read_parquet targets exist regardless of
-# the order the driver evaluates queries vs oracles
-try:
-    _ensure_fixture_files()
-except Exception:  # never break module import on fixture IO issues
-    pass
 
 
 def _scale_for(sf_dir: str) -> str:
@@ -82,12 +71,42 @@ def _scale_for(sf_dir: str) -> str:
     return {"sf0.001": "t1", "sf0.01": "t2", "sf0.1": "bench"}.get(base, "t2")
 
 
+def _twin_beside(fn: Callable) -> Callable[..., str] | None:
+    """The `f_sql` defined beside the module function `f`, if any."""
+    mod = sys.modules.get(fn.__module__)
+    if getattr(mod, fn.__name__, None) is not fn:
+        return None
+    return getattr(mod, fn.__name__ + "_sql", None)
+
+
+def _bound(run: Callable, fn: Callable, family: str, reads: str):
+    """`run` with its twin attached as `run.sql`: the `f_sql` beside
+    `fn`, over the `reads` files of the fixture family `family`."""
+    twin = _twin_beside(fn)
+    if twin is not None:
+        run.sql = lambda: twin(f"{_FAMILIES[family]()}/{reads}")
+    return run
+
+
+def _q_family(family: str, fn: Callable, reads: str = "shards/*.parquet"):
+    """`fn` over the fixture family `family`; its twin reads the same family."""
+    return _bound(lambda sf_dir: fn(_FAMILIES[family]()), fn, family, reads)
+
+
+def _q_conv(fn: Callable):
+    """`fn` over the transcript corpus of the scale (`_scale_for`); its
+    twin recomputes from the RAW t2 shards (an independent oracle, not a
+    golden readback; see oracle_sql for the scale caveat)."""
+    return _bound(
+        lambda sf_dir: fn(corpus.ensure_corpus(_scale_for(sf_dir))), fn, "t2", "shards/*.parquet"
+    )
+
+
 def _run_extract_ds(scale: str, mode: str = "text"):
-    from pdfrust_ray.fixtures.corpus import ensure_corpus
     from pdfrust_ray.pipelines.extract_pipeline import build_extraction
     from pdfrust_ray.sources.transcripts import read_transcripts
 
-    d = ensure_corpus(scale)
+    d = corpus.ensure_corpus(scale)
     ds = read_transcripts(d)
     return build_extraction(ds, mode=mode, batch_size=64)
 
@@ -266,31 +285,38 @@ def _q_extracted_token_stats(sf_dir: str):
 
 def _q_extract_info(sf_dir: str):
     """P7 metadata reader over the modes fixture (task stage)."""
-    from pdfrust_ray.fixtures.corpus import ensure_modes_fixture
     from pdfrust_ray.sources.transcripts import read_transcripts
     from pdfrust_ray.stages.extractors import InfoTurns
 
-    d = ensure_modes_fixture()
-    ds = read_transcripts(d)
+    ds = read_transcripts(_FAMILIES["modes"]())
     out = ds.map_batches(InfoTurns(), batch_format="pyarrow", batch_size=8)
     return out.to_pandas().sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
 
 
 def _q_extract_mode(mode: str):
+    """`mode` extraction over the modes fixture; its twin reads that
+    mode's rows of the fixture's golden."""
+
     def run(sf_dir: str):
-        from pdfrust_ray.fixtures.corpus import ensure_modes_fixture
         from pdfrust_ray.pipelines.extract_pipeline import build_extraction
         from pdfrust_ray.sources.transcripts import read_transcripts
 
-        d = ensure_modes_fixture()
-        ds = read_transcripts(d)
+        ds = read_transcripts(_FAMILIES["modes"]())
         out = build_extraction(ds, mode=mode, batch_size=4)
         return out.select_columns(["conv_id", "turn_idx", "extracted_text", "parse_status"])
 
+    def sql() -> str:
+        return f"""
+            SELECT conv_id, turn_idx, extracted_text, parse_status
+            FROM read_parquet('{_FAMILIES["modes"]()}/golden_modes.parquet') WHERE mode = '{mode}'
+            ORDER BY conv_id, turn_idx
+        """
+
+    run.sql = sql
     return run
 
 
-def _q_extract_spec(ensure_fixture):
+def _q_extract_spec(family: str):
     """Spec-mode text extraction over one fixture family the reference
     cannot read, golden computed serially with spec_mode=True: PDF 1.5
     xref streams / ObjStm / predictors (xref.rs:331-376), Form XObject
@@ -299,16 +325,17 @@ def _q_extract_spec(ensure_fixture):
     ASCII85 stream that must become an error row (body.rs:47-54), and
     standard-security-handler decryption (RC4-40/128, AES-128, empty
     user password; password-protected documents stay error:Encrypted
-    rows, xref.rs:136-139)."""
+    rows, xref.rs:136-139). Its twin reads the family's golden."""
 
     def run(sf_dir: str):
         from pdfrust_ray.pipelines.extract_pipeline import build_extraction
         from pdfrust_ray.sources.transcripts import read_transcripts
 
-        ds = read_transcripts(ensure_fixture())
+        ds = read_transcripts(_FAMILIES[family]())
         out = build_extraction(ds, mode="text", batch_size=16, spec_mode=True)
         return out.select_columns(_EXTRACT_COLS)
 
+    run.sql = lambda: _golden_sql(f"{_FAMILIES[family]()}/golden.parquet")
     return run
 
 
@@ -317,13 +344,11 @@ def _q_content_op_census(sf_dir: str):
     LIVE over the modes fixture, then census operator tokens
     distributed (lexical rule shared with the DuckDB twin, which
     applies it to the frozen golden)."""
-    from pdfrust_ray.fixtures.corpus import ensure_modes_fixture
     from pdfrust_ray.pipelines.extract_pipeline import build_extraction
     from pdfrust_ray.pipelines.textops import content_op_lexical_census
     from pdfrust_ray.sources.transcripts import read_transcripts
 
-    d = ensure_modes_fixture()
-    ds = read_transcripts(d)
+    ds = read_transcripts(_FAMILIES["modes"]())
     out = build_extraction(ds, mode="raw-content", batch_size=4)
     return content_op_lexical_census(out)
 
@@ -334,11 +359,10 @@ def _q_extract_mode_agreement(sf_dir: str):
     per-turn parse_status — the round-2 ADVICE error-order fix
     (content.py TJ emission order) is what keeps these identical, so
     this query pins it under the hash gate."""
-    from pdfrust_ray.fixtures.corpus import ensure_modes_fixture
     from pdfrust_ray.pipelines.extract_pipeline import build_extraction
     from pdfrust_ray.sources.transcripts import read_transcripts
 
-    d = ensure_modes_fixture()
+    d = _FAMILIES["modes"]()
     outs = {}
     for mode in ("text", "chars"):
         ds = read_transcripts(d)
@@ -358,150 +382,9 @@ def _q_extract_mode_agreement(sf_dir: str):
     )
 
 
-_PII_SHARDS = f"{_FIXTURE_BASE}/pii/shards/*.parquet"
-_FORKS_SHARDS = f"{_FIXTURE_BASE}/forks/shards/*.parquet"
-
-
-_CHAINS_SHARDS = f"{_FIXTURE_BASE}/chains/shards/*.parquet"
-
-
-def _q_conv_chain_stitch(sf_dir: str):
-    """Continuation stitching over the planted chains fixture family
-    (t1/t2 conversations never repeat a head/tail turn)."""
-    from pdfrust_ray.fixtures.corpus import ensure_chains_fixture
-    from pdfrust_ray.pipelines.conversation import conv_chain_stitch
-
-    return conv_chain_stitch(ensure_chains_fixture())
-
-
-_UNICODE_SHARDS = f"{_FIXTURE_BASE}/unicode/shards/*.parquet"
-
-
-def _q_turn_nfc_audit(sf_dir: str):
-    """NFC drift audit over the dedicated prose fixture family (t1/t2
-    non-ASCII turns are PDF payloads containing NULs, which DuckDB's
-    nfc_normalize truncates at — no sound oracle there)."""
-    from pdfrust_ray.fixtures.corpus import ensure_unicode_fixture
-    from pdfrust_ray.pipelines.conversation import turn_nfc_audit
-
-    return turn_nfc_audit(ensure_unicode_fixture())
-
-
-def _q_turn_utf8_inflation(sf_dir: str):
-    """UTF-8 byte-inflation census over the planted-unicode fixture
-    (the only corpus family where multibyte counts are non-vacuous)."""
-    from pdfrust_ray.fixtures.corpus import ensure_unicode_fixture
-    from pdfrust_ray.pipelines.conversation import turn_utf8_inflation
-
-    return turn_utf8_inflation(ensure_unicode_fixture())
-
-
-_HOMOGLYPH_SHARDS = f"{_FIXTURE_BASE}/homoglyph/shards/*.parquet"
-_INVISIBLE_SHARDS = f"{_FIXTURE_BASE}/invisible/shards/*.parquet"
-
-
-def _q_turn_invisible_audit(sf_dir: str):
-    """Invisible-codepoint audit over the dedicated planted fixture."""
-    from pdfrust_ray.fixtures.corpus import ensure_invisible_fixture
-    from pdfrust_ray.pipelines.conversation import turn_invisible_chars_audit
-
-    return turn_invisible_chars_audit(ensure_invisible_fixture())
-
-
-def _q_media_header_audit(sf_dir: str):
-    """Decode-vs-metadata audit over the deterministic media corpus
-    (real PNG/GIF/JPEG/PPM + video-container decodes)."""
-    from pdfrust_ray.stages.multimodal import media_header_audit
-
-    return media_header_audit(sf_dir)
-
-
-def _q_audio_duration_audit(sf_dir: str):
-    """Decoded-duration audit over the audio payloads (PCM16 / mu-law /
-    IMA ADPCM / FLAC through the real pure-numpy codecs); the fmt-tag
-    codec split over binary payloads has no SQL twin — pinned by the
-    all-match pytest."""
-    from pdfrust_ray.stages.multimodal import audio_duration_audit
-
-    return audio_duration_audit(sf_dir)
-
-
-def _q_skeleton_token_collisions(sf_dir: str):
-    """Confusable-skeleton collision census over the homoglyph fixture
-    (planted mixed-script tokens guarantee >=2-form collisions)."""
-    from pdfrust_ray.fixtures.corpus import ensure_homoglyph_fixture
-    from pdfrust_ray.pipelines.conversation import skeleton_token_collisions
-
-    return skeleton_token_collisions(ensure_homoglyph_fixture())
-
-
-def _q_turn_homoglyph_audit(sf_dir: str):
-    """Homoglyph audit over the dedicated mixed-script fixture family
-    (t1/t2 prose is pure ASCII outside payloads)."""
-    from pdfrust_ray.fixtures.corpus import ensure_homoglyph_fixture
-    from pdfrust_ray.pipelines.conversation import turn_homoglyph_audit
-
-    return turn_homoglyph_audit(ensure_homoglyph_fixture())
-
-
-def _q_conv_prefix_forks(sf_dir: str):
-    """Fork detection over the dedicated planted-forks fixture family
-    (the t1/t2 corpora have no duplicated prefixes, which would make
-    the check vacuous)."""
-    from pdfrust_ray.fixtures.corpus import ensure_forks_fixture
-    from pdfrust_ray.pipelines.conversation import conv_prefix_forks
-
-    return conv_prefix_forks(ensure_forks_fixture())
-
-
-def _q_dpo_pairs(sf_dir: str):
-    """DPO preference-pair mining over the planted-forks fixture (fork
-    groups with divergent continuations are the pair source)."""
-    from pdfrust_ray.fixtures.corpus import ensure_forks_fixture
-    from pdfrust_ray.pipelines.conversation import dpo_pairs
-
-    return dpo_pairs(ensure_forks_fixture())
-
-
-def _q_cross_conv_turn_dups(sf_dir: str):
-    """Turn-level cross-conversation boilerplate census over the forks
-    fixture (shared fork prefixes guarantee >=2-conv duplicates)."""
-    from pdfrust_ray.fixtures.corpus import ensure_forks_fixture
-    from pdfrust_ray.pipelines.conversation import cross_conv_turn_dups
-
-    return cross_conv_turn_dups(ensure_forks_fixture())
-
-
-def _q_html_ld(sf_dir: str):
-    """Readability-style link-density HTML extraction over the htmlld
-    fixture family (axis B second algorithm); oracle reads the
-    serially-computed frozen golden."""
-    from pdfrust_ray.fixtures.corpus import ensure_htmlld_fixture
-    from pdfrust_ray.pipelines.textops import html_ld_extract
-
-    return html_ld_extract(ensure_htmlld_fixture())
-
-
-def _q_pii_redact(sf_dir: str):
-    """Email/phone redaction over the PII transcript fixture; DuckDB
-    recomputes from the RAW shards with the identical RE2 patterns."""
-    from pdfrust_ray.fixtures.corpus import ensure_pii_fixture
-    from pdfrust_ray.pipelines.textops import pii_redact
-
-    return pii_redact(ensure_pii_fixture())
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
-    # generate fixtures eagerly so oracle_sql's read_parquet targets exist
+    # build every family first, so the twins' read_parquet targets exist
     _ensure_fixture_files()
-    from pdfrust_ray.fixtures.corpus import (
-        ensure_corpus,
-        ensure_encrypted_fixture,
-        ensure_filters_fixture,
-        ensure_spec15_fixture,
-        ensure_xobj_fixture,
-    )
-
     from pdfrust_ray.pipelines import conversation as cv
     from pdfrust_ray.pipelines import datasetops as dso
     from pdfrust_ray.pipelines import graph
@@ -511,44 +394,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from pdfrust_ray.pipelines import quality as qual
     from pdfrust_ray.pipelines import relational as rel
     from pdfrust_ray.pipelines import textops
-    from pdfrust_ray.stages import dedup, similarity, sketches, streaming
-
-    def _q_conv(fn):
-        def run(sf_dir: str):
-            return fn(ensure_corpus(_scale_for(sf_dir)))
-
-        return run
+    from pdfrust_ray.stages import dedup, multimodal, similarity, sketches, streaming
 
     def media_features_q(sf_dir: str):
-        from pdfrust_ray.stages.multimodal import media_features, synthesize_media_table
-
         return (
-            media_features(synthesize_media_table())
+            multimodal.media_features(multimodal.synthesize_media_table())
             .select_columns(["media_id", "kind", "n_bytes"])
             .to_pandas()
             .sort_values("media_id")
             .reset_index(drop=True)
         )
-
-    def image_phash_dedup_q(sf_dir: str):
-        from pdfrust_ray.stages.multimodal import image_phash_dedup
-
-        return image_phash_dedup()
-
-    def video_scene_cuts_q(sf_dir: str):
-        from pdfrust_ray.stages.multimodal import video_scene_cuts
-
-        return video_scene_cuts()
-
-    def _q_audio_energy_segments(sf_dir: str):
-        from pdfrust_ray.stages.multimodal import audio_energy_segments
-
-        return audio_energy_segments()
-
-    def _q_audio_pitch_estimate(sf_dir: str):
-        from pdfrust_ray.stages.multimodal import audio_pitch_estimate
-
-        return audio_pitch_estimate()
 
     return {
         # --- the reference's own pipeline surface (SURVEY §2 / §3) ---
@@ -562,10 +417,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "extract_font": _q_extract_mode("font"),
         "extract_raw_content": _q_extract_mode("raw-content"),
         "content_op_census": _q_content_op_census,
-        "extract_text_spec15": _q_extract_spec(ensure_spec15_fixture),
-        "extract_text_xobj": _q_extract_spec(ensure_xobj_fixture),
-        "extract_text_filters": _q_extract_spec(ensure_filters_fixture),
-        "extract_text_encrypted": _q_extract_spec(ensure_encrypted_fixture),
+        "extract_text_spec15": _q_extract_spec("spec15"),
+        "extract_text_xobj": _q_extract_spec("xobj"),
+        "extract_text_filters": _q_extract_spec("filters"),
+        "extract_text_encrypted": _q_extract_spec("encrypted"),
         # --- training-data ops: dedup ---
         "exact_dedup": dedup.exact_dedup,
         "minhash_dedup": dedup.minhash_lsh_dedup,
@@ -606,8 +461,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "charset_best_match_lsh": textops.charset_best_match_lsh,
         # decontamination: word-13-gram overlap vs a broadcast benchmark set
         "benchmark_contamination": textops.benchmark_contamination,
-        # PII scrubbing (email/phone) over the transcript pii fixture
-        "pii_redact": _q_pii_redact,
+        # PII scrubbing (email/phone) over the transcript pii fixture;
+        # the twin recomputes from the RAW shards with the same RE2 patterns
+        "pii_redact": _q_family("pii", textops.pii_redact),
         # --- multimodal plumbing ---
         "media_features": media_features_q,
         # --- mergeable distributed sketches ---
@@ -739,8 +595,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # PCA spectrum from the exact distributed matrix (driver eigh;
         # trace/PSD/determinism pytests; no SQL eigensolve)
         "embedding_pca_topk": similarity.embedding_pca_topk,
-        # link-density HTML main-content variant (axis B, 2nd algorithm)
-        "html_ld_extract": _q_html_ld,
+        # link-density HTML main-content variant (axis B, 2nd algorithm);
+        # the twin reads the serially-computed frozen golden
+        "html_ld_extract": _q_family("htmlld", textops.html_ld_extract, "golden.parquet"),
         # skyline / Pareto front (two-phase local-front combiner)
         "orders_skyline": rel.orders_skyline,
         # per-group bottom-k sampling (deterministic grouped reservoir)
@@ -793,7 +650,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # global PERCENT_RANK via bounded-domain CDF broadcast
         "events_value_rank_normalize": rel.events_value_rank_normalize,
         # perceptual-hash image near-dup (real codecs; no SQL on pixels)
-        "image_phash_dedup": image_phash_dedup_q,
+        "image_phash_dedup": lambda sf: multimodal.image_phash_dedup(),
         # containment (near-superset) dedup — the axis Jaccard misses
         "containment_dedup": dedup.containment_dedup,
         # scale sibling: stop-shingle-capped SSJoin (bounded posting
@@ -823,8 +680,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "semantic_dedup_fixedpoint": similarity.semantic_dedup_fixedpoint,
         # deterministic blocked Misra-Gries heavy hitters (exact twin)
         "heavy_hitters_det": streaming.heavy_hitters_det,
-        # DPO preference pairs mined from forked conversations
-        "dpo_pairs": _q_dpo_pairs,
+        # DPO preference pairs mined from forked conversations (fork
+        # groups with divergent continuations are the pair source)
+        "dpo_pairs": _q_family("forks", cv.dpo_pairs),
         # per-language chars-per-BPE-token equity metric
         "tokenizer_fertility": llm.tokenizer_fertility,
         # the (metric, value) dataset card a curation run publishes
@@ -1149,7 +1007,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "documents_arrow_ipc_roundtrip": dso.documents_arrow_ipc_roundtrip,
         # VAD-style energy segmentation over real WAV codecs (rows-only:
         # burst recovery pinned by pytest against planted ground truth)
-        "audio_energy_segments": _q_audio_energy_segments,
+        "audio_energy_segments": lambda sf: multimodal.audio_energy_segments(),
         # first-order Markov next-event model, temporal-split backtest
         "markov_backtest": rel.markov_backtest,
         # per-user exact p95 banded histogram (co-located quantiles)
@@ -1243,7 +1101,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "supplier_part_herfindahl": rel.supplier_part_herfindahl,
         # shot-boundary detection over real PPM/GIF video codecs
         # (rows-only: pinned by exact planted-cut recovery in pytest)
-        "video_scene_cuts": video_scene_cuts_q,
+        "video_scene_cuts": lambda sf: multimodal.video_scene_cuts(),
         # exact-integer two-sample KS distance over the bounded cents domain
         "events_ks_statistic": rel.events_ks_statistic,
         # exact Mann-Whitney AUC (tie-corrected, doubled-numerator ints)
@@ -1344,7 +1202,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "isotonic_rate_curve": rel.isotonic_rate_curve,
         # fundamental-period estimation over real WAV codecs (rows-only:
         # decode has no SQL; exact planted-period recovery pinned in pytest)
-        "audio_pitch_estimate": _q_audio_pitch_estimate,
+        "audio_pitch_estimate": lambda sf: multimodal.audio_pitch_estimate(),
         # minimum spanning forest via Boruvka rounds
         "part_mst_boruvka": graph.part_mst_boruvka,
         # Pettitt change-point over the value stream (doubled-rank ints)
@@ -1499,8 +1357,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "custkey_luhn_audit": rel.custkey_luhn_audit,
         # dictionary-encoding layout-planning audit
         "string_dictionary_audit": rel.string_dictionary_audit,
-        # forked-conversation (shared first-k-turns) detection
-        "conv_prefix_forks": _q_conv_prefix_forks,
+        # forked-conversation (shared first-k-turns) detection; planted
+        # forks fixture (t1/t2 have no duplicated prefixes: vacuous there)
+        "conv_prefix_forks": _q_family("forks", cv.conv_prefix_forks),
         # per-doc distinct-n-gram novelty vs all earlier docs
         "doc_ngram_novelty": textops.doc_ngram_novelty,
         # streaming watermark / late-arrival audit (block-stitched scan)
@@ -1541,15 +1400,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "jl_projection_audit": similarity.jl_projection_audit,
         # (w,k)-minimizer document sketches
         "doc_minimizer_sketch": textops.doc_minimizer_sketch,
-        # continuation-chain stitching over split sessions
-        "conv_chain_stitch": _q_conv_chain_stitch,
+        # continuation-chain stitching over split sessions; planted chains
+        # fixture (t1/t2 conversations never repeat a head/tail turn)
+        "conv_chain_stitch": _q_family("chains", cv.conv_chain_stitch),
         # per-language script census
         "doc_script_census": textops.doc_script_census,
         # articulation-point single-point-of-failure analysis
         "part_supplier_articulation": graph.part_supplier_articulation,
         # Unicode NFC normalization drift audit (prose fixture: DuckDB's
         # nfc_normalize truncates at NUL, so payload turns can't oracle)
-        "turn_nfc_audit": _q_turn_nfc_audit,
+        "turn_nfc_audit": _q_family("unicode", cv.turn_nfc_audit),
         # rendezvous (HRW) routing + scale-out movement audit
         "rendezvous_hash_audit": dso.rendezvous_hash_audit,
         # optimal 0/1-knapsack token-budget curve (max-plus shard DP)
@@ -1572,8 +1432,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "join_cardinality_audit": dso.join_cardinality_audit,
         # naive sentence-segmentation census
         "doc_sentence_census": textops.doc_sentence_census,
-        # mixed-script homoglyph token audit (planted fixture)
-        "turn_homoglyph_audit": _q_turn_homoglyph_audit,
+        # mixed-script homoglyph token audit (planted fixture: t1/t2 prose
+        # is pure ASCII outside payloads)
+        "turn_homoglyph_audit": _q_family("homoglyph", cv.turn_homoglyph_audit),
         # LRU stack-distance cache-hit replay (exact SQL twin)
         "user_lru_hit_audit": rel.user_lru_hit_audit,
         # greedy max-coverage doc selection
@@ -1591,7 +1452,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # minimax contiguous range-shard planning (rows-only; binary search)
         "daily_range_shard_plan": rel.daily_range_shard_plan,
         # invisible-codepoint audit (planted fixture)
-        "turn_invisible_chars_audit": _q_turn_invisible_audit,
+        "turn_invisible_chars_audit": _q_family("invisible", cv.turn_invisible_chars_audit),
         # trailing-digit uniformity (fraud complement of Benford)
         "value_trailing_digit_audit": rel.value_trailing_digit_audit,
         # agent-loop tool-burst window profile
@@ -1634,8 +1495,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "nation_balance_sheet": rel.nation_balance_sheet,
         # UTF-8 byte-inflation census per language
         "doc_utf8_inflation": rel.doc_utf8_inflation,
-        # UTF-8 inflation over planted-unicode turns (non-vacuous)
-        "turn_utf8_inflation": _q_turn_utf8_inflation,
+        # UTF-8 inflation over planted-unicode turns (the only family
+        # where multibyte counts are non-vacuous)
+        "turn_utf8_inflation": _q_family("unicode", cv.turn_utf8_inflation),
         # engagement pyramid: users in power-of-two activity bands
         "user_activity_log2_bands": rel.user_activity_log2_bands,
         # position-normalized (early/mid/late) role mix
@@ -1650,8 +1512,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_first_token_census": rel.doc_first_token_census,
         # T5 span-corruption budget plan (integer-exact)
         "t5_span_mask_plan": textops.t5_span_mask_plan,
-        # turn-level cross-conversation boilerplate census
-        "cross_conv_turn_dups": _q_cross_conv_turn_dups,
+        # turn-level cross-conversation boilerplate census (forks fixture:
+        # shared fork prefixes guarantee >=2-conv duplicates)
+        "cross_conv_turn_dups": _q_family("forks", cv.cross_conv_turn_dups),
         # churn-reactivation win-back census
         "customer_reactivation_census": rel.customer_reactivation_census,
         # exact V-optimal optimizer-statistics histogram (DP)
@@ -1664,8 +1527,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "percentile_stitch_bias_audit": rel.percentile_stitch_bias_audit,
         # per-type peak-hour argmax reduction
         "events_type_peak_hour": rel.events_type_peak_hour,
-        # confusable-skeleton collision census (dedup's blind spot)
-        "skeleton_token_collisions": _q_skeleton_token_collisions,
+        # confusable-skeleton collision census (dedup's blind spot); the
+        # homoglyph fixture's planted tokens guarantee >=2-form collisions
+        "skeleton_token_collisions": _q_family("homoglyph", cv.skeleton_token_collisions),
         # conditional reply length by prompt-length decile
         "reply_length_by_prompt_decile": _q_conv(cv.reply_length_by_prompt_decile),
         # 2-D dominance (Pareto-rank) counts via Fenwick sweep
@@ -1724,10 +1588,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "value_tail_hill": rel.value_tail_hill,
         # SFT-mix turn-format classifier census
         "turn_format_census": _q_conv(cv.turn_format_census),
-        # real-codec decode-vs-metadata dimension audit
-        "media_header_audit": _q_media_header_audit,
-        # audio decode-duration audit across 4 codecs (no SQL)
-        "audio_duration_audit": _q_audio_duration_audit,
+        # real-codec decode-vs-metadata dimension audit over the
+        # deterministic media corpus
+        "media_header_audit": multimodal.media_header_audit,
+        # audio decode-duration audit across 4 codecs (PCM16 / mu-law /
+        # IMA ADPCM / FLAC); the fmt-tag codec split over binary payloads
+        # has no SQL twin
+        "audio_duration_audit": multimodal.audio_duration_audit,
     }
 
 
@@ -1776,13 +1643,12 @@ NO_ORACLE_JUSTIFICATIONS: dict = {
 
 
 def _sql_twin(fn: Callable[[str], Any]) -> Callable[[], str] | None:
-    """The SQL twin of a query callable: for a module function `f`, the
-    `f_sql` defined beside it in the same module, if that takes no
-    required arguments."""
-    mod = sys.modules.get(fn.__module__)
-    if getattr(mod, fn.__name__, None) is not fn:
-        return None
-    twin = getattr(mod, fn.__name__ + "_sql", None)
+    """The SQL twin of a query callable: the one its fixture-bound
+    constructor attached as `fn.sql`, else, for a module function `f`,
+    the `f_sql` defined beside it if that takes no required arguments."""
+    if hasattr(fn, "sql"):
+        return fn.sql
+    twin = _twin_beside(fn)
     if twin is None:
         return None
     for p in inspect.signature(twin).parameters.values():
@@ -1797,11 +1663,13 @@ def _golden_sql(path: str) -> str:
 
 
 def oracle_sql() -> dict[str, str]:
-    """A query whose callable is a module function `f` takes `f_sql()`
-    (`_sql_twin`). The entries below are the ones that rule cannot find:
-    inline SQL, twins that take arguments, and twins named differently
-    from their query. Queries without an oracle are listed in
-    NO_ORACLE_JUSTIFICATIONS.
+    """Every twin `_sql_twin` finds in the registry: the one a
+    fixture-bound constructor (`_q_conv`, `_q_family`, `_q_extract_spec`,
+    `_q_extract_mode`) attached over the family it reads, or the `f_sql()`
+    beside a module function `f`. The entries below are the ones neither
+    rule finds: inline SQL, twins that take other arguments, and twins
+    named differently from their query. Queries without an oracle are
+    listed in NO_ORACLE_JUSTIFICATIONS.
 
     The transcript queries pick their corpus with `_scale_for` (t1 at
     sf0.001, t2 at sf0.01, the bench corpus at sf0.1) while their twins
@@ -1814,19 +1682,21 @@ def oracle_sql() -> dict[str, str]:
     from pdfrust_ray.pipelines import graph
     from pdfrust_ray.pipelines import relational as rel
     from pdfrust_ray.pipelines import textops
-    from pdfrust_ray.stages import dedup, multimodal, similarity
+    from pdfrust_ray.stages import dedup, similarity
 
     twins = {name: _sql_twin(fn) for name, fn in queries().items()}
+    t2_golden = f"{_FAMILIES['t2']()}/golden.parquet"
+    modes = _FAMILIES["modes"]()
     return {
         **{name: twin() for name, twin in twins.items() if twin is not None},
-        "extract_text": _golden_sql(_T2_GOLDEN),
+        "extract_text": _golden_sql(t2_golden),
         "extract_error_locality": f"""
             WITH e AS (
                 SELECT conv_id, turn_idx,
                        CASE WHEN parse_status <> 'ok' THEN 1 ELSE 0 END AS err,
                        LAG(CASE WHEN parse_status <> 'ok' THEN 1 ELSE 0 END)
                            OVER (PARTITION BY conv_id ORDER BY turn_idx) AS prev
-                FROM read_parquet('{_T2_GOLDEN}')
+                FROM read_parquet('{t2_golden}')
             ), runs AS (
                 SELECT conv_id, turn_idx, err,
                        SUM(CASE WHEN err = 1 AND COALESCE(prev, 0) = 0
@@ -1845,7 +1715,7 @@ def oracle_sql() -> dict[str, str]:
                 FROM per_run GROUP BY 1
             ), base AS (
                 SELECT conv_id, CAST(COUNT(*) AS BIGINT) AS n_turns
-                FROM read_parquet('{_T2_GOLDEN}') GROUP BY 1
+                FROM read_parquet('{t2_golden}') GROUP BY 1
             )
             SELECT b.conv_id, b.n_turns,
                    COALESCE(a.n_err, 0) AS n_err,
@@ -1858,19 +1728,19 @@ def oracle_sql() -> dict[str, str]:
             SELECT payload_kind, parse_status,
                    COUNT(*) AS n_turns,
                    CAST(SUM(bytes_decoded) AS BIGINT) AS sum_bytes_decoded
-            FROM read_parquet('{_T2_GOLDEN}')
+            FROM read_parquet('{t2_golden}')
             GROUP BY 1, 2 ORDER BY 1, 2
         """,
         "extract_metrics": f"""
             SELECT parse_status, COUNT(*) AS n_turns,
                    CAST(SUM(bytes_decoded) AS BIGINT) AS sum_bytes_decoded
-            FROM read_parquet('{_T2_GOLDEN}')
+            FROM read_parquet('{t2_golden}')
             GROUP BY parse_status ORDER BY parse_status
         """,
         "extract_info": f"""
             SELECT conv_id, turn_idx, title, author, creator, producer,
                    creation_date, mod_date, parse_status
-            FROM read_parquet('{_INFO_GOLDEN}')
+            FROM read_parquet('{modes}/golden_info.parquet')
             ORDER BY conv_id, turn_idx
         """,
         "extract_mode_agreement": f"""
@@ -1879,32 +1749,13 @@ def oracle_sql() -> dict[str, str]:
                    c.parse_status AS status_chars,
                    CAST(CASE WHEN t.parse_status = c.parse_status
                              THEN 1 ELSE 0 END AS BIGINT) AS agree
-            FROM read_parquet('{_MODES_GOLDEN}') t
-            JOIN read_parquet('{_MODES_GOLDEN}') c
+            FROM read_parquet('{modes}/golden_modes.parquet') t
+            JOIN read_parquet('{modes}/golden_modes.parquet') c
               ON t.conv_id = c.conv_id AND t.turn_idx = c.turn_idx
              AND t.mode = 'text' AND c.mode = 'chars'
             ORDER BY t.conv_id, t.turn_idx
         """,
-        "extract_chars": f"""
-            SELECT conv_id, turn_idx, extracted_text, parse_status
-            FROM read_parquet('{_MODES_GOLDEN}') WHERE mode = 'chars'
-            ORDER BY conv_id, turn_idx
-        """,
-        "extract_font": f"""
-            SELECT conv_id, turn_idx, extracted_text, parse_status
-            FROM read_parquet('{_MODES_GOLDEN}') WHERE mode = 'font'
-            ORDER BY conv_id, turn_idx
-        """,
-        "extract_raw_content": f"""
-            SELECT conv_id, turn_idx, extracted_text, parse_status
-            FROM read_parquet('{_MODES_GOLDEN}') WHERE mode = 'raw-content'
-            ORDER BY conv_id, turn_idx
-        """,
-        "content_op_census": textops.content_op_census_sql(_MODES_GOLDEN),
-        "extract_text_spec15": _golden_sql(_SPEC15_GOLDEN),
-        "extract_text_xobj": _golden_sql(_XOBJ_GOLDEN),
-        "extract_text_filters": _golden_sql(_FILTERS_GOLDEN),
-        "extract_text_encrypted": _golden_sql(_ENC_GOLDEN),
+        "content_op_census": textops.content_op_census_sql(f"{modes}/golden_modes.parquet"),
         "exact_dedup": """
             SELECT md5(text) AS text_hash,
                    MIN(doc_id) AS doc_id,
@@ -1919,49 +1770,16 @@ def oracle_sql() -> dict[str, str]:
         # same exact pair-set oracle: the prefix-filter path must
         # reproduce it deterministically (LSH matches it probabilistically)
         "ngram_jaccard_dedup": dedup.minhash_lsh_dedup_sql(),
-        "pii_redact": textops.pii_redact_sql(_PII_SHARDS),
-        "turn_normalize": textops.turn_normalize_sql(_T2_SHARDS),
-        "html_ld_extract": textops.html_ld_extract_sql(
-            f"{_FIXTURE_BASE}/htmlld/golden.parquet"
-        ),
-        # conversation analytics: DuckDB recomputes from the RAW
-        # transcript shards (a genuinely independent oracle, not a
-        # golden readback)
-        "conv_stats": cv.conv_stats_sql(_T2_SHARDS),
-        "conv_prefix_echo": cv.conv_prefix_echo_sql(_T2_SHARDS),
-        "conv_role_latency_asymmetry": cv.conv_role_latency_asymmetry_sql(_T2_SHARDS),
-        "turn_line_repetition": cv.turn_line_repetition_sql(_T2_SHARDS),
-        "conv_echo_attribution": cv.conv_echo_attribution_sql(_T2_SHARDS),
-        "assistant_phrase_census": cv.assistant_phrase_census_sql(_T2_SHARDS),
-        "assistant_numeric_claim_census": cv.assistant_numeric_claim_census_sql(_T2_SHARDS),
-        "conv_turnlen_autocorr": cv.conv_turnlen_autocorr_sql(_T2_SHARDS),
-        "turn_latency": cv.turn_latency_sql(_T2_SHARDS),
-        "tool_usage": cv.tool_usage_sql(_T2_SHARDS),
-        "role_transitions": cv.role_transitions_sql(_T2_SHARDS),
-        "conv_fingerprints": cv.conv_fingerprints_sql(_T2_SHARDS),
-        "conv_extract_stats": cv.conv_extract_stats_sql(_T2_GOLDEN),
+        "conv_extract_stats": cv.conv_extract_stats_sql(t2_golden),
         # the streaming replay must reproduce the batch operator's result
         "streaming_sessionize": rel.sessionize_sql(),
         # the CSV path must reproduce the parquet operator's result
         "events_hourly_csv": rel.events_hourly_sql(),
-        "tool_latency": cv.tool_latency_sql(_T2_SHARDS),
-        "context_truncation": cv.context_truncation_sql(_T2_SHARDS),
-        "role_length_quantiles": cv.role_length_quantiles_sql(_T2_SHARDS),
-        "user_retry_rate": cv.user_retry_rate_sql(_T2_SHARDS),
-        "sft_pairs": cv.sft_pairs_sql(_T2_SHARDS),
-        "tool_chain_bigrams": cv.tool_chain_bigrams_sql(_T2_SHARDS),
         # the streaming replay must reproduce the batch dedup exactly
         "streaming_windowed_dedup": rel.windowed_event_dedup_sql(),
-        "tool_latency_quantiles": cv.tool_latency_quantiles_sql(_T2_SHARDS),
-        "payload_error_taxonomy": cv.payload_error_taxonomy_sql(_T2_GOLDEN),
-        "conv_first_response_latency": cv.conv_first_response_latency_sql(_T2_SHARDS),
+        "payload_error_taxonomy": cv.payload_error_taxonomy_sql(t2_golden),
         "parquet_layout_audit": dso.parquet_layout_audit_sql("/root/testdata/sf0.01"),
         "rowgroup_pruning_audit": dso.rowgroup_pruning_audit_sql("/root/testdata/sf0.01"),
-        "assistant_length_by_tool_context": cv.assistant_length_by_tool_context_sql(
-            _T2_SHARDS
-        ),
-        "context_size_at_turn": cv.context_size_at_turn_sql(_T2_SHARDS),
-        "role_run_lengths": cv.role_run_lengths_sql(_T2_SHARDS),
         "part_kcore_sizes": graph.part_kcore_sizes_sql(ks=(64, 80, 96)),
         # the *_ivf_exact degenerates reproduce the exact variants
         # through the bucketed machinery, so they carry the same twins
@@ -1976,43 +1794,11 @@ def oracle_sql() -> dict[str, str]:
         "facility_location_selection_ivf_exact": (
             similarity.facility_location_selection_sql()
         ),
-        "conv_abandonment": cv.conv_abandonment_sql(_T2_SHARDS),
-        "assistant_drift": cv.assistant_drift_sql(_T2_SHARDS),
-        "conv_tool_diversity": cv.conv_tool_diversity_sql(_T2_SHARDS),
-        "transcript_corpus_build": corpusbuild.transcript_corpus_build_sql(_T2_GOLDEN),
-        "conv_context_pack": cv.conv_context_pack_sql(_T2_SHARDS),
-        "conv_editdist_drift": cv.conv_editdist_drift_sql(_T2_SHARDS),
-        "conv_alternation_rate": cv.conv_alternation_rate_sql(_T2_SHARDS),
-        "conv_prefix_forks": cv.conv_prefix_forks_sql(_FORKS_SHARDS),
-        "dpo_pairs": cv.dpo_pairs_sql(_FORKS_SHARDS),
-        "turn_encoding_audit": cv.turn_encoding_audit_sql(_T2_SHARDS),
-        "payload_sniff_stats": cv.payload_sniff_stats_sql(_T2_SHARDS),
-        "conv_chain_stitch": cv.conv_chain_stitch_sql(_CHAINS_SHARDS),
-        "turn_nfc_audit": cv.turn_nfc_audit_sql(_UNICODE_SHARDS),
-        "turn_homoglyph_audit": cv.turn_homoglyph_audit_sql(_HOMOGLYPH_SHARDS),
-        "conv_shard_spread_audit": cv.conv_shard_spread_audit_sql(_T2_SHARDS),
-        "turn_invisible_chars_audit": cv.turn_invisible_chars_audit_sql(_INVISIBLE_SHARDS),
-        "conv_tool_burst": cv.conv_tool_burst_sql(_T2_SHARDS),
-        "conv_protocol_violations": cv.conv_protocol_violations_sql(_T2_SHARDS),
-        "turn_utf8_inflation": cv.turn_utf8_inflation_sql(_UNICODE_SHARDS),
-        "conv_position_role_mix": cv.conv_position_role_mix_sql(_T2_SHARDS),
-        "cross_conv_turn_dups": cv.cross_conv_turn_dups_sql(_FORKS_SHARDS),
-        "skeleton_token_collisions": cv.skeleton_token_collisions_sql(
-            _HOMOGLYPH_SHARDS
-        ),
-        "reply_length_by_prompt_decile": cv.reply_length_by_prompt_decile_sql(
-            _T2_SHARDS
-        ),
-        "conv_shape_census": cv.conv_shape_census_sql(_T2_SHARDS),
-        "conv_motif_census": cv.conv_motif_census_sql(_T2_SHARDS),
-        "turn_format_census": cv.turn_format_census_sql(_T2_SHARDS),
-        "media_header_audit": multimodal.media_header_audit_sql(),
-        "html_tag_census": cv.html_tag_census_sql(_T2_SHARDS),
-        "html_href_census": cv.html_href_census_sql(_T2_SHARDS),
+        "transcript_corpus_build": corpusbuild.transcript_corpus_build_sql(t2_golden),
         "extracted_dup_census": f"""
             WITH h AS (
                 SELECT payload_kind, md5(extracted_text) AS h
-                FROM read_parquet('{_T2_GOLDEN}')
+                FROM read_parquet('{t2_golden}')
             ),
             g AS (SELECT payload_kind, h, COUNT(*) AS c FROM h GROUP BY 1, 2)
             SELECT payload_kind,
@@ -2027,7 +1813,7 @@ def oracle_sql() -> dict[str, str]:
                    CAST(COUNT(*) AS BIGINT) AS n_turns,
                    CAST(SUM(length(extracted_text)) AS BIGINT) AS total_chars,
                    CAST(MAX(length(extracted_text)) AS BIGINT) AS max_chars
-            FROM read_parquet('{_T2_GOLDEN}')
+            FROM read_parquet('{t2_golden}')
             GROUP BY 1, 2 ORDER BY 1, 2
         """,
         "extracted_token_stats": rf"""
@@ -2037,7 +1823,7 @@ def oracle_sql() -> dict[str, str]:
                            string_split_regex(extracted_text,
                                               '[ \t\n\r\x0b\x0c]+'),
                            w -> w <> '')) AS w
-                FROM read_parquet('{_T2_GOLDEN}')
+                FROM read_parquet('{t2_golden}')
             )
             SELECT payload_kind,
                    CAST(COUNT(*) AS BIGINT) AS n_tokens,

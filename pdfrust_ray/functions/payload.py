@@ -24,6 +24,7 @@ import pyarrow as pa
 
 from ..html import extract_main_text
 from ..pdfref import ParseError, extract
+from ..pdfref.extract import INFO_KEYS
 
 B85_PREFIX = "%PDF-B85:"
 PDF_PREFIX = "%PDF-"
@@ -47,7 +48,7 @@ OUTPUT_SCHEMA = pa.schema(
 )
 RESULT_FIELDS = tuple(OUTPUT_SCHEMA.names[2:])
 
-INFO_FIELDS = ("title", "author", "creator", "producer", "creation_date", "mod_date")
+INFO_FIELDS = tuple(field for field, _ in INFO_KEYS)
 # the info row: the turn key, one string per INFO_FIELDS entry, the status
 INFO_SCHEMA = pa.schema(
     [OUTPUT_SCHEMA.field("conv_id"), OUTPUT_SCHEMA.field("turn_idx")]

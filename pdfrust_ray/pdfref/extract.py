@@ -27,6 +27,16 @@ _ASCII_WS = b"\t\n\x0c\r "
 
 MODES = ("text", "chars", "font", "raw-content")
 
+# (output field, Info dictionary key) of every entry extract_info reads
+INFO_KEYS = (
+    ("title", "Title"),
+    ("author", "Author"),
+    ("creator", "Creator"),
+    ("producer", "Producer"),
+    ("creation_date", "CreationDate"),
+    ("mod_date", "ModDate"),
+)
+
 _VERSIONS = {b"1.3": "1.3", b"1.4": "1.4", b"1.5": "1.5", b"1.6": "1.6", b"1.7": "1.7"}
 
 
@@ -167,14 +177,7 @@ def extract_info(data: bytes, spec_mode: bool = False) -> dict:
     if not isinstance(d, dict):
         raise ParseError("Info", "Trailer should be a dictionary")
     out = {}
-    for field, key in (
-        ("title", "Title"),
-        ("author", "Author"),
-        ("creator", "Creator"),
-        ("producer", "Producer"),
-        ("creation_date", "CreationDate"),
-        ("mod_date", "ModDate"),
-    ):
+    for field, key in INFO_KEYS:
         v = d.get(key)
         if v is None:
             out[field] = None

@@ -53,6 +53,4 @@ def test_payload_error_taxonomy_oracle(ray_session):
     assert (mine["parse_status"] == "ok").any()
     assert (mine["parse_status"] != "ok").any()
     c = duckdb.connect()
-    compare_twin(
-        mine, c, payload_error_taxonomy_sql("/tmp/pdfrust_ray_fixtures/t2/golden.parquet")
-    )
+    compare_twin(mine, c, payload_error_taxonomy_sql(f"{d}/golden.parquet"))

@@ -1,9 +1,9 @@
 """Batch-69: editdist drift, Mann-Kendall trend, Kendall concordance."""
 
+from pdfrust_ray.fixtures.corpus import ensure_corpus
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-T2 = "/tmp/pdfrust_ray_fixtures/t2"
 
 
 def test_levenshtein_unit_matches_duckdb_bytes(con):
@@ -24,14 +24,14 @@ def test_levenshtein_unit_matches_duckdb_bytes(con):
 
 
 def test_editdist_drift_oracle(ray_session, con):
-    import __ray_entry__  # noqa: F401 — materializes the t2 fixture shards
     from pdfrust_ray.pipelines.conversation import (
         conv_editdist_drift,
         conv_editdist_drift_sql,
     )
 
-    mine = conv_editdist_drift(T2)
-    compare_twin(mine, con, conv_editdist_drift_sql(f"{T2}/shards/*.parquet"))
+    t2 = ensure_corpus("t2")
+    mine = conv_editdist_drift(t2)
+    compare_twin(mine, con, conv_editdist_drift_sql(f"{t2}/shards/*.parquet"))
     assert (mine["max_editdist"] <= mine["sum_editdist"]).all()
     assert (mine["n_pairs"] >= 1).all()
 

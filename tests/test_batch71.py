@@ -1,9 +1,9 @@
 """Batch-71: CDF L1 gap, seasonal-naive backtest, alternation rate."""
 
+from pdfrust_ray.fixtures.corpus import ensure_corpus
 from tools.contract_check import compare_twin
 
 SF = "/root/testdata/sf0.001"
-T2 = "/tmp/pdfrust_ray_fixtures/t2"
 
 
 def test_cdf_l1_gap_oracle_and_brute(ray_session, con):
@@ -43,16 +43,16 @@ def test_seasonal_backtest_oracle(ray_session, con):
 
 
 def test_alternation_oracle_and_mass(ray_session, con):
-    import __ray_entry__  # noqa: F401 — materializes the t2 fixture shards
     from pdfrust_ray.pipelines.conversation import (
         conv_alternation_rate,
         conv_alternation_rate_sql,
     )
 
-    mine = conv_alternation_rate(T2)
-    compare_twin(mine, con, conv_alternation_rate_sql(f"{T2}/shards/*.parquet"))
+    t2 = ensure_corpus("t2")
+    mine = conv_alternation_rate(t2)
+    compare_twin(mine, con, conv_alternation_rate_sql(f"{t2}/shards/*.parquet"))
     assert (mine["n_role_switches"] <= mine["n_adjacent_pairs"]).all()
     n_turns = con.execute(
-        f"SELECT COUNT(*) FROM read_parquet('{T2}/shards/*.parquet')"
+        f"SELECT COUNT(*) FROM read_parquet('{t2}/shards/*.parquet')"
     ).fetchone()[0]
     assert int(mine["n_adjacent_pairs"].sum()) == n_turns - len(mine)

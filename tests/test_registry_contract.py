@@ -12,6 +12,7 @@ import inspect
 import os
 import re
 import sys
+import textwrap
 
 import pytest
 
@@ -80,29 +81,99 @@ def test_every_rows_only_query_is_justified():
         }, name
 
 
+def _family_dir(family: str) -> str:
+    from pdfrust_ray.fixtures import corpus
+
+    if family in corpus.SCALES:
+        return corpus.ensure_corpus(family)
+    return getattr(corpus, f"ensure_{family}_fixture")()
+
+
+def derived_twins(e) -> dict[str, str]:
+    """{name: twin SQL} for every queries() entry whose twin the binding
+    rule derives, re-derived here from the entry itself: a module
+    function `f` with an `f_sql` beside it that takes no required
+    arguments has `f_sql()`; an entry built by a fixture-bound
+    constructor has the twin over the files of the family it names."""
+    from pdfrust_ray.functions.payload import OUTPUT_SCHEMA
+
+    def beside(fn):
+        mod = sys.modules.get(fn.__module__)
+        if mod is None or getattr(mod, fn.__name__, None) is not fn:
+            return None
+        return getattr(mod, fn.__name__ + "_sql", None)
+
+    out = {}
+    for name, fn in e.queries().items():
+        ctor = fn.__qualname__.split(".")[0]
+        bound = inspect.getclosurevars(fn).nonlocals
+        if hasattr(fn, "sql"):
+            bound |= inspect.getclosurevars(fn.sql).nonlocals
+        if ctor in ("_q_conv", "_q_family"):
+            twin = beside(bound["fn"])
+            if twin is None:
+                continue
+            if ctor == "_q_conv":
+                out[name] = twin(f"{_family_dir('t2')}/shards/*.parquet")
+            else:
+                out[name] = twin(f"{_family_dir(bound['family'])}/{bound['reads']}")
+        elif ctor == "_q_extract_spec":
+            cols = ", ".join(OUTPUT_SCHEMA.names)
+            golden = f"{_family_dir(bound['family'])}/golden.parquet"
+            out[name] = f"SELECT {cols} FROM read_parquet('{golden}') ORDER BY conv_id, turn_idx"
+        elif ctor == "_q_extract_mode":
+            golden = f"{_family_dir('modes')}/golden_modes.parquet"
+            out[name] = (
+                "SELECT conv_id, turn_idx, extracted_text, parse_status "
+                f"FROM read_parquet('{golden}') WHERE mode = '{bound['mode']}' "
+                "ORDER BY conv_id, turn_idx"
+            )
+        else:
+            assert not hasattr(fn, "sql"), f"{name}: twin attached by unknown {ctor}"
+            twin = beside(fn)
+            if twin is None or any(
+                p.default is p.empty and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+                for p in inspect.signature(twin).parameters.values()
+            ):
+                continue
+            out[name] = twin()
+    return out
+
+
 def test_oracles_follow_the_sql_twin_rule():
-    """A query whose callable is a module function `f`, with an `f_sql`
-    beside it that takes no required arguments, has `f_sql()` as its
-    oracle; no rows-only query has such a twin."""
+    """Every twin the binding rule derives is the entry's oracle (the
+    mode twins compared with whitespace collapsed); no rows-only query
+    has such a twin."""
     import __ray_entry__ as e
 
     oracles = e.oracle_sql()
-    covered = {}
-    for name, fn in e.queries().items():
-        mod = sys.modules.get(fn.__module__)
-        if mod is None or getattr(mod, fn.__name__, None) is not fn:
-            continue
-        twin = getattr(mod, fn.__name__ + "_sql", None)
-        if twin is None or any(
-            p.default is p.empty and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-            for p in inspect.signature(twin).parameters.values()
-        ):
-            continue
-        covered[name] = twin
-    assert covered
-    for name, twin in covered.items():
-        assert oracles.get(name) == twin(), name
+    qs = e.queries()
+    covered = derived_twins(e)
+    ctors = {fn.__qualname__.split(".")[0] for fn in qs.values()}
+    assert {"_q_conv", "_q_family", "_q_extract_spec", "_q_extract_mode"} <= ctors
+    for name, sql in covered.items():
+        got = oracles.get(name)
+        if qs[name].__qualname__.startswith("_q_extract_mode."):
+            got = got and " ".join(got.split())
+        assert got == sql, name
     assert not set(covered) & set(e.NO_ORACLE_JUSTIFICATIONS)
+
+
+def written_oracles(e) -> set[str]:
+    """The names oracle_sql() writes out: the string keys of the dict
+    literal it returns."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(e.oracle_sql)))
+    ret = next(n for n in ast.walk(tree) if isinstance(n, ast.Return))
+    return {k.value for k in ret.value.keys if isinstance(k, ast.Constant)}
+
+
+def test_no_written_oracle_restates_a_derived_twin():
+    """An oracle_sql() entry written out for a query whose twin the
+    binding rule already derives is a second statement of one binding."""
+    import __ray_entry__ as e
+
+    restated = written_oracles(e) & set(derived_twins(e))
+    assert not restated, f"oracle_sql() restates derived twins: {sorted(restated)}"
 
 
 def test_bench_tier_is_a_registry_subset():

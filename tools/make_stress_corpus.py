@@ -2,8 +2,8 @@
 """Generate the 8M-row flagship stress corpus (10x bench) for the scale
 probe: 200k convs x 40 turns of the same deterministic construct mix as
 the bench fixture (incl. 1-in-1250 oversized payloads), written as 256
-parquet shards under /tmp/pdfrust_ray_fixtures/stress/shards by
-parallel Ray tasks (one task per conv range; no golden — the probe
+parquet shards under `shards/` of `fixtures.corpus.default_dir("stress")`
+by parallel Ray tasks (one task per conv range; no golden — the probe
 measures throughput, correctness is pinned at t1/t2 scales).
 
 Usage: python tools/make_stress_corpus.py [n_convs] [out_base]
@@ -17,6 +17,8 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
 os.environ["PYTHONPATH"] = REPO + os.pathsep + os.environ.get("PYTHONPATH", "")
+
+from pdfrust_ray.fixtures.corpus import default_dir  # noqa: E402
 
 N_TURNS = 40
 STRESS_EVERY = 1250
@@ -43,7 +45,7 @@ def _task_rows(conv_lo: int, conv_hi: int):
                 yield _row(conv, turn)
 
 
-def main(n_convs: int = 200_000, base: str = "/tmp/pdfrust_ray_fixtures/stress"):
+def main(n_convs: int = 200_000, base: str = default_dir("stress")):
     import ray
 
     if not ray.is_initialized():
@@ -88,5 +90,5 @@ def main(n_convs: int = 200_000, base: str = "/tmp/pdfrust_ray_fixtures/stress")
 if __name__ == "__main__":
     main(
         int(sys.argv[1]) if len(sys.argv) > 1 else 200_000,
-        sys.argv[2] if len(sys.argv) > 2 else "/tmp/pdfrust_ray_fixtures/stress",
+        sys.argv[2] if len(sys.argv) > 2 else default_dir("stress"),
     )

@@ -17,8 +17,10 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO)
 
+from pdfrust_ray.fixtures.corpus import default_dir  # noqa: E402
+
 SF1 = "/tmp/sf1"
-STRESS = "/tmp/pdfrust_ray_fixtures/stress"
+STRESS = default_dir("stress")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # queries() names of the ten most expensive bench cells
 SF1_CELLS = (
