@@ -14,11 +14,11 @@ here (or in pdfrust_ray) calls ray.init()/ray.shutdown().
     serially-computed golden parquet.
   - oracle_sql(): DuckDB-SQL equivalents, bound where the query is.
     A query over a fixture family is built by a constructor (`_q_conv`,
-    `_q_family`, `_q_extract_spec`, `_q_extract_mode`) that names the
-    family in `_FAMILIES` and attaches the twin over that family's files
-    as `run.sql`; a query whose callable is a module function `f` takes
-    the `f_sql()` defined beside it. Only the twins neither rule finds
-    are written out. The fixture families (corpora + frozen goldens) are
+    `_q_family`, `_q_extracted`) that names the family in `_FAMILIES`
+    and attaches the twin over that family's files as `run.sql`; a
+    query whose callable is a module function `f` takes the `f_sql()`
+    defined beside it. Only the twins neither rule finds are written
+    out. The fixture families (corpora + frozen goldens) are
     generated idempotently by queries(); relational/dedup/similarity
     oracles run on the pre-registered testdata views. Queries without a
     twin are listed, with the reason, in NO_ORACLE_JUSTIFICATIONS and are
@@ -35,9 +35,6 @@ from functools import partial
 from typing import Any
 
 from pdfrust_ray.fixtures import corpus
-from pdfrust_ray.functions.payload import OUTPUT_SCHEMA
-
-_EXTRACT_COLS = OUTPUT_SCHEMA.names
 
 # Every fixture family a query or its twin reads, by name: the query
 # constructors below look a family up here, and queries() builds them all.
@@ -79,12 +76,13 @@ def _twin_beside(fn: Callable) -> Callable[..., str] | None:
     return getattr(mod, fn.__name__ + "_sql", None)
 
 
-def _bound(run: Callable, fn: Callable, family: str, reads: str):
+def _bound(run: Callable, fn: Callable, family: str, reads: str, *args: str):
     """`run` with its twin attached as `run.sql`: the `f_sql` beside
-    `fn`, over the `reads` files of the fixture family `family`."""
+    `fn`, over the `reads` files of the fixture family `family` (and
+    `args`)."""
     twin = _twin_beside(fn)
     if twin is not None:
-        run.sql = lambda: twin(f"{_FAMILIES[family]()}/{reads}")
+        run.sql = lambda: twin(f"{_FAMILIES[family]()}/{reads}", *args)
     return run
 
 
@@ -102,185 +100,59 @@ def _q_conv(fn: Callable):
     )
 
 
-def _run_extract_ds(scale: str, mode: str = "text"):
+# one batch size for every extraction the registry runs
+_EXTRACT_BATCH = 64
+# one extraction per (family, mode, spec_mode), held on the driver as a
+# pandas frame: it keeps no object refs, so it outlives a Ray restart
+_extractions: dict[tuple[str, str, bool], Any] = {}
+
+
+def _extraction_ds(d: str, mode: str = "text", spec_mode: bool = False):
     from pdfrust_ray.pipelines.extract_pipeline import build_extraction
     from pdfrust_ray.sources.transcripts import read_transcripts
 
-    d = corpus.ensure_corpus(scale)
-    ds = read_transcripts(d)
-    return build_extraction(ds, mode=mode, batch_size=64)
+    return build_extraction(
+        read_transcripts(d), mode=mode, batch_size=_EXTRACT_BATCH, spec_mode=spec_mode
+    )
 
 
 def entry() -> Any:
-    return _run_extract_ds("t1")
+    return _extraction_ds(corpus.ensure_corpus("t1"))
 
 
-_extract_cache: dict[str, Any] = {}
+def _extraction(family: str, mode: str, spec_mode: bool):
+    """The `mode` extraction of `family` (a corpus scale or a fixture
+    family) as a Dataset over the memo; the first call per key runs the
+    flagship pipeline."""
+    import ray.data as rd
+
+    key = (family, mode, spec_mode)
+    if key not in _extractions:
+        d = corpus.ensure_corpus(family) if family in corpus.SCALES else _FAMILIES[family]()
+        _extractions[key] = _extraction_ds(d, mode, spec_mode).to_pandas()
+    return rd.from_pandas(_extractions[key])
 
 
-def _extracted_df(scale: str):
-    """Run the flagship pipeline once per process and memoize the
-    (small at test scale) result for the metric-derived queries."""
-    if scale not in _extract_cache:
-        _extract_cache[scale] = (
-            _run_extract_ds(scale).to_pandas().reset_index(drop=True)
-        )
-    return _extract_cache[scale]
+def _q_extracted(family: str | None, *modes: str, spec_mode: bool = False):
+    """Bind `fn` as a query over the extraction output: it gets the
+    memoized extraction of the fixture family `family` (None: the
+    transcript corpus of the scale, `_scale_for`), one Dataset per mode
+    in `modes` (default text), and its twin reads that family's golden
+    (None: the t2 golden, see oracle_sql for the scale caveat). The modes
+    fixture keeps every mode in one golden, keyed by `mode`, so a twin
+    over it also takes the modes."""
+    modes = modes or ("text",)
 
+    def bind(fn: Callable):
+        def run(sf_dir: str):
+            fam = family or _scale_for(sf_dir)
+            return fn(*(_extraction(fam, m, spec_mode) for m in modes))
 
-def _q_extract_text(sf_dir: str):
-    return _extracted_df(_scale_for(sf_dir))[_EXTRACT_COLS]
+        if family == "modes":
+            return _bound(run, fn, family, "golden_modes.parquet", *modes)
+        return _bound(run, fn, family or "t2", "golden.parquet")
 
-
-def _q_corpus_build(sf_dir: str):
-    import ray.data as _rd
-
-    from pdfrust_ray.pipelines.corpusbuild import corpus_build_from_extracted
-
-    ext = _rd.from_pandas(
-        _extracted_df(_scale_for(sf_dir))[
-            ["conv_id", "turn_idx", "extracted_text", "parse_status"]
-        ]
-    ).repartition(8)
-    return corpus_build_from_extracted(ext)
-
-
-def _q_extract_metrics(sf_dir: str):
-    df = _extracted_df(_scale_for(sf_dir))
-    g = (
-        df.groupby("parse_status", as_index=False)
-        .agg(n_turns=("parse_status", "size"), sum_bytes_decoded=("bytes_decoded", "sum"))
-        .sort_values("parse_status")
-        .reset_index(drop=True)
-    )
-    g["n_turns"] = g["n_turns"].astype("int64")
-    g["sum_bytes_decoded"] = g["sum_bytes_decoded"].astype("int64")
-    return g
-
-
-def _q_extract_error_locality(sf_dir: str):
-    """Error-locality audit over the extraction output: per
-    conversation, the count of failed turns plus the run structure of
-    failures in turn order (number of maximal error runs and the
-    longest one).  Clustered failures point at a broken producer for
-    that conversation; scattered ones at payload-level corruption.
-    Runs fold positionally after the stable (conv_id, turn_idx)
-    ordering the flagship pipeline already guarantees."""
-    import numpy as np
-
-    df = _extracted_df(_scale_for(sf_dir)).sort_values(["conv_id", "turn_idx"])
-    rows = []
-    for conv_id, g in df.groupby("conv_id", sort=True):
-        err = (g["parse_status"] != "ok").to_numpy()
-        n = len(err)
-        n_err = int(err.sum())
-        if n_err:
-            x = err.astype(np.int64)
-            starts = int(x[0]) + int(((x[1:] == 1) & (x[:-1] == 0)).sum())
-            best, cur = 0, 0
-            for v in x:
-                cur = cur + 1 if v else 0
-                best = max(best, cur)
-        else:
-            starts, best = 0, 0
-        rows.append(
-            {"conv_id": conv_id, "n_turns": n, "n_err": n_err,
-             "n_err_runs": starts, "max_err_run": best}
-        )
-    import pandas as pd
-
-    out = pd.DataFrame(rows)
-    for c in ("n_turns", "n_err", "n_err_runs", "max_err_run"):
-        out[c] = out[c].astype("int64")
-    return out
-
-
-def _q_extract_status_by_payload(sf_dir: str):
-    """Contingency of parse_status x payload_kind with decoded-byte
-    mass — which payload family produces which failure class (the
-    routing table for extraction triage)."""
-    df = _extracted_df(_scale_for(sf_dir))
-    g = (
-        df.groupby(["payload_kind", "parse_status"], as_index=False)
-        .agg(n_turns=("parse_status", "size"),
-             sum_bytes_decoded=("bytes_decoded", "sum"))
-        .sort_values(["payload_kind", "parse_status"])
-        .reset_index(drop=True)
-    )
-    g["n_turns"] = g["n_turns"].astype("int64")
-    g["sum_bytes_decoded"] = g["sum_bytes_decoded"].astype("int64")
-    return g
-
-
-def _q_extracted_dup_census(sf_dir: str):
-    """Exact-duplicate census OVER THE EXTRACTION OUTPUT per payload
-    kind — the composed clean->dedup reality check (templated payloads
-    collapse to identical visible text; this measures how much).
-    Same memoized-pipeline fold shape as extract_metrics: at scale
-    this is a (kind, md5(text)) groupby on the output Dataset."""
-    import hashlib
-
-    df = _extracted_df(_scale_for(sf_dir)).copy()
-    df["h"] = [
-        hashlib.md5(t.encode("utf-8")).hexdigest() for t in df["extracted_text"]
-    ]
-    g = df.groupby(["payload_kind", "h"], as_index=False).agg(c=("h", "size"))
-    out = g.groupby("payload_kind", as_index=False).agg(
-        n_turns=("c", "sum"),
-        n_distinct_texts=("c", "size"),
-        n_dup_turns=("c", lambda s: int(s[s > 1].sum())),
-    )
-    for c in ("n_turns", "n_distinct_texts", "n_dup_turns"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values("payload_kind").reset_index(drop=True)
-
-
-def _q_extracted_len_profile(sf_dir: str):
-    """Extraction yield profile: per (payload_kind, parse_status),
-    turns, total extracted chars, and the largest single extraction —
-    the stage-output sizing table (how many clean chars each payload
-    class yields per input turn)."""
-    df = _extracted_df(_scale_for(sf_dir)).copy()
-    df["n_chars"] = df["extracted_text"].str.len().astype("int64")
-    out = df.groupby(["payload_kind", "parse_status"], as_index=False).agg(
-        n_turns=("n_chars", "size"),
-        total_chars=("n_chars", "sum"),
-        max_chars=("n_chars", "max"),
-    )
-    for c in ("n_turns", "total_chars", "max_chars"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["payload_kind", "parse_status"]).reset_index(drop=True)
-
-
-def _q_extracted_token_stats(sf_dir: str):
-    """What extraction feeds the tokenizer: per payload kind, total
-    whitespace tokens and corpus-distinct tokens of the extracted
-    text (the vocabulary contribution of each payload class)."""
-    import re
-
-    import pandas as pd
-
-    # explicit ASCII whitespace class so Python and RE2 split identically
-    # (str.split() is Unicode-aware; extracted payload text can carry
-    # non-ASCII spacing chars)
-    ws_re = re.compile(r"[ \t\n\r\x0b\x0c]+")
-
-    df = _extracted_df(_scale_for(sf_dir))
-    rows = []
-    for kind, g in df.groupby("payload_kind"):
-        toks = 0
-        vocab: set = set()
-        for t in g["extracted_text"]:
-            ws = [w for w in ws_re.split(t) if w]
-            toks += len(ws)
-            vocab.update(ws)
-        rows.append(
-            {"payload_kind": kind, "n_tokens": toks, "n_distinct_tokens": len(vocab)}
-        )
-    out = pd.DataFrame(rows).sort_values("payload_kind").reset_index(drop=True)
-    out["n_tokens"] = out["n_tokens"].astype("int64")
-    out["n_distinct_tokens"] = out["n_distinct_tokens"].astype("int64")
-    return out
+    return bind
 
 
 def _q_extract_info(sf_dir: str):
@@ -293,95 +165,6 @@ def _q_extract_info(sf_dir: str):
     return out.to_pandas().sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
 
 
-def _q_extract_mode(mode: str):
-    """`mode` extraction over the modes fixture; its twin reads that
-    mode's rows of the fixture's golden."""
-
-    def run(sf_dir: str):
-        from pdfrust_ray.pipelines.extract_pipeline import build_extraction
-        from pdfrust_ray.sources.transcripts import read_transcripts
-
-        ds = read_transcripts(_FAMILIES["modes"]())
-        out = build_extraction(ds, mode=mode, batch_size=4)
-        return out.select_columns(["conv_id", "turn_idx", "extracted_text", "parse_status"])
-
-    def sql() -> str:
-        return f"""
-            SELECT conv_id, turn_idx, extracted_text, parse_status
-            FROM read_parquet('{_FAMILIES["modes"]()}/golden_modes.parquet') WHERE mode = '{mode}'
-            ORDER BY conv_id, turn_idx
-        """
-
-    run.sql = sql
-    return run
-
-
-def _q_extract_spec(family: str):
-    """Spec-mode text extraction over one fixture family the reference
-    cannot read, golden computed serially with spec_mode=True: PDF 1.5
-    xref streams / ObjStm / predictors (xref.rs:331-376), Form XObject
-    recursion via `Do` (content.rs:615-620), the ASCIIHex / ASCII85 /
-    RunLength / LZW stream filters incl. EarlyChange=0 and a corrupted
-    ASCII85 stream that must become an error row (body.rs:47-54), and
-    standard-security-handler decryption (RC4-40/128, AES-128, empty
-    user password; password-protected documents stay error:Encrypted
-    rows, xref.rs:136-139). Its twin reads the family's golden."""
-
-    def run(sf_dir: str):
-        from pdfrust_ray.pipelines.extract_pipeline import build_extraction
-        from pdfrust_ray.sources.transcripts import read_transcripts
-
-        ds = read_transcripts(_FAMILIES[family]())
-        out = build_extraction(ds, mode="text", batch_size=16, spec_mode=True)
-        return out.select_columns(_EXTRACT_COLS)
-
-    run.sql = lambda: _golden_sql(f"{_FAMILIES[family]()}/golden.parquet")
-    return run
-
-
-def _q_content_op_census(sf_dir: str):
-    """Content-stream operator census: run the raw-content pipeline
-    LIVE over the modes fixture, then census operator tokens
-    distributed (lexical rule shared with the DuckDB twin, which
-    applies it to the frozen golden)."""
-    from pdfrust_ray.pipelines.extract_pipeline import build_extraction
-    from pdfrust_ray.pipelines.textops import content_op_lexical_census
-    from pdfrust_ray.sources.transcripts import read_transcripts
-
-    ds = read_transcripts(_FAMILIES["modes"]())
-    out = build_extraction(ds, mode="raw-content", batch_size=4)
-    return content_op_lexical_census(out)
-
-
-def _q_extract_mode_agreement(sf_dir: str):
-    """Cross-mode error parity as a first-class query: run the text
-    and chars pipelines LIVE over the modes fixture and compare
-    per-turn parse_status — the round-2 ADVICE error-order fix
-    (content.py TJ emission order) is what keeps these identical, so
-    this query pins it under the hash gate."""
-    from pdfrust_ray.pipelines.extract_pipeline import build_extraction
-    from pdfrust_ray.sources.transcripts import read_transcripts
-
-    d = _FAMILIES["modes"]()
-    outs = {}
-    for mode in ("text", "chars"):
-        ds = read_transcripts(d)
-        out = build_extraction(ds, mode=mode, batch_size=4)
-        outs[mode] = (
-            out.select_columns(["conv_id", "turn_idx", "parse_status"])
-            .to_pandas()
-            .rename(columns={"parse_status": f"status_{mode}"})
-        )
-    m = outs["text"].merge(outs["chars"], on=["conv_id", "turn_idx"])
-    m["agree"] = (m["status_text"] == m["status_chars"]).astype("int64")
-    return (
-        m.sort_values(["conv_id", "turn_idx"])
-        .reset_index(drop=True)[
-            ["conv_id", "turn_idx", "status_text", "status_chars", "agree"]
-        ]
-    )
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
     # build every family first, so the twins' read_parquet targets exist
     _ensure_fixture_files()
@@ -389,12 +172,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from pdfrust_ray.pipelines import datasetops as dso
     from pdfrust_ray.pipelines import graph
     from pdfrust_ray.pipelines import calibration
+    from pdfrust_ray.pipelines import corpusbuild
     from pdfrust_ray.pipelines import llmdata as llm
     from pdfrust_ray.pipelines import mixing
     from pdfrust_ray.pipelines import quality as qual
     from pdfrust_ray.pipelines import relational as rel
     from pdfrust_ray.pipelines import textops
     from pdfrust_ray.stages import dedup, multimodal, similarity, sketches, streaming
+
+    transcripts = _q_extracted(None)
 
     def media_features_q(sf_dir: str):
         return (
@@ -407,20 +193,26 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     return {
         # --- the reference's own pipeline surface (SURVEY §2 / §3) ---
-        "extract_text": _q_extract_text,
-        "extract_metrics": _q_extract_metrics,
-        "extract_error_locality": _q_extract_error_locality,
-        "extract_status_by_payload": _q_extract_status_by_payload,
+        "extract_text": transcripts(cv.extract_text),
+        "extract_metrics": transcripts(cv.extract_metrics),
+        "extract_error_locality": transcripts(cv.extract_error_locality),
+        "extract_status_by_payload": transcripts(cv.extract_status_by_payload),
         "extract_info": _q_extract_info,
-        "extract_chars": _q_extract_mode("chars"),
-        "extract_mode_agreement": _q_extract_mode_agreement,
-        "extract_font": _q_extract_mode("font"),
-        "extract_raw_content": _q_extract_mode("raw-content"),
-        "content_op_census": _q_content_op_census,
-        "extract_text_spec15": _q_extract_spec("spec15"),
-        "extract_text_xobj": _q_extract_spec("xobj"),
-        "extract_text_filters": _q_extract_spec("filters"),
-        "extract_text_encrypted": _q_extract_spec("encrypted"),
+        "extract_chars": _q_extracted("modes", "chars")(cv.extract_mode),
+        # the text and chars extractions must report the same first error
+        "extract_mode_agreement": _q_extracted("modes", "text", "chars")(
+            cv.extract_mode_agreement
+        ),
+        "extract_font": _q_extracted("modes", "font")(cv.extract_mode),
+        "extract_raw_content": _q_extracted("modes", "raw-content")(cv.extract_mode),
+        # lexical operator census over the raw content streams
+        "content_op_census": _q_extracted("modes", "raw-content")(textops.content_op_census),
+        # spec-mode text over the families the reference cannot read
+        # (what each exercises: the family table in FIXTURES.md)
+        "extract_text_spec15": _q_extracted("spec15", spec_mode=True)(cv.extract_text),
+        "extract_text_xobj": _q_extracted("xobj", spec_mode=True)(cv.extract_text),
+        "extract_text_filters": _q_extracted("filters", spec_mode=True)(cv.extract_text),
+        "extract_text_encrypted": _q_extracted("encrypted", spec_mode=True)(cv.extract_text),
         # --- training-data ops: dedup ---
         "exact_dedup": dedup.exact_dedup,
         "minhash_dedup": dedup.minhash_lsh_dedup,
@@ -489,9 +281,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "role_transitions": _q_conv(cv.role_transitions),
         "conv_fingerprints": _q_conv(cv.conv_fingerprints),
         # per-conversation rollup of the flagship pipeline's own output
-        "conv_extract_stats": lambda sf: cv.conv_extract_stats(
-            _run_extract_ds(_scale_for(sf))
-        ),
+        "conv_extract_stats": transcripts(cv.conv_extract_stats),
         # --- relational wide-operator demos ---
         "lineitem_agg": rel.lineitem_agg,
         "segment_revenue": rel.segment_revenue,
@@ -899,9 +689,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # (dow x type) independence-lift table (integer ppm)
         "dow_type_lift": rel.dow_type_lift,
         # error taxonomy over the flagship pipeline's own output
-        "payload_error_taxonomy": lambda sf: cv.payload_error_taxonomy(
-            _run_extract_ds(_scale_for(sf))
-        ),
+        "payload_error_taxonomy": transcripts(cv.payload_error_taxonomy),
         # epoch-shuffle integrity gate (random_shuffle + invariant)
         "shuffle_integrity": rel.shuffle_integrity,
         # cross-format parquet + CSV union federation checksum
@@ -1185,11 +973,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "quality_threshold_sweep": calibration.quality_threshold_sweep,
         "jaccard_threshold_sweep": calibration.jaccard_threshold_sweep,
         # GRAND CAPSTONE: extraction -> quality filter -> exact dedup ->
-        # greedy packing, one chained golden-anchored exact twin. Feeds
-        # from the process-memoized shared extraction (same amortization
-        # as every extract_* query; the full unshared pipeline is pinned
-        # by tests/test_corpusbuild.py).
-        "transcript_corpus_build": _q_corpus_build,
+        # greedy packing, one chained golden-anchored exact twin. Reads
+        # the memoized extraction like every extract_* query; the full
+        # unshared pipeline is pinned by tests/test_corpusbuild.py.
+        "transcript_corpus_build": transcripts(corpusbuild.corpus_build_from_extracted),
         # padding-aware dynamic batching (max_len * n_seqs <= budget)
         "length_bucketed_batch_plan": llm.length_bucketed_batch_plan,
         # per-bucket padding-efficiency rollup of the same plan
@@ -1464,9 +1251,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # PDF structure census on decoded payload bytes (rows-only)
         "pdf_object_census": _q_conv(cv.pdf_object_census),
         # composed extraction-output metrics (golden-parquet oracles)
-        "extracted_dup_census": _q_extracted_dup_census,
-        "extracted_len_profile": _q_extracted_len_profile,
-        "extracted_token_stats": _q_extracted_token_stats,
+        "extracted_dup_census": transcripts(cv.extracted_dup_census),
+        "extracted_len_profile": transcripts(cv.extracted_len_profile),
+        "extracted_token_stats": transcripts(cv.extracted_token_stats),
         # dialogue-grammar protocol validation
         "conv_protocol_violations": _q_conv(cv.conv_protocol_violations),
         # TPC-H Q11 shape: global-share threshold filter
@@ -1657,105 +1444,35 @@ def _sql_twin(fn: Callable[[str], Any]) -> Callable[[], str] | None:
     return twin
 
 
-def _golden_sql(path: str) -> str:
-    """The extraction rows of a frozen golden, in output-row order."""
-    return f"SELECT {', '.join(_EXTRACT_COLS)} FROM read_parquet('{path}') ORDER BY conv_id, turn_idx"
-
-
 def oracle_sql() -> dict[str, str]:
     """Every twin `_sql_twin` finds in the registry: the one a
-    fixture-bound constructor (`_q_conv`, `_q_family`, `_q_extract_spec`,
-    `_q_extract_mode`) attached over the family it reads, or the `f_sql()`
-    beside a module function `f`. The entries below are the ones neither
-    rule finds: inline SQL, twins that take other arguments, and twins
-    named differently from their query. Queries without an oracle are
-    listed in NO_ORACLE_JUSTIFICATIONS.
+    fixture-bound constructor (`_q_conv`, `_q_family`, `_q_extracted`)
+    attached over the family it reads, or the `f_sql()` beside a module
+    function `f`. The 17 entries below are the ones neither rule finds:
+    inline SQL, twins that take other arguments, and twins named
+    differently from their query. Queries without an oracle are listed
+    in NO_ORACLE_JUSTIFICATIONS.
 
     The transcript queries pick their corpus with `_scale_for` (t1 at
     sf0.001, t2 at sf0.01, the bench corpus at sf0.1) while their twins
     read the t2 shards or golden, so a transcript query and its twin
     agree only at sf0.01: a serial sweep at sf0.001 found 51 misses,
     all transcript queries (`extract_text`: 100 rows against 2,000)."""
-    from pdfrust_ray.pipelines import conversation as cv
-    from pdfrust_ray.pipelines import corpusbuild
     from pdfrust_ray.pipelines import datasetops as dso
     from pdfrust_ray.pipelines import graph
     from pdfrust_ray.pipelines import relational as rel
-    from pdfrust_ray.pipelines import textops
     from pdfrust_ray.stages import dedup, similarity
 
     twins = {name: _sql_twin(fn) for name, fn in queries().items()}
-    t2_golden = f"{_FAMILIES['t2']()}/golden.parquet"
     modes = _FAMILIES["modes"]()
     return {
         **{name: twin() for name, twin in twins.items() if twin is not None},
-        "extract_text": _golden_sql(t2_golden),
-        "extract_error_locality": f"""
-            WITH e AS (
-                SELECT conv_id, turn_idx,
-                       CASE WHEN parse_status <> 'ok' THEN 1 ELSE 0 END AS err,
-                       LAG(CASE WHEN parse_status <> 'ok' THEN 1 ELSE 0 END)
-                           OVER (PARTITION BY conv_id ORDER BY turn_idx) AS prev
-                FROM read_parquet('{t2_golden}')
-            ), runs AS (
-                SELECT conv_id, turn_idx, err,
-                       SUM(CASE WHEN err = 1 AND COALESCE(prev, 0) = 0
-                                THEN 1 ELSE 0 END)
-                           OVER (PARTITION BY conv_id ORDER BY turn_idx)
-                           AS run_id
-                FROM e
-            ), per_run AS (
-                SELECT conv_id, run_id, CAST(COUNT(*) AS BIGINT) AS len
-                FROM runs WHERE err = 1 GROUP BY 1, 2
-            ), agg AS (
-                SELECT conv_id,
-                       CAST(COUNT(*) AS BIGINT) AS n_err_runs,
-                       CAST(MAX(len) AS BIGINT) AS max_err_run,
-                       CAST(SUM(len) AS BIGINT) AS n_err
-                FROM per_run GROUP BY 1
-            ), base AS (
-                SELECT conv_id, CAST(COUNT(*) AS BIGINT) AS n_turns
-                FROM read_parquet('{t2_golden}') GROUP BY 1
-            )
-            SELECT b.conv_id, b.n_turns,
-                   COALESCE(a.n_err, 0) AS n_err,
-                   COALESCE(a.n_err_runs, 0) AS n_err_runs,
-                   COALESCE(a.max_err_run, 0) AS max_err_run
-            FROM base b LEFT JOIN agg a USING (conv_id)
-            ORDER BY b.conv_id
-        """,
-        "extract_status_by_payload": f"""
-            SELECT payload_kind, parse_status,
-                   COUNT(*) AS n_turns,
-                   CAST(SUM(bytes_decoded) AS BIGINT) AS sum_bytes_decoded
-            FROM read_parquet('{t2_golden}')
-            GROUP BY 1, 2 ORDER BY 1, 2
-        """,
-        "extract_metrics": f"""
-            SELECT parse_status, COUNT(*) AS n_turns,
-                   CAST(SUM(bytes_decoded) AS BIGINT) AS sum_bytes_decoded
-            FROM read_parquet('{t2_golden}')
-            GROUP BY parse_status ORDER BY parse_status
-        """,
         "extract_info": f"""
             SELECT conv_id, turn_idx, title, author, creator, producer,
                    creation_date, mod_date, parse_status
             FROM read_parquet('{modes}/golden_info.parquet')
             ORDER BY conv_id, turn_idx
         """,
-        "extract_mode_agreement": f"""
-            SELECT t.conv_id, t.turn_idx,
-                   t.parse_status AS status_text,
-                   c.parse_status AS status_chars,
-                   CAST(CASE WHEN t.parse_status = c.parse_status
-                             THEN 1 ELSE 0 END AS BIGINT) AS agree
-            FROM read_parquet('{modes}/golden_modes.parquet') t
-            JOIN read_parquet('{modes}/golden_modes.parquet') c
-              ON t.conv_id = c.conv_id AND t.turn_idx = c.turn_idx
-             AND t.mode = 'text' AND c.mode = 'chars'
-            ORDER BY t.conv_id, t.turn_idx
-        """,
-        "content_op_census": textops.content_op_census_sql(f"{modes}/golden_modes.parquet"),
         "exact_dedup": """
             SELECT md5(text) AS text_hash,
                    MIN(doc_id) AS doc_id,
@@ -1770,14 +1487,12 @@ def oracle_sql() -> dict[str, str]:
         # same exact pair-set oracle: the prefix-filter path must
         # reproduce it deterministically (LSH matches it probabilistically)
         "ngram_jaccard_dedup": dedup.minhash_lsh_dedup_sql(),
-        "conv_extract_stats": cv.conv_extract_stats_sql(t2_golden),
         # the streaming replay must reproduce the batch operator's result
         "streaming_sessionize": rel.sessionize_sql(),
         # the CSV path must reproduce the parquet operator's result
         "events_hourly_csv": rel.events_hourly_sql(),
         # the streaming replay must reproduce the batch dedup exactly
         "streaming_windowed_dedup": rel.windowed_event_dedup_sql(),
-        "payload_error_taxonomy": cv.payload_error_taxonomy_sql(t2_golden),
         "parquet_layout_audit": dso.parquet_layout_audit_sql("/root/testdata/sf0.01"),
         "rowgroup_pruning_audit": dso.rowgroup_pruning_audit_sql("/root/testdata/sf0.01"),
         "part_kcore_sizes": graph.part_kcore_sizes_sql(ks=(64, 80, 96)),
@@ -1794,40 +1509,4 @@ def oracle_sql() -> dict[str, str]:
         "facility_location_selection_ivf_exact": (
             similarity.facility_location_selection_sql()
         ),
-        "transcript_corpus_build": corpusbuild.transcript_corpus_build_sql(t2_golden),
-        "extracted_dup_census": f"""
-            WITH h AS (
-                SELECT payload_kind, md5(extracted_text) AS h
-                FROM read_parquet('{t2_golden}')
-            ),
-            g AS (SELECT payload_kind, h, COUNT(*) AS c FROM h GROUP BY 1, 2)
-            SELECT payload_kind,
-                   CAST(SUM(c) AS BIGINT) AS n_turns,
-                   CAST(COUNT(*) AS BIGINT) AS n_distinct_texts,
-                   CAST(COALESCE(SUM(c) FILTER (WHERE c > 1), 0) AS BIGINT)
-                       AS n_dup_turns
-            FROM g GROUP BY payload_kind ORDER BY payload_kind
-        """,
-        "extracted_len_profile": f"""
-            SELECT payload_kind, parse_status,
-                   CAST(COUNT(*) AS BIGINT) AS n_turns,
-                   CAST(SUM(length(extracted_text)) AS BIGINT) AS total_chars,
-                   CAST(MAX(length(extracted_text)) AS BIGINT) AS max_chars
-            FROM read_parquet('{t2_golden}')
-            GROUP BY 1, 2 ORDER BY 1, 2
-        """,
-        "extracted_token_stats": rf"""
-            WITH tok AS (
-                SELECT payload_kind,
-                       unnest(list_filter(
-                           string_split_regex(extracted_text,
-                                              '[ \t\n\r\x0b\x0c]+'),
-                           w -> w <> '')) AS w
-                FROM read_parquet('{t2_golden}')
-            )
-            SELECT payload_kind,
-                   CAST(COUNT(*) AS BIGINT) AS n_tokens,
-                   CAST(COUNT(DISTINCT w) AS BIGINT) AS n_distinct_tokens
-            FROM tok GROUP BY payload_kind ORDER BY payload_kind
-        """,
     }

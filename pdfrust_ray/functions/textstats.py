@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import re
 
+import numpy as np
+
 # matches DuckDB length(string_split_regex(text, '\s+')) semantics,
 # including empty leading/trailing fields; RE2's \s is ASCII
 # [\t\n\f\r ] (no \v, no Unicode spaces), unlike Python's
@@ -30,6 +32,24 @@ STOPWORDS = {
 def token_count(text: str) -> int:
     """Whitespace-regex token count (DuckDB string_split_regex parity)."""
     return len(_WS_SPLIT.split(text))
+
+
+def greedy_pack(n_tokens, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-fit packing in input order: (pack_id, pack_pos) per item. A
+    new pack starts when the item would take a non-empty pack past
+    `budget`; an item larger than `budget` gets a pack of its own. The
+    SQL twins replay the same rule as a recursive CTE."""
+    pack_id, acc, pos = 0, 0, 0
+    pids, poss = [], []
+    for n in n_tokens:
+        n = int(n)
+        if acc > 0 and acc + n > budget:
+            pack_id, acc, pos = pack_id + 1, 0, 0
+        acc += n
+        pids.append(pack_id)
+        poss.append(pos)
+        pos += 1
+    return np.array(pids, dtype=np.int64), np.array(poss, dtype=np.int64)
 
 
 # BPE-ish lexer classes: letter runs | digit runs | symbol runs. The
@@ -110,8 +130,6 @@ def rolling_fingerprint(text: str, window: int = 16) -> int:
     product byte * B^j is computed as byte*(q*2^32 + r) with the *2^32
     done as a 61-bit rotation (2^61 === 1 mod M), keeping every
     intermediate inside uint64."""
-    import numpy as np
-
     data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     n = len(data)
     if n == 0:

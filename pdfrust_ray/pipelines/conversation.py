@@ -33,6 +33,9 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Count, Min, Sum
 
+from ..functions.payload import OUTPUT_SCHEMA
+from ..functions.textstats import greedy_pack
+
 _SEP = "\x1f"  # unit separator: cannot appear in fixture texts
 _N_BUCKETS = 64
 
@@ -488,6 +491,311 @@ def conv_extract_stats_sql(golden_path: str) -> str:
         FROM read_parquet('{golden_path}')
         GROUP BY conv_id ORDER BY conv_id
     """
+
+
+# The queries below read the flagship pipeline's output too: each takes
+# the extraction Dataset(s) and its twin reads the frozen golden.
+
+
+def extract_text(ext):
+    """The extraction rows themselves, in the output schema."""
+    return ext.select_columns(OUTPUT_SCHEMA.names)
+
+
+def extract_text_sql(golden_path: str) -> str:
+    cols = ", ".join(OUTPUT_SCHEMA.names)
+    return f"SELECT {cols} FROM read_parquet('{golden_path}') ORDER BY conv_id, turn_idx"
+
+
+def extract_mode(ext):
+    """One mode's extraction rows over the modes fixture."""
+    return ext.select_columns(["conv_id", "turn_idx", "extracted_text", "parse_status"])
+
+
+def extract_mode_sql(golden_modes: str, mode: str) -> str:
+    return f"""
+            SELECT conv_id, turn_idx, extracted_text, parse_status
+            FROM read_parquet('{golden_modes}') WHERE mode = '{mode}'
+            ORDER BY conv_id, turn_idx
+        """
+
+
+def extract_mode_agreement(text, chars) -> pd.DataFrame:
+    """Cross-mode error parity: per turn, the parse_status of the text
+    and the chars extraction and whether they agree. The round-2 ADVICE
+    error-order fix (content.py TJ emission order) is what keeps them
+    identical, so this query pins it under the hash gate."""
+    cols = ["conv_id", "turn_idx", "parse_status"]
+    m = (
+        text.select_columns(cols).to_pandas()
+        .merge(chars.select_columns(cols).to_pandas(), on=cols[:2], suffixes=("_text", "_chars"))
+        .rename(columns={"parse_status_text": "status_text", "parse_status_chars": "status_chars"})
+    )
+    m["agree"] = (m["status_text"] == m["status_chars"]).astype("int64")
+    return m.sort_values(cols[:2]).reset_index(drop=True)
+
+
+def extract_mode_agreement_sql(golden_modes: str, text_mode: str, chars_mode: str) -> str:
+    return f"""
+            SELECT t.conv_id, t.turn_idx,
+                   t.parse_status AS status_text,
+                   c.parse_status AS status_chars,
+                   CAST(CASE WHEN t.parse_status = c.parse_status
+                             THEN 1 ELSE 0 END AS BIGINT) AS agree
+            FROM read_parquet('{golden_modes}') t
+            JOIN read_parquet('{golden_modes}') c
+              ON t.conv_id = c.conv_id AND t.turn_idx = c.turn_idx
+             AND t.mode = '{text_mode}' AND c.mode = '{chars_mode}'
+            ORDER BY t.conv_id, t.turn_idx
+        """
+
+
+def extract_metrics(ext) -> pd.DataFrame:
+    """The headline counters: per parse_status, turns and decoded bytes
+    (extract_status_by_payload summed over the payload kinds)."""
+    return (
+        extract_status_by_payload(ext)
+        .groupby("parse_status", as_index=False)[["n_turns", "sum_bytes_decoded"]]
+        .sum()
+    )
+
+
+def extract_metrics_sql(golden_path: str) -> str:
+    return f"""
+            SELECT parse_status, COUNT(*) AS n_turns,
+                   CAST(SUM(bytes_decoded) AS BIGINT) AS sum_bytes_decoded
+            FROM read_parquet('{golden_path}')
+            GROUP BY parse_status ORDER BY parse_status
+        """
+
+
+def extract_error_locality(ext) -> pd.DataFrame:
+    """Error-locality audit: per conversation, the count of failed turns
+    plus the run structure of failures in turn order (number of maximal
+    error runs and the longest one). Clustered failures point at a
+    broken producer for that conversation; scattered ones at
+    payload-level corruption."""
+    df = ext.to_pandas().sort_values(["conv_id", "turn_idx"])
+    rows = []
+    for conv_id, g in df.groupby("conv_id", sort=True):
+        err = (g["parse_status"] != "ok").to_numpy()
+        n = len(err)
+        n_err = int(err.sum())
+        if n_err:
+            x = err.astype(np.int64)
+            starts = int(x[0]) + int(((x[1:] == 1) & (x[:-1] == 0)).sum())
+            best, cur = 0, 0
+            for v in x:
+                cur = cur + 1 if v else 0
+                best = max(best, cur)
+        else:
+            starts, best = 0, 0
+        rows.append(
+            {"conv_id": conv_id, "n_turns": n, "n_err": n_err,
+             "n_err_runs": starts, "max_err_run": best}
+        )
+    out = pd.DataFrame(rows)
+    for c in ("n_turns", "n_err", "n_err_runs", "max_err_run"):
+        out[c] = out[c].astype("int64")
+    return out
+
+
+def extract_error_locality_sql(golden_path: str) -> str:
+    return f"""
+            WITH e AS (
+                SELECT conv_id, turn_idx,
+                       CASE WHEN parse_status <> 'ok' THEN 1 ELSE 0 END AS err,
+                       LAG(CASE WHEN parse_status <> 'ok' THEN 1 ELSE 0 END)
+                           OVER (PARTITION BY conv_id ORDER BY turn_idx) AS prev
+                FROM read_parquet('{golden_path}')
+            ), runs AS (
+                SELECT conv_id, turn_idx, err,
+                       SUM(CASE WHEN err = 1 AND COALESCE(prev, 0) = 0
+                                THEN 1 ELSE 0 END)
+                           OVER (PARTITION BY conv_id ORDER BY turn_idx)
+                           AS run_id
+                FROM e
+            ), per_run AS (
+                SELECT conv_id, run_id, CAST(COUNT(*) AS BIGINT) AS len
+                FROM runs WHERE err = 1 GROUP BY 1, 2
+            ), agg AS (
+                SELECT conv_id,
+                       CAST(COUNT(*) AS BIGINT) AS n_err_runs,
+                       CAST(MAX(len) AS BIGINT) AS max_err_run,
+                       CAST(SUM(len) AS BIGINT) AS n_err
+                FROM per_run GROUP BY 1
+            ), base AS (
+                SELECT conv_id, CAST(COUNT(*) AS BIGINT) AS n_turns
+                FROM read_parquet('{golden_path}') GROUP BY 1
+            )
+            SELECT b.conv_id, b.n_turns,
+                   COALESCE(a.n_err, 0) AS n_err,
+                   COALESCE(a.n_err_runs, 0) AS n_err_runs,
+                   COALESCE(a.max_err_run, 0) AS max_err_run
+            FROM base b LEFT JOIN agg a USING (conv_id)
+            ORDER BY b.conv_id
+        """
+
+
+def extract_status_by_payload(ext) -> pd.DataFrame:
+    """Error taxonomy: per (payload_kind, parse_status) the turn count
+    and decoded-byte sum, the routing table for extraction triage
+    (which payload family produces which failure class). Pure partial
+    fold over the output stream; the lattice is |kinds| x |statuses|."""
+
+    def partial(t: pa.Table) -> pd.DataFrame:
+        df = pd.DataFrame(
+            {
+                "payload_kind": t["payload_kind"].to_pylist(),
+                "parse_status": t["parse_status"].to_pylist(),
+                "bytes_decoded": pc.cast(t["bytes_decoded"], pa.int64()).to_numpy(),
+            }
+        )
+        return df.groupby(["payload_kind", "parse_status"], as_index=False).agg(
+            n_turns=("bytes_decoded", "size"), sum_bytes_decoded=("bytes_decoded", "sum")
+        )
+
+    out = (
+        ext.map_batches(partial, batch_format="pyarrow")
+        .to_pandas()
+        .groupby(["payload_kind", "parse_status"], as_index=False)[
+            ["n_turns", "sum_bytes_decoded"]
+        ]
+        .sum()
+        .sort_values(["payload_kind", "parse_status"])
+        .reset_index(drop=True)
+    )
+    for c in ("n_turns", "sum_bytes_decoded"):
+        out[c] = out[c].astype("int64")
+    return out
+
+
+def extract_status_by_payload_sql(golden_path: str) -> str:
+    return f"""
+            SELECT payload_kind, parse_status,
+                   COUNT(*) AS n_turns,
+                   CAST(SUM(bytes_decoded) AS BIGINT) AS sum_bytes_decoded
+            FROM read_parquet('{golden_path}')
+            GROUP BY 1, 2 ORDER BY 1, 2
+        """
+
+
+def payload_error_taxonomy(ext) -> pd.DataFrame:
+    """extract_status_by_payload with the byte sum named `sum_bytes`."""
+    return extract_status_by_payload(ext).rename(columns={"sum_bytes_decoded": "sum_bytes"})
+
+
+def payload_error_taxonomy_sql(golden_path: str) -> str:
+    return f"""
+        SELECT payload_kind, parse_status,
+               COUNT(*) AS n_turns,
+               CAST(SUM(bytes_decoded) AS BIGINT) AS sum_bytes
+        FROM read_parquet('{golden_path}')
+        GROUP BY 1, 2 ORDER BY 1, 2
+    """
+
+
+def extracted_dup_census(ext) -> pd.DataFrame:
+    """Exact-duplicate census of the extracted text per payload kind:
+    the composed clean->dedup reality check (templated payloads collapse
+    to identical visible text; this measures how much)."""
+    df = ext.to_pandas()
+    df["h"] = [hashlib.md5(t.encode("utf-8")).hexdigest() for t in df["extracted_text"]]
+    g = df.groupby(["payload_kind", "h"], as_index=False).agg(c=("h", "size"))
+    out = g.groupby("payload_kind", as_index=False).agg(
+        n_turns=("c", "sum"),
+        n_distinct_texts=("c", "size"),
+        n_dup_turns=("c", lambda s: int(s[s > 1].sum())),
+    )
+    for c in ("n_turns", "n_distinct_texts", "n_dup_turns"):
+        out[c] = out[c].astype("int64")
+    return out.sort_values("payload_kind").reset_index(drop=True)
+
+
+def extracted_dup_census_sql(golden_path: str) -> str:
+    return f"""
+            WITH h AS (
+                SELECT payload_kind, md5(extracted_text) AS h
+                FROM read_parquet('{golden_path}')
+            ),
+            g AS (SELECT payload_kind, h, COUNT(*) AS c FROM h GROUP BY 1, 2)
+            SELECT payload_kind,
+                   CAST(SUM(c) AS BIGINT) AS n_turns,
+                   CAST(COUNT(*) AS BIGINT) AS n_distinct_texts,
+                   CAST(COALESCE(SUM(c) FILTER (WHERE c > 1), 0) AS BIGINT)
+                       AS n_dup_turns
+            FROM g GROUP BY payload_kind ORDER BY payload_kind
+        """
+
+
+def extracted_len_profile(ext) -> pd.DataFrame:
+    """Extraction yield profile: per (payload_kind, parse_status),
+    turns, total extracted chars and the largest single extraction (how
+    many clean chars each payload class yields per input turn)."""
+    df = ext.to_pandas()
+    df["n_chars"] = df["extracted_text"].str.len().astype("int64")
+    out = df.groupby(["payload_kind", "parse_status"], as_index=False).agg(
+        n_turns=("n_chars", "size"),
+        total_chars=("n_chars", "sum"),
+        max_chars=("n_chars", "max"),
+    )
+    for c in ("n_turns", "total_chars", "max_chars"):
+        out[c] = out[c].astype("int64")
+    return out.sort_values(["payload_kind", "parse_status"]).reset_index(drop=True)
+
+
+def extracted_len_profile_sql(golden_path: str) -> str:
+    return f"""
+            SELECT payload_kind, parse_status,
+                   CAST(COUNT(*) AS BIGINT) AS n_turns,
+                   CAST(SUM(length(extracted_text)) AS BIGINT) AS total_chars,
+                   CAST(MAX(length(extracted_text)) AS BIGINT) AS max_chars
+            FROM read_parquet('{golden_path}')
+            GROUP BY 1, 2 ORDER BY 1, 2
+        """
+
+
+def extracted_token_stats(ext) -> pd.DataFrame:
+    """What extraction feeds the tokenizer: per payload kind, total
+    whitespace tokens and corpus-distinct tokens of the extracted text
+    (the vocabulary contribution of each payload class)."""
+    import re
+
+    # explicit ASCII whitespace class so Python and RE2 split identically
+    # (str.split() is Unicode-aware; extracted payload text can carry
+    # non-ASCII spacing chars)
+    ws_re = re.compile(r"[ \t\n\r\x0b\x0c]+")
+
+    rows = []
+    for kind, g in ext.to_pandas().groupby("payload_kind"):
+        toks = 0
+        vocab: set = set()
+        for t in g["extracted_text"]:
+            ws = [w for w in ws_re.split(t) if w]
+            toks += len(ws)
+            vocab.update(ws)
+        rows.append({"payload_kind": kind, "n_tokens": toks, "n_distinct_tokens": len(vocab)})
+    out = pd.DataFrame(rows).sort_values("payload_kind").reset_index(drop=True)
+    out["n_tokens"] = out["n_tokens"].astype("int64")
+    out["n_distinct_tokens"] = out["n_distinct_tokens"].astype("int64")
+    return out
+
+
+def extracted_token_stats_sql(golden_path: str) -> str:
+    return rf"""
+            WITH tok AS (
+                SELECT payload_kind,
+                       unnest(list_filter(
+                           string_split_regex(extracted_text,
+                                              '[ \t\n\r\x0b\x0c]+'),
+                           w -> w <> '')) AS w
+                FROM read_parquet('{golden_path}')
+            )
+            SELECT payload_kind,
+                   CAST(COUNT(*) AS BIGINT) AS n_tokens,
+                   CAST(COUNT(DISTINCT w) AS BIGINT) AS n_distinct_tokens
+            FROM tok GROUP BY payload_kind ORDER BY payload_kind
+        """
 
 
 def tool_latency(corpus_dir: str) -> pd.DataFrame:
@@ -1022,48 +1330,6 @@ def tool_latency_quantiles_sql(shards_glob: str) -> str:
                CAST(MAX(CASE WHEN rn = (n - 1) * 95 // 100 + 1 THEN lat_s END)
                     AS BIGINT) AS p95_s
         FROM t GROUP BY tool ORDER BY tool
-    """
-
-
-def payload_error_taxonomy(extract_ds) -> pd.DataFrame:
-    """Error-taxonomy report over the flagship pipeline's OUTPUT: per
-    (payload_kind, parse_status) the turn count and decoded-byte sum —
-    the triage table that tells a 10^12-turn extraction run which
-    error class dominates which format. Pure partial fold over the
-    output stream; the lattice is |kinds| x |statuses|."""
-
-    def partial(t: pa.Table) -> pd.DataFrame:
-        df = pd.DataFrame(
-            {
-                "payload_kind": t["payload_kind"].to_pylist(),
-                "parse_status": t["parse_status"].to_pylist(),
-                "bytes_decoded": pc.cast(t["bytes_decoded"], pa.int64()).to_numpy(),
-            }
-        )
-        return df.groupby(["payload_kind", "parse_status"], as_index=False).agg(
-            n_turns=("bytes_decoded", "size"), sum_bytes=("bytes_decoded", "sum")
-        )
-
-    out = (
-        extract_ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby(["payload_kind", "parse_status"], as_index=False)[["n_turns", "sum_bytes"]]
-        .sum()
-        .sort_values(["payload_kind", "parse_status"])
-        .reset_index(drop=True)
-    )
-    for c in ("n_turns", "sum_bytes"):
-        out[c] = out[c].astype("int64")
-    return out
-
-
-def payload_error_taxonomy_sql(golden_path: str) -> str:
-    return f"""
-        SELECT payload_kind, parse_status,
-               COUNT(*) AS n_turns,
-               CAST(SUM(bytes_decoded) AS BIGINT) AS sum_bytes
-        FROM read_parquet('{golden_path}')
-        GROUP BY 1, 2 ORDER BY 1, 2
     """
 
 
@@ -4020,19 +4286,7 @@ def conv_context_pack(
             .sort_values("conv_id", kind="mergesort")
             .reset_index(drop=True)
         )
-        pack_id, acc, pos = 0, 0, 0
-        pids, poss = [], []
-        for n in g["n_tokens"]:
-            if acc > 0 and acc + int(n) > budget:
-                pack_id += 1
-                acc = 0
-                pos = 0
-            acc += int(n)
-            pids.append(pack_id)
-            poss.append(pos)
-            pos += 1
-        g["pack_id"] = pd.Series(pids, dtype="int64")
-        g["pack_pos"] = pd.Series(poss, dtype="int64")
+        g["pack_id"], g["pack_pos"] = greedy_pack(g["n_tokens"], budget)
         return g[["conv_id", "n_turns", "n_tokens", "bucket", "pack_id", "pack_pos"]]
 
     out = (

@@ -105,23 +105,13 @@ def _deduped(ext, quality_cut_centi: int, n_buckets: int):
 
 
 def _make_pack(budget: int):
+    from ..functions.textstats import greedy_pack
+
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort").reset_index(
             drop=True
         )
-        pack_id, acc, pos = 0, 0, 0
-        pids, poss = [], []
-        for n in g["n_tokens"]:
-            if acc > 0 and acc + int(n) > budget:
-                pack_id += 1
-                acc = 0
-                pos = 0
-            acc += int(n)
-            pids.append(pack_id)
-            poss.append(pos)
-            pos += 1
-        g["pack_id"] = pd.Series(pids, dtype="int64")
-        g["pack_pos"] = pd.Series(poss, dtype="int64")
+        g["pack_id"], g["pack_pos"] = greedy_pack(g["n_tokens"], budget)
         return g[["conv_id", "turn_idx", "n_tokens", "bucket", "pack_id", "pack_pos"]]
 
     return pack
@@ -150,7 +140,7 @@ def corpus_build_from_extracted(
     return out.sort_values(["conv_id", "turn_idx"]).reset_index(drop=True)
 
 
-def transcript_corpus_build_sql(
+def corpus_build_from_extracted_sql(
     golden_glob: str,
     quality_cut_centi: int = 30,
     budget: int = 256,

@@ -19,7 +19,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from ..functions.textstats import token_count
+from ..functions.textstats import greedy_pack, token_count
 from ..stages.broadcast import worker_value
 
 
@@ -235,20 +235,7 @@ def pack_sequences(sf_dir: str, budget: int = 128, n_buckets: int = 16) -> pd.Da
 
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id").reset_index(drop=True)
-        pack_id, acc = 0, 0
-        pids, poss = [], []
-        pos = 0
-        for n in g["n_tokens"]:
-            if acc > 0 and acc + n > budget:
-                pack_id += 1
-                acc = 0
-                pos = 0
-            acc += int(n)
-            pids.append(pack_id)
-            poss.append(pos)
-            pos += 1
-        g["pack_id"] = pd.Series(pids, dtype="int64")
-        g["pack_pos"] = pd.Series(poss, dtype="int64")
+        g["pack_id"], g["pack_pos"] = greedy_pack(g["n_tokens"], budget)
         return g[["doc_id", "bucket", "n_tokens", "pack_id", "pack_pos"]]
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -705,19 +692,7 @@ def clean_pack_pipeline(
 
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id").reset_index(drop=True)
-        pack_id, acc, pos = 0, 0, 0
-        pids, poss = [], []
-        for n in g["n_tokens"]:
-            if acc > 0 and acc + n > budget:
-                pack_id += 1
-                acc = 0
-                pos = 0
-            acc += int(n)
-            pids.append(pack_id)
-            poss.append(pos)
-            pos += 1
-        g["pack_id"] = pd.Series(pids, dtype="int64")
-        g["pack_pos"] = pd.Series(poss, dtype="int64")
+        g["pack_id"], g["pack_pos"] = greedy_pack(g["n_tokens"], budget)
         return g[["doc_id", "lang", "bucket", "n_tokens", "pack_id", "pack_pos"]]
 
     out = (

@@ -2642,7 +2642,7 @@ PDF_CONTENT_OPS = (
 _OP_SPLIT = "[ \\t\\r\\n\\f]"
 
 
-def content_op_lexical_census(raw_ds) -> pd.DataFrame:
+def content_op_census(raw_ds) -> pd.DataFrame:
     """LEXICAL census of content-stream operators over raw-content
     extraction output: whitespace-split each decoded stream and count
     tokens that are standard PDF operators, plus the number of distinct
@@ -2703,7 +2703,7 @@ def content_op_lexical_census(raw_ds) -> pd.DataFrame:
     return out.sort_values("op").reset_index(drop=True)
 
 
-def content_op_census_sql(golden_parquet: str) -> str:
+def content_op_census_sql(golden_parquet: str, mode: str) -> str:
     ops = ", ".join(
         "('" + o.replace("'", "''") + "')" for o in PDF_CONTENT_OPS
     )
@@ -2713,7 +2713,7 @@ def content_op_census_sql(golden_parquet: str) -> str:
                    unnest(string_split_regex(extracted_text,
                                              '{_OP_SPLIT}+')) AS tok
             FROM read_parquet('{golden_parquet}')
-            WHERE mode = 'raw-content' AND parse_status = 'ok'
+            WHERE mode = '{mode}' AND parse_status = 'ok'
         ), lex(op) AS (VALUES {ops})
         SELECT l.op,
                CAST(COUNT(*) AS BIGINT) AS n_occurrences,

@@ -56,12 +56,12 @@ def test_content_op_census_brute(ray_session):
     from pdfrust_ray.pipelines.extract_pipeline import build_extraction
     from pdfrust_ray.pipelines.textops import (
         PDF_CONTENT_OPS,
-        content_op_lexical_census,
+        content_op_census,
     )
     from pdfrust_ray.sources.transcripts import read_transcripts
 
     d = ensure_modes_fixture()
-    out = content_op_lexical_census(
+    out = content_op_census(
         build_extraction(read_transcripts(d), mode="raw-content",
                          batch_size=4, concurrency=2)
     )

@@ -21,11 +21,11 @@ def built(ray_session):
 
 
 def test_chained_twin_exact(built):
-    from pdfrust_ray.pipelines.corpusbuild import transcript_corpus_build_sql
+    from pdfrust_ray.pipelines.corpusbuild import corpus_build_from_extracted_sql
 
     d, mine = built
     con = duckdb.connect()
-    compare_twin(mine, con, transcript_corpus_build_sql(f"{d}/golden.parquet"))
+    compare_twin(mine, con, corpus_build_from_extracted_sql(f"{d}/golden.parquet"))
     assert len(mine) > 0
 
 
@@ -153,9 +153,9 @@ def _packed(out):
 
 def _twin(d, **params):
     """The query form over the corpus's golden extraction (fast on t1)."""
-    from pdfrust_ray.pipelines.corpusbuild import transcript_corpus_build_sql
+    from pdfrust_ray.pipelines.corpusbuild import corpus_build_from_extracted_sql
 
-    sql = transcript_corpus_build_sql(f"{d}/golden.parquet", **params)
+    sql = corpus_build_from_extracted_sql(f"{d}/golden.parquet", **params)
     return duckdb.connect().execute(sql).fetchdf().astype(_INTS)
 
 

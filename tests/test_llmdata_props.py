@@ -1,5 +1,6 @@
 """Property-based tests for the pure LLM-data construction functions
-(no Ray): greedy packing invariants vs a brute-force reference, BPE
+(no Ray): the shared greedy packer vs a brute-force walk and its
+invariants, BPE
 merge-loop correctness vs per-round recounting, and PII/normalization
 regex parity between Python re and DuckDB RE2 on adversarial inputs.
 """
@@ -8,20 +9,38 @@ from collections import Counter
 
 import duckdb
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
-def _greedy_pack_reference(tokens: list[int], budget: int) -> list[int]:
-    """Independent single-pass packing: returns pack_id per position."""
-    out, pack, acc = [], 0, 0
-    for n in tokens:
-        if acc > 0 and acc + n > budget:
-            pack += 1
-            acc = 0
-        acc += n
-        out.append(pack)
-    return out
+def _packs_brute_force(tokens: list[int], budget: int) -> tuple[list[int], list[int]]:
+    """Pack by pack: a pack takes the next document while it holds no
+    tokens yet or the document still fits; (pack_id, pack_pos) per doc."""
+    pids, poss = [], []
+    i = 0
+    while i < len(tokens):
+        total, j = 0, i
+        while j < len(tokens) and (total == 0 or total + tokens[j] <= budget):
+            total += tokens[j]
+            j += 1
+        pids += [pids[-1] + 1 if pids else 0] * (j - i)
+        poss += list(range(j - i))
+        i = j
+    return pids, poss
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tokens=st.lists(st.integers(min_value=0, max_value=200), max_size=60),
+    budget=st.integers(min_value=1, max_value=256),
+)
+# a pack filled to exactly the budget, then an oversized document
+@example(tokens=[100, 28, 128, 1, 300, 5], budget=128)
+def test_greedy_pack_matches_brute_force_walk(tokens, budget):
+    from pdfrust_ray.functions.textstats import greedy_pack
+
+    pids, poss = greedy_pack(tokens, budget)
+    assert (pids.tolist(), poss.tolist()) == _packs_brute_force(tokens, budget)
 
 
 @settings(max_examples=200, deadline=None)
@@ -30,7 +49,9 @@ def _greedy_pack_reference(tokens: list[int], budget: int) -> list[int]:
     budget=st.integers(min_value=1, max_value=256),
 )
 def test_pack_invariants(tokens, budget):
-    pids = _greedy_pack_reference(tokens, budget)
+    from pdfrust_ray.functions.textstats import greedy_pack
+
+    pids = greedy_pack(tokens, budget)[0].tolist()
     # pack ids are contiguous and non-decreasing
     assert pids[0] == 0
     assert all(b - a in (0, 1) for a, b in zip(pids, pids[1:]))
@@ -46,8 +67,7 @@ def test_pack_invariants(tokens, budget):
     # NOT have fit in the previous one
     for i in range(1, len(tokens)):
         if pids[i] != pids[i - 1]:
-            prev_sum = sums[pids[i - 1]] if counts[pids[i - 1]] > 1 or True else 0
-            assert prev_sum + tokens[i] > budget
+            assert sums[pids[i - 1]] + tokens[i] > budget
 
 
 @settings(max_examples=50, deadline=None)

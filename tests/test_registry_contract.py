@@ -94,8 +94,8 @@ def derived_twins(e) -> dict[str, str]:
     rule derives, re-derived here from the entry itself: a module
     function `f` with an `f_sql` beside it that takes no required
     arguments has `f_sql()`; an entry built by a fixture-bound
-    constructor has the twin over the files of the family it names."""
-    from pdfrust_ray.functions.payload import OUTPUT_SCHEMA
+    constructor has the `f_sql` beside its function over the files of
+    the family it names."""
 
     def beside(fn):
         mod = sys.modules.get(fn.__module__)
@@ -107,27 +107,22 @@ def derived_twins(e) -> dict[str, str]:
     for name, fn in e.queries().items():
         ctor = fn.__qualname__.split(".")[0]
         bound = inspect.getclosurevars(fn).nonlocals
-        if hasattr(fn, "sql"):
-            bound |= inspect.getclosurevars(fn.sql).nonlocals
-        if ctor in ("_q_conv", "_q_family"):
-            twin = beside(bound["fn"])
-            if twin is None:
-                continue
-            if ctor == "_q_conv":
-                out[name] = twin(f"{_family_dir('t2')}/shards/*.parquet")
+        twin = beside(bound["fn"]) if "fn" in bound else None
+        if ctor in ("_q_conv", "_q_family", "_q_extracted") and twin is None:
+            continue
+        if ctor == "_q_conv":
+            out[name] = twin(f"{_family_dir('t2')}/shards/*.parquet")
+        elif ctor == "_q_family":
+            reads = inspect.getclosurevars(fn.sql).nonlocals["reads"]
+            out[name] = twin(f"{_family_dir(bound['family'])}/{reads}")
+        elif ctor == "_q_extracted":
+            # the scale's corpus reads the t2 golden; the modes golden
+            # holds every mode, so its twins also take the modes
+            family = bound["family"] or "t2"
+            if family == "modes":
+                out[name] = twin(f"{_family_dir(family)}/golden_modes.parquet", *bound["modes"])
             else:
-                out[name] = twin(f"{_family_dir(bound['family'])}/{bound['reads']}")
-        elif ctor == "_q_extract_spec":
-            cols = ", ".join(OUTPUT_SCHEMA.names)
-            golden = f"{_family_dir(bound['family'])}/golden.parquet"
-            out[name] = f"SELECT {cols} FROM read_parquet('{golden}') ORDER BY conv_id, turn_idx"
-        elif ctor == "_q_extract_mode":
-            golden = f"{_family_dir('modes')}/golden_modes.parquet"
-            out[name] = (
-                "SELECT conv_id, turn_idx, extracted_text, parse_status "
-                f"FROM read_parquet('{golden}') WHERE mode = '{bound['mode']}' "
-                "ORDER BY conv_id, turn_idx"
-            )
+                out[name] = twin(f"{_family_dir(family)}/golden.parquet")
         else:
             assert not hasattr(fn, "sql"), f"{name}: twin attached by unknown {ctor}"
             twin = beside(fn)
@@ -141,22 +136,48 @@ def derived_twins(e) -> dict[str, str]:
 
 
 def test_oracles_follow_the_sql_twin_rule():
-    """Every twin the binding rule derives is the entry's oracle (the
-    mode twins compared with whitespace collapsed); no rows-only query
-    has such a twin."""
+    """Every twin the binding rule derives is the entry's oracle; no
+    rows-only query has such a twin."""
     import __ray_entry__ as e
 
     oracles = e.oracle_sql()
     qs = e.queries()
     covered = derived_twins(e)
     ctors = {fn.__qualname__.split(".")[0] for fn in qs.values()}
-    assert {"_q_conv", "_q_family", "_q_extract_spec", "_q_extract_mode"} <= ctors
+    assert {"_q_conv", "_q_family", "_q_extracted"} <= ctors
     for name, sql in covered.items():
-        got = oracles.get(name)
-        if qs[name].__qualname__.startswith("_q_extract_mode."):
-            got = got and " ".join(got.split())
-        assert got == sql, name
+        assert oracles.get(name) == sql, name
     assert not set(covered) & set(e.NO_ORACLE_JUSTIFICATIONS)
+
+
+def test_one_extraction_per_family_and_mode(ray_session, monkeypatch):
+    """Every query over the extraction output, run once at sf0.001 from
+    an empty memo, runs the flagship pipeline once per (family, mode,
+    spec_mode) the queries read, however many queries share it."""
+    import __ray_entry__ as e
+    from pdfrust_ray.pipelines import extract_pipeline
+
+    sf = "/root/testdata/sf0.001"
+    qs = {n: fn for n, fn in e.queries().items() if fn.__qualname__.startswith("_q_extracted.")}
+    keys = set()
+    for fn in qs.values():
+        bound = inspect.getclosurevars(fn).nonlocals
+        family = bound["family"] or e._scale_for(sf)
+        keys |= {(family, mode, bound["spec_mode"]) for mode in bound["modes"]}
+    runs = []
+    build = extract_pipeline.build_extraction
+
+    def counted(ds, **kw):
+        runs.append(kw)
+        return build(ds, **kw)
+
+    monkeypatch.setattr(extract_pipeline, "build_extraction", counted)
+    e._extractions.clear()
+    for fn in qs.values():
+        fn(sf)
+    assert len(qs) == 19 and len(keys) == 9
+    assert set(e._extractions) == keys
+    assert len(runs) == len(keys), runs
 
 
 def written_oracles(e) -> set[str]:

@@ -1,7 +1,10 @@
-"""The entry points' PYTHONPATH step: Ray workers inherit it and must
-import pdfrust_ray, whatever the variable held before. No Ray needed."""
+"""The entry points' session set-up: the PYTHONPATH step (Ray workers
+inherit it and must import pdfrust_ray, whatever the variable held
+before), and argument parsing before any session starts. No Ray needed."""
 
 import os
+import subprocess
+import sys
 
 from pdfrust_ray.session import REPO, put_repo_on_pythonpath
 
@@ -22,3 +25,22 @@ def test_pythonpath_holding_repo_left_alone():
     env = {"PYTHONPATH": os.pathsep.join(["/elsewhere", REPO])}
     put_repo_on_pythonpath(env)
     assert env["PYTHONPATH"] == os.pathsep.join(["/elsewhere", REPO])
+
+
+def test_sf1_probe_parses_arguments_before_starting_ray():
+    """`--help` exits 0 and an unknown flag exits 2, neither having
+    started Ray (the probe goes on to an 8M-row run)."""
+    script = (
+        "import sys, ray\n"
+        "from tools import sf1_probe\n"
+        "try:\n"
+        "    sf1_probe.main(sys.argv[1:])\n"
+        "except SystemExit as ex:\n"
+        "    print(ex.code, ray.is_initialized())\n"
+    )
+    for argv, want in ((["--help"], "0 False"), (["--no-such-flag"], "2 False")):
+        r = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            cwd=REPO, capture_output=True, text=True, timeout=120,
+        )
+        assert r.stdout.strip().splitlines()[-1] == want, (argv, r.stdout, r.stderr)

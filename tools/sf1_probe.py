@@ -9,6 +9,7 @@ Usage: python tools/sf1_probe.py [--flagship-only | --ops-only]
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from pdfrust_ray.fixtures.corpus import default_dir  # noqa: E402
 
 SF1 = "/tmp/sf1"
 STRESS = default_dir("stress")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", os.cpu_count()))
 # queries() names of the ten most expensive bench cells
 SF1_CELLS = (
     "facility_location_selection",
@@ -37,7 +38,13 @@ SF1_CELLS = (
 )
 
 
-def main() -> dict:
+def main(argv: list[str] | None = None) -> dict:
+    ap = argparse.ArgumentParser(description="Time the flagship and the top bench cells at sf1.")
+    only = ap.add_mutually_exclusive_group()
+    only.add_argument("--flagship-only", action="store_true", help="skip the op cells")
+    only.add_argument("--ops-only", action="store_true", help="skip the flagship extraction")
+    args = ap.parse_args(argv)
+
     import ray
 
     from pdfrust_ray.session import start_session
@@ -45,9 +52,8 @@ def main() -> dict:
     start_session(NUM_CPUS)
 
     out: dict = {"num_cpus": NUM_CPUS, "sf1_dir": SF1}
-    args = sys.argv[1:]
 
-    if "--ops-only" not in args:
+    if not args.ops_only:
         import shutil
 
         from pdfrust_ray.pipelines.extract_pipeline import run_extraction
@@ -69,7 +75,7 @@ def main() -> dict:
         }
         print(json.dumps(out["flagship"]), flush=True)
 
-    if "--flagship-only" not in args:
+    if not args.flagship_only:
         import __ray_entry__ as entry
 
         queries = entry.queries()
